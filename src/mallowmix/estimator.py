@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import issparse as sp_issparse
 
 from . import pairs
 from .mallows import RankingMatrix
@@ -70,17 +69,6 @@ class NovelPairSet:
     rows: list[int]  # selected pair rows, in selection order
     item_pairs: list[tuple[int, int]]
     solid_angles: dict[int, float]  # q-hat for every candidate row
-
-
-def _row_block(E, rows_idx: np.ndarray, cols_idx: np.ndarray | None) -> np.ndarray:
-    """Dense block of E at the given rows (all columns when cols_idx is None)."""
-    if sp_issparse(E):
-        E = E.tocsr()[rows_idx]
-        if cols_idx is not None:
-            E = E[:, cols_idx]
-        return np.asarray(E.todense())
-    block = E[rows_idx]
-    return block if cols_idx is None else block[:, cols_idx]
 
 
 def _row_noise(cooc: CoocMatrix, act: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -144,7 +132,7 @@ def detect_novel_pairs(cooc: CoocMatrix, config: DetectionConfig) -> NovelPairSe
     if act.size < K:
         raise DetectionError(f"only {act.size} candidate rows, need at least {K}")
     sampled = cooc.split is not None
-    rows = _row_block(cooc.E, act, act if sampled else None)
+    rows = cooc.E[np.ix_(act, act)] if sampled else cooc.E[act]
     n = act.size
 
     sq = np.einsum("ij,ij->i", rows, rows)
@@ -278,7 +266,7 @@ def estimate_ranking_matrix(
     indefinite H is shifted by |lambda_min| + 1e-10.  Solutions are scaled
     by ``row_scale`` and the columns normalized to sum to one.
     """
-    E = cooc.dense()
+    E = cooc.E
     W = E.shape[0]
     row_scale = np.asarray(row_scale, dtype=float)
     if row_scale.shape != (W,):

@@ -121,7 +121,7 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = 1e-8,
     theta = np.full((corpus.M, K), 1.0 / K)
     history: list[float] = []
     prev_ll = -math.inf
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         mix = theta[users] * Bw
         total = mix.sum(axis=1)
         if np.any(total == 0):
@@ -129,7 +129,9 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = 1e-8,
             i, j = pairs.row_pair(r, corpus.Q)
             raise ValueError(f"comparison ({i}, {j}) has zero probability in every component")
         ll = float(np.log(total).sum())
-        assert ll >= prev_ll - 1e-9 * (1.0 + abs(prev_ll)), "likelihood decreased"
+        if ll < prev_ll - 1e-9 * (1.0 + abs(prev_ll)):
+            raise RuntimeError(
+                f"EM log-likelihood decreased at iteration {it}: {prev_ll!r} -> {ll!r}")
         history.append(ll)
         resp = mix / total[:, None]
         new = np.zeros_like(theta)

@@ -335,25 +335,41 @@ def write_corpus(corpus: ComparisonCorpus, path: str, meta_extra: dict | None = 
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+class CorpusError(ValueError):
+    """A corpus file breaks a format rule; the message names file and line."""
+
+
 def read_corpus(path: str) -> ComparisonCorpus:
+    """Read a JSON Lines corpus, rejecting any record that breaks a rule.
+
+    Items must lie in 1..Q, winner and loser must differ, and user ids must
+    lie in 0..M-1, with Q and M taken from the meta line or, without one,
+    from the largest ids.  Errors read ``{path}:{line}: {rule}``.
+    """
     users: list[int] = []
     wins: list[int] = []
     loses: list[int] = []
     meta = None
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if meta is None and users == [] and '"meta"' in line:
-                obj = json.loads(line)
-                if "meta" in obj:
-                    meta = obj["meta"]
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
                     continue
-            obj = json.loads(line)
-            users.append(obj["user"])
-            wins.append(obj["win"])
-            loses.append(obj["lose"])
+                if meta is None and users == [] and '"meta"' in line:
+                    obj = json.loads(line)
+                    if "meta" in obj:
+                        meta = obj["meta"]
+                        continue
+                obj = json.loads(line)
+                users.append(obj["user"])
+                wins.append(obj["win"])
+                loses.append(obj["lose"])
+        except json.JSONDecodeError as exc:
+            raise CorpusError(
+                f"{path}:{lineno}: invalid JSON: {exc.msg} (column {exc.colno})") from None
+        except KeyError as exc:
+            raise CorpusError(f"{path}:{lineno}: record has no {exc.args[0]!r} field") from None
     if not users:
         raise ValueError(f"no comparison records in {path}")
     user = np.asarray(users, dtype=np.int64)
@@ -368,7 +384,31 @@ def read_corpus(path: str) -> ComparisonCorpus:
         Q = int(max(winner.max(), loser.max()))
         M = int(user.max()) + 1
         N = None
+    rules = (
+        ((winner < 1) | (winner > Q) | (loser < 1) | (loser > Q), f"item ids must lie in 1..{Q}"),
+        (winner == loser, "winner and loser must differ"),
+        ((user < 0) | (user >= M), f"user ids must lie in 0..{M - 1}"),
+    )
+    broken = [(int(np.argmax(bad)), rule) for bad, rule in rules if bad.any()]
+    if broken:
+        record, rule = min(broken)
+        raise CorpusError(f"{path}:{_record_line(path, record)}: {rule}")
     return ComparisonCorpus(Q, M, user, winner, loser, N=N)
+
+
+def _record_line(path: str, record: int) -> int:
+    """File line of the record at index ``record``, found by rescanning the
+    file the way ``read_corpus`` reads it; for error messages only."""
+    seen = 0
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or (seen == 0 and '"meta"' in line and "meta" in json.loads(line)):
+                continue
+            if seen == record:
+                return lineno
+            seen += 1
+    raise ValueError(f"{path} has no record {record}")
 
 
 def _prior_to_json(prior) -> dict:

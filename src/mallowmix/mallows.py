@@ -76,19 +76,11 @@ def _insertion_cumweights(phi: float, Q: int) -> list[np.ndarray]:
 
 def rim_sample(component: MallowsComponent, rng: np.random.Generator) -> Permutation:
     """Draw one ranking by repeated insertion; exact for the Mallows pmf."""
-    Q = component.Q
-    cum = _insertion_cumweights(component.dispersion, Q)
-    us = rng.random(Q)
-    out: list[int] = []
-    for level, item in enumerate(component.reference.ranking, start=1):
-        c = cum[level - 1]
-        slot = int(np.searchsorted(c, us[level - 1] * c[-1], side="right"))
-        out.insert(min(slot, level - 1), item)
-    return Permutation.from_ranking(out)
+    return Permutation(tuple(_rim_sample_block(component, 1, rng)[0].tolist()))
 
 
 def _rim_sample_block(component: MallowsComponent, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` rankings as an (n, Q) position matrix; same process as rim_sample."""
+    """``n`` rankings by repeated insertion, as an (n, Q) position matrix."""
     Q = component.Q
     cum = _insertion_cumweights(component.dispersion, Q)
     us = rng.random((n, Q))
@@ -159,8 +151,7 @@ class RankingMatrix:
     ``kind`` records what the entries mean:
       * "beta": per-component probability that the row's pair is concordant,
       * "B": observation probabilities (pair distribution times beta),
-        column-stochastic,
-      * "B-bar": row-normalized observation matrix.
+        column-stochastic.
     """
 
     entries: np.ndarray
@@ -172,7 +163,7 @@ class RankingMatrix:
         W = pairs.num_pairs(self.Q)
         if self.entries.ndim != 2 or self.entries.shape[0] != W:
             raise ValueError(f"entries must be ({W}, K), got {self.entries.shape}")
-        if self.kind not in ("beta", "B", "B-bar"):
+        if self.kind not in ("beta", "B"):
             raise ValueError(f"unknown kind {self.kind!r}")
 
     @property
@@ -187,14 +178,8 @@ class RankingMatrix:
             rev = pairs.reverse_rows(self.Q)
             if np.max(np.abs(e + e[rev] - 1.0)) > tol:
                 raise ValueError("beta and its reverse rows must sum to one")
-        elif self.kind == "B":
-            if np.max(np.abs(e.sum(axis=0) - 1.0)) > tol:
-                raise ValueError("columns of B must sum to one")
-        else:  # B-bar: every row is either zero or a distribution
-            rs = e.sum(axis=1)
-            bad = (rs > tol) & (np.abs(rs - 1.0) > tol)
-            if bad.any():
-                raise ValueError("nonzero rows of B-bar must sum to one")
+        elif np.max(np.abs(e.sum(axis=0) - 1.0)) > tol:
+            raise ValueError("columns of B must sum to one")
 
 
 def build_ranking_matrix(components: list[MallowsComponent]) -> RankingMatrix:

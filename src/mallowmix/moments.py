@@ -18,9 +18,6 @@ import scipy.sparse as sp
 from . import pairs
 from .generator import ComparisonCorpus, MixedMembershipModel
 
-# E-hat is stored dense up to this many pair rows, sparse beyond.
-DENSE_ROW_LIMIT = 2000
-
 
 class SplitError(ValueError):
     """A user has too few comparisons to split."""
@@ -49,8 +46,9 @@ class SplitCounts:
 class CoocMatrix:
     """Estimated co-occurrence matrix with bookkeeping.
 
-    ``M`` is the number of users behind the estimate; 0 marks an analytic
-    (asymptotic) matrix.  Rows and columns outside ``active`` are zero.
+    ``E`` is a dense W x W array.  ``M`` is the number of users behind the
+    estimate; 0 marks an analytic (asymptotic) matrix.  Rows and columns
+    outside ``active`` are zero.
     ``row_counts`` carries the combined observation count of each pair row
     (None for analytic matrices), letting downstream consumers judge how
     trustworthy each row of the estimate is.  ``split`` keeps the
@@ -59,17 +57,12 @@ class CoocMatrix:
     matrices.
     """
 
-    E: np.ndarray | sp.spmatrix
+    E: np.ndarray
     active: np.ndarray
     M: int
     Q: int
     row_counts: np.ndarray | None = None
     split: "SplitCounts | None" = None
-
-    def dense(self) -> np.ndarray:
-        if sp.issparse(self.E):
-            return np.asarray(self.E.todense())
-        return self.E
 
 
 def split_halves(corpus: ComparisonCorpus) -> SplitCounts:
@@ -114,20 +107,12 @@ def _normalize_rows(X: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def cooccurrence(split: SplitCounts) -> CoocMatrix:
-    """E-hat = M * row-normalized(X') row-normalized(X)^T."""
-    rs1 = np.asarray(split.X.sum(axis=1)).ravel()
-    rs2 = np.asarray(split.X_prime.sum(axis=1)).ravel()
-    active = (rs1 + rs2) > 0
-    Xn = _normalize_rows(split.X)
-    Xpn = _normalize_rows(split.X_prime)
-    E = split.M * (Xpn @ Xn.T)
-    W = E.shape[0]
-    if W <= DENSE_ROW_LIMIT:
-        E = np.asarray(E.todense())
-    else:
-        E = E.tocsr()
-    return CoocMatrix(E, active, split.M, split.Q, row_counts=rs1 + rs2,
-                      split=split)
+    """E-hat = M * row-normalized(X') row-normalized(X)^T, as a dense array."""
+    Xn, Xpn = normalized_halves(split)
+    E = (Xpn @ Xn.T).toarray()
+    E *= split.M
+    counts = split.row_totals()
+    return CoocMatrix(E, counts > 0, split.M, split.Q, row_counts=counts, split=split)
 
 
 def analytic_cooccurrence(model: MixedMembershipModel) -> tuple[CoocMatrix, np.ndarray]:

@@ -37,33 +37,30 @@ class SeparabilityEstimate:
 
 
 def check_separability(beta, lam: float) -> SeparabilityReport:
-    """Exhaustive witness scan of a beta matrix at threshold ``lam``."""
+    """Every component's best witness ratio and row at threshold ``lam``.
+
+    A row's ratio for component k is the largest other entry over
+    beta[w, k]: the row's second value where beta[w, k] is its maximum,
+    the row's maximum otherwise.  The verdict is ``_is_separable``'s.
+    """
     if isinstance(beta, RankingMatrix):
         beta = beta.entries
     beta = np.asarray(beta, dtype=float)
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lambda must lie in [0, 1), got {lam}")
     W, K = beta.shape
-    best: list[float] = []
-    witnesses: list[int] = []
-    for k in range(K):
-        positive = beta[:, k] > 0
-        if not positive.any():
-            best.append(math.inf)
-            witnesses.append(-1)
-            continue
-        if K == 1:
-            best.append(0.0)
-            witnesses.append(int(np.flatnonzero(positive)[0]))
-            continue
-        others = np.delete(beta, k, axis=1).max(axis=1)
-        ratio = np.full(W, math.inf)
-        ratio[positive] = others[positive] / beta[positive, k]
-        w = int(np.argmin(ratio))
-        best.append(float(ratio[w]))
-        witnesses.append(w)
-    separable = all(b <= lam for b in best)
-    return SeparabilityReport(separable, lam, best, witnesses)
+    if K == 1:
+        others = np.zeros_like(beta)
+    else:
+        top, second = _top_two(beta)
+        others = np.where(beta >= top[:, None], second[:, None], top[:, None])
+    positive = beta > 0
+    ratio = np.full((W, K), math.inf)
+    ratio[positive] = others[positive] / beta[positive]
+    rows = np.argmin(ratio, axis=0)
+    best = ratio[rows, np.arange(K)]
+    witnesses = np.where(positive.any(axis=0), rows, -1)
+    return SeparabilityReport(_is_separable(beta, lam), lam, best.tolist(), witnesses.tolist())
 
 
 def _random_beta(Q: int, K: int, table: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -81,19 +78,22 @@ def _random_beta(Q: int, K: int, table: np.ndarray, rng: np.random.Generator) ->
     return beta
 
 
+def _top_two(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest and second largest entry of every row (K >= 2)."""
+    part = np.partition(beta, beta.shape[1] - 2, axis=1)
+    return part[:, -1], part[:, -2]
+
+
 def _is_separable(beta: np.ndarray, lam: float) -> bool:
-    """Same verdict as check_separability, via per-row top-two statistics.
+    """Whether every component owns a witness row at threshold ``lam``.
 
     A witness for k must make beta[:, k] the strict row maximum (any tie
     forces a ratio of one, which fails every lambda below one), so it is
     enough to compare each row's top value against its second largest.
     """
-    K = beta.shape[1]
-    if K == 1:
+    if beta.shape[1] == 1:
         return bool((beta[:, 0] > 0).any())
-    part = np.partition(beta, K - 2, axis=1)
-    top = part[:, -1]
-    second = part[:, -2]
+    top, second = _top_two(beta)
     good = (top > 0) & (second <= lam * top)
     if not good.any():
         return False

@@ -134,6 +134,25 @@ class TestInferWeights:
         assert np.allclose(theta.sum(axis=1), 1.0)
         assert np.all(theta >= 0)
 
+    def test_likelihood_decrease_is_an_error(self, monkeypatch):
+        # An EM step that hands every record's responsibility to the other
+        # component lowers the (concave) likelihood; the loop must stop
+        # with an error naming the iteration, not run on.
+        B = np.array([[0.8, 0.2], [0.2, 0.8]])
+        records = [(0, 1, 2)] * 3 + [(0, 2, 1)]
+        u, w, l = (np.array(c) for c in zip(*records))
+        corpus = ComparisonCorpus(Q=2, M=1, user=u, winner=w, loser=l)
+        add = np.add
+
+        class SwappedAdd:
+            @staticmethod
+            def at(a, idx, b):
+                add.at(a, idx, b[:, ::-1])
+
+        monkeypatch.setattr(np, "add", SwappedAdd)
+        with pytest.raises(RuntimeError, match="decreased at iteration 2"):
+            infer_weights(corpus, B)
+
     def test_user_without_records_keeps_barycenter(self):
         B = np.array([[0.8, 0.2], [0.2, 0.8]])
         corpus = ComparisonCorpus(Q=2, M=3, user=np.array([0, 2]),

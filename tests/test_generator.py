@@ -1,6 +1,8 @@
 """Corpus sampling: priors, determinism, label statistics, file round trips."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -238,6 +240,24 @@ class TestGenerate:
         assert np.all(np.isnan(beta[:, 1]))
 
 
+CORPUS_META = json.dumps({"meta": {"Q": 5, "M": 3, "N": None}})
+
+
+def record(user, win, lose):
+    return json.dumps({"user": user, "win": win, "lose": lose})
+
+
+def assert_rejected(tmp_path, bad, rule):
+    """A corpus whose fourth record is ``bad`` fails at that record's file
+    line (meta and a blank line come first) with ``rule``."""
+    good = [(0, 1, 2), (1, 2, 3), (2, 4, 5)]
+    lines = [CORPUS_META, ""] + [record(*r) for r in good + [bad] + good]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:6: {rule}")):
+        read_corpus(path)
+
+
 class TestSerialization:
     def test_corpus_round_trip(self, tmp_path):
         model = small_model()
@@ -257,6 +277,24 @@ class TestSerialization:
         path.write_text("")
         with pytest.raises(ValueError):
             read_corpus(path)
+
+    def test_read_rejects_self_comparison(self, tmp_path):
+        assert_rejected(tmp_path, (1, 3, 3), "winner and loser must differ")
+
+    def test_read_rejects_item_out_of_range(self, tmp_path):
+        assert_rejected(tmp_path, (1, 0, 3), "item ids must lie in 1..5")
+        assert_rejected(tmp_path, (1, 2, 6), "item ids must lie in 1..5")
+
+    def test_read_rejects_user_out_of_range(self, tmp_path):
+        assert_rejected(tmp_path, (3, 1, 2), "user ids must lie in 0..2")
+
+    def test_read_reports_malformed_line(self, tmp_path):
+        path = tmp_path / "broken.jsonl"
+        for line, error in (('{"user": 0, "win": 2, "lose": }', "invalid JSON"),
+                            ('{"user": 0, "win": 2}', "record has no 'lose' field")):
+            path.write_text(CORPUS_META + "\n" + record(0, 1, 2) + "\n" + line + "\n")
+            with pytest.raises(ValueError, match=re.escape(f"{path}:3: {error}")):
+                read_corpus(path)
 
     def test_model_round_trip(self, tmp_path):
         for prior in (DirichletPrior(0.7), VertexPrior(probs=(0.3, 0.7)),

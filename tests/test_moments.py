@@ -168,16 +168,20 @@ class TestCooccurrence:
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 0.05
 
-    def test_sparse_storage_above_row_limit(self):
-        Q = 46  # 2070 ordered pairs, beyond the dense cutoff
+    def test_dense_at_many_pair_rows(self):
+        Q = 46  # 2070 ordered pairs
         model = MixedMembershipModel(
             [MallowsComponent(Permutation.identity(Q), 0.3)], FixedWeights((1.0,)))
         corpus, _ = generate(model, M=60, N=30, seed=6)
-        cooc = cooccurrence(split_halves(corpus))
-        assert sp.issparse(cooc.E)
-        dense = cooc.dense()
-        assert dense.shape == (pairs.num_pairs(Q),) * 2
-        assert np.all(dense[~cooc.active] == 0)
+        split = split_halves(corpus)
+        cooc = cooccurrence(split)
+        assert isinstance(cooc.E, np.ndarray)
+        assert cooc.E.shape == (pairs.num_pairs(Q),) * 2
+        assert (~cooc.active).any()
+        assert np.all(cooc.E[~cooc.active] == 0)
+        assert np.all(cooc.E[:, ~cooc.active] == 0)
+        Xn, Xpn = normalized_halves(split)
+        assert np.array_equal(cooc.E, (60 * (Xpn @ Xn.T)).toarray())
 
     def test_unobserved_rows_inactive(self):
         records = [(0, 1, 2), (0, 1, 2), (1, 1, 2), (1, 2, 3)]
