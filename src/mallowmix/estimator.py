@@ -69,14 +69,27 @@ class NovelPairSet:
     rows: list[int]  # selected pair rows, in selection order
     item_pairs: list[tuple[int, int]]
     solid_angles: dict[int, float]  # q-hat for every candidate row
+    # Whether the noise-floor dedupe left slots that the plain zeta/2 rule
+    # had to fill.
+    fallback_used: bool = False
+    # Depth L of the per-direction shortlist: one more than the largest
+    # count of non-peers of a row that has peers; 0 when no row has any.
+    shortlist_depth: int = 0
 
 
-def _row_noise(cooc: CoocMatrix, act: np.ndarray, block: np.ndarray) -> np.ndarray:
+# Edge of the square tiles in which detection computes row distances, and
+# the most directions it scores at once, so that its float temporaries
+# stay near _BLOCK_ROWS x n entries however many candidate rows there are.
+_BLOCK_ROWS = 256
+
+
+def _row_noise(cooc: CoocMatrix, act: np.ndarray, row_sq: np.ndarray) -> np.ndarray:
     """Standard error of each candidate row of E over candidate columns.
 
     Row a of E is M times a sum over users of independent vectors
     v_m = X'n[a, m] * Xn[:, m]; the squared error of the sum is estimated
-    as the sum of squared contributions minus the squared mean term.
+    as the sum of squared contributions minus the squared mean term
+    (``row_sq`` holds each row's squared norm).
     """
     Xn, Xpn = normalized_halves(cooc.split)
     M = cooc.M
@@ -84,22 +97,105 @@ def _row_noise(cooc: CoocMatrix, act: np.ndarray, block: np.ndarray) -> np.ndarr
     colsq = np.asarray(sub.multiply(sub).sum(axis=0)).ravel()
     psub = Xpn[act]
     contrib = np.asarray(psub.multiply(psub) @ colsq[:, None]).ravel()
-    row_sq = np.einsum("ij,ij->i", block, block)
     return np.sqrt(np.maximum(M**2 * contrib - row_sq / M, 0.0))
 
 
-def _projection_directions(seed: int, P: int, W: int) -> np.ndarray:
-    """One isotropic Gaussian direction per projection id.
+def _projection_directions(seed: int, P: int, W: int, cols: np.ndarray) -> np.ndarray:
+    """One isotropic Gaussian direction in W dimensions per projection id,
+    restricted to the coordinates ``cols``: a (P, cols.size) array.
 
     Each direction has its own stream keyed by (seed, projection id), so a
     run with more projections extends, rather than reshuffles, a smaller
     one.
     """
-    dirs = np.empty((P, W))
+    dirs = np.empty((P, cols.size))
     for r in range(P):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, r)))
-        dirs[r] = rng.standard_normal(W)
+        dirs[r] = rng.standard_normal(W)[cols]
     return dirs
+
+
+def _from_gram(gram: np.ndarray, sq_from: np.ndarray, sq_to: np.ndarray,
+               doubled: bool) -> np.ndarray:
+    """Distances from rows to rows, given their Gram entries and squared norms.
+
+    With ``doubled`` row i is compared against twice row j (the literal
+    printed rule), which makes the distance asymmetric.
+    """
+    if doubled:
+        d2 = sq_from[:, None] - 4.0 * gram + 4.0 * sq_to[None, :]
+    else:
+        d2 = sq_from[:, None] - 2.0 * gram + sq_to[None, :]
+    return np.sqrt(np.maximum(d2, 0.0))
+
+
+def _near_sets(rows: np.ndarray, sq: np.ndarray, half: float, doubled: bool):
+    """Each row's non-peers: the other rows closer to it than ``half``.
+
+    Distances come in square tiles of _BLOCK_ROWS rows over the upper
+    triangle, each Gram tile read both ways.  A tile of rows is finished
+    once all its tiles are in; those left of the diagonal wait as boolean
+    masks, at most n * n / 2 bytes.  Returns the count of non-peers per
+    row and, for the rows that have at least one peer, the non-peer pairs
+    (i, j) as sorted keys i * n + j, ended by the sentinel n * n.  Rows
+    without peers keep only their count (n - 1), since they score 1.
+    """
+    n = rows.shape[0]
+    tiles = range(-(-n // _BLOCK_ROWS))
+    masks: list[list[np.ndarray]] = [[] for _ in tiles]  # non-peer masks of each tile's rows
+    counts = np.empty(n, dtype=np.int64)
+    keys = []
+    for a in tiles:
+        A = slice(a * _BLOCK_ROWS, (a + 1) * _BLOCK_ROWS)
+        for b in tiles[a:]:
+            B = slice(b * _BLOCK_ROWS, (b + 1) * _BLOCK_ROWS)
+            gram = rows[A] @ rows[B].T
+            masks[a].append(~(_from_gram(gram, sq[A], sq[B], doubled) >= half))
+            if b != a:
+                masks[b].append(~(_from_gram(gram.T, sq[B], sq[A], doubled) >= half))
+        near = np.hstack(masks[a])
+        masks[a] = []
+        lo = a * _BLOCK_ROWS
+        hi = lo + near.shape[0]
+        near[np.arange(hi - lo), np.arange(lo, hi)] = False
+        counts[lo:hi] = near.sum(axis=1)
+        near[counts[lo:hi] == n - 1] = False
+        i, j = np.nonzero(near)
+        keys.append((i + lo) * n + j)
+    keys.append([n * n])
+    return counts, np.concatenate(keys)
+
+
+def _shortlist_wins(proj: np.ndarray, near_keys: np.ndarray, depth: int) -> np.ndarray:
+    """Directions each row wins against its peers, from a per-direction shortlist.
+
+    Row i wins direction r when every other row with projection >= its own
+    is a non-peer of i.  A row with at most depth - 1 non-peers can then
+    have at most depth - 1 rows at or above it, so only the top depth + 1
+    rows of a direction can win, and each is tested against the others in
+    that shortlist: the lowest of them has depth rows at or above it and
+    always loses, so rows outside the shortlist, even tied ones, never
+    decide the outcome.  Rows with more non-peers than depth - 1 (rows
+    without peers) get meaningless counts.
+    """
+    n, P = proj.shape
+    T = depth + 1
+    wins = np.zeros(n, dtype=np.int64)
+    chunk = max(1, min(_BLOCK_ROWS, _BLOCK_ROWS * n // (T * T)))
+    others = ~np.eye(T, dtype=bool)[:, :, None]
+    for lo in range(0, P, chunk):
+        vals = proj[:, lo:lo + chunk]
+        top = np.argpartition(vals, n - T, axis=0)[n - T:]  # (T, c)
+        tv = np.take_along_axis(vals, top, axis=0)
+        # blocks[a, b, r]: shortlisted row b sits at or above row a
+        blocks = (tv[None, :, :] >= tv[:, None, :]) & others
+        a, b, r = np.nonzero(blocks)
+        pair = top[a, r] * n + top[b, r]
+        is_near = near_keys[np.searchsorted(near_keys, pair)] == pair
+        won = np.ones(top.shape, dtype=bool)
+        won[a[~is_near], r[~is_near]] = False
+        wins += np.bincount(top[won], minlength=n)
+    return wins
 
 
 def detect_novel_pairs(cooc: CoocMatrix, config: DetectionConfig) -> NovelPairSet:
@@ -122,6 +218,12 @@ def detect_novel_pairs(cooc: CoocMatrix, config: DetectionConfig) -> NovelPairSe
     component; if that stricter rule cannot fill K slots the walk resumes
     with the plain zeta/2 rule.  Fails if fewer than K rows separated by
     zeta/2 exist.
+
+    Distances are computed in tiles and only each row's set of non-peers
+    is kept; scoring tests the top rows of each direction (see
+    ``_shortlist_wins``); the selection walk reads peers from the same
+    sets and computes the noise-floor distances of the at most K selected
+    rows only.
     """
     K = config.n_components
     candidate = cooc.active.copy()
@@ -132,54 +234,65 @@ def detect_novel_pairs(cooc: CoocMatrix, config: DetectionConfig) -> NovelPairSe
     if act.size < K:
         raise DetectionError(f"only {act.size} candidate rows, need at least {K}")
     sampled = cooc.split is not None
-    rows = cooc.E[np.ix_(act, act)] if sampled else cooc.E[act]
+    W = cooc.E.shape[1]
+    cols = act if sampled else np.arange(W)
+    rows = cooc.E[np.ix_(act, cols)]
     n = act.size
+    half = config.zeta / 2.0
+    doubled = config.doubled_distance_rule
 
     sq = np.einsum("ij,ij->i", rows, rows)
-    gram = rows @ rows.T
-    if config.doubled_distance_rule:
-        # Literal printed rule: compare row i against 2 * row s.
-        d2 = sq[:, None] - 4.0 * gram + 4.0 * sq[None, :]
-    else:
-        d2 = sq[:, None] - 2.0 * gram + sq[None, :]
-    dist = np.sqrt(np.maximum(d2, 0.0))
-    J = dist >= config.zeta / 2.0
-    np.fill_diagonal(J, False)
+    near_counts, near_keys = _near_sets(rows, sq, half, doubled)
+    has_peers = near_counts < n - 1
+    depth = int(near_counts[has_peers].max()) + 1 if has_peers.any() else 0
 
-    P = config.resolved_projections
-    dirs = _projection_directions(config.seed, P, cooc.E.shape[1])
-    proj = rows @ (dirs[:, act] if sampled else dirs).T  # (n, P)
-    qhat = np.empty(n)
-    for i in range(n):
-        peers = J[i]
-        if not peers.any():
-            qhat[i] = 1.0
-            continue
-        peak = proj[peers].max(axis=0)
-        qhat[i] = float(np.mean(proj[i] > peak))
+    qhat = np.ones(n)
+    if depth:
+        P = config.resolved_projections
+        # Freed as soon as used: the directions and the projections are
+        # the largest arrays detection holds beside ``rows``.
+        dirs = _projection_directions(config.seed, P, W, cols)
+        proj = rows @ dirs.T  # (n, P)
+        del dirs
+        wins = _shortlist_wins(proj, near_keys, depth)
+        del proj
+        qhat[has_peers] = wins[has_peers] / P
 
-    if sampled:
-        nu = _row_noise(cooc, act, rows)
-        noise_floor = 3.0 * np.hypot(nu[:, None], nu[None, :])
-        distinct = J & (dist >= noise_floor)
-    else:
-        distinct = J
+    nu = _row_noise(cooc, act, sq) if sampled else None
+    selected: list[int] = []
+    peers: dict[int, np.ndarray] = {}  # selected row -> rows at >= zeta/2 from it
+    distinct: dict[int, np.ndarray] = {}  # selected row -> peers beyond the noise floor
+
+    def select(s: int) -> None:
+        # The peers of s come from its near set, so that selection and
+        # scoring agree on every pair; only the noise floor needs distances.
+        far = np.full(n, has_peers[s])
+        far[s] = False
+        lo, hi = np.searchsorted(near_keys, [s * n, (s + 1) * n])
+        far[near_keys[lo:hi] - s * n] = False
+        peers[s] = far
+        if sampled:
+            dist = _from_gram(rows[s:s + 1] @ rows.T, sq[s:s + 1], sq, doubled)[0]
+            distinct[s] = far & (dist >= 3.0 * np.hypot(nu[s], nu))
+        else:
+            distinct[s] = far
+        selected.append(s)
 
     order = np.lexsort((act, -qhat))
-    selected: list[int] = []
     for cand in order:
-        if all(distinct[s, cand] for s in selected):
-            selected.append(int(cand))
+        if all(distinct[s][cand] for s in selected):
+            select(int(cand))
             if len(selected) == K:
                 break
-    if len(selected) < K and distinct is not J:
+    fallback_used = len(selected) < K and sampled
+    if fallback_used:
         # Noise-scaled dedupe was too aggressive for this sample size; top
         # up with rows that pass the plain separation rule.
         for cand in order:
             if cand in selected:
                 continue
-            if all(J[s, cand] for s in selected):
-                selected.append(int(cand))
+            if all(peers[s][cand] for s in selected):
+                select(int(cand))
                 if len(selected) == K:
                     break
     if len(selected) < K:
@@ -191,6 +304,8 @@ def detect_novel_pairs(cooc: CoocMatrix, config: DetectionConfig) -> NovelPairSe
         rows=sel_rows,
         item_pairs=[pairs.row_pair(r, cooc.Q) for r in sel_rows],
         solid_angles={int(r): float(q) for r, q in zip(act, qhat)},
+        fallback_used=fallback_used,
+        shortlist_depth=depth,
     )
 
 

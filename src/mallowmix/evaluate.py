@@ -5,6 +5,7 @@ inference and held-out comparison likelihood.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +107,8 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = 1e-8,
     run for every user at once from the barycenter start.  Returns an (M, K)
     array of weights; users without records keep the barycenter.  With
     ``trace`` the per-iteration total log-likelihoods are returned as well.
+    Stopping at ``max_iter`` before the relative change of the total
+    log-likelihood falls to ``tol`` emits a RuntimeWarning.
     """
     B = _observation_columns(B_hat)
     K = B.shape[1]
@@ -121,6 +124,7 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = 1e-8,
     theta = np.full((corpus.M, K), 1.0 / K)
     history: list[float] = []
     prev_ll = -math.inf
+    change = math.inf
     for it in range(1, max_iter + 1):
         mix = theta[users] * Bw
         total = mix.sum(axis=1)
@@ -141,7 +145,13 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = 1e-8,
         theta = new
         if prev_ll > -math.inf and abs(ll - prev_ll) <= tol * (1.0 + abs(ll)):
             break
+        change = abs(ll - prev_ll) / (1.0 + abs(ll))
         prev_ll = ll
+    else:
+        warnings.warn(
+            f"EM stopped at max_iter={max_iter} without converging; last relative "
+            f"log-likelihood change {change:.3e} (tol {tol:.1e})",
+            RuntimeWarning, stacklevel=2)
     if trace:
         return theta, history
     return theta

@@ -344,12 +344,15 @@ def read_corpus(path: str) -> ComparisonCorpus:
 
     Items must lie in 1..Q, winner and loser must differ, and user ids must
     lie in 0..M-1, with Q and M taken from the meta line or, without one,
-    from the largest ids.  Errors read ``{path}:{line}: {rule}``.
+    from the largest ids.  A meta M must not exceed the largest user id
+    plus one, since users without records cannot be split.  Errors read
+    ``{path}:{line}: {rule}``.
     """
     users: list[int] = []
     wins: list[int] = []
     loses: list[int] = []
     meta = None
+    meta_line = 0
     with open(path) as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -360,6 +363,7 @@ def read_corpus(path: str) -> ComparisonCorpus:
                     obj = json.loads(line)
                     if "meta" in obj:
                         meta = obj["meta"]
+                        meta_line = lineno
                         continue
                 obj = json.loads(line)
                 users.append(obj["user"])
@@ -393,6 +397,9 @@ def read_corpus(path: str) -> ComparisonCorpus:
     if broken:
         record, rule = min(broken)
         raise CorpusError(f"{path}:{_record_line(path, record)}: {rule}")
+    if meta is not None and M > user.max() + 1:
+        raise CorpusError(
+            f"{path}:{meta_line}: meta M={M} but the largest user id is {int(user.max())}")
     return ComparisonCorpus(Q, M, user, winner, loser, N=N)
 
 

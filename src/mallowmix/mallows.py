@@ -8,6 +8,7 @@ phi -> 1 approaches uniform (phi = 1 itself is rejected as unidentifiable).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -61,8 +62,10 @@ def mallows_pmf(component: MallowsComponent, sigma: Permutation) -> float:
     return phi**d / mallows_normalizer(component.Q, phi)
 
 
-def _insertion_cumweights(phi: float, Q: int) -> list[np.ndarray]:
-    """Cumulative insertion weights per level i = 1..Q.
+@functools.lru_cache(maxsize=64)
+def _insertion_cumweights(phi: float, Q: int) -> tuple[np.ndarray, ...]:
+    """Cumulative insertion weights per level i = 1..Q, read-only, cached
+    per (phi, Q) so single draws do not rebuild them.
 
     At level i the item is placed at position l in 1..i with probability
     phi^(i-l) / (1 + phi + ... + phi^(i-1)).
@@ -70,8 +73,10 @@ def _insertion_cumweights(phi: float, Q: int) -> list[np.ndarray]:
     out = []
     for i in range(1, Q + 1):
         w = phi ** (i - np.arange(1, i + 1, dtype=float))
-        out.append(np.cumsum(w))
-    return out
+        c = np.cumsum(w)
+        c.flags.writeable = False
+        out.append(c)
+    return tuple(out)
 
 
 def rim_sample(component: MallowsComponent, rng: np.random.Generator) -> Permutation:

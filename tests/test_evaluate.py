@@ -1,6 +1,7 @@
 """Recovery scoring, per-user weight inference, held-out prediction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,22 @@ class TestInferWeights:
         monkeypatch.setattr(np, "add", SwappedAdd)
         with pytest.raises(RuntimeError, match="decreased at iteration 2"):
             infer_weights(corpus, B)
+
+    def test_stopping_at_max_iter_warns(self):
+        model = model_of([[4, 2, 3, 1], [1, 3, 2, 4]], [0.3, 0.2])
+        corpus, _ = generate(model, M=30, N=10, seed=5)
+        with pytest.warns(RuntimeWarning, match=r"max_iter=1 .*change inf"):
+            theta = infer_weights(corpus, model, max_iter=1)
+        with pytest.warns(RuntimeWarning, match=r"max_iter=2 .*change \d\.\d{3}e"):
+            _, history = infer_weights(corpus, model, max_iter=2, trace=True)
+        assert theta.shape == (30, 2) and len(history) == 2
+
+    def test_converged_run_does_not_warn(self):
+        model = model_of([[4, 2, 3, 1], [1, 3, 2, 4]], [0.3, 0.2])
+        corpus, _ = generate(model, M=30, N=10, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            infer_weights(corpus, model)
 
     def test_user_without_records_keeps_barycenter(self):
         B = np.array([[0.8, 0.2], [0.2, 0.8]])

@@ -11,6 +11,7 @@ from scipy import stats
 from mallowmix import pairs
 from mallowmix.generator import (
     ComparisonCorpus,
+    CorpusError,
     DirichletPrior,
     FixedWeights,
     MixedMembershipModel,
@@ -287,6 +288,15 @@ class TestSerialization:
 
     def test_read_rejects_user_out_of_range(self, tmp_path):
         assert_rejected(tmp_path, (3, 1, 2), "user ids must lie in 0..2")
+
+    def test_read_rejects_meta_m_above_the_users(self, tmp_path):
+        # users 0..2 only: user 3 and 4 would have no comparisons to split
+        meta = json.dumps({"meta": {"Q": 5, "M": 5, "N": None}})
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(["", meta] + [record(u, 1, 2) for u in (0, 1, 2, 2)]) + "\n")
+        with pytest.raises(CorpusError,
+                           match=re.escape(f"{path}:2: meta M=5 but the largest user id is 2")):
+            read_corpus(path)
 
     def test_read_reports_malformed_line(self, tmp_path):
         path = tmp_path / "broken.jsonl"
