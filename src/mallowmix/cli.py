@@ -20,7 +20,7 @@ import numpy as np
 
 from . import pairs
 from .estimator import DetectionConfig, detect_novel_pairs, estimate_ranking_matrix
-from .evaluate import align_and_score, infer_weights, predict_loglik
+from .evaluate import align_and_score, em_summary, infer_weights, predict_loglik
 from .generator import (
     MODEL_STREAM,
     DirichletPrior,
@@ -318,7 +318,11 @@ def cmd_predict(args) -> int:
             "read", ValueError(f"corpus has Q={corpus.Q} but the model has Q={model.Q}")
         )
     B = model.observation_matrix()
-    theta = _stage("weights", infer_weights, corpus, B)
+    theta, history = _stage("weights", infer_weights, corpus, B, trace=True)
+    iterations, converged, change = em_summary(history)
+    print(f"weights: EM {iterations} iterations, "
+          f"{'converged' if converged else 'not converged'}, "
+          f"last relative log-likelihood change {change:.3e}", file=sys.stderr)
     report = _stage("predict", predict_loglik, corpus, theta, B)
     obj = {
         "avg_loglik": report.avg_loglik,

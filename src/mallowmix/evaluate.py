@@ -91,6 +91,9 @@ def _observation_columns(B_hat) -> np.ndarray:
     return np.asarray(B_hat, dtype=float)
 
 
+EM_TOL = 1e-8  # default relative log-likelihood change at which the weight EM stops
+
+
 def _check_rows_supported(B: np.ndarray, rows: np.ndarray, Q: int) -> None:
     dead = B[rows].sum(axis=1) == 0
     if dead.any():
@@ -99,7 +102,7 @@ def _check_rows_supported(B: np.ndarray, rows: np.ndarray, Q: int) -> None:
         raise ValueError(f"comparison ({i}, {j}) has zero probability in every component")
 
 
-def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = 1e-8,
+def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
                   max_iter: int = 500, trace: bool = False):
     """Per-user maximum-likelihood mixture weights for fixed components.
 
@@ -109,25 +112,38 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = 1e-8,
     ``trace`` the per-iteration total log-likelihoods are returned as well.
     Stopping at ``max_iter`` before the relative change of the total
     log-likelihood falls to ``tol`` emits a RuntimeWarning.
+
+    Records are held component-major, as (K, n) arrays, so each iteration
+    is K gathers, K ``bincount``s and O(nK) elementwise work.
     """
     B = _observation_columns(B_hat)
     K = B.shape[1]
     rows = corpus.pair_rows()
     _check_rows_supported(B, rows, corpus.Q)
     users = corpus.user
-    if users.size and (users.min() < 0 or users.max() >= corpus.M):
+    M = corpus.M
+    if users.size and (users.min() < 0 or users.max() >= M):
         raise ValueError("corpus user ids fall outside 0..M-1")
-    counts = np.bincount(users, minlength=corpus.M).astype(float)
+    counts = np.bincount(users, minlength=M).astype(float)
     occupied = counts > 0
-    Bw = B[rows]  # (n, K) component probabilities of each observed outcome
+    BwT = B.T.take(rows, axis=1)  # (K, n) component probabilities of each observed outcome
+    mix = np.empty_like(BwT)
+    total = np.empty(BwT.shape[1])
 
-    theta = np.full((corpus.M, K), 1.0 / K)
+    theta = np.full((M, K), 1.0 / K)
     history: list[float] = []
     prev_ll = -math.inf
     change = math.inf
     for it in range(1, max_iter + 1):
-        mix = theta[users] * Bw
-        total = mix.sum(axis=1)
+        for k in range(K):
+            # ids were range-checked above; "clip" skips the per-index check
+            np.take(theta[:, k], users, out=mix[k], mode="clip")
+        mix *= BwT
+        # Adding the rows in order matches a row sum over the n x K layout
+        # bit for bit for K <= 7; numpy reduces 8 or more pairwise.
+        np.copyto(total, mix[0])
+        for k in range(1, K):
+            total += mix[k]
         if np.any(total == 0):
             r = int(rows[np.argmax(total == 0)])
             i, j = pairs.row_pair(r, corpus.Q)
@@ -137,13 +153,13 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = 1e-8,
             raise RuntimeError(
                 f"EM log-likelihood decreased at iteration {it}: {prev_ll!r} -> {ll!r}")
         history.append(ll)
-        resp = mix / total[:, None]
-        new = np.zeros_like(theta)
-        np.add.at(new, users, resp)
-        new[occupied] /= counts[occupied, None]
-        new[~occupied] = 1.0 / K
-        theta = new
-        if prev_ll > -math.inf and abs(ll - prev_ll) <= tol * (1.0 + abs(ll)):
+        mix /= total  # responsibilities
+        for k in range(K):
+            # bincount adds in record order, as np.add.at does
+            theta[:, k] = np.bincount(users, weights=mix[k], minlength=M)
+        theta[occupied] /= counts[occupied, None]
+        theta[~occupied] = 1.0 / K
+        if _converged(ll, prev_ll, tol):
             break
         change = abs(ll - prev_ll) / (1.0 + abs(ll))
         prev_ll = ll
@@ -155,6 +171,20 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = 1e-8,
     if trace:
         return theta, history
     return theta
+
+
+def _converged(ll: float, prev_ll: float, tol: float) -> bool:
+    return prev_ll > -math.inf and abs(ll - prev_ll) <= tol * (1.0 + abs(ll))
+
+
+def em_summary(history: list[float], tol: float = EM_TOL) -> tuple[int, bool, float]:
+    """Iteration count, whether the run converged at ``tol``, and the last
+    relative log-likelihood change (inf before a second iteration) of the
+    ``history`` that ``infer_weights(..., trace=True)`` returns."""
+    if len(history) < 2:
+        return len(history), False, math.inf
+    ll, prev_ll = history[-1], history[-2]
+    return len(history), _converged(ll, prev_ll, tol), abs(ll - prev_ll) / (1.0 + abs(ll))
 
 
 def predict_loglik(corpus: ComparisonCorpus, theta, B_hat) -> PredictionReport:

@@ -1,6 +1,7 @@
 """Command line: argument handling, file outputs, stage errors, determinism."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -264,10 +265,12 @@ class TestOtherCommands:
             "--seed", "6", "-o", str(tmp_path / "c.jsonl"),
             "--truth", str(tmp_path / "t.json"))
         assert code == 0
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "predict", "--model", str(tmp_path / "t.json"),
             "-i", str(tmp_path / "c.jsonl"), "-o", str(tmp_path / "p.json"))
         assert code == 0
+        assert re.fullmatch(r"weights: EM \d+ iterations, converged, last relative "
+                            r"log-likelihood change \d\.\d{3}e-\d+\n", err), err
         obj = read_json(tmp_path / "p.json")
         assert obj["n"] == 500 and obj["zero_events"] == 0
         assert obj["avg_loglik"] < 0

@@ -1,13 +1,17 @@
 """Recovery scoring, per-user weight inference, held-out prediction."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mallowmix import pairs
-from mallowmix.evaluate import align_and_score, infer_weights, predict_loglik
+from mallowmix.evaluate import align_and_score, em_summary, infer_weights, predict_loglik
 from mallowmix.generator import (
     ComparisonCorpus,
     DirichletPrior,
@@ -143,14 +147,16 @@ class TestInferWeights:
         records = [(0, 1, 2)] * 3 + [(0, 2, 1)]
         u, w, l = (np.array(c) for c in zip(*records))
         corpus = ComparisonCorpus(Q=2, M=1, user=u, winner=w, loser=l)
-        add = np.add
+        bincount = np.bincount
 
-        class SwappedAdd:
-            @staticmethod
-            def at(a, idx, b):
-                add.at(a, idx, b[:, ::-1])
+        def swapped_bincount(x, weights=None, minlength=0):
+            # with two components a record's responsibilities sum to one,
+            # so 1 - weights sums the other component's
+            if weights is None:
+                return bincount(x, minlength=minlength)
+            return bincount(x, weights=1.0 - weights, minlength=minlength)
 
-        monkeypatch.setattr(np, "add", SwappedAdd)
+        monkeypatch.setattr(np, "bincount", swapped_bincount)
         with pytest.raises(RuntimeError, match="decreased at iteration 2"):
             infer_weights(corpus, B)
 
@@ -162,13 +168,19 @@ class TestInferWeights:
         with pytest.warns(RuntimeWarning, match=r"max_iter=2 .*change \d\.\d{3}e"):
             _, history = infer_weights(corpus, model, max_iter=2, trace=True)
         assert theta.shape == (30, 2) and len(history) == 2
+        iterations, converged, change = em_summary(history)
+        assert (iterations, converged) == (2, False)
+        assert change == abs(history[1] - history[0]) / (1 + abs(history[1])) > 1e-8
+        assert em_summary(history[:1]) == (1, False, math.inf)
 
     def test_converged_run_does_not_warn(self):
         model = model_of([[4, 2, 3, 1], [1, 3, 2, 4]], [0.3, 0.2])
         corpus, _ = generate(model, M=30, N=10, seed=5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            infer_weights(corpus, model)
+            _, history = infer_weights(corpus, model, trace=True)
+        iterations, converged, change = em_summary(history)
+        assert iterations == len(history) > 2 and converged and change <= 1e-8
 
     def test_user_without_records_keeps_barycenter(self):
         B = np.array([[0.8, 0.2], [0.2, 0.8]])
@@ -191,6 +203,169 @@ class TestInferWeights:
                                   winner=np.array([1, 1]), loser=np.array([2, 2]))
         with pytest.raises(ValueError, match="user ids"):
             infer_weights(corpus, B)
+
+
+def reference_infer_weights(corpus, B, *, tol=1e-8, max_iter=500, trace=False):
+    """``infer_weights`` with records laid out n x K, row sums by
+    ``mix.sum(axis=1)`` and the M-step by ``np.add.at``: the loop the
+    component-major one replaced, kept as the reference it must match."""
+    K = B.shape[1]
+    rows = corpus.pair_rows()
+    dead = B[rows].sum(axis=1) == 0
+    if dead.any():
+        i, j = pairs.row_pair(int(rows[np.argmax(dead)]), corpus.Q)
+        raise ValueError(f"comparison ({i}, {j}) has zero probability in every component")
+    users = corpus.user
+    counts = np.bincount(users, minlength=corpus.M).astype(float)
+    occupied = counts > 0
+    Bw = B[rows]
+    theta = np.full((corpus.M, K), 1.0 / K)
+    history = []
+    prev_ll = -math.inf
+    change = math.inf
+    for it in range(1, max_iter + 1):
+        mix = theta[users] * Bw
+        total = mix.sum(axis=1)
+        if np.any(total == 0):
+            i, j = pairs.row_pair(int(rows[np.argmax(total == 0)]), corpus.Q)
+            raise ValueError(f"comparison ({i}, {j}) has zero probability in every component")
+        ll = float(np.log(total).sum())
+        if ll < prev_ll - 1e-9 * (1.0 + abs(prev_ll)):
+            raise RuntimeError(
+                f"EM log-likelihood decreased at iteration {it}: {prev_ll!r} -> {ll!r}")
+        history.append(ll)
+        resp = mix / total[:, None]
+        new = np.zeros_like(theta)
+        np.add.at(new, users, resp)
+        new[occupied] /= counts[occupied, None]
+        new[~occupied] = 1.0 / K
+        theta = new
+        if prev_ll > -math.inf and abs(ll - prev_ll) <= tol * (1.0 + abs(ll)):
+            break
+        change = abs(ll - prev_ll) / (1.0 + abs(ll))
+        prev_ll = ll
+    else:
+        warnings.warn(
+            f"EM stopped at max_iter={max_iter} without converging; last relative "
+            f"log-likelihood change {change:.3e} (tol {tol:.1e})",
+            RuntimeWarning, stacklevel=2)
+    if trace:
+        return theta, history
+    return theta
+
+
+def run_em(fn, corpus, B, **kwargs):
+    """What a traced EM run produced: (theta, history) or its error, and
+    its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(corpus, B, trace=True, **kwargs)
+        except (ValueError, RuntimeError) as exc:
+            out = exc
+    return out, [str(w.message) for w in caught]
+
+
+@st.composite
+def em_cases(draw, ks, b_entries):
+    """A corpus with unsorted users, possibly users without records, and an
+    observation matrix B drawn by ``b_entries(draw, W, K)``."""
+    K = draw(ks)
+    Q = draw(st.integers(2, 5))
+    M = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 30))
+    user = np.array(draw(st.lists(st.integers(0, M - 1), min_size=n, max_size=n)))
+    winner = np.array(draw(st.lists(st.integers(1, Q), min_size=n, max_size=n)))
+    step = np.array(draw(st.lists(st.integers(1, Q - 1), min_size=n, max_size=n)))
+    loser = (winner - 1 + step) % Q + 1
+    corpus = ComparisonCorpus(Q=Q, M=M, user=user, winner=winner, loser=loser)
+    return corpus, b_entries(draw, pairs.num_pairs(Q), K)
+
+
+def any_entries(draw, W, K):
+    return draw(arrays(np.float64, (W, K), elements=st.floats(0.0, 1.0)))
+
+
+def seeded_entries(draw, W, K):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.uniform(0.05, 1.0, (W, K))
+
+
+class TestInferWeightsMatchesReference:
+    """The component-major EM does the reference's arithmetic: the row sum
+    adds components in order, which equals numpy's row reduction for K <= 7;
+    for K >= 8 numpy sums pairwise and only the last bits may differ."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=em_cases(st.integers(1, 7), any_entries),
+           tol=st.sampled_from([1e-8, 1e-12, 0.0]),
+           max_iter=st.sampled_from([1, 2, 5, 500]))
+    def test_bit_identical_up_to_seven_components(self, case, tol, max_iter):
+        corpus, B = case
+        got, got_warnings = run_em(infer_weights, corpus, B, tol=tol, max_iter=max_iter)
+        want, want_warnings = run_em(reference_infer_weights, corpus, B, tol=tol,
+                                     max_iter=max_iter)
+        assert got_warnings == want_warnings
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            return
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+
+    @pytest.mark.parametrize("K, M, shuffle, max_iter", [
+        (1, 30, True, 500),   # one component: the weights stay at one
+        (3, 40, True, 500),   # unsorted users, ten of them without records
+        (3, 30, False, 3),    # stops at max_iter with a warning
+    ])
+    def test_bit_identical_on_sampled_corpora(self, K, M, shuffle, max_iter):
+        rankings = [[1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [2, 4, 1, 5, 3]][:K]
+        model = model_of(rankings, [0.3] * K)
+        corpus, _ = generate(model, M=30, N=12, seed=K + M)
+        order = np.random.default_rng(0).permutation(corpus.n_records) if shuffle \
+            else np.arange(corpus.n_records)
+        corpus = ComparisonCorpus(Q=5, M=M, user=corpus.user[order],
+                                  winner=corpus.winner[order], loser=corpus.loser[order])
+        B = model.observation_matrix().entries
+        got, got_warnings = run_em(infer_weights, corpus, B, max_iter=max_iter)
+        want, want_warnings = run_em(reference_infer_weights, corpus, B, max_iter=max_iter)
+        assert got_warnings == want_warnings
+        assert bool(got_warnings) == (max_iter == 3)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert np.all(got[0][30:] == 1.0 / K)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=em_cases(st.integers(8, 12), seeded_entries))
+    def test_last_bits_only_from_eight_components(self, case):
+        # tol=0 runs both to max_iter: entries at least 0.05 keep every
+        # step's likelihood change far above an ulp for ten iterations, so
+        # neither run can stop early at a floating-point fixed point.
+        corpus, B = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            theta, history = infer_weights(corpus, B, tol=0.0, max_iter=10, trace=True)
+            want_theta, want_history = reference_infer_weights(corpus, B, tol=0.0,
+                                                               max_iter=10, trace=True)
+        assert len(history) == len(want_history) == 10
+        np.testing.assert_allclose(theta, want_theta, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(history, want_history, rtol=1e-12, atol=0)
+
+    def test_peak_memory_below_the_reference(self):
+        model = model_of([[1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1], [2, 4, 6, 1, 3, 5]],
+                         [0.3, 0.3, 0.3])
+        corpus, _ = generate(model, M=300, N=40, seed=1)
+        B = model.observation_matrix().entries
+        peaks = []
+        for fn in (infer_weights, reference_infer_weights):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    fn(corpus, B, max_iter=3)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 0.8 * peaks[1], peaks
 
 
 class TestPredictLoglik:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mallowmix import pairs
+from mallowmix import generator, pairs
 from mallowmix.generator import (
     ComparisonCorpus,
     CorpusError,
@@ -249,10 +249,12 @@ def record(user, win, lose):
 
 
 def assert_rejected(tmp_path, bad, rule):
-    """A corpus whose fourth record is ``bad`` fails at that record's file
-    line (meta and a blank line come first) with ``rule``."""
-    good = [(0, 1, 2), (1, 2, 3), (2, 4, 5)]
-    lines = [CORPUS_META, ""] + [record(*r) for r in good + [bad] + good]
+    """A corpus whose fourth record is ``bad`` (a (user, win, lose) tuple
+    or a raw line) fails at that record's file line (meta and a blank line
+    come first) with ``rule``."""
+    good = [record(*r) for r in [(0, 1, 2), (1, 2, 3), (2, 4, 5)]]
+    bad = bad if isinstance(bad, str) else record(*bad)
+    lines = [CORPUS_META, ""] + good + [bad] + good
     path = tmp_path / "bad.jsonl"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:6: {rule}")):
@@ -260,11 +262,17 @@ def assert_rejected(tmp_path, bad, rule):
 
 
 class TestSerialization:
-    def test_corpus_round_trip(self, tmp_path):
+    def test_corpus_round_trip(self, tmp_path, monkeypatch):
         model = small_model()
         corpus, _ = generate(model, M=12, N=4, seed=2, keep_labels=True)
         path = tmp_path / "corpus.jsonl"
+        monkeypatch.setattr(generator, "_WRITE_CHUNK", 5)  # blocks end mid-corpus
         write_corpus(corpus, path, meta_extra={"note": "round trip"})
+        meta = {"Q": corpus.Q, "M": corpus.M, "N": corpus.N, "note": "round trip"}
+        want = [json.dumps({"meta": meta})] + [
+            json.dumps({"user": int(u), "win": int(w), "lose": int(l)})
+            for u, w, l in zip(corpus.user, corpus.winner, corpus.loser)]
+        assert path.read_text() == "\n".join(want) + "\n"
         back = read_corpus(path)
         assert back.Q == corpus.Q and back.M == corpus.M and back.N == corpus.N
         assert np.array_equal(back.user, corpus.user)
@@ -288,6 +296,32 @@ class TestSerialization:
 
     def test_read_rejects_user_out_of_range(self, tmp_path):
         assert_rejected(tmp_path, (3, 1, 2), "user ids must lie in 0..2")
+
+    def test_read_rejects_non_integer_ids(self, tmp_path):
+        rule = "user, win and lose must be JSON integers"
+        for bad in ((1, 2.7, 3), (1, 2, 3.0), ("1", 2, 3), (True, 2, 3), (1, None, 3)):
+            assert_rejected(tmp_path, bad, rule)
+
+    def test_read_rejects_ids_beyond_64_bits(self, tmp_path):
+        for bad in ((1, 2**63, 3), (-2**63 - 1, 2, 3)):
+            assert_rejected(tmp_path, bad, "user, win and lose must fit in 64 bits")
+
+    def test_read_rejects_a_record_that_is_not_an_object(self, tmp_path):
+        for bad in ("[1, 2, 3]", '"user"', "null"):
+            assert_rejected(tmp_path, bad, "record is not a JSON object")
+
+    def test_read_rejects_bad_meta(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        for meta, rule in (({"M": 3}, "meta has no 'Q'"),
+                           ({"Q": 5, "N": 1}, "meta has no 'M'"),
+                           ([5, 3], "meta is not a JSON object"),
+                           ({"Q": 5.0, "M": 3}, "meta Q must be a JSON integer"),
+                           ({"Q": 5, "M": "3"}, "meta M must be a JSON integer"),
+                           ({"Q": 5, "M": 3, "N": 1.5}, "meta N must be a JSON integer")):
+            lines = ["", json.dumps({"meta": meta})] + [record(u, 1, 2) for u in (0, 1, 2)]
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(CorpusError, match=re.escape(f"{path}:2: {rule}")):
+                read_corpus(path)
 
     def test_read_rejects_meta_m_above_the_users(self, tmp_path):
         # users 0..2 only: user 3 and 4 would have no comparisons to split
