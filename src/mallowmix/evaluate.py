@@ -177,14 +177,15 @@ def _converged(ll: float, prev_ll: float, tol: float) -> bool:
     return prev_ll > -math.inf and abs(ll - prev_ll) <= tol * (1.0 + abs(ll))
 
 
-def em_summary(history: list[float], tol: float = EM_TOL) -> tuple[int, bool, float]:
-    """Iteration count, whether the run converged at ``tol``, and the last
-    relative log-likelihood change (inf before a second iteration) of the
-    ``history`` that ``infer_weights(..., trace=True)`` returns."""
+def em_summary(history: list[float]) -> tuple[int, bool, float]:
+    """Iteration count, whether the run converged, and the last relative
+    log-likelihood change (inf before a second iteration) of the ``history``
+    that ``infer_weights(..., trace=True)`` returns for a run at the default
+    tol, ``EM_TOL``."""
     if len(history) < 2:
         return len(history), False, math.inf
     ll, prev_ll = history[-1], history[-2]
-    return len(history), _converged(ll, prev_ll, tol), abs(ll - prev_ll) / (1.0 + abs(ll))
+    return len(history), _converged(ll, prev_ll, EM_TOL), abs(ll - prev_ll) / (1.0 + abs(ll))
 
 
 def predict_loglik(corpus: ComparisonCorpus, theta, B_hat) -> PredictionReport:
