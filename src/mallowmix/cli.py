@@ -149,6 +149,16 @@ def cmd_generate(args) -> int:
 def cmd_estimate(args) -> int:
     t0 = time.perf_counter()
     K = args.components
+    cfg = _stage(
+        "config",
+        DetectionConfig,
+        n_components=K,
+        n_projections=args.projections,
+        zeta=args.zeta,
+        seed=args.seed,
+        doubled_distance_rule=args.doubled_distance_rule,
+        min_count_fraction=args.min_count_fraction,
+    )
     if args.exact_moments:
         truth = _stage("read", read_model, args.exact_moments)
         cooc, row_scale = _stage("moments", analytic_cooccurrence, truth)
@@ -159,14 +169,6 @@ def cmd_estimate(args) -> int:
         split = _stage("split", split_halves, corpus)
         cooc = _stage("moments", cooccurrence, split)
         row_scale = split.row_scale()
-    cfg = DetectionConfig(
-        n_components=K,
-        n_projections=args.projections,
-        zeta=args.zeta,
-        seed=args.seed,
-        doubled_distance_rule=args.doubled_distance_rule,
-        min_count_fraction=args.min_count_fraction,
-    )
     novel = _stage("detection", detect_novel_pairs, cooc, cfg)
     B_hat = _stage(
         "regression",
@@ -175,7 +177,6 @@ def cmd_estimate(args) -> int:
         row_scale,
         novel,
         epsilon=args.epsilon,
-        threads=args.threads,
     )
     est = _stage("postprocess", postprocess, B_hat)
     config = {
@@ -390,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exclude rows observed less than this fraction of the "
                         "median row count from detection candidacy (0 disables)")
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--threads", type=int, default=1)
+    e.add_argument("--threads", type=int, default=1,
+                   help="no effect; kept for the benchmark replay")
     e.add_argument("--exact-moments", default=None, metavar="TRUTH",
                    help="debug mode: use the analytic co-occurrence of this truth model file")
     e.set_defaults(func=cmd_estimate)

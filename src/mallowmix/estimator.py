@@ -11,7 +11,6 @@ simplex combination of the selected rows and rescales to recover B.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +49,11 @@ class DetectionConfig:
             raise ValueError("need at least one component")
         if self.n_projections is not None and self.n_projections < 1:
             raise ValueError("need at least one projection")
-        if self.zeta <= 0:
-            raise ValueError("zeta must be positive")
-        if self.min_count_fraction < 0:
-            raise ValueError("min_count_fraction must be nonnegative")
+        if not (np.isfinite(self.zeta) and self.zeta > 0):
+            raise ValueError(f"zeta must be positive and finite, got {self.zeta}")
+        if not (np.isfinite(self.min_count_fraction) and self.min_count_fraction >= 0):
+            raise ValueError(
+                f"min_count_fraction must be nonnegative and finite, got {self.min_count_fraction}")
 
     @property
     def resolved_projections(self) -> int:
@@ -314,54 +314,86 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("need a nonempty vector")
-    if not np.all(np.isfinite(v)):
+    return _project_rows(v[None, :])[0]
+
+
+def _project_rows(V: np.ndarray) -> np.ndarray:
+    """Euclidean projection of every row of the (n, K) array V onto the
+    probability simplex."""
+    if not np.all(np.isfinite(V)):
         raise ValueError("vector must be finite")
     # The projection is invariant to shifting all coordinates, and any
-    # coordinate more than 1 below the maximum projects to zero, so the
-    # input can be rescaled into [-2, 0] to keep the cumulative sums
-    # well conditioned for inputs of any magnitude.
-    v = np.maximum(v - v.max(), -2.0)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, v.size + 1)
-    cond = u - css / ind > 0
-    rho = ind[cond][-1]
-    theta = css[cond][-1] / rho
-    return np.maximum(v - theta, 0.0)
+    # coordinate more than 1 below the maximum projects to zero, so each
+    # row can be rescaled into [-2, 0] to keep the cumulative sums well
+    # conditioned for inputs of any magnitude.
+    V = np.maximum(V - V.max(axis=1, keepdims=True), -2.0)
+    U = np.sort(V, axis=1)[:, ::-1]
+    css = np.cumsum(U, axis=1) - 1.0
+    K = V.shape[1]
+    cond = U - css / np.arange(1, K + 1) > 0
+    # rho is each row's last index that passes, counted from one; the
+    # first always passes, since the row maximum sits at 0.
+    rho = K - np.argmax(cond[:, ::-1], axis=1)
+    theta = css[np.arange(V.shape[0]), rho - 1] / rho
+    return np.maximum(V - theta[:, None], 0.0)
 
 
-def _minimize_simplex_quadratic(H, c, const, lips, epsilon, max_iter):
-    """min_b b H b - 2 c b + const over the simplex.
+def _objective(H, b, c, const):
+    """b H b - 2 c b + const for every row of b.
 
-    Accelerated projected gradient with fixed step 1/lips and a monotone
-    safeguard: whenever the momentum step would increase the objective, the
-    iteration restarts with a plain descent step from the last accepted
-    point, so the objective never increases.
+    Stacked matmuls make one BLAS call per row, as a product of that row
+    alone would, so each row's value does not depend on the batch.
     """
-    K = c.size
-    b = np.full(K, 1.0 / K)
-    f = float(b @ H @ b - 2.0 * c @ b + const)
-    y = b
-    t = 1.0
-    delta = np.inf
-    for it in range(1, max_iter + 1):
-        b_new = project_to_simplex(y - (H @ y - c) / lips)
-        f_new = float(b_new @ H @ b_new - 2.0 * c @ b_new + const)
-        if f_new > f:
-            b_new = project_to_simplex(b - (H @ b - c) / lips)
-            f_new = float(b_new @ H @ b_new - 2.0 * c @ b_new + const)
-            t = 1.0
-            if f_new > f:
-                # Even the plain descent step cannot improve: the objective
-                # is numerically flat here, so the current point stands.
-                return b, it, 0.0, True
-        delta = abs(f - f_new)
+    bHb = (b[:, None, :] @ H @ b[:, :, None])[:, 0, 0]
+    return bHb - ((2.0 * c)[:, None, :] @ b[:, :, None])[:, 0, 0] + const
+
+
+def _descent_step(H, y, c, lips):
+    """Projected gradient step of length 1 / lips from every row of y."""
+    return _project_rows(y - ((H @ y[:, :, None])[:, :, 0] - c) / lips)
+
+
+def _minimize_simplex_quadratics(H, c, const, lips, epsilon, max_iter):
+    """min_b b H b - 2 c[w] b + const[w] over the simplex, for every row w.
+
+    Accelerated projected gradient with fixed step 1/lips, run on all rows
+    at once; each row keeps its own iterate, momentum and objective, and
+    leaves the batch when it stops.  When the momentum step would raise a
+    row's objective, the row restarts with a plain step from its last
+    point, so no objective ever rises; when even that step cannot improve,
+    the objective is numerically flat and the point stands.  A row
+    converges once its objective changes by at most epsilon * (1 + |f|).
+
+    Returns the solutions, each row's last change (0 at a flat point) and
+    the indices of the rows that did not converge within max_iter steps.
+    """
+    n, K = c.shape
+    out, resid = np.empty((n, K)), np.empty(n)
+    live = np.arange(n)
+    b = y = np.full((n, K), 1.0 / K)
+    f, t = _objective(H, b, c, const), np.ones(n)
+    for _ in range(max_iter):
+        b_new = _descent_step(H, y, c, lips)
+        f_new = _objective(H, b_new, c, const)
+        up = np.flatnonzero(f_new > f)
+        b_new[up] = _descent_step(H, b[up], c[up], lips)
+        f_new[up] = _objective(H, b_new[up], c[up], const[up])
+        t[up] = 1.0
+        flat = np.zeros(live.size, dtype=bool)
+        flat[up] = f_new[up] > f[up]
+        delta = np.where(flat, 0.0, np.abs(f - f_new))
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = b_new + ((t - 1.0) / t_next) * (b_new - b)
-        b, f, t = b_new, f_new, t_next
-        if delta <= epsilon * (1.0 + abs(f)):
-            return b, it, delta, True
-    return b, max_iter, delta, False
+        y = b_new + ((t - 1.0) / t_next)[:, None] * (b_new - b)
+        b, f, t = np.where(flat[:, None], b, b_new), f_new, t_next
+        stop = flat | (delta <= epsilon * (1.0 + np.abs(f)))
+        out[live[stop]], resid[live[stop]] = b[stop], delta[stop]
+        keep = ~stop
+        live, b, f, t, y, delta, c, const = (
+            x[keep] for x in (live, b, f, t, y, delta, c, const))
+        if not live.size:
+            break
+    out[live], resid[live] = b, delta
+    return out, resid, live
 
 
 def estimate_ranking_matrix(
@@ -378,9 +410,15 @@ def estimate_ranking_matrix(
     matrix: with S the selected rows, minimize over the simplex
         b H b - 2 c b + E[w, w],
     H = (E[S, S] + E[S, S]^T) / 2 and c = (E[S, w] + E[w, S]) / 2.  An
-    indefinite H is shifted by |lambda_min| + 1e-10.  Solutions are scaled
-    by ``row_scale`` and the columns normalized to sum to one.
+    indefinite H is shifted by |lambda_min| + 1e-10.  All rows are solved
+    together (``_minimize_simplex_quadratics``).  Solutions are scaled by
+    ``row_scale`` and the columns normalized to sum to one.  ``threads``
+    has no effect; it is kept so that callers passing it keep working.
     """
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     E = cooc.E
     W = E.shape[0]
     row_scale = np.asarray(row_scale, dtype=float)
@@ -400,31 +438,16 @@ def estimate_ranking_matrix(
     lips = max(float(evals[-1]), 1e-12)
 
     act = np.flatnonzero(cooc.active)
-    C = np.zeros((W, K))
-    failures: list[tuple[int, float]] = []
-
-    def solve_row(w: int):
-        c = 0.5 * (E[sel, w] + E[w, sel])
-        b, _, delta, ok = _minimize_simplex_quadratic(H, c, float(E[w, w]), lips, epsilon, max_iter)
-        return w, b, delta, ok
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(solve_row, act))
-    else:
-        results = [solve_row(int(w)) for w in act]
-
-    for w, b, delta, ok in results:
-        if not ok:
-            failures.append((w, delta))
-        C[w] = row_scale[w] * b
-
-    if failures:
-        worst = max(failures, key=lambda t: t[1])
+    c = 0.5 * (E[np.ix_(sel, act)].T + E[np.ix_(act, sel)])
+    b, resid, failed = _minimize_simplex_quadratics(H, c, E[act, act], lips, epsilon, max_iter)
+    if failed.size:
+        worst = max(zip(act[failed].tolist(), resid[failed].tolist()), key=lambda t: t[1])
         raise RegressionError(
-            f"{len(failures)} row(s) failed to converge within {max_iter} iterations; "
+            f"{failed.size} row(s) failed to converge within {max_iter} iterations; "
             f"worst residual {worst[1]:.3e} at row {worst[0]}"
         )
+    C = np.zeros((W, K))
+    C[act] = row_scale[act, None] * b
     colsum = C.sum(axis=0)
     if np.any(colsum <= 0):
         raise RegressionError("a recovered column has no mass")

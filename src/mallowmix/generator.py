@@ -30,8 +30,8 @@ class DirichletPrior:
     alpha0: float
 
     def __post_init__(self):
-        if self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
+        if not (np.isfinite(self.alpha0) and self.alpha0 > 0):
+            raise ValueError(f"alpha0 must be positive and finite, got {self.alpha0}")
 
     def sample(self, rng: np.random.Generator, K: int) -> np.ndarray:
         # Gamma draws normalized to the simplex; redraw the (measure-zero,
@@ -65,8 +65,8 @@ class VertexPrior:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a nonempty vector")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("probs must be nonnegative and sum to one")
+        if not np.all(np.isfinite(p)) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+            raise ValueError("probs must be finite, nonnegative and sum to one")
 
     def sample(self, rng: np.random.Generator, K: int) -> np.ndarray:
         if len(self.probs) != K:
@@ -95,8 +95,8 @@ class FixedWeights:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty vector")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be nonnegative and sum to one")
+        if not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+            raise ValueError("weights must be finite, nonnegative and sum to one")
 
     def sample(self, rng: np.random.Generator, K: int) -> np.ndarray:
         if len(self.weights) != K:
@@ -135,7 +135,7 @@ class MixedMembershipModel:
             p = np.asarray(self.pair_probs, dtype=float)
             if p.shape != (pairs.num_unordered(Q),):
                 raise ValueError(f"pair_probs must have length {pairs.num_unordered(Q)}")
-            if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+            if not np.all(np.isfinite(p)) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
                 raise ValueError("pair_probs must be a probability vector")
             self.pair_probs = p
 

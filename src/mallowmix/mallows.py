@@ -137,6 +137,16 @@ def marginal_table(Q: int, phi: float) -> np.ndarray:
     return table
 
 
+def gap_marginals(gap: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Probability that each ordered pair (i, j) is ranked i above j, given
+    ``gap`` = position of j minus position of i in the reference and the
+    ``marginal_table`` of the dispersion."""
+    Q = table.size
+    fwd = table[np.clip(gap, 1, Q - 1)]
+    bwd = 1.0 - table[np.clip(-gap, 1, Q - 1)]
+    return np.where(gap > 0, fwd, bwd)
+
+
 def marginal_ratio_bound(L: int, phi: float) -> float:
     """Upper bound L phi^(L-1) / (1 + L phi^(L-1)) on the probability that a
     pair is ranked against the reference when its positional distance is
@@ -198,11 +208,7 @@ def build_ranking_matrix(components: list[MallowsComponent]) -> RankingMatrix:
     entries = np.empty((pairs.num_pairs(Q), len(components)))
     for k, comp in enumerate(components):
         pos = np.asarray(comp.reference.positions)
-        gap = pos[J - 1] - pos[I - 1]
-        table = marginal_table(Q, comp.dispersion)
-        fwd = table[np.clip(gap, 1, Q - 1)]
-        bwd = 1.0 - table[np.clip(-gap, 1, Q - 1)]
-        entries[:, k] = np.where(gap > 0, fwd, bwd)
+        entries[:, k] = gap_marginals(pos[J - 1] - pos[I - 1], marginal_table(Q, comp.dispersion))
     return RankingMatrix(entries, Q, "beta")
 
 

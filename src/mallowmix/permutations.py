@@ -62,51 +62,13 @@ class Permutation:
         return self.ranking[position - 1]
 
 
-def _count_inversions(seq: list[int]) -> int:
-    """Inversion count by merge sort, O(n log n)."""
-    n = len(seq)
-    if n < 2:
-        return 0
-    buf = list(seq)
-    tmp = [0] * n
-
-    def rec(lo: int, hi: int) -> int:
-        if hi - lo < 2:
-            return 0
-        mid = (lo + hi) // 2
-        count = rec(lo, mid) + rec(mid, hi)
-        a, b, out = lo, mid, lo
-        while a < mid and b < hi:
-            if buf[a] <= buf[b]:
-                tmp[out] = buf[a]
-                a += 1
-            else:
-                tmp[out] = buf[b]
-                count += mid - a
-                b += 1
-            out += 1
-        while a < mid:
-            tmp[out] = buf[a]
-            a += 1
-            out += 1
-        while b < hi:
-            tmp[out] = buf[b]
-            b += 1
-            out += 1
-        buf[lo:hi] = tmp[lo:hi]
-        return count
-
-    return rec(0, n)
-
-
 def kendall_tau(a: Permutation, b: Permutation) -> int:
     """Number of item pairs ordered differently by ``a`` and ``b``."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    # Walk the items in a's preference order and count inversions of their
-    # positions under b.
-    seq = [b.positions[item - 1] for item in a.ranking]
-    return _count_inversions(seq)
+    pa, pb = np.asarray(a.positions), np.asarray(b.positions)
+    i, j = np.triu_indices(len(a), 1)
+    return int(np.count_nonzero((pa[i] < pa[j]) != (pb[i] < pb[j])))
 
 
 def copeland_rank(wins, Q: int, *, partial: bool = False) -> Permutation:

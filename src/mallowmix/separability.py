@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pairs
-from .mallows import RankingMatrix, marginal_table
+from .mallows import RankingMatrix, gap_marginals, marginal_table
 
 
 @dataclass
@@ -68,13 +68,9 @@ def _random_beta(Q: int, K: int, table: np.ndarray, rng: np.random.Generator) ->
     I, J = pairs.pair_arrays(Q)
     beta = np.empty((pairs.num_pairs(Q), K))
     for k in range(K):
-        ranking = rng.permutation(Q) + 1
-        pos = np.empty(Q + 1, dtype=np.int64)
-        pos[ranking] = np.arange(1, Q + 1)
-        gap = pos[J] - pos[I]
-        fwd = table[np.clip(gap, 1, Q - 1)]
-        bwd = 1.0 - table[np.clip(-gap, 1, Q - 1)]
-        beta[:, k] = np.where(gap > 0, fwd, bwd)
+        pos = np.empty(Q, dtype=np.int64)
+        pos[rng.permutation(Q)] = np.arange(1, Q + 1)
+        beta[:, k] = gap_marginals(pos[J - 1] - pos[I - 1], table)
     return beta
 
 

@@ -123,6 +123,16 @@ class TestGenerate:
                            "--phi", "0.1", "--phi", "0.2", "--comparisons", "4", *base)
         assert code == 2 and "error in config stage" in err
 
+    def test_non_finite_prior_exits_2(self, tmp_path, capsys):
+        # a NaN concentration used to pass validation and hang the sampler
+        base = ["generate", "--items", "4", "--components", "2", "--phi", "0.1",
+                "--users", "10", "--comparisons", "4",
+                "-o", str(tmp_path / "c.jsonl"), "--truth", str(tmp_path / "t.json")]
+        for prior in (["--alpha", "nan"], ["--alpha", "inf"], ["--vertex-prior", "nan,nan"]):
+            code, _, err = run(capsys, *base, *prior)
+            assert code == 2 and "error in config stage" in err
+            assert not (tmp_path / "t.json").exists()
+
     def test_vertex_prior(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "generate", "--items", "5", "--components", "2",
@@ -211,6 +221,16 @@ class TestEstimateAndEvaluate:
             "-o", str(tmp_path / "est.json"), "--components", "10")
         assert code == 2
         assert "error in detection stage" in err
+
+    def test_bad_zeta_and_epsilon_exit_2(self, tmp_path, capsys):
+        self.generate_corpus(tmp_path, capsys, Q=4, K=1, users=40, comparisons=6)
+        base = ["estimate", "-i", str(tmp_path / "corpus.jsonl"),
+                "-o", str(tmp_path / "est.json"), "--components", "1"]
+        code, _, err = run(capsys, *base, "--zeta", "nan")
+        assert code == 2 and "error in config stage" in err and "zeta" in err
+        code, _, err = run(capsys, *base, "--epsilon", "-1")
+        assert code == 2 and "error in regression stage" in err and "epsilon" in err
+        assert not (tmp_path / "est.json").exists()
 
     def test_estimate_requires_an_input(self, tmp_path, capsys):
         code, _, err = run(capsys, "estimate", "-o", str(tmp_path / "e.json"),

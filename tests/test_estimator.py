@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,7 @@ from mallowmix.estimator import (
     project_to_simplex,
 )
 from mallowmix.generator import DirichletPrior, MixedMembershipModel, generate
-from mallowmix.mallows import MallowsComponent, build_ranking_matrix
+from mallowmix.mallows import MallowsComponent, RankingMatrix, build_ranking_matrix
 from mallowmix.moments import (
     CoocMatrix,
     SplitCounts,
@@ -279,6 +280,13 @@ class TestDetection:
         assert DetectionConfig(n_components=3).resolved_projections == 450
         assert DetectionConfig(n_components=3, n_projections=7).resolved_projections == 7
 
+    def test_config_rejects_non_finite(self):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="zeta"):
+                DetectionConfig(n_components=1, zeta=value)
+            with pytest.raises(ValueError, match="min_count_fraction"):
+                DetectionConfig(n_components=1, min_count_fraction=value)
+
 
 def analytic_random(seed, Q, n_active, n_copies, jitter):
     rng = np.random.default_rng(seed)
@@ -436,6 +444,170 @@ class TestRegression:
         a = estimate_ranking_matrix(cooc, row_scale, novel, threads=1)
         b = estimate_ranking_matrix(cooc, row_scale, novel, threads=4)
         assert np.array_equal(a.entries, b.entries)
+
+
+def reference_project_to_simplex(v: np.ndarray) -> np.ndarray:
+    """The one-vector simplex projection the row-wise one replaced."""
+    v = np.maximum(v - v.max(), -2.0)
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    ind = np.arange(1, v.size + 1)
+    cond = u - css / ind > 0
+    rho = ind[cond][-1]
+    theta = css[cond][-1] / rho
+    return np.maximum(v - theta, 0.0)
+
+
+def reference_minimize(H, c, const, lips, epsilon, max_iter, hits):
+    """One row's accelerated projected gradient loop; ``hits`` counts its
+    restarts, flat exits and runs that reach max_iter."""
+    K = c.size
+    b = np.full(K, 1.0 / K)
+    f = float(b @ H @ b - 2.0 * c @ b + const)
+    y = b
+    t = 1.0
+    delta = np.inf
+    for it in range(1, max_iter + 1):
+        b_new = reference_project_to_simplex(y - (H @ y - c) / lips)
+        f_new = float(b_new @ H @ b_new - 2.0 * c @ b_new + const)
+        if f_new > f:
+            hits["restart"] += 1
+            b_new = reference_project_to_simplex(b - (H @ b - c) / lips)
+            f_new = float(b_new @ H @ b_new - 2.0 * c @ b_new + const)
+            t = 1.0
+            if f_new > f:
+                hits["flat"] += 1
+                return b, it, 0.0, True
+        delta = abs(f - f_new)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = b_new + ((t - 1.0) / t_next) * (b_new - b)
+        b, f, t = b_new, f_new, t_next
+        if delta <= epsilon * (1.0 + abs(f)):
+            return b, it, delta, True
+    hits["max_iter"] += 1
+    return b, max_iter, delta, False
+
+
+def reference_estimate_ranking_matrix(cooc, row_scale, novel, epsilon=1e-4, max_iter=10000,
+                                      hits=None):
+    """The regression with one solver loop per active row."""
+    hits = Counter() if hits is None else hits
+    E = cooc.E
+    W = E.shape[0]
+    row_scale = np.asarray(row_scale, dtype=float)
+    if row_scale.shape != (W,):
+        raise ValueError(f"row_scale must have shape ({W},)")
+    sel = np.asarray(novel.rows, dtype=np.int64)
+    K = sel.size
+
+    En = E[np.ix_(sel, sel)]
+    H = 0.5 * (En + En.T)
+    evals = np.linalg.eigvalsh(H)
+    if evals[0] < 0:
+        hits["shift"] += 1
+        H = H + (abs(evals[0]) + 1e-10) * np.eye(K)
+        evals = np.linalg.eigvalsh(H)
+    lips = max(float(evals[-1]), 1e-12)
+
+    C = np.zeros((W, K))
+    failures = []
+    for w in np.flatnonzero(cooc.active):
+        c = 0.5 * (E[sel, w] + E[w, sel])
+        b, _, delta, ok = reference_minimize(H, c, float(E[w, w]), lips, epsilon, max_iter,
+                                             hits)
+        if not ok:
+            failures.append((w, delta))
+        C[w] = row_scale[w] * b
+    if failures:
+        worst = max(failures, key=lambda t: t[1])
+        raise RegressionError(
+            f"{len(failures)} row(s) failed to converge within {max_iter} iterations; "
+            f"worst residual {worst[1]:.3e} at row {worst[0]}"
+        )
+    colsum = C.sum(axis=0)
+    if np.any(colsum <= 0):
+        raise RegressionError("a recovered column has no mass")
+    return RankingMatrix(C / colsum, cooc.Q, "B")
+
+
+def regression_case(seed, source, Q, K, scale):
+    """A co-occurrence matrix, a row scale and K distinct selected active
+    rows (fewer if fewer rows are active).  ``source`` is "model" (analytic
+    moments of a random mixture), "random" (a random matrix, whose H is
+    mostly indefinite) or "sampled"; ``scale`` is "random", "ones",
+    "sparse" (zero on about half the rows) or "zeros"."""
+    rng = np.random.default_rng(seed)
+    W = Q * (Q - 1)
+    if source == "model":
+        comps = [MallowsComponent(Permutation.from_ranking((rng.permutation(Q) + 1).tolist()),
+                                  float(phi))
+                 for phi in rng.choice([0.0, 0.1, 0.5], size=rng.integers(1, 4))]
+        cooc, _ = analytic_cooccurrence(MixedMembershipModel(comps, DirichletPrior(0.3)))
+    elif source == "random":
+        cooc = analytic_random(seed, Q, int(rng.integers(1, W + 1)), 2, 0.05)
+    else:
+        cooc = sampled_random(seed, Q, int(rng.integers(4, 30)), 2, 1.0)
+    row_scale = {"random": rng.random(W), "ones": np.ones(W),
+                 "sparse": rng.random(W) * (rng.random(W) < 0.5), "zeros": np.zeros(W)}[scale]
+    act = np.flatnonzero(cooc.active)
+    rows = rng.choice(act, size=min(K, act.size), replace=False)
+    return cooc, row_scale, NovelPairSet(rows=rows.tolist(), item_pairs=[], solid_angles={})
+
+
+def compare_regression(cooc, row_scale, novel, epsilon, max_iter, hits=None):
+    """The batched regression returns exactly the per-row reference's B, or
+    raises the same exception with the same message; returns the
+    reference's exception, if any."""
+    try:
+        want = reference_estimate_ranking_matrix(cooc, row_scale, novel, epsilon, max_iter,
+                                                 hits)
+    except (RegressionError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            estimate_ranking_matrix(cooc, row_scale, novel, epsilon, max_iter)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return exc
+    got = estimate_ranking_matrix(cooc, row_scale, novel, epsilon, max_iter)
+    assert got.kind == want.kind and got.Q == want.Q
+    assert np.array_equal(got.entries, want.entries)
+    return None
+
+
+class TestRegressionMatchesReference:
+    """All rows solved in one batch give the per-row loop's bits."""
+
+    @given(seed=st.integers(0, 2**32 - 1), source=st.sampled_from(["model", "random", "sampled"]),
+           Q=st.integers(3, 5), K=st.integers(1, 10),
+           scale=st.sampled_from(["random", "ones", "sparse", "zeros"]),
+           epsilon=st.sampled_from([1e-4, 1e-8, 0.0]), max_iter=st.sampled_from([1, 2, 5, 10000]))
+    @settings(max_examples=150, deadline=None)
+    def test_batched_matches_per_row(self, seed, source, Q, K, scale, epsilon, max_iter):
+        cooc, row_scale, novel = regression_case(seed, source, Q, K, scale)
+        compare_regression(cooc, row_scale, novel, epsilon, max_iter)
+
+    def test_cases_reach_every_exit(self):
+        # the property above is only as strong as the cases it sees: its
+        # generators must shift an indefinite H, restart the momentum, stop
+        # at a flat point, fail at max_iter and leave a column without mass
+        hits, errors = Counter(), ""
+        for seed in range(24):
+            source = ["model", "random", "sampled"][seed % 3]
+            epsilon, max_iter = [(1e-4, 10000), (0.0, 10000), (0.0, 2)][seed // 3 % 3]
+            scale = ["random", "zeros"][seed // 9 % 2]
+            cooc, row_scale, novel = regression_case(seed, source, 4, 1 + seed % 10, scale)
+            errors += f"{compare_regression(cooc, row_scale, novel, epsilon, max_iter, hits)}\n"
+        assert min(hits["shift"], hits["restart"], hits["flat"], hits["max_iter"]) > 0
+        assert "failed to converge within 2 iterations" in errors
+        assert "a recovered column has no mass" in errors
+
+    def test_rejects_bad_epsilon_and_max_iter(self):
+        cooc = analytic_toy([[1.0, 0.0], [0.0, 1.0]])
+        novel = NovelPairSet(rows=[0, 1], item_pairs=[], solid_angles={})
+        for epsilon in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                estimate_ranking_matrix(cooc, np.ones(2), novel, epsilon=epsilon)
+        for max_iter in (0, -3):
+            with pytest.raises(ValueError, match="max_iter"):
+                estimate_ranking_matrix(cooc, np.ones(2), novel, max_iter=max_iter)
 
 
 def match_columns(got: np.ndarray, want: np.ndarray) -> np.ndarray:

@@ -87,6 +87,23 @@ class TestPriors:
         with pytest.raises(ValueError):
             DirichletPrior(0.0)
 
+    def test_dirichlet_rejects_non_finite_alpha(self):
+        # nan <= 0 is False, so a sign test alone let NaN through and
+        # sampling then never left its redraw loop
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                DirichletPrior(alpha)
+
+    def test_vertex_prior_rejects_non_finite(self):
+        for probs in ((math.nan, math.nan), (math.inf, 0.0), (0.5, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                VertexPrior(probs)
+
+    def test_fixed_weights_reject_non_finite(self):
+        for weights in ((math.nan, math.nan), (math.inf, 0.0), (0.5, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                FixedWeights(weights)
+
 
 class TestModel:
     def test_observation_matrix_columns(self):
@@ -116,6 +133,12 @@ class TestModel:
         with pytest.raises(ValueError):
             MixedMembershipModel([comp], None,
                                  pair_probs=np.array([0.5, 0.4, 0.2]))
+
+    def test_pair_probs_reject_non_finite(self):
+        comp = MallowsComponent(Permutation.identity(3), 0.2)
+        for probs in ([math.nan] * 3, [math.inf, 0.0, 0.0], [0.5, 0.5, math.nan]):
+            with pytest.raises(ValueError, match="probability vector"):
+                MixedMembershipModel([comp], None, pair_probs=np.array(probs))
 
 
 class TestGenerate:

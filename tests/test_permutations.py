@@ -10,7 +10,7 @@ from mallowmix.permutations import Permutation, copeland_rank, kendall_tau
 
 
 def brute_kendall(a: Permutation, b: Permutation) -> int:
-    """O(Q^2) pair scan used as the oracle for the merge-sort count."""
+    """O(Q^2) pair scan in pure Python, the oracle for kendall_tau."""
     Q = len(a)
     count = 0
     for i in range(1, Q + 1):
