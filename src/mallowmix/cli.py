@@ -94,12 +94,15 @@ def _build_model(args) -> MixedMembershipModel:
     Q, K = args.items, args.components
     phis = _stage("config", _phi_list, args.phi, K)
     prior = _stage("config", _build_prior, args.alpha, args.vertex_prior, K)
-    rng = _model_rng(args.seed)
-    components = [
+    components = _stage("config", _draw_components, _model_rng(args.seed), Q, phis)
+    return MixedMembershipModel(components, prior)
+
+
+def _draw_components(rng, Q: int, phis: list[float]) -> list[MallowsComponent]:
+    return [
         MallowsComponent(Permutation.from_ranking([int(x) + 1 for x in rng.permutation(Q)]), phi)
         for phi in phis
     ]
-    return MixedMembershipModel(components, prior)
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -179,6 +182,12 @@ def cmd_estimate(args) -> int:
         epsilon=args.epsilon,
     )
     est = _stage("postprocess", postprocess, B_hat)
+    angles = sorted(novel.solid_angles.values(), reverse=True)
+    margin = angles[K - 1] - angles[K] if len(angles) > K else angles[K - 1]
+    print(f"estimate: {len(angles)} candidate rows, shortlist depth {novel.shortlist_depth}, "
+          f"noise-floor fallback {'used' if novel.fallback_used else 'not used'}, "
+          f"solid-angle margin {margin:.4g}; "
+          f"{len(est.diagnostics['clamped_components'])} clamped dispersions", file=sys.stderr)
     config = {
         "command": "estimate",
         "items": cooc.Q,

@@ -94,12 +94,15 @@ def _observation_columns(B_hat) -> np.ndarray:
 EM_TOL = 1e-8  # default relative log-likelihood change at which the weight EM stops
 
 
+def _unsupported(r: int, Q: int) -> ValueError:
+    i, j = pairs.row_pair(r, Q)
+    return ValueError(f"comparison ({i}, {j}) has zero probability in every component")
+
+
 def _check_rows_supported(B: np.ndarray, rows: np.ndarray, Q: int) -> None:
     dead = B[rows].sum(axis=1) == 0
     if dead.any():
-        r = int(rows[np.argmax(dead)])
-        i, j = pairs.row_pair(r, Q)
-        raise ValueError(f"comparison ({i}, {j}) has zero probability in every component")
+        raise _unsupported(int(rows[np.argmax(dead)]), Q)
 
 
 def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
@@ -107,15 +110,24 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
     """Per-user maximum-likelihood mixture weights for fixed components.
 
     Expectation-maximization on the multinomial mixture sum_k B[w, k] theta_k,
-    run for every user at once from the barycenter start.  Returns an (M, K)
-    array of weights; users without records keep the barycenter.  With
-    ``trace`` the per-iteration total log-likelihoods are returned as well.
-    Stopping at ``max_iter`` before the relative change of the total
-    log-likelihood falls to ``tol`` emits a RuntimeWarning.
+    run for every user at once from the barycenter start and accelerated by
+    SQUAREM (Varadhan & Roland, Scand. J. Stat. 2008) with the S3 step
+    length chosen per user.  Returns an (M, K) array of weights; users
+    without records keep the barycenter.  With ``trace`` the total
+    log-likelihood at the start of every cycle is returned as well.  A
+    cycle takes at most three EM steps; ``max_iter`` bounds the cycles, and
+    stopping there before the relative change of the total log-likelihood
+    falls to ``tol`` emits a RuntimeWarning.
 
-    Records are held component-major, as (K, n) arrays, so each iteration
-    is K gathers, K ``bincount``s and O(nK) elementwise work.
+    Records are sorted by user once and held component-major, as (K, n)
+    arrays, so every occupied user owns one contiguous segment: the E-step
+    repeats each user's weights over its segment and the M-step adds
+    segments with ``np.add.reduceat``.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be a non-negative number, got {tol}")
     B = _observation_columns(B_hat)
     K = B.shape[1]
     rows = corpus.pair_rows()
@@ -124,53 +136,129 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
     M = corpus.M
     if users.size and (users.min() < 0 or users.max() >= M):
         raise ValueError("corpus user ids fall outside 0..M-1")
-    counts = np.bincount(users, minlength=M).astype(float)
-    occupied = counts > 0
-    BwT = B.T.take(rows, axis=1)  # (K, n) component probabilities of each observed outcome
+    counts = np.bincount(users, minlength=M)
+    occupied = np.flatnonzero(counts)
+    # reduceat returns an element, not 0, for an empty segment, so only
+    # occupied users get one
+    sizes = counts[occupied]
+    starts = np.cumsum(sizes) - sizes
+    order = np.argsort(users, kind="stable")
+    BwT = B.T.take(rows.take(order), axis=1)  # (K, n) outcome probabilities, by user
+    # rows is rebuilt only to name a zero-probability record; holding it
+    # through the loop would raise the peak by n integers
+    del order, rows
     mix = np.empty_like(BwT)
     total = np.empty(BwT.shape[1])
 
-    theta = np.full((M, K), 1.0 / K)
+    def e_step(theta: np.ndarray) -> None:
+        """Fill ``mix`` and ``total`` at ``theta`` (K x occupied users)."""
+        for k in range(K):
+            mix[k] = np.repeat(theta[k], sizes)
+        np.multiply(mix, BwT, out=mix)
+        np.copyto(total, mix[0])
+        for k in range(1, K):
+            np.add(total, mix[k], out=total)
+
+    def user_loglik() -> np.ndarray:
+        """Each user's log-likelihood at the last E-step (-inf where a
+        record has probability zero)."""
+        with np.errstate(divide="ignore"):
+            return np.add.reduceat(np.log(total), starts)
+
+    def m_step() -> np.ndarray:
+        np.divide(mix, total, out=mix)  # responsibilities
+        return np.add.reduceat(mix, starts, axis=1) / sizes
+
+    def check_support() -> None:
+        if total.size and total.min() == 0:
+            # name the first such record in corpus order
+            first = np.argsort(users, kind="stable")[total == 0].min()
+            raise _unsupported(int(corpus.pair_rows()[first]), corpus.Q)
+
+    theta = np.full((K, occupied.size), 1.0 / K)
+    user_ll = None
     history: list[float] = []
     prev_ll = -math.inf
     change = math.inf
     for it in range(1, max_iter + 1):
-        for k in range(K):
-            # ids were range-checked above; "clip" skips the per-index check
-            np.take(theta[:, k], users, out=mix[k], mode="clip")
-        mix *= BwT
-        # Adding the rows in order matches a row sum over the n x K layout
-        # bit for bit for K <= 7; numpy reduces 8 or more pairwise.
-        np.copyto(total, mix[0])
-        for k in range(1, K):
-            total += mix[k]
-        if np.any(total == 0):
-            r = int(rows[np.argmax(total == 0)])
-            i, j = pairs.row_pair(r, corpus.Q)
-            raise ValueError(f"comparison ({i}, {j}) has zero probability in every component")
-        ll = float(np.log(total).sum())
+        if user_ll is None:
+            e_step(theta)
+            user_ll = user_loglik()
+        check_support()
+        ll = float(user_ll.sum())
         if ll < prev_ll - 1e-9 * (1.0 + abs(prev_ll)):
             raise RuntimeError(
                 f"EM log-likelihood decreased at iteration {it}: {prev_ll!r} -> {ll!r}")
         history.append(ll)
-        mix /= total  # responsibilities
-        for k in range(K):
-            # bincount adds in record order, as np.add.at does
-            theta[:, k] = np.bincount(users, weights=mix[k], minlength=M)
-        theta[occupied] /= counts[occupied, None]
-        theta[~occupied] = 1.0 / K
+        theta1 = m_step()
         if _converged(ll, prev_ll, tol):
+            theta = theta1
             break
         change = abs(ll - prev_ll) / (1.0 + abs(ll))
         prev_ll = ll
+        e_step(theta1)
+        check_support()
+        theta2 = m_step()
+        point, extrapolated = _squarem_point(theta, theta1, theta2)
+        next_ll = None
+        if extrapolated.any():
+            e_step(point)
+            point_ll = user_loglik()
+            # a point that lowers a user's likelihood, or gives one of its
+            # records probability zero, falls back to theta2
+            fallback = extrapolated & ~(point_ll >= user_ll)
+            if fallback.any():
+                point[:, fallback] = theta2[:, fallback]
+            else:
+                next_ll = point_ll  # mix and total already hold the next E-step
+        theta, user_ll = point, next_ll
     else:
         warnings.warn(
             f"EM stopped at max_iter={max_iter} without converging; last relative "
             f"log-likelihood change {change:.3e} (tol {tol:.1e})",
             RuntimeWarning, stacklevel=2)
+    weights = np.full((M, K), 1.0 / K)
+    weights[occupied] = theta.T
     if trace:
-        return theta, history
-    return theta
+        return weights, history
+    return weights
+
+
+_MAX_HALVINGS = 30  # step halvings toward -1 before a user takes theta2
+
+
+def _squarem_point(theta0: np.ndarray, theta1: np.ndarray,
+                   theta2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SQUAREM point of each user (column) from two EM steps theta0 ->
+    theta1 -> theta2.
+
+    With r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0, the point
+    is theta0 - 2 a r + a^2 v with the S3 step a = -|r|/|v|, capped at -1,
+    where a = -1 (and v = 0) gives theta2 itself.  A step whose point leaves
+    the simplex is halved toward -1 until the point is feasible.  Returns
+    the points and a mask of the users whose point is not theta2.
+    """
+    r = theta1 - theta0
+    v = theta2 - theta1 - r
+    r_norm = np.sqrt(np.einsum("ku,ku->u", r, r))
+    v_norm = np.sqrt(np.einsum("ku,ku->u", v, v))
+    alpha = np.full(r_norm.shape, -1.0)
+    np.divide(-r_norm, v_norm, out=alpha, where=v_norm > 0)
+    point = theta2.copy()
+    extrapolated = np.zeros(alpha.shape, dtype=bool)
+    todo = np.flatnonzero(alpha < -1.0)
+    for _ in range(_MAX_HALVINGS):
+        if not todo.size:
+            break
+        a = alpha[todo]
+        cand = theta0[:, todo] - 2.0 * a * r[:, todo] + a * a * v[:, todo]
+        ok = (cand >= 0).all(axis=0) & np.isfinite(cand).all(axis=0)
+        done, feasible = todo[ok], cand[:, ok]
+        point[:, done] = feasible / feasible.sum(axis=0)
+        extrapolated[done] = True
+        todo = todo[~ok]
+        alpha[todo] = 0.5 * (alpha[todo] - 1.0)
+    return point, extrapolated
 
 
 def _converged(ll: float, prev_ll: float, tol: float) -> bool:
@@ -178,10 +266,10 @@ def _converged(ll: float, prev_ll: float, tol: float) -> bool:
 
 
 def em_summary(history: list[float]) -> tuple[int, bool, float]:
-    """Iteration count, whether the run converged, and the last relative
-    log-likelihood change (inf before a second iteration) of the ``history``
-    that ``infer_weights(..., trace=True)`` returns for a run at the default
-    tol, ``EM_TOL``."""
+    """Iteration (SQUAREM cycle) count, whether the run converged, and the
+    last relative log-likelihood change (inf before a second cycle) of the
+    ``history`` that ``infer_weights(..., trace=True)`` returns for a run at
+    the default tol, ``EM_TOL``."""
     if len(history) < 2:
         return len(history), False, math.inf
     ll, prev_ll = history[-1], history[-2]

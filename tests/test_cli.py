@@ -123,6 +123,15 @@ class TestGenerate:
                            "--phi", "0.1", "--phi", "0.2", "--comparisons", "4", *base)
         assert code == 2 and "error in config stage" in err
 
+    def test_out_of_range_phi_exits_2(self, tmp_path, capsys):
+        base = ["generate", "--items", "4", "--components", "2",
+                "--users", "10", "--comparisons", "4",
+                "-o", str(tmp_path / "c.jsonl"), "--truth", str(tmp_path / "t.json")]
+        for phi in ("nan", "1", "-0.1"):
+            code, _, err = run(capsys, *base, "--phi", phi)
+            assert code == 2 and "error in config stage" in err and "dispersion" in err
+            assert not (tmp_path / "t.json").exists()
+
     def test_non_finite_prior_exits_2(self, tmp_path, capsys):
         # a NaN concentration used to pass validation and hang the sampler
         base = ["generate", "--items", "4", "--components", "2", "--phi", "0.1",
@@ -161,8 +170,13 @@ class TestEstimateAndEvaluate:
         code, out, err = run(
             capsys, "estimate", "-i", str(tmp_path / "corpus.jsonl"),
             "-o", str(tmp_path / "est.json"), "--components", "2", "--seed", "0")
-        assert code == 0 and err == ""
+        assert code == 0
         assert "estimated 2 components over 8 items" in out
+        m = re.fullmatch(r"estimate: (\d+) candidate rows, shortlist depth (\d+), "
+                         r"noise-floor fallback (used|not used), solid-angle margin (\S+); "
+                         r"(\d+) clamped dispersions\n", err)
+        assert m, err
+        assert int(m[1]) >= 2 and m[3] == "not used" and float(m[4]) > 0 and m[5] == "0"
 
         est = read_json(tmp_path / "est.json")
         assert est["K"] == 2 and est["Q"] == 8

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mallowmix import pairs
+from mallowmix import evaluate, pairs
 from mallowmix.evaluate import align_and_score, em_summary, infer_weights, predict_loglik
 from mallowmix.generator import (
     ComparisonCorpus,
@@ -147,18 +147,34 @@ class TestInferWeights:
         records = [(0, 1, 2)] * 3 + [(0, 2, 1)]
         u, w, l = (np.array(c) for c in zip(*records))
         corpus = ComparisonCorpus(Q=2, M=1, user=u, winner=w, loser=l)
-        bincount = np.bincount
+        add = np.add
 
-        def swapped_bincount(x, weights=None, minlength=0):
-            # with two components a record's responsibilities sum to one,
-            # so 1 - weights sums the other component's
-            if weights is None:
-                return bincount(x, minlength=minlength)
-            return bincount(x, weights=1.0 - weights, minlength=minlength)
+        class SwappedAdd:
+            # The M-step adds each user's (K, n) responsibilities with
+            # np.add.reduceat; with two components they sum to one per
+            # record, so 1 - x sums the other component's.
+            def __call__(self, *args, **kwargs):
+                return add(*args, **kwargs)
 
-        monkeypatch.setattr(np, "bincount", swapped_bincount)
+            def reduceat(self, x, indices, axis=0):
+                if x.ndim == 2:
+                    x = 1.0 - x
+                return add.reduceat(x, indices, axis=axis)
+
+        monkeypatch.setattr(np, "add", SwappedAdd())
         with pytest.raises(RuntimeError, match="decreased at iteration 2"):
             infer_weights(corpus, B)
+
+    def test_bad_max_iter_and_tol(self):
+        B = np.array([[0.8, 0.2], [0.2, 0.8]])
+        corpus = ComparisonCorpus(Q=2, M=1, user=np.array([0, 0]),
+                                  winner=np.array([1, 2]), loser=np.array([2, 1]))
+        for max_iter in (0, -3):
+            with pytest.raises(ValueError, match="max_iter must be at least 1"):
+                infer_weights(corpus, B, max_iter=max_iter)
+        for tol in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="tol must be a non-negative number"):
+                infer_weights(corpus, B, tol=tol)
 
     def test_stopping_at_max_iter_warns(self):
         model = model_of([[4, 2, 3, 1], [1, 3, 2, 4]], [0.3, 0.2])
@@ -206,9 +222,9 @@ class TestInferWeights:
 
 
 def reference_infer_weights(corpus, B, *, tol=1e-8, max_iter=500, trace=False):
-    """``infer_weights`` with records laid out n x K, row sums by
-    ``mix.sum(axis=1)`` and the M-step by ``np.add.at``: the loop the
-    component-major one replaced, kept as the reference it must match."""
+    """Plain EM with records laid out n x K, row sums by ``mix.sum(axis=1)``
+    and the M-step by ``np.add.at``: the loop ``infer_weights`` accelerates,
+    kept as the oracle it is checked against."""
     K = B.shape[1]
     rows = corpus.pair_rows()
     dead = B[rows].sum(axis=1) == 0
@@ -267,10 +283,11 @@ def run_em(fn, corpus, B, **kwargs):
 
 
 @st.composite
-def em_cases(draw, ks, b_entries):
+def em_cases(draw):
     """A corpus with unsorted users, possibly users without records, and an
-    observation matrix B drawn by ``b_entries(draw, W, K)``."""
-    K = draw(ks)
+    observation matrix B of 1 to 12 components with entries in [0, 1],
+    zeros included."""
+    K = draw(st.integers(1, 12))
     Q = draw(st.integers(2, 5))
     M = draw(st.integers(1, 6))
     n = draw(st.integers(1, 30))
@@ -279,45 +296,103 @@ def em_cases(draw, ks, b_entries):
     step = np.array(draw(st.lists(st.integers(1, Q - 1), min_size=n, max_size=n)))
     loser = (winner - 1 + step) % Q + 1
     corpus = ComparisonCorpus(Q=Q, M=M, user=user, winner=winner, loser=loser)
-    return corpus, b_entries(draw, pairs.num_pairs(Q), K)
+    B = draw(arrays(np.float64, (pairs.num_pairs(Q), K), elements=st.floats(0.0, 1.0)))
+    return corpus, B
 
 
-def any_entries(draw, W, K):
-    return draw(arrays(np.float64, (W, K), elements=st.floats(0.0, 1.0)))
+def loglik(corpus, theta, B):
+    """Total log-likelihood of the corpus under per-user weights."""
+    with np.errstate(divide="ignore"):
+        return float(np.log(np.einsum("nk,nk->n", theta[corpus.user],
+                                      B[corpus.pair_rows()])).sum())
 
 
-def seeded_entries(draw, W, K):
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return rng.uniform(0.05, 1.0, (W, K))
+def check_weights(corpus, B, theta, history):
+    """Invariants of every run that returns: a never-decreasing trace (to
+    the tolerance the EM itself allows), weights on the simplex, and users
+    without records exactly at the barycenter."""
+    K = B.shape[1]
+    for prev, ll in zip(history, history[1:]):
+        assert ll >= prev - 1e-9 * (1.0 + abs(prev)), history
+    assert theta.shape == (corpus.M, K)
+    assert np.all(theta >= 0)
+    np.testing.assert_allclose(theta.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    empty = np.bincount(corpus.user, minlength=corpus.M) == 0
+    assert np.all(theta[empty] == 1.0 / K)
 
 
 class TestInferWeightsMatchesReference:
-    """The component-major EM does the reference's arithmetic: the row sum
-    adds components in order, which equals numpy's row reduction for K <= 7;
-    for K >= 8 numpy sums pairwise and only the last bits may differ."""
+    """The SQUAREM EM against ``reference_infer_weights``, the plain EM it
+    accelerates: the same errors, weights on the simplex, and a maximum at
+    least as high."""
 
     @settings(max_examples=300, deadline=None)
-    @given(case=em_cases(st.integers(1, 7), any_entries),
+    @given(case=em_cases(),
            tol=st.sampled_from([1e-8, 1e-12, 0.0]),
            max_iter=st.sampled_from([1, 2, 5, 500]))
-    def test_bit_identical_up_to_seven_components(self, case, tol, max_iter):
+    def test_same_errors_and_simplex_weights(self, case, tol, max_iter):
         corpus, B = case
-        got, got_warnings = run_em(infer_weights, corpus, B, tol=tol, max_iter=max_iter)
-        want, want_warnings = run_em(reference_infer_weights, corpus, B, tol=tol,
-                                     max_iter=max_iter)
-        assert got_warnings == want_warnings
-        if isinstance(want, Exception):
+        got, _ = run_em(infer_weights, corpus, B, tol=tol, max_iter=max_iter)
+        want, _ = run_em(reference_infer_weights, corpus, B, tol=tol, max_iter=max_iter)
+        if isinstance(want, Exception) or isinstance(got, Exception):
             assert type(got) is type(want) and str(got) == str(want)
             return
-        assert np.array_equal(got[0], want[0])
-        assert got[1] == want[1]
+        check_weights(corpus, B, *got)
+        assert len(got[1]) <= max_iter
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=em_cases())
+    def test_likelihood_no_lower_than_the_reference(self, case):
+        corpus, B = case
+        got, _ = run_em(infer_weights, corpus, B, tol=1e-12)
+        want, _ = run_em(reference_infer_weights, corpus, B, tol=1e-12)
+        if isinstance(want, Exception) or isinstance(got, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            return
+        check_weights(corpus, B, *got)
+        ll, want_ll = loglik(corpus, got[0], B), loglik(corpus, want[0], B)
+        assert ll >= want_ll - 1e-9 * (1.0 + abs(want_ll))
+
+    def test_cases_reach_extrapolation_and_fallback(self, monkeypatch):
+        # Spy on the SQUAREM points and classify each user that got an
+        # extrapolated point: kept when its likelihood is no lower than at
+        # the cycle's start, else the EM falls back to theta2.
+        points = []
+        squarem_point = evaluate._squarem_point
+
+        def spy(theta0, theta1, theta2):
+            point, extrapolated = squarem_point(theta0, theta1, theta2)
+            points.append((theta0.copy(), point.copy(), extrapolated.copy()))
+            return point, extrapolated
+
+        monkeypatch.setattr(evaluate, "_squarem_point", spy)
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(case=em_cases())
+        def run(case):
+            corpus, B = case
+            points.clear()
+            run_em(infer_weights, corpus, B)
+            occupied = np.flatnonzero(np.bincount(corpus.user, minlength=corpus.M))
+            Bw = B[corpus.pair_rows()]
+            for theta0, point, extrapolated in points:
+                for col in np.flatnonzero(extrapolated):
+                    mine = corpus.user == occupied[col]
+                    with np.errstate(divide="ignore"):
+                        ll0 = np.log(Bw[mine] @ theta0[:, col]).sum()
+                        ll = np.log(Bw[mine] @ point[:, col]).sum()
+                    seen.add("extrapolated" if ll >= ll0 else "fallback")
+
+        run()
+        assert seen == {"extrapolated", "fallback"}
 
     @pytest.mark.parametrize("K, M, shuffle, max_iter", [
         (1, 30, True, 500),   # one component: the weights stay at one
         (3, 40, True, 500),   # unsorted users, ten of them without records
         (3, 30, False, 3),    # stops at max_iter with a warning
     ])
-    def test_bit_identical_on_sampled_corpora(self, K, M, shuffle, max_iter):
+    def test_sampled_corpora(self, K, M, shuffle, max_iter):
         rankings = [[1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [2, 4, 1, 5, 3]][:K]
         model = model_of(rankings, [0.3] * K)
         corpus, _ = generate(model, M=30, N=12, seed=K + M)
@@ -327,27 +402,14 @@ class TestInferWeightsMatchesReference:
                                   winner=corpus.winner[order], loser=corpus.loser[order])
         B = model.observation_matrix().entries
         got, got_warnings = run_em(infer_weights, corpus, B, max_iter=max_iter)
-        want, want_warnings = run_em(reference_infer_weights, corpus, B, max_iter=max_iter)
-        assert got_warnings == want_warnings
+        want, _ = run_em(reference_infer_weights, corpus, B, max_iter=max_iter)
         assert bool(got_warnings) == (max_iter == 3)
-        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
-        assert np.all(got[0][30:] == 1.0 / K)
-
-    @settings(max_examples=100, deadline=None)
-    @given(case=em_cases(st.integers(8, 12), seeded_entries))
-    def test_last_bits_only_from_eight_components(self, case):
-        # tol=0 runs both to max_iter: entries at least 0.05 keep every
-        # step's likelihood change far above an ulp for ten iterations, so
-        # neither run can stop early at a floating-point fixed point.
-        corpus, B = case
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            theta, history = infer_weights(corpus, B, tol=0.0, max_iter=10, trace=True)
-            want_theta, want_history = reference_infer_weights(corpus, B, tol=0.0,
-                                                               max_iter=10, trace=True)
-        assert len(history) == len(want_history) == 10
-        np.testing.assert_allclose(theta, want_theta, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(history, want_history, rtol=1e-12, atol=0)
+        check_weights(corpus, B, *got)
+        if K == 1:
+            assert np.all(got[0] == 1.0)
+        if max_iter == 500:
+            ll, want_ll = loglik(corpus, got[0], B), loglik(corpus, want[0], B)
+            assert ll >= want_ll - 1e-9 * (1.0 + abs(want_ll))
 
     def test_peak_memory_below_the_reference(self):
         model = model_of([[1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1], [2, 4, 6, 1, 3, 5]],
