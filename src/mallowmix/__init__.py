@@ -6,94 +6,10 @@ Mallows components, estimating the components back from the comparisons
 alone (split-half co-occurrence moments, random-projection extreme-row
 detection, simplex-constrained regression, rounding and Copeland
 aggregation), and scoring the recovery.
+
+Names are imported from their modules (``mallowmix.generator``,
+``mallowmix.estimator`` and so on), so each command loads only what it
+runs; the package itself exports only ``__version__``.
 """
 
-from .permutations import Permutation, kendall_tau, copeland_rank
-from .mallows import (
-    MallowsComponent,
-    RankingMatrix,
-    mallows_normalizer,
-    mallows_pmf,
-    rim_sample,
-    pairwise_marginal,
-    marginal_ratio_bound,
-    build_ranking_matrix,
-    brute_force_beta,
-)
-from .generator import (
-    DirichletPrior,
-    VertexPrior,
-    FixedWeights,
-    MixedMembershipModel,
-    ComparisonCorpus,
-    generate,
-    empirical_beta,
-    read_corpus,
-    write_corpus,
-    read_model,
-    write_model,
-)
-from .moments import SplitCounts, CoocMatrix, split_halves, cooccurrence, analytic_cooccurrence
-from .estimator import (
-    DetectionConfig,
-    NovelPairSet,
-    detect_novel_pairs,
-    project_to_simplex,
-    estimate_ranking_matrix,
-)
-from .post import EstimatedModel, postprocess, recover_beta, round_relations, recover_rankings, estimate_dispersion
-from .separability import SeparabilityReport, check_separability, separability_probability
-from .evaluate import RecoveryReport, PredictionReport, align_and_score, infer_weights, predict_loglik
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Permutation",
-    "kendall_tau",
-    "copeland_rank",
-    "MallowsComponent",
-    "RankingMatrix",
-    "mallows_normalizer",
-    "mallows_pmf",
-    "rim_sample",
-    "pairwise_marginal",
-    "marginal_ratio_bound",
-    "build_ranking_matrix",
-    "brute_force_beta",
-    "DirichletPrior",
-    "VertexPrior",
-    "FixedWeights",
-    "MixedMembershipModel",
-    "ComparisonCorpus",
-    "generate",
-    "empirical_beta",
-    "read_corpus",
-    "write_corpus",
-    "read_model",
-    "write_model",
-    "SplitCounts",
-    "CoocMatrix",
-    "split_halves",
-    "cooccurrence",
-    "analytic_cooccurrence",
-    "DetectionConfig",
-    "NovelPairSet",
-    "detect_novel_pairs",
-    "project_to_simplex",
-    "estimate_ranking_matrix",
-    "EstimatedModel",
-    "postprocess",
-    "recover_beta",
-    "round_relations",
-    "recover_rankings",
-    "estimate_dispersion",
-    "SeparabilityReport",
-    "check_separability",
-    "separability_probability",
-    "RecoveryReport",
-    "PredictionReport",
-    "align_and_score",
-    "infer_weights",
-    "predict_loglik",
-    "__version__",
-]

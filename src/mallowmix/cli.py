@@ -19,7 +19,6 @@ import time
 import numpy as np
 
 from . import pairs
-from .estimator import DetectionConfig, detect_novel_pairs, estimate_ranking_matrix
 from .evaluate import align_and_score, em_summary, infer_weights, predict_loglik
 from .generator import (
     MODEL_STREAM,
@@ -34,7 +33,6 @@ from .generator import (
     write_corpus,
 )
 from .mallows import MallowsComponent, brute_force_beta
-from .moments import analytic_cooccurrence, cooccurrence, split_halves
 from .permutations import Permutation
 from .post import postprocess, write_estimated_model
 from .separability import separability_probability
@@ -150,6 +148,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    # moments loads scipy.sparse, which no other command needs
+    from .estimator import DetectionConfig, detect_novel_pairs, estimate_ranking_matrix
+    from .moments import analytic_cooccurrence, cooccurrence, split_halves
+
     t0 = time.perf_counter()
     K = args.components
     cfg = _stage(
@@ -184,9 +186,11 @@ def cmd_estimate(args) -> int:
     est = _stage("postprocess", postprocess, B_hat)
     angles = sorted(novel.solid_angles.values(), reverse=True)
     margin = angles[K - 1] - angles[K] if len(angles) > K else angles[K - 1]
+    # scores are multiples of 1/P, so a margin of 0 is a tie
+    P = cfg.resolved_projections
     print(f"estimate: {len(angles)} candidate rows, shortlist depth {novel.shortlist_depth}, "
           f"noise-floor fallback {'used' if novel.fallback_used else 'not used'}, "
-          f"solid-angle margin {margin:.4g}; "
+          f"solid-angle margin {margin:.4g} ({round(margin * P)} of {P} projections); "
           f"{len(est.diagnostics['clamped_components'])} clamped dispersions", file=sys.stderr)
     config = {
         "command": "estimate",
@@ -380,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--vertex-prior", default=None,
                    help="comma-separated class probabilities for a vertex prior")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--threads", type=int, default=1)
+    g.add_argument("--threads", type=int, default=1,
+                   help="no effect; kept for the benchmark replay")
     g.add_argument("-i", "--input", default=None, help="sample from an existing model file")
     g.add_argument("-o", "--output", required=True, help="corpus JSONL output path")
     g.add_argument("--truth", required=True, help="ground-truth model JSON output path")

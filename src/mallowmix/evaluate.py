@@ -9,7 +9,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import pairs
 from .generator import ComparisonCorpus, MixedMembershipModel
@@ -66,6 +65,9 @@ def align_and_score(truth, estimate) -> RecoveryReport:
     Q = len(true_refs[0])
     if len(est_refs[0]) != Q:
         raise ValueError(f"item count mismatch: truth has {Q}, estimate has {len(est_refs[0])}")
+    # imported here so that only evaluate pays for loading scipy.optimize
+    from scipy.optimize import linear_sum_assignment
+
     K = len(true_refs)
     cost = np.empty((K, K))
     for k in range(K):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,7 +252,8 @@ def generate(
     Returns the corpus and the (M, K) matrix of sampled user weights.
     ``method`` "marginal" draws each comparison's order from the closed-form
     pair marginal; "rim" samples a full ranking per comparison.  Both follow
-    the same observation law; "marginal" is the fast default.
+    the same observation law; "marginal" is the fast default.  ``threads``
+    has no effect; it is kept so that callers passing it keep working.
     """
     if M < 1 or N < 1:
         raise ValueError("M and N must be positive")
@@ -265,16 +265,8 @@ def generate(
     mu = model.pair_distribution()
     cum_mu = np.cumsum(mu)
     uI, uJ = pairs.unordered_arrays(model.Q)
-
-    def work(u):
-        return _generate_user(model, beta, cum_mu, uI, uJ, seed, u, N, method)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(work, range(M)))
-    else:
-        results = [work(u) for u in range(M)]
-
+    results = [_generate_user(model, beta, cum_mu, uI, uJ, seed, u, N, method)
+               for u in range(M)]
     thetas = np.stack([r[0] for r in results])
     winner = np.concatenate([r[1] for r in results])
     loser = np.concatenate([r[2] for r in results])
@@ -361,18 +353,21 @@ def read_corpus(path: str) -> ComparisonCorpus:
     loses: list[int] = []
     meta = None
     meta_line = 0
+    skipped: list[int] = []  # file lines that hold no record: blank and meta
     decode = json.JSONDecoder().decode  # json.loads without its per-call argument handling
     with open(path) as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
+                    skipped.append(lineno)
                     continue
                 if meta is None and users == [] and '"meta"' in line:
                     obj = decode(line)
                     if "meta" in obj:
                         meta = obj["meta"]
                         meta_line = lineno
+                        skipped.append(lineno)
                         rule = _meta_rule(meta)
                         if rule:
                             raise CorpusError(f"{path}:{lineno}: {rule}")
@@ -390,15 +385,24 @@ def read_corpus(path: str) -> ComparisonCorpus:
             raise CorpusError(f"{path}:{lineno}: record is not a JSON object") from None
     if not users:
         raise ValueError(f"no comparison records in {path}")
+
+    def broken_record(record: int, rule: str) -> CorpusError:
+        line = record + 1  # the record's file line: step past the skipped lines up to it
+        for s in skipped:
+            if s > line:
+                break
+            line += 1
+        return CorpusError(f"{path}:{line}: {rule}")
+
     # bool, float and str ids would otherwise convert silently below
     columns = (users, wins, loses)
     if any(set(map(type, ids)) != {int} for ids in columns):
-        raise _first_broken(path, columns, lambda v: type(v) is not int,
+        raise broken_record(_first_broken(columns, lambda v: type(v) is not int),
                             "user, win and lose must be JSON integers")
     try:
         user, winner, loser = (np.asarray(ids, dtype=np.int64) for ids in columns)
     except OverflowError:
-        raise _first_broken(path, columns, lambda v: not -2**63 <= v < 2**63,
+        raise broken_record(_first_broken(columns, lambda v: not -2**63 <= v < 2**63),
                             "user, win and lose must fit in 64 bits") from None
     if meta is not None:
         Q = meta["Q"]
@@ -416,7 +420,7 @@ def read_corpus(path: str) -> ComparisonCorpus:
     broken = [(int(np.argmax(bad)), rule) for bad, rule in rules if bad.any()]
     if broken:
         record, rule = min(broken)
-        raise CorpusError(f"{path}:{_record_line(path, record)}: {rule}")
+        raise broken_record(record, rule)
     if meta is not None and M > user.max() + 1:
         raise CorpusError(
             f"{path}:{meta_line}: meta M={M} but the largest user id is {int(user.max())}")
@@ -437,25 +441,9 @@ def _meta_rule(meta) -> str | None:
     return None
 
 
-def _first_broken(path: str, columns, bad, rule: str) -> CorpusError:
-    """The error naming the first record with a value for which ``bad`` holds."""
-    record = min(next((r for r, v in enumerate(ids) if bad(v)), len(ids)) for ids in columns)
-    return CorpusError(f"{path}:{_record_line(path, record)}: {rule}")
-
-
-def _record_line(path: str, record: int) -> int:
-    """File line of the record at index ``record``, found by rescanning the
-    file the way ``read_corpus`` reads it; for error messages only."""
-    seen = 0
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or (seen == 0 and '"meta"' in line and "meta" in json.loads(line)):
-                continue
-            if seen == record:
-                return lineno
-            seen += 1
-    raise ValueError(f"{path} has no record {record}")
+def _first_broken(columns, bad) -> int:
+    """Index of the first record with a value for which ``bad`` holds."""
+    return min(next((r for r, v in enumerate(ids) if bad(v)), len(ids)) for ids in columns)
 
 
 def _prior_to_json(prior) -> dict:

@@ -173,10 +173,12 @@ class TestEstimateAndEvaluate:
         assert code == 0
         assert "estimated 2 components over 8 items" in out
         m = re.fullmatch(r"estimate: (\d+) candidate rows, shortlist depth (\d+), "
-                         r"noise-floor fallback (used|not used), solid-angle margin (\S+); "
-                         r"(\d+) clamped dispersions\n", err)
+                         r"noise-floor fallback (used|not used), solid-angle margin (\S+) "
+                         r"\((\d+) of (\d+) projections\); (\d+) clamped dispersions\n", err)
         assert m, err
-        assert int(m[1]) >= 2 and m[3] == "not used" and float(m[4]) > 0 and m[5] == "0"
+        assert int(m[1]) >= 2 and m[3] == "not used" and float(m[4]) > 0 and m[7] == "0"
+        # the margin is a whole number of the P = 150K projections
+        assert m[6] == "300" and float(m[4]) * 300 == pytest.approx(int(m[5]), rel=1e-3)
 
         est = read_json(tmp_path / "est.json")
         assert est["K"] == 2 and est["Q"] == 8

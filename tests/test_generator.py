@@ -312,6 +312,13 @@ class TestSerialization:
 
     def test_read_rejects_self_comparison(self, tmp_path):
         assert_rejected(tmp_path, (1, 3, 3), "winner and loser must differ")
+        # blank lines between the records, before the bad one on line 7
+        path = tmp_path / "gaps.jsonl"
+        lines = [CORPUS_META, record(0, 1, 2), "", "", record(1, 2, 3), "",
+                 record(2, 3, 3), record(2, 4, 5)]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:7: winner and loser must differ")):
+            read_corpus(path)
 
     def test_read_rejects_item_out_of_range(self, tmp_path):
         assert_rejected(tmp_path, (1, 0, 3), "item ids must lie in 1..5")
