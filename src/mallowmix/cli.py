@@ -433,11 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--items", type=int, help="number of items (7 at most)")
     o.add_argument("--components", type=int)
     o.add_argument("--phi", type=float, action="append")
-    o.add_argument("--alpha", type=float, default=None, help=argparse.SUPPRESS)
-    o.add_argument("--vertex-prior", default=None, help=argparse.SUPPRESS)
     o.add_argument("--seed", type=int, default=0)
     o.add_argument("-o", "--output", default=None, help="table JSON output path")
-    o.set_defaults(func=cmd_oracle)
+    # _build_model reads a prior, which the oracle never uses
+    o.set_defaults(func=cmd_oracle, alpha=None, vertex_prior=None)
 
     r = sub.add_parser("predict", help="score held-out comparisons under a model")
     r.add_argument("--model", required=True, help="model JSON path (truth or estimate)")

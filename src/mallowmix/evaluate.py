@@ -136,8 +136,6 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
     _check_rows_supported(B, rows, corpus.Q)
     users = corpus.user
     M = corpus.M
-    if users.size and (users.min() < 0 or users.max() >= M):
-        raise ValueError("corpus user ids fall outside 0..M-1")
     counts = np.bincount(users, minlength=M)
     occupied = np.flatnonzero(counts)
     # reduceat returns an element, not 0, for an empty segment, so only

@@ -18,8 +18,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pairs
-from .mallows import MallowsComponent, RankingMatrix, build_ranking_matrix, _rim_sample_block
+from .mallows import MallowsComponent, RankingMatrix, build_ranking_matrix, shared_Q
 from .permutations import Permutation
+
+
+def _probability_vector(name: str, values, size: int | None = None) -> np.ndarray:
+    """``values`` as a float vector, checked to be nonempty (of length
+    ``size``, if given), finite, nonnegative and summing to one."""
+    p = np.asarray(values, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError(f"{name} must be a nonempty vector")
+    if size is not None and p.size != size:
+        raise ValueError(f"{name} must have length {size}")
+    if not np.all(np.isfinite(p)) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+        raise ValueError(f"{name} must be a finite probability vector: "
+                         "nonnegative and summing to one")
+    return p
 
 
 @dataclass(frozen=True)
@@ -61,16 +75,10 @@ class VertexPrior:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("probs must be a nonempty vector")
-        if not np.all(np.isfinite(p)) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("probs must be finite, nonnegative and sum to one")
+        _probability_vector("probs", self.probs)
 
     def sample(self, rng: np.random.Generator, K: int) -> np.ndarray:
-        if len(self.probs) != K:
-            raise ValueError("class probabilities do not match K")
-        z = int(np.searchsorted(np.cumsum(self.probs), rng.random(), side="right"))
+        z = int(np.searchsorted(np.cumsum(self.mean(K)), rng.random(), side="right"))
         theta = np.zeros(K)
         theta[min(z, K - 1)] = 1.0
         return theta
@@ -91,16 +99,10 @@ class FixedWeights:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a nonempty vector")
-        if not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be finite, nonnegative and sum to one")
+        _probability_vector("weights", self.weights)
 
     def sample(self, rng: np.random.Generator, K: int) -> np.ndarray:
-        if len(self.weights) != K:
-            raise ValueError("weights do not match K")
-        return np.asarray(self.weights, dtype=float)
+        return self.mean(K)
 
     def mean(self, K: int) -> np.ndarray:
         if len(self.weights) != K:
@@ -125,18 +127,10 @@ class MixedMembershipModel:
     pair_probs: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.components:
-            raise ValueError("need at least one component")
-        Q = self.components[0].Q
-        if any(c.Q != Q for c in self.components):
-            raise ValueError("components disagree on the number of items")
+        Q = shared_Q(self.components)
         if self.pair_probs is not None:
-            p = np.asarray(self.pair_probs, dtype=float)
-            if p.shape != (pairs.num_unordered(Q),):
-                raise ValueError(f"pair_probs must have length {pairs.num_unordered(Q)}")
-            if not np.all(np.isfinite(p)) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-                raise ValueError("pair_probs must be a probability vector")
-            self.pair_probs = p
+            self.pair_probs = _probability_vector("pair_probs", self.pair_probs,
+                                                 pairs.num_unordered(Q))
 
     @property
     def Q(self) -> int:
@@ -167,9 +161,24 @@ class MixedMembershipModel:
         return RankingMatrix(mu_row[:, None] * beta, self.Q, "B")
 
 
+class RecordError(ValueError):
+    """A corpus record breaks a rule; ``record`` is its index."""
+
+    def __init__(self, record: int, rule: str):
+        super().__init__(f"record {record}: {rule}")
+        self.record = record
+        self.rule = rule
+
+
 @dataclass
 class ComparisonCorpus:
-    """Flat record arrays of one corpus: who compared what and who won."""
+    """Flat record arrays of one corpus: who compared what and who won.
+
+    Every record must hold integer ids, items in 1..Q, a winner other than
+    its loser and a user in 0..M-1.  A record that breaks a rule raises
+    ``RecordError``, which names the first such record and, of the rules
+    it breaks, the one first in alphabetical order.
+    """
 
     Q: int
     M: int
@@ -180,12 +189,25 @@ class ComparisonCorpus:
     N: int | None = None  # comparisons per user, if constant
 
     def __post_init__(self):
-        self.user = np.asarray(self.user, dtype=np.int64)
-        self.winner = np.asarray(self.winner, dtype=np.int64)
-        self.loser = np.asarray(self.loser, dtype=np.int64)
-        n = self.user.size
-        if self.winner.size != n or self.loser.size != n:
+        columns = [np.asarray(ids) for ids in (self.user, self.winner, self.loser)]
+        n = columns[0].size
+        if any(ids.size != n for ids in columns):
             raise ValueError("record arrays must have equal length")
+        # a non-integer array breaks this rule at every record, so first at record 0
+        if n and not all(ids.dtype.kind in "iu" and np.can_cast(ids.dtype, np.int64)
+                         for ids in columns):
+            raise RecordError(0, "user, winner and loser must be integer arrays")
+        self.user, self.winner, self.loser = (ids.astype(np.int64, copy=False)
+                                              for ids in columns)
+        user, winner, loser, Q, M = self.user, self.winner, self.loser, self.Q, self.M
+        # min and max first: a valid corpus then allocates only the winner == loser mask
+        if n and (min(winner.min(), loser.min()) < 1 or max(winner.max(), loser.max()) > Q
+                  or user.min() < 0 or user.max() >= M or np.any(winner == loser)):
+            items = (winner < 1) | (winner > Q) | (loser < 1) | (loser > Q)
+            rules = ((items, f"item ids must lie in 1..{Q}"),
+                     (winner == loser, "winner and loser must differ"),
+                     ((user < 0) | (user >= M), f"user ids must lie in 0..{M - 1}"))
+            raise RecordError(*min((int(np.argmax(bad)), rule) for bad, rule in rules if bad.any()))
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.size != n:
@@ -209,7 +231,7 @@ def _user_rng(seed: int, user: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, user)))
 
 
-def _generate_user(model, beta, cum_mu, uI, uJ, seed, u, N, method):
+def _generate_user(model, beta, cum_mu, uI, uJ, seed, u, N):
     rng = _user_rng(seed, u)
     K = model.K
     theta = model.prior.sample(rng, K)
@@ -220,19 +242,9 @@ def _generate_user(model, beta, cum_mu, uI, uJ, seed, u, N, method):
     z = np.minimum(z, K - 1)
     i = uI[upair]
     j = uJ[upair]
-    if method == "marginal":
-        # The order of one fresh ranking restricted to {i, j} is a Bernoulli
-        # draw with the closed-form pair marginal, so sample that directly.
-        p_first = beta[pairs.pair_row(i, j, model.Q), z]
-        first = rng.random(N) < p_first
-    else:  # method == "rim": sample the full ranking per comparison
-        first = np.empty(N, dtype=bool)
-        for k in range(K):
-            sel = np.flatnonzero(z == k)
-            if sel.size == 0:
-                continue
-            pos = _rim_sample_block(model.components[k], sel.size, rng)
-            first[sel] = pos[np.arange(sel.size), i[sel] - 1] < pos[np.arange(sel.size), j[sel] - 1]
+    # The order of one fresh ranking restricted to {i, j} is a Bernoulli
+    # draw with the closed-form pair marginal, so sample that directly.
+    first = rng.random(N) < beta[pairs.pair_row(i, j, model.Q), z]
     win = np.where(first, i, j)
     lose = np.where(first, j, i)
     return theta, win, lose, z
@@ -243,29 +255,26 @@ def generate(
     M: int,
     N: int,
     seed: int,
-    method: str = "marginal",
     keep_labels: bool = False,
     threads: int = 1,
 ) -> tuple[ComparisonCorpus, np.ndarray]:
     """Sample a corpus of M users with N comparisons each.
 
     Returns the corpus and the (M, K) matrix of sampled user weights.
-    ``method`` "marginal" draws each comparison's order from the closed-form
-    pair marginal; "rim" samples a full ranking per comparison.  Both follow
-    the same observation law; "marginal" is the fast default.  ``threads``
-    has no effect; it is kept so that callers passing it keep working.
+    Each comparison's order is drawn from the closed-form pair marginal of
+    its component, the law of that pair's order in a full ranking drawn by
+    ``rim_sample``.  ``threads`` has no effect; it is kept so that callers
+    passing it keep working.
     """
     if M < 1 or N < 1:
         raise ValueError("M and N must be positive")
-    if method not in ("marginal", "rim"):
-        raise ValueError(f"unknown method {method!r}")
     if model.prior is None:
         raise ValueError("model carries no weight prior; cannot generate")
     beta = model.ranking_matrix().entries
     mu = model.pair_distribution()
     cum_mu = np.cumsum(mu)
     uI, uJ = pairs.unordered_arrays(model.Q)
-    results = [_generate_user(model, beta, cum_mu, uI, uJ, seed, u, N, method)
+    results = [_generate_user(model, beta, cum_mu, uI, uJ, seed, u, N)
                for u in range(M)]
     thetas = np.stack([r[0] for r in results])
     winner = np.concatenate([r[1] for r in results])
@@ -341,12 +350,12 @@ def read_corpus(path: str) -> ComparisonCorpus:
     """Read a JSON Lines corpus, rejecting any record that breaks a rule.
 
     Every record must be a JSON object whose user, win and lose are JSON
-    integers.  Items must lie in 1..Q, winner and loser must differ, and
-    user ids must lie in 0..M-1, with Q and M taken from the meta line or,
-    without one, from the largest ids.  A meta line must be an object with
-    integer Q and M (and N, if given, an integer or null); its M must not
-    exceed the largest user id plus one, since users without records cannot
-    be split.  Errors read ``{path}:{line}: {rule}``.
+    integers that fit in 64 bits; the records must then pass the rules of
+    ``ComparisonCorpus``, with Q and M taken from the meta line or, without
+    one, from the largest ids.  A meta line must be an object with integer
+    Q and M (and N, if given, an integer or null); its M must not exceed the
+    largest user id plus one, since users without records cannot be split.
+    Errors read ``{path}:{line}: {rule}``.
     """
     users: list[int] = []
     wins: list[int] = []
@@ -412,19 +421,14 @@ def read_corpus(path: str) -> ComparisonCorpus:
         Q = int(max(winner.max(), loser.max()))
         M = int(user.max()) + 1
         N = None
-    rules = (
-        ((winner < 1) | (winner > Q) | (loser < 1) | (loser > Q), f"item ids must lie in 1..{Q}"),
-        (winner == loser, "winner and loser must differ"),
-        ((user < 0) | (user >= M), f"user ids must lie in 0..{M - 1}"),
-    )
-    broken = [(int(np.argmax(bad)), rule) for bad, rule in rules if bad.any()]
-    if broken:
-        record, rule = min(broken)
-        raise broken_record(record, rule)
+    try:
+        corpus = ComparisonCorpus(Q, M, user, winner, loser, N=N)
+    except RecordError as exc:
+        raise broken_record(exc.record, exc.rule) from None
     if meta is not None and M > user.max() + 1:
         raise CorpusError(
             f"{path}:{meta_line}: meta M={M} but the largest user id is {int(user.max())}")
-    return ComparisonCorpus(Q, M, user, winner, loser, N=N)
+    return corpus
 
 
 def _meta_rule(meta) -> str | None:
@@ -500,11 +504,13 @@ def model_from_dict(obj: dict) -> MixedMembershipModel:
     pair_probs = None
     if obj.get("pair_dist"):
         pair_probs = np.zeros(pairs.num_unordered(Q))
-        uI, uJ = pairs.unordered_arrays(Q)
-        index = {(int(a), int(b)): r for r, (a, b) in enumerate(zip(uI, uJ))}
-        for i, j, p in obj["pair_dist"]:
-            lo, hi = min(int(i), int(j)), max(int(i), int(j))
-            pair_probs[index[(lo, hi)]] = float(p)
+        unordered = pairs.unordered_index(Q)
+        for entry in obj["pair_dist"]:
+            i, j, p = entry
+            i, j = int(i), int(j)
+            if not (1 <= i <= Q and 1 <= j <= Q and i != j):
+                raise ValueError(f"pair_dist entry {entry} must name two distinct items in 1..{Q}")
+            pair_probs[unordered[pairs.pair_row(i, j, Q)]] = float(p)
     return MixedMembershipModel(comps, prior, pair_probs)
 
 

@@ -80,27 +80,15 @@ def _insertion_cumweights(phi: float, Q: int) -> tuple[np.ndarray, ...]:
 
 
 def rim_sample(component: MallowsComponent, rng: np.random.Generator) -> Permutation:
-    """Draw one ranking by repeated insertion; exact for the Mallows pmf."""
-    return Permutation(tuple(_rim_sample_block(component, 1, rng)[0].tolist()))
-
-
-def _rim_sample_block(component: MallowsComponent, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` rankings by repeated insertion, as an (n, Q) position matrix."""
-    Q = component.Q
-    cum = _insertion_cumweights(component.dispersion, Q)
-    us = rng.random((n, Q))
-    positions = np.empty((n, Q), dtype=np.int64)
-    ref = component.reference.ranking
-    for s in range(n):
-        out: list[int] = []
-        row = us[s]
-        for level in range(1, Q + 1):
-            c = cum[level - 1]
-            slot = int(np.searchsorted(c, row[level - 1] * c[-1], side="right"))
-            out.insert(min(slot, level - 1), ref[level - 1])
-        for p, item in enumerate(out, start=1):
-            positions[s, item - 1] = p
-    return positions
+    """Draw one ranking by repeated insertion, one uniform per level in
+    reference order; exact for the Mallows pmf."""
+    cum = _insertion_cumweights(component.dispersion, component.Q)
+    out: list[int] = []
+    for level, (c, u, item) in enumerate(zip(cum, rng.random(component.Q),
+                                             component.reference.ranking)):
+        slot = int(np.searchsorted(c, u * c[-1], side="right"))
+        out.insert(min(slot, level), item)
+    return Permutation.from_ranking(out)
 
 
 def pairwise_marginal(gap: int, phi: float) -> float:
@@ -197,13 +185,19 @@ class RankingMatrix:
             raise ValueError("columns of B must sum to one")
 
 
-def build_ranking_matrix(components: list[MallowsComponent]) -> RankingMatrix:
-    """Closed-form beta matrix for a list of components sharing the items."""
+def shared_Q(components: list[MallowsComponent]) -> int:
+    """The item count Q of a nonempty list of components that all share it."""
     if not components:
         raise ValueError("need at least one component")
     Q = components[0].Q
     if any(c.Q != Q for c in components):
         raise ValueError("components disagree on the number of items")
+    return Q
+
+
+def build_ranking_matrix(components: list[MallowsComponent]) -> RankingMatrix:
+    """Closed-form beta matrix for a list of components sharing the items."""
+    Q = shared_Q(components)
     I, J = pairs.pair_arrays(Q)
     entries = np.empty((pairs.num_pairs(Q), len(components)))
     for k, comp in enumerate(components):
@@ -214,11 +208,7 @@ def build_ranking_matrix(components: list[MallowsComponent]) -> RankingMatrix:
 
 def brute_force_beta(components: list[MallowsComponent], max_Q: int = 7) -> RankingMatrix:
     """Beta by explicit enumeration of all Q! rankings.  Refuses Q > max_Q."""
-    if not components:
-        raise ValueError("need at least one component")
-    Q = components[0].Q
-    if any(c.Q != Q for c in components):
-        raise ValueError("components disagree on the number of items")
+    Q = shared_Q(components)
     if Q > max_Q:
         raise ValueError(f"enumeration over {Q}! rankings refused (max_Q={max_Q})")
     W = pairs.num_pairs(Q)

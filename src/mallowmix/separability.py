@@ -49,6 +49,8 @@ def check_separability(beta, lam: float) -> SeparabilityReport:
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lambda must lie in [0, 1), got {lam}")
     W, K = beta.shape
+    if K < 1:
+        raise ValueError("need at least one component")
     if K == 1:
         others = np.zeros_like(beta)
     else:
@@ -130,6 +132,8 @@ def separability_probability(Q: int, K: int, phi: float, lam: float,
     Each run derives its RNG stream from (seed, run), so results do not
     depend on evaluation order.
     """
+    if K < 1:
+        raise ValueError("need at least one component")
     if runs < 1:
         raise ValueError("need at least one run")
     if not 0.0 <= lam < 1.0:

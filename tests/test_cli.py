@@ -1,5 +1,6 @@
 """Command line: argument handling, file outputs, stage errors, determinism."""
 
+import hashlib
 import json
 import re
 
@@ -288,6 +289,20 @@ class TestOtherCommands:
         I, J = pairs.pair_arrays(4)
         assert obj["pairs"] == [[int(i), int(j)] for i, j in zip(I, J)]
 
+    def test_separability_rejects_zero_components(self, capsys):
+        code, _, err = run(capsys, "separability", "--items", "5", "--components", "0",
+                           "--phi", "0.1", "--lambda", "0.2")
+        assert code == 2
+        assert err == "error in separability stage: need at least one component\n"
+
+    def test_oracle_has_no_prior_options(self, capsys):
+        # the oracle uses no weight prior, so it takes no prior flags
+        for flag in (["--alpha", "0.3"], ["--vertex-prior", "1.0"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["oracle", "--items", "3", "--components", "1", "--phi", "0.2", *flag])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_oracle_refuses_large_items(self, capsys):
         code, _, err = run(capsys, "oracle", "--items", "9", "--components", "1",
                            "--phi", "0.1")
@@ -330,3 +345,29 @@ class TestOtherCommands:
             "-i", str(tmp_path / "c6.jsonl"))
         assert code == 2
         assert "error in read stage" in err
+
+
+class TestGoldenPipeline:
+    def test_toy_pipeline_bytes(self, tmp_path, capsys, monkeypatch):
+        # Pins the bytes of a fixed-seed generate run and the integer
+        # outputs of estimate on it, so a change that means to keep every
+        # output byte fails here when it does not.
+        monkeypatch.chdir(tmp_path)  # the files record their relative paths
+        code, _, _ = run(capsys, "generate", "--items", "6", "--components", "2",
+                         "--users", "200", "--comparisons", "20", "--phi", "0.2",
+                         "--alpha", "0.5", "--seed", "11",
+                         "-o", "corpus.jsonl", "--truth", "truth.json")
+        assert code == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("corpus.jsonl", "truth.json")}
+        assert digests == {
+            "corpus.jsonl": "5e4cebd94fada81509152e20b20a70c34586dcf4197aaceec20c4a84d4ddb9e2",
+            "truth.json": "9e2760aa5ce76542f69c8387df049a6cc2c18ebe28606fadaa41dd1c00d94173",
+        }
+        code, _, _ = run(capsys, "estimate", "-i", "corpus.jsonl", "-o", "est.json",
+                         "--components", "2")
+        assert code == 0
+        est = read_json(tmp_path / "est.json")
+        assert est["diagnostics"]["selected_rows"] == [6, 24]
+        assert [c["ranking"] for c in est["components"]] == [
+            [1, 3, 6, 2, 4, 5], [3, 4, 2, 5, 1, 6]]

@@ -214,11 +214,9 @@ class TestInferWeights:
             infer_weights(corpus, B)
 
     def test_bad_user_ids(self):
-        B = np.array([[0.5, 0.5], [0.5, 0.5]])
-        corpus = ComparisonCorpus(Q=2, M=1, user=np.array([1, 1]),
-                                  winner=np.array([1, 1]), loser=np.array([2, 2]))
         with pytest.raises(ValueError, match="user ids"):
-            infer_weights(corpus, B)
+            ComparisonCorpus(Q=2, M=1, user=np.array([1, 1]),
+                             winner=np.array([1, 1]), loser=np.array([2, 2]))
 
 
 def reference_infer_weights(corpus, B, *, tol=1e-8, max_iter=500, trace=False):

@@ -15,6 +15,7 @@ from mallowmix.generator import (
     DirichletPrior,
     FixedWeights,
     MixedMembershipModel,
+    RecordError,
     VertexPrior,
     empirical_beta,
     generate,
@@ -177,10 +178,9 @@ class TestGenerate:
         ref = Permutation.from_ranking([3, 1, 4, 2, 5])
         model = MixedMembershipModel(
             components=[MallowsComponent(ref, 0.0)], prior=FixedWeights([1.0]))
-        for method in ("marginal", "rim"):
-            corpus, _ = generate(model, M=20, N=30, seed=1, method=method)
-            assert np.all(np.asarray([ref.position_of(int(w)) for w in corpus.winner])
-                          < np.asarray([ref.position_of(int(l)) for l in corpus.loser]))
+        corpus, _ = generate(model, M=20, N=30, seed=1)
+        assert np.all(np.asarray([ref.position_of(int(w)) for w in corpus.winner])
+                      < np.asarray([ref.position_of(int(l)) for l in corpus.loser]))
 
     def test_pair_usage_matches_distribution(self):
         # chi-square over unordered pair counts at 1e5 comparisons
@@ -210,40 +210,12 @@ class TestGenerate:
                 se = math.sqrt(exact[w, k] * (1 - exact[w, k]) / u_count) + 1e-9
                 assert abs(beta[w, k] - exact[w, k]) < 4.5 * se
 
-    def test_marginal_and_rim_methods_agree(self):
-        # same single-component model, both samplers within 5 se of the
-        # closed-form concordance for every pair
-        ref = Permutation.from_ranking([2, 4, 1, 3])
-        model = MixedMembershipModel(
-            components=[MallowsComponent(ref, 0.3)], prior=FixedWeights([1.0]))
-        exact = build_ranking_matrix(model.components).entries[:, 0]
-        for method in ("marginal", "rim"):
-            corpus, _ = generate(model, M=500, N=200, seed=13, method=method,
-                                 keep_labels=True)
-            beta = empirical_beta(corpus, 1)[:, 0]
-            rows = corpus.pair_rows()
-            u_of = pairs.unordered_index(model.Q)
-            for w in range(pairs.num_pairs(model.Q)):
-                n = np.count_nonzero(u_of[rows] == u_of[w])
-                se = math.sqrt(exact[w] * (1 - exact[w]) / n)
-                assert abs(beta[w] - exact[w]) < 5 * se, method
-
-    def test_rim_threads_match_serial(self):
-        model = small_model(Q=5, K=3)
-        a, wa = generate(model, M=24, N=8, seed=3, method="rim", threads=1)
-        b, wb = generate(model, M=24, N=8, seed=3, method="rim", threads=4)
-        assert np.array_equal(a.winner, b.winner)
-        assert np.array_equal(a.loser, b.loser)
-        assert np.allclose(wa, wb)
-
     def test_argument_validation(self):
         model = small_model()
         with pytest.raises(ValueError):
             generate(model, M=0, N=5, seed=0)
         with pytest.raises(ValueError):
             generate(model, M=5, N=0, seed=0)
-        with pytest.raises(ValueError):
-            generate(model, M=5, N=5, seed=0, method="exact")
         bare = MixedMembershipModel(model.components, None)
         with pytest.raises(ValueError):
             generate(bare, M=5, N=5, seed=0)
@@ -253,6 +225,28 @@ class TestGenerate:
         corpus, _ = generate(model, M=10, N=5, seed=0)
         with pytest.raises(ValueError):
             empirical_beta(corpus, model.K)
+
+    def test_corpus_rejects_bad_records(self):
+        # record 2 of the good arrays below is the one made bad; each
+        # rule's error names it, and a non-integer array fails at record 0
+        good = {"user": [0, 1, 1, 2], "winner": [1, 2, 3, 4], "loser": [2, 3, 4, 1]}
+        for field, value, record, rule in (
+                ("winner", 0, 2, "item ids must lie in 1..4"),
+                ("loser", 5, 2, "item ids must lie in 1..4"),
+                ("winner", 4, 2, "winner and loser must differ"),
+                ("user", 3, 2, "user ids must lie in 0..2"),
+                ("user", -1, 2, "user ids must lie in 0..2"),
+                ("loser", 1.7, 0, "user, winner and loser must be integer arrays")):
+            arrays = {k: np.array(v) for k, v in good.items()}
+            arrays[field] = np.array(good[field][:2] + [value] + good[field][3:])
+            with pytest.raises(RecordError, match=re.escape(f"record {record}: {rule}")) as err:
+                ComparisonCorpus(Q=4, M=3, **arrays)
+            assert (err.value.record, err.value.rule) == (record, rule)
+        # a record that breaks two rules reports the alphabetically first
+        with pytest.raises(RecordError, match=re.escape("record 1: item ids")):
+            ComparisonCorpus(Q=4, M=3, user=np.array([0, 9]), winner=np.array([1, 7]),
+                             loser=np.array([2, 7]))
+        ComparisonCorpus(Q=4, M=3, **{k: np.array(v) for k, v in good.items()})
 
     def test_empirical_beta_nan_for_unseen(self):
         corpus = ComparisonCorpus(Q=3, M=1, user=np.array([0, 0]),
@@ -393,6 +387,16 @@ class TestSerialization:
         assert back.prior is None
         with pytest.raises(ValueError):
             generate(back, M=2, N=4, seed=0)
+
+    def test_bad_pair_dist_entry_is_named(self):
+        comp = MallowsComponent(Permutation.identity(3), 0.2)
+        obj = model_to_dict(MixedMembershipModel([comp], DirichletPrior(1.0),
+                                                 pair_probs=np.array([0.5, 0.25, 0.25])))
+        for entry in ([1, 1, 1.0], [0, 2, 1.0], [2, 4, 1.0]):
+            obj["pair_dist"] = [entry]
+            with pytest.raises(ValueError, match=re.escape(
+                    f"pair_dist entry {entry} must name two distinct items in 1..3")):
+                model_from_dict(obj)
 
     def test_model_dict_round_trip_preserves_pair_probs(self):
         comp = MallowsComponent(Permutation.identity(3), 0.2)

@@ -24,7 +24,6 @@ from mallowmix.mallows import (
     marginal_table,
     pairwise_marginal,
     rim_sample,
-    _rim_sample_block,
 )
 from mallowmix.permutations import Permutation
 
@@ -140,15 +139,11 @@ class TestInsertionSampler:
 
     def test_golden_draws(self):
         # Draws fixed by the sampler's RNG use: one uniform per level, in
-        # reference order.  A single draw is the block sampler's first row.
+        # reference order.
         comp = MallowsComponent(Permutation.from_ranking([3, 6, 1, 7, 2, 5, 4]), 0.4)
         rng = np.random.default_rng(20151)
         assert [rim_sample(comp, rng).ranking for _ in range(3)] == [
             (6, 3, 1, 7, 2, 5, 4), (1, 6, 3, 5, 7, 4, 2), (3, 6, 7, 1, 5, 2, 4)]
-        block = _rim_sample_block(comp, 6, np.random.default_rng(20151))
-        assert block.tolist() == [
-            [3, 5, 2, 7, 6, 1, 4], [1, 7, 3, 6, 4, 2, 5], [4, 6, 1, 7, 5, 2, 3],
-            [1, 4, 2, 7, 6, 3, 5], [3, 5, 1, 7, 6, 2, 4], [6, 1, 3, 7, 5, 4, 2]]
 
     def test_empirical_frequencies(self):
         # 1e5 draws at Q=5: reference frequency and one pair concordance

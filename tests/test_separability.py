@@ -162,3 +162,7 @@ class TestProbability:
             separability_probability(Q=5, K=2, phi=0.1, lam=0.1, runs=0)
         with pytest.raises(ValueError):
             separability_probability(Q=5, K=2, phi=0.1, lam=1.0, runs=10)
+        with pytest.raises(ValueError, match="need at least one component"):
+            separability_probability(Q=5, K=0, phi=0.1, lam=0.1, runs=10)
+        with pytest.raises(ValueError, match="need at least one component"):
+            check_separability(np.zeros((20, 0)), 0.1)
