@@ -128,6 +128,8 @@ class MixedMembershipModel:
 
     def __post_init__(self):
         Q = shared_Q(self.components)
+        if self.prior is not None:
+            self.prior.mean(self.K)  # a prior of fixed length must have K entries
         if self.pair_probs is not None:
             self.pair_probs = _probability_vector("pair_probs", self.pair_probs,
                                                  pairs.num_unordered(Q))
@@ -320,7 +322,11 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+# One corpus record line.  write_corpus formats every record with it, and
+# read_corpus parses the lines of exactly this form in bulk.
+_RECORD = '{"user": %d, "win": %d, "lose": %d}\n'
 _WRITE_CHUNK = 1 << 16  # records formatted per block by write_corpus
+_READ_BLOCK = 1 << 18  # characters read per block by read_corpus
 
 
 def write_corpus(corpus: ComparisonCorpus, path: str, meta_extra: dict | None = None) -> None:
@@ -335,7 +341,7 @@ def write_corpus(corpus: ComparisonCorpus, path: str, meta_extra: dict | None = 
     for start in range(0, corpus.n_records, _WRITE_CHUNK):
         block = slice(start, start + _WRITE_CHUNK)
         parts.append("".join(
-            '{"user": %d, "win": %d, "lose": %d}\n' % record
+            _RECORD % record
             for record in zip(corpus.user[block].tolist(), corpus.winner[block].tolist(),
                               corpus.loser[block].tolist())
         ))
@@ -344,6 +350,11 @@ def write_corpus(corpus: ComparisonCorpus, path: str, meta_extra: dict | None = 
 
 class CorpusError(ValueError):
     """A corpus file breaks a format rule; the message names file and line."""
+
+
+# The shortest record line, '{"user":0,"win":1,"lose":2}' with its newline,
+# takes 28 bytes, so a file of S bytes holds at most S // 28 + 1 records.
+_MIN_RECORD_BYTES = 28
 
 
 def read_corpus(path: str) -> ComparisonCorpus:
@@ -356,24 +367,49 @@ def read_corpus(path: str) -> ComparisonCorpus:
     Q and M (and N, if given, an integer or null); its M must not exceed the
     largest user id plus one, since users without records cannot be split.
     Errors read ``{path}:{line}: {rule}``.
+
+    Lines in ``write_corpus``'s form are parsed in bulk, a block of lines
+    at a time; every other line goes through the JSON decoder.
     """
-    users: list[int] = []
-    wins: list[int] = []
-    loses: list[int] = []
     meta = None
     meta_line = 0
     skipped: list[int] = []  # file lines that hold no record: blank and meta
+    records: list[np.ndarray] = []  # per block, record index of each decoded record,
+    columns = users, wins, loses = ([], [], [])  # and its ids
     decode = json.JSONDecoder().decode  # json.loads without its per-call argument handling
+    n = 0  # records read
+    base = 0  # file lines before the current block
     with open(path) as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
+        size = os.fstat(fh.fileno()).st_size // _MIN_RECORD_BYTES + 1
+        ids = [np.empty(size, np.int64) for _ in range(3)]  # user, win and lose of each record
+        for block in _line_blocks(fh):
+            raw = block.encode()
+            # in UTF-8 a newline byte is always a newline
+            ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+            starts = np.concatenate(([0], ends[:-1] + 1))
+            lines, values = _writer_lines(raw, starts, ends)
+            rest = np.ones(ends.size, bool)  # lines for the JSON decoder
+            rest[lines] = False
+            rest = np.flatnonzero(rest)
+            # in the text, a line starts at its byte offset less the UTF-8
+            # continuation bytes before it
+            tails = (np.flatnonzero((np.frombuffer(raw, np.uint8) & 0xC0) == 0x80)
+                     if len(raw) > len(block) else ends[:0])
+            text_starts, text_ends = (offsets[rest] - np.searchsorted(tails, offsets[rest])
+                                      for offsets in (starts, ends))
+            first_writer = lines[0] if lines.size else ends.size
+            found: list[int] = []  # block lines of the records decoded here
+            for i, start, stop in zip(rest.tolist(), text_starts.tolist(), text_ends.tolist()):
+                lineno = base + i + 1
+                line = block[start:stop].strip()
                 if not line:
                     skipped.append(lineno)
                     continue
-                if meta is None and users == [] and '"meta"' in line:
+                try:
                     obj = decode(line)
-                    if "meta" in obj:
+                    # a meta line counts only before the first record
+                    if (meta is None and '"meta"' in line and not n and not found
+                            and i < first_writer and "meta" in obj):
                         meta = obj["meta"]
                         meta_line = lineno
                         skipped.append(lineno)
@@ -381,18 +417,30 @@ def read_corpus(path: str) -> ComparisonCorpus:
                         if rule:
                             raise CorpusError(f"{path}:{lineno}: {rule}")
                         continue
-                obj = decode(line)
-                users.append(obj["user"])
-                wins.append(obj["win"])
-                loses.append(obj["lose"])
-        except json.JSONDecodeError as exc:
-            raise CorpusError(
-                f"{path}:{lineno}: invalid JSON: {exc.msg} (column {exc.colno})") from None
-        except KeyError as exc:
-            raise CorpusError(f"{path}:{lineno}: record has no {exc.args[0]!r} field") from None
-        except TypeError:
-            raise CorpusError(f"{path}:{lineno}: record is not a JSON object") from None
-    if not users:
+                    user, win, lose = obj["user"], obj["win"], obj["lose"]
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(
+                        f"{path}:{lineno}: invalid JSON: {exc.msg} (column {exc.colno})") from None
+                except KeyError as exc:
+                    raise CorpusError(
+                        f"{path}:{lineno}: record has no {exc.args[0]!r} field") from None
+                except TypeError:
+                    raise CorpusError(f"{path}:{lineno}: record is not a JSON object") from None
+                found.append(i)
+                users.append(user)
+                wins.append(win)
+                loses.append(lose)
+            total = n + lines.size + len(found)
+            if total > ids[0].size:  # a pipe has no size, and a file may grow while read
+                ids = [np.concatenate((column[:n], np.empty(total, np.int64))) for column in ids]
+            # record index of a line: records in earlier blocks, then in this one
+            records.append(n + np.arange(len(found)) + np.searchsorted(lines, found))
+            at = n + np.arange(lines.size) + np.searchsorted(found, lines)
+            for column, value in zip(ids, values):
+                column[at] = value
+            n = total
+            base += ends.size
+    if not n:
         raise ValueError(f"no comparison records in {path}")
 
     def broken_record(record: int, rule: str) -> CorpusError:
@@ -403,16 +451,22 @@ def read_corpus(path: str) -> ComparisonCorpus:
             line += 1
         return CorpusError(f"{path}:{line}: {rule}")
 
+    # Bulk-parsed records hold JSON integers of at most 18 digits, so only
+    # the decoded ones can break these two rules.
+    records = np.concatenate(records)
     # bool, float and str ids would otherwise convert silently below
-    columns = (users, wins, loses)
-    if any(set(map(type, ids)) != {int} for ids in columns):
-        raise broken_record(_first_broken(columns, lambda v: type(v) is not int),
+    if any(not set(map(type, column)) <= {int} for column in columns):
+        raise broken_record(int(records[_first_broken(columns, lambda v: type(v) is not int)]),
                             "user, win and lose must be JSON integers")
     try:
-        user, winner, loser = (np.asarray(ids, dtype=np.int64) for ids in columns)
+        values = np.array(columns, dtype=np.int64)
     except OverflowError:
-        raise broken_record(_first_broken(columns, lambda v: not -2**63 <= v < 2**63),
-                            "user, win and lose must fit in 64 bits") from None
+        bad = _first_broken(columns, lambda v: not -2**63 <= v < 2**63)
+        raise broken_record(int(records[bad]), "user, win and lose must fit in 64 bits") from None
+    for j, value in enumerate(values):
+        ids[j][records] = value
+        ids[j] = ids[j][:n].copy()  # trimmed one at a time: an unused tail would stay mapped
+    user, winner, loser = ids
     if meta is not None:
         Q = meta["Q"]
         M = meta["M"]
@@ -431,6 +485,64 @@ def read_corpus(path: str) -> ComparisonCorpus:
     return corpus
 
 
+def _line_blocks(fh):
+    """The text of ``fh`` in blocks of whole lines, each ending in a newline."""
+    carry = ""
+    while chunk := fh.read(_READ_BLOCK):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield carry + chunk[:cut]
+            carry = chunk[cut:]
+        else:
+            carry += chunk
+    if carry:
+        yield carry + "\n"
+
+
+# _RECORD's text before, between and after its three ids
+_TEMPLATE = tuple(part.encode() for part in _RECORD.split("%d"))
+_MAX_DIGITS = 18  # every id of at most 18 digits fits in int64
+
+
+def _writer_lines(raw: bytes, starts: np.ndarray, ends: np.ndarray):
+    """The lines of ``raw`` in ``_RECORD``'s form whose ids are JSON
+    integers of at most 18 digits: their indices and their (3, m) ids.
+
+    ``raw`` holds UTF-8 bytes of whole lines; line i starts at ``starts[i]``
+    and ends with the newline at ``ends[i]``.  A line is in the form when it
+    has exactly three runs of digits, each starting where the template's
+    text before it ends, and the template's bytes around them.  A negative
+    id breaks the form: no valid corpus holds one, and the JSON decoder
+    reads it as well.
+    """
+    padded = raw + bytes(_MAX_DIGITS)  # room to read each part and digit step past the end
+    b = np.frombuffer(padded, np.uint8)
+    digit = (b[:len(raw)] - ord("0")) <= 9
+    # the last byte, a newline, ends every run
+    bounds = np.flatnonzero(np.diff(digit, prepend=False))
+    first, last = bounds[0::2], bounds[1::2]  # run r is b[first[r]:last[r]]
+    upto = np.searchsorted(first, ends)  # runs that start before each line's newline
+    lines = np.flatnonzero(np.diff(upto, prepend=0) == 3)
+    ids = np.zeros((3, lines.size), np.int64)
+    ok = np.ones(lines.size, bool)
+    at = starts[lines]  # where the template's next part starts
+    for j, part in enumerate(_TEMPLATE):
+        text = np.ndarray(buffer=padded, dtype=f"S{len(part)}", shape=(len(raw),), strides=(1,))
+        ok &= text[at] == part
+        if j == 3 or not ok.any():  # the last part, "}\n", ends the line; or no line is left
+            break
+        at = at + len(part)
+        run = upto[lines] - 3 + j
+        s, e = first[run], last[run]
+        size = e - s
+        # no leading zero, and at most 18 digits so that the value fits
+        ok &= (at == s) & (size <= _MAX_DIGITS) & ((b[s] != ord("0")) | (size == 1))
+        for k in range(min(int(size.max(initial=0)), _MAX_DIGITS)):  # one step per digit
+            ids[j] = np.where(k < size, ids[j] * 10 + (b[s + k] - ord("0")), ids[j])
+        at = e
+    return lines[ok], ids[:, ok]
+
+
 def _meta_rule(meta) -> str | None:
     """The rule a corpus meta value breaks, or None."""
     if not isinstance(meta, dict):
@@ -446,7 +558,7 @@ def _meta_rule(meta) -> str | None:
 
 
 def _first_broken(columns, bad) -> int:
-    """Index of the first record with a value for which ``bad`` holds."""
+    """Index of the first entry of the columns with a value for which ``bad`` holds."""
     return min(next((r for r, v in enumerate(ids) if bad(v)), len(ids)) for ids in columns)
 
 
@@ -463,12 +575,26 @@ def _prior_to_json(prior) -> dict:
 def _prior_from_json(obj: dict):
     t = obj.get("type")
     if t == "dirichlet":
-        return DirichletPrior(float(obj["alpha0"]))
+        return DirichletPrior(_json_number(obj["alpha0"], "prior alpha0"))
     if t == "vertex":
-        return VertexPrior(tuple(float(p) for p in obj["probs"]))
+        return VertexPrior(tuple(_json_number(p, "prior probs entry") for p in obj["probs"]))
     if t == "fixed":
-        return FixedWeights(tuple(float(w) for w in obj["weights"]))
+        return FixedWeights(tuple(_json_number(w, "prior weights entry") for w in obj["weights"]))
     raise ValueError(f"unknown prior type {t!r}")
+
+
+def _json_integer(value, field: str) -> int:
+    """``value`` if it is a JSON integer, else a ValueError naming ``field``."""
+    if type(value) is not int:  # bool, float and str would otherwise convert
+        raise ValueError(f"{field} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_number(value, field: str) -> float:
+    """``value`` as a float if it is a JSON number, else a ValueError naming ``field``."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{field} must be a JSON number, got {value!r}")
+    return float(value)
 
 
 def model_to_dict(model: MixedMembershipModel, seed: int | None = None) -> dict:
@@ -489,14 +615,18 @@ def model_to_dict(model: MixedMembershipModel, seed: int | None = None) -> dict:
 
 
 def model_from_dict(obj: dict) -> MixedMembershipModel:
-    Q = int(obj["Q"])
+    """The model of a model file's JSON object, whose values are checked,
+    not converted: Q, K and ranking entries must be JSON integers, and
+    dispersions and probabilities JSON numbers."""
+    Q = _json_integer(obj["Q"], "Q")
     comps = []
-    for c in obj["components"]:
-        ref = Permutation.from_ranking([int(x) for x in c["ranking"]])
+    for k, c in enumerate(obj["components"]):
+        ranking = [_json_integer(x, f"component {k} ranking entry") for x in c["ranking"]]
+        ref = Permutation.from_ranking(ranking)
         if len(ref) != Q:
             raise ValueError("component ranking length disagrees with Q")
-        comps.append(MallowsComponent(ref, float(c["phi"])))
-    if "K" in obj and int(obj["K"]) != len(comps):
+        comps.append(MallowsComponent(ref, _json_number(c["phi"], f"component {k} phi")))
+    if "K" in obj and _json_integer(obj["K"], "K") != len(comps):
         raise ValueError("K disagrees with the number of components")
     # Estimated-model files carry no weight prior; such models can be
     # evaluated and used for prediction but not for generation.
@@ -507,10 +637,11 @@ def model_from_dict(obj: dict) -> MixedMembershipModel:
         unordered = pairs.unordered_index(Q)
         for entry in obj["pair_dist"]:
             i, j, p = entry
-            i, j = int(i), int(j)
-            if not (1 <= i <= Q and 1 <= j <= Q and i != j):
+            if not (type(i) is int and type(j) is int and 1 <= i <= Q and 1 <= j <= Q
+                    and i != j):
                 raise ValueError(f"pair_dist entry {entry} must name two distinct items in 1..{Q}")
-            pair_probs[unordered[pairs.pair_row(i, j, Q)]] = float(p)
+            p = _json_number(p, "pair_dist probability")
+            pair_probs[unordered[pairs.pair_row(i, j, Q)]] = p
     return MixedMembershipModel(comps, prior, pair_probs)
 
 
@@ -523,5 +654,10 @@ def write_model(model: MixedMembershipModel, path: str, seed: int | None = None,
 
 
 def read_model(path: str) -> MixedMembershipModel:
+    """Read a model file; a file that is not JSON or breaks a model rule
+    fails with ``{path}: {rule}``."""
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            return model_from_dict(json.load(fh))
+        except ValueError as exc:  # json.JSONDecodeError is one
+            raise ValueError(f"{path}: {exc}") from None

@@ -347,6 +347,32 @@ class TestOtherCommands:
         assert "error in read stage" in err
 
 
+    def test_model_files_are_checked_at_read(self, tmp_path, capsys):
+        # a vertex prior of 3 classes for 2 components, and a ranking entry
+        # of 1.7, each fail the read stage of every command that reads them
+        code, _, _ = run(
+            capsys, "generate", "--items", "4", "--components", "2",
+            "--users", "10", "--comparisons", "4", "--phi", "0.2",
+            "--vertex-prior", "0.5,0.5",
+            "-o", str(tmp_path / "c.jsonl"), "--truth", str(tmp_path / "t.json"))
+        assert code == 0
+        truth = read_json(tmp_path / "t.json")
+        bad_prior = dict(truth, prior={"type": "vertex", "probs": [0.2, 0.3, 0.5]})
+        bad_ranking = json.loads(json.dumps(truth))
+        bad_ranking["components"][0]["ranking"][0] += 0.7
+        for obj, message in ((bad_prior, "class probabilities do not match K"),
+                             (bad_ranking, "ranking entry must be a JSON integer")):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(obj))
+            for argv in (["predict", "--model", str(path), "-i", str(tmp_path / "c.jsonl"),
+                          "-o", str(tmp_path / "p.json")],
+                         ["generate", "-i", str(path), "--users", "10", "--comparisons", "4",
+                          "-o", str(tmp_path / "c2.jsonl"), "--truth", str(tmp_path / "t2.json")]):
+                code, _, err = run(capsys, *argv)
+                assert code == 2
+                assert err.startswith(f"error in read stage: {path}: ") and message in err, err
+
+
 class TestGoldenPipeline:
     def test_toy_pipeline_bytes(self, tmp_path, capsys, monkeypatch):
         # Pins the bytes of a fixed-seed generate run and the integer

@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
 import re
+import threading
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from mallowmix import generator, pairs
@@ -392,11 +398,52 @@ class TestSerialization:
         comp = MallowsComponent(Permutation.identity(3), 0.2)
         obj = model_to_dict(MixedMembershipModel([comp], DirichletPrior(1.0),
                                                  pair_probs=np.array([0.5, 0.25, 0.25])))
-        for entry in ([1, 1, 1.0], [0, 2, 1.0], [2, 4, 1.0]):
+        for entry in ([1, 1, 1.0], [0, 2, 1.0], [2, 4, 1.0], [1.5, 2, 1.0]):
             obj["pair_dist"] = [entry]
             with pytest.raises(ValueError, match=re.escape(
                     f"pair_dist entry {entry} must name two distinct items in 1..3")):
                 model_from_dict(obj)
+
+    def test_model_values_are_checked_not_converted(self):
+        obj = model_to_dict(small_model(prior=VertexPrior((0.4, 0.6))))
+        for edit, message in (
+                (lambda o: o["components"][1]["ranking"].__setitem__(0, 1.7),
+                 "component 1 ranking entry must be a JSON integer, got 1.7"),
+                (lambda o: o["components"][0]["ranking"].__setitem__(2, "3"),
+                 "component 0 ranking entry must be a JSON integer, got '3'"),
+                (lambda o: o["components"][0]["ranking"].__setitem__(0, True),
+                 "component 0 ranking entry must be a JSON integer, got True"),
+                (lambda o: o["components"][0].__setitem__("phi", "0.3"),
+                 "component 0 phi must be a JSON number, got '0.3'"),
+                (lambda o: o["components"][1].__setitem__("phi", False),
+                 "component 1 phi must be a JSON number, got False"),
+                (lambda o: o.__setitem__("Q", 4.0), "Q must be a JSON integer, got 4.0"),
+                (lambda o: o.__setitem__("K", "2"), "K must be a JSON integer, got '2'"),
+                (lambda o: o["prior"].__setitem__("probs", [0.4, "0.6"]),
+                 "prior probs entry must be a JSON number, got '0.6'")):
+            bad = json.loads(json.dumps(obj))
+            edit(bad)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                model_from_dict(bad)
+        model_from_dict(obj)
+
+    def test_prior_length_must_match_k(self):
+        obj = model_to_dict(small_model(K=2))
+        obj["prior"] = {"type": "vertex", "probs": [0.2, 0.3, 0.5]}
+        with pytest.raises(ValueError, match="class probabilities do not match K"):
+            model_from_dict(obj)
+        with pytest.raises(ValueError, match="weights do not match K"):
+            MixedMembershipModel(small_model(K=2).components, FixedWeights((1.0,)))
+
+    def test_read_model_names_the_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        obj = model_to_dict(small_model())
+        obj["components"][0]["phi"] = "0.3"
+        for text, message in (("{bad", "Expecting property name enclosed in double quotes"),
+                              (json.dumps(obj), "component 0 phi must be a JSON number")):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+                read_model(path)
 
     def test_model_dict_round_trip_preserves_pair_probs(self):
         comp = MallowsComponent(Permutation.identity(3), 0.2)
@@ -404,3 +451,259 @@ class TestSerialization:
         model = MixedMembershipModel([comp], DirichletPrior(1.0), pair_probs=probs)
         back = model_from_dict(model_to_dict(model))
         assert np.allclose(back.pair_probs, probs)
+
+
+def reference_read_corpus(path):
+    """The per-line reader that ``read_corpus`` replaced: one JSON decode
+    per line into three Python lists, the rules checked over all records."""
+    users, wins, loses = [], [], []
+    meta = None
+    meta_line = 0
+    skipped = []  # file lines that hold no record: blank and meta
+    decode = json.JSONDecoder().decode
+    with open(path) as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    skipped.append(lineno)
+                    continue
+                if meta is None and users == [] and '"meta"' in line:
+                    obj = decode(line)
+                    if "meta" in obj:
+                        meta = obj["meta"]
+                        meta_line = lineno
+                        skipped.append(lineno)
+                        rule = generator._meta_rule(meta)
+                        if rule:
+                            raise CorpusError(f"{path}:{lineno}: {rule}")
+                        continue
+                obj = decode(line)
+                users.append(obj["user"])
+                wins.append(obj["win"])
+                loses.append(obj["lose"])
+        except json.JSONDecodeError as exc:
+            raise CorpusError(
+                f"{path}:{lineno}: invalid JSON: {exc.msg} (column {exc.colno})") from None
+        except KeyError as exc:
+            raise CorpusError(f"{path}:{lineno}: record has no {exc.args[0]!r} field") from None
+        except TypeError:
+            raise CorpusError(f"{path}:{lineno}: record is not a JSON object") from None
+    if not users:
+        raise ValueError(f"no comparison records in {path}")
+
+    def broken_record(record, rule):
+        line = record + 1
+        for s in skipped:
+            if s > line:
+                break
+            line += 1
+        return CorpusError(f"{path}:{line}: {rule}")
+
+    def first_broken(columns, bad):
+        return min(next((r for r, v in enumerate(ids) if bad(v)), len(ids)) for ids in columns)
+
+    columns = (users, wins, loses)
+    if any(set(map(type, ids)) != {int} for ids in columns):
+        raise broken_record(first_broken(columns, lambda v: type(v) is not int),
+                            "user, win and lose must be JSON integers")
+    try:
+        user, winner, loser = (np.asarray(ids, dtype=np.int64) for ids in columns)
+    except OverflowError:
+        raise broken_record(first_broken(columns, lambda v: not -2**63 <= v < 2**63),
+                            "user, win and lose must fit in 64 bits") from None
+    if meta is not None:
+        Q, M, N = meta["Q"], meta["M"], meta.get("N")
+    else:
+        Q = int(max(winner.max(), loser.max()))
+        M = int(user.max()) + 1
+        N = None
+    try:
+        corpus = ComparisonCorpus(Q, M, user, winner, loser, N=N)
+    except RecordError as exc:
+        raise broken_record(exc.record, exc.rule) from None
+    if meta is not None and M > user.max() + 1:
+        raise CorpusError(
+            f"{path}:{meta_line}: meta M={M} but the largest user id is {int(user.max())}")
+    return corpus
+
+
+def read_outcome(reader, path):
+    """A reader's corpus fields, or the type and message of its error."""
+    try:
+        corpus = reader(path)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return corpus.Q, corpus.M, corpus.N, corpus.user, corpus.winner, corpus.loser
+
+
+def assert_same_outcome(got, want):
+    assert len(got) == len(want) and got[:-3] == want[:-3], (got, want)
+    for a, b in zip(got[-3:], want[-3:]):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == np.int64 and np.array_equal(a, b), (got, want)
+        else:
+            assert a == b, (got, want)
+
+
+FIELDS = ("user", "win", "lose")
+WRITER_FORM = generator._RECORD.rstrip("\n").replace("%d", "%s")  # of id texts
+PADS = st.sampled_from(["", "", "", " ", "\t", "\x0c", "\x85", "\u2028"])
+ODD_IDS = st.sampled_from([
+    "-0", "-1", "01", "00", "+1", "1.0", "1e2", "-", "1-2", "--1", "true", '"3"', "null",
+    "1" * 18, "9" * 18, "1" * 19, "1" * 20,
+    str(2**63 - 1), str(2**63), str(-2**63), str(-2**63 - 1)])
+
+
+@st.composite
+def record_lines(draw, ids):
+    """A JSON object line holding the id texts ``ids``: in the writer's form,
+    or in another form the JSON decoder reads the same way."""
+    kind = draw(st.sampled_from(["writer"] * 4 + ["padded", "order", "spaces", "extra",
+                                                  "duplicate", "escaped"]))
+    if kind == "writer":
+        return WRITER_FORM % tuple(ids)
+    if kind == "padded":
+        return draw(PADS) + WRITER_FORM % tuple(ids) + draw(PADS)
+    keys = list(FIELDS)
+    colon, comma = ": ", ", "
+    if kind == "order":
+        keys = draw(st.permutations(keys))
+    elif kind == "spaces":
+        colon = draw(st.sampled_from([":", " : ", ":\t", ":  "]))
+        comma = draw(st.sampled_from([",", " , ", ",\t", ",  "]))
+    fields = [f'"{k}"{colon}{ids[FIELDS.index(k)]}' for k in keys]
+    if kind == "extra":
+        fields.insert(draw(st.integers(0, 3)), '"note": "é€"')
+    elif kind == "duplicate":  # the decoder keeps the last of duplicate keys
+        k = draw(st.integers(0, 2))
+        fields.insert(k, f'"{keys[k]}": 4')
+    elif kind == "escaped":
+        fields[keys.index("user")] = f'"\\u0075ser"{colon}{ids[0]}'
+    return "{" + comma.join(fields) + "}"
+
+
+# lines that break a rule, or are read another way than they look
+ODD_LINES = st.one_of(
+    st.tuples(st.integers(0, 2), ODD_IDS).map(
+        lambda odd: WRITER_FORM % tuple(
+            odd[1] if j == odd[0] else 2 + j for j in range(3))),
+    st.sampled_from([  # meta lines, which count only before the first record
+        json.dumps({"meta": {"Q": 6, "M": 1}}), json.dumps({"meta": {"Q": 6.0, "M": 1}}),
+        json.dumps({"meta": [6, 1]}), '{"meta" : {"Q": 6, "M": 5}}']),
+    st.sampled_from([
+        '{"lose": 1, "win": 2, "user": 3}', '{"user": 1, "win": 2, "lost": 3}',
+        '{"usex": 1, "win": 2, "lose": 3}', '{"user": 1; "win": 2, "lose": 3}',
+        '{"user": 1, "win": 2, "lose": 3}}', '{"user": 1, "win": 2, "lose": 3} x',
+        '{"user": 1, "win": 2}', '{"user": 1, "win": 2, "lose": 2}',
+        '{"user": 0, "win": 2, "lose": }', "{", "é", "[1, 2, 3]", '"user"', "null", "3",
+        '["meta"]', '"meta"']))
+ENDINGS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+AFTER_RECORD = '%s\n{"meta": {"Q": 6, "M": 1}}\n{"user": 0, "win": 2, "lose": 3}\n'
+
+
+@st.composite
+def corpus_texts(draw):
+    """File text of valid records in every form, blank lines and a meta
+    line, with up to two odd lines, joined by any line ending, with or
+    without a final one."""
+    records = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 6), st.integers(1, 5)),
+                            min_size=1, max_size=12))
+    records = [(u, w, l + (l >= w)) for u, w, l in records]  # any loser but the winner
+    lines = [draw(record_lines(list(map(str, r)))) for r in records]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(PADS))
+    if draw(st.booleans()):
+        meta = {"Q": 6, "M": max(u for u, _, _ in records) + 1, "N": draw(st.sampled_from(
+            [None, 3]))}
+        lines.insert(draw(st.integers(0, 1)) if lines[0].strip() == "" else 0,
+                     json.dumps({"meta": meta}))
+    for _ in range(draw(st.integers(0, 2))):  # often near the start, where meta counts
+        at = draw(st.one_of(st.integers(0, min(2, len(lines))), st.integers(0, len(lines))))
+        lines.insert(at, draw(ODD_LINES))
+    text = "".join(line + draw(ENDINGS) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+class TestBulkReader:
+    """``read_corpus`` against ``reference_read_corpus``, the per-line reader
+    it replaced: the same corpus, or the same error type and message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=corpus_texts(), block=st.one_of(st.integers(1, 64), st.integers(65, 1000)))
+    # a meta line after a record is a record without fields: after a record
+    # in the writer's form, after a decoded one, and in a later block
+    @example(text=AFTER_RECORD % WRITER_FORM % (1, 2, 3), block=1000)
+    @example(text=AFTER_RECORD % '{"win": 2, "user": 1, "lose": 3}', block=1000)
+    @example(text=AFTER_RECORD % WRITER_FORM % (1, 2, 3), block=40)
+    def test_matches_the_per_line_reader(self, tmp_path_factory, text, block):
+        path = tmp_path_factory.mktemp("reader") / "corpus.jsonl"
+        with open(path, "w", newline="") as fh:  # line endings as drawn
+            fh.write(text)
+        want = read_outcome(reference_read_corpus, path)
+        with mock.patch.object(generator, "_READ_BLOCK", block):  # blocks end mid-line
+            got = read_outcome(read_corpus, path)
+        assert_same_outcome(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), Q=st.integers(2, 60), n=st.integers(1, 300),
+           block=st.sampled_from([7, 64, 1000, generator._READ_BLOCK]))
+    def test_reads_written_corpora_without_the_decoder(self, tmp_path_factory, seed, Q, n,
+                                                       block):
+        rng = np.random.default_rng(seed)
+        user = rng.integers(0, 10**6 + 1, n)
+        winner = rng.integers(1, Q + 1, n)
+        loser = (winner + rng.integers(0, Q - 1, n)) % Q + 1  # any item but the winner
+        corpus = ComparisonCorpus(Q, int(user.max()) + 1, user, winner, loser)
+        path = tmp_path_factory.mktemp("written") / "corpus.jsonl"
+        with mock.patch.object(generator, "_WRITE_CHUNK", 7):  # blocks end mid-corpus
+            write_corpus(corpus, path)
+        calls = []
+        decode = json.JSONDecoder.decode
+
+        def spy(self, text):
+            calls.append(text)
+            return decode(self, text)
+
+        with mock.patch.object(json.JSONDecoder, "decode", spy), \
+                mock.patch.object(generator, "_READ_BLOCK", block):
+            back = read_corpus(path)
+        assert len(calls) == 1 and calls[0].startswith('{"meta"')
+        assert (back.Q, back.M, back.N) == (Q, corpus.M, None)
+        for a, b in ((back.user, user), (back.winner, winner), (back.loser, loser)):
+            assert a.dtype == np.int64 and np.array_equal(a, b)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_a_pipe(self, tmp_path, monkeypatch):
+        # a pipe has no size to bound the record count by, so the id
+        # buffers grow as blocks arrive
+        corpus, _ = generate(small_model(), M=50, N=40, seed=1)
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, path)
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()),
+                                  daemon=True)
+        writer.start()
+        monkeypatch.setattr(generator, "_READ_BLOCK", 1000)
+        back = read_corpus(pipe)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        for a, b in ((back.user, corpus.user), (back.winner, corpus.winner),
+                     (back.loser, corpus.loser)):
+            assert np.array_equal(a, b)
+
+    def test_peak_memory_below_the_per_line_reader(self, tmp_path):
+        model = small_model(Q=20, K=3)
+        corpus, _ = generate(model, M=1000, N=200, seed=3)
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, path)
+        peaks = []
+        for reader in (reference_read_corpus, read_corpus):
+            tracemalloc.start()
+            try:
+                reader(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 0.8 * peaks[0], peaks
