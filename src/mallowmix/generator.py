@@ -10,6 +10,7 @@ worker schedule.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -187,7 +188,6 @@ class ComparisonCorpus:
     user: np.ndarray
     winner: np.ndarray
     loser: np.ndarray
-    labels: np.ndarray | None = None  # generating component per record, if kept
     N: int | None = None  # comparisons per user, if constant
 
     def __post_init__(self):
@@ -210,10 +210,6 @@ class ComparisonCorpus:
                      (winner == loser, "winner and loser must differ"),
                      ((user < 0) | (user >= M), f"user ids must lie in 0..{M - 1}"))
             raise RecordError(*min((int(np.argmax(bad)), rule) for bad, rule in rules if bad.any()))
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.size != n:
-                raise ValueError("labels must have one entry per record")
 
     @property
     def n_records(self) -> int:
@@ -233,31 +229,11 @@ def _user_rng(seed: int, user: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, user)))
 
 
-def _generate_user(model, beta, cum_mu, uI, uJ, seed, u, N):
-    rng = _user_rng(seed, u)
-    K = model.K
-    theta = model.prior.sample(rng, K)
-    cum_theta = np.cumsum(theta)
-    upair = np.searchsorted(cum_mu, rng.random(N), side="right")
-    upair = np.minimum(upair, cum_mu.size - 1)
-    z = np.searchsorted(cum_theta, rng.random(N), side="right")
-    z = np.minimum(z, K - 1)
-    i = uI[upair]
-    j = uJ[upair]
-    # The order of one fresh ranking restricted to {i, j} is a Bernoulli
-    # draw with the closed-form pair marginal, so sample that directly.
-    first = rng.random(N) < beta[pairs.pair_row(i, j, model.Q), z]
-    win = np.where(first, i, j)
-    lose = np.where(first, j, i)
-    return theta, win, lose, z
-
-
 def generate(
     model: MixedMembershipModel,
     M: int,
     N: int,
     seed: int,
-    keep_labels: bool = False,
     threads: int = 1,
 ) -> tuple[ComparisonCorpus, np.ndarray]:
     """Sample a corpus of M users with N comparisons each.
@@ -265,56 +241,60 @@ def generate(
     Returns the corpus and the (M, K) matrix of sampled user weights.
     Each comparison's order is drawn from the closed-form pair marginal of
     its component, the law of that pair's order in a full ranking drawn by
-    ``rim_sample``.  ``threads`` has no effect; it is kept so that callers
+    ``rim_sample``.  Users are drawn a block at a time: each user's weights
+    and uniforms come from the user's own stream, and the rest runs once
+    per block.  ``threads`` has no effect; it is kept so that callers
     passing it keep working.
     """
     if M < 1 or N < 1:
         raise ValueError("M and N must be positive")
     if model.prior is None:
         raise ValueError("model carries no weight prior; cannot generate")
+    K, Q = model.K, model.Q
     beta = model.ranking_matrix().entries
-    mu = model.pair_distribution()
-    cum_mu = np.cumsum(mu)
-    uI, uJ = pairs.unordered_arrays(model.Q)
-    results = [_generate_user(model, beta, cum_mu, uI, uJ, seed, u, N)
-               for u in range(M)]
-    thetas = np.stack([r[0] for r in results])
-    winner = np.concatenate([r[1] for r in results])
-    loser = np.concatenate([r[2] for r in results])
-    labels = np.concatenate([r[3] for r in results]) if keep_labels else None
+    cum_mu = np.cumsum(model.pair_distribution())
+    uI, uJ = pairs.unordered_arrays(Q)
+    thetas = np.empty((M, K))
+    winner = np.empty((M, N), np.int64)
+    loser = np.empty((M, N), np.int64)
+    per_block = max(1, _WRITE_CHUNK // N)
+    for start in range(0, M, per_block):
+        stop = min(start + per_block, M)
+        r = np.empty((stop - start, 3, N))
+        for u in range(start, stop):
+            rng = _user_rng(seed, u)
+            thetas[u] = model.prior.sample(rng, K)
+            rng.random(out=r[u - start])  # the pair, component and order draws
+        upair = np.minimum(np.searchsorted(cum_mu, r[:, 0], side="right"), cum_mu.size - 1)
+        # per user, the number of cumulative weights at most the draw:
+        # searchsorted(side="right") over each user's cumsum
+        cum_theta = np.cumsum(thetas[start:stop], axis=1)
+        z = np.minimum((cum_theta[:, None, :] <= r[:, 1, :, None]).sum(-1), K - 1)
+        i = uI[upair]
+        j = uJ[upair]
+        # The order of one fresh ranking restricted to {i, j} is a Bernoulli
+        # draw with the closed-form pair marginal, so sample that directly.
+        first = r[:, 2] < beta[pairs.pair_row(i, j, Q), z]
+        winner[start:stop] = np.where(first, i, j)
+        loser[start:stop] = np.where(first, j, i)
     user = np.repeat(np.arange(M, dtype=np.int64), N)
-    corpus = ComparisonCorpus(model.Q, M, user, winner, loser, labels=labels, N=N)
+    corpus = ComparisonCorpus(Q, M, user, winner.ravel(), loser.ravel(), N=N)
     return corpus, thetas
-
-
-def empirical_beta(corpus: ComparisonCorpus, K: int) -> np.ndarray:
-    """Per-component win frequencies from a labeled corpus.
-
-    Entry (row(i, j), k) is the fraction of label-k comparisons of {i, j}
-    won by i; NaN where the pair was never compared under component k.
-    """
-    if corpus.labels is None:
-        raise ValueError("corpus has no component labels")
-    W = pairs.num_pairs(corpus.Q)
-    wins = np.zeros((W, K))
-    np.add.at(wins, (corpus.pair_rows(), corpus.labels), 1.0)
-    losses = wins[pairs.reverse_rows(corpus.Q)]
-    total = wins + losses
-    with np.errstate(invalid="ignore"):
-        return np.where(total > 0, wins / np.maximum(total, 1e-300), np.nan)
 
 
 # ---------------------------------------------------------------------------
 # file formats
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write then rename, so readers never observe a partial file."""
+def atomic_write(path: str, blocks) -> None:
+    """Write the bytes-like blocks to a temporary file beside ``path``, then
+    rename it to ``path``, so readers never observe a partial file.  If a
+    block fails, the temporary file goes and ``path`` is left as it was."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(blocks)  # drops each block before drawing the next
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -322,11 +302,21 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: str, text: str) -> None:
+    """``atomic_write`` of one text, encoded as UTF-8."""
+    atomic_write(path, [text.encode()])
+
+
 # One corpus record line.  write_corpus formats every record with it, and
 # read_corpus parses the lines of exactly this form in bulk.
 _RECORD = '{"user": %d, "win": %d, "lose": %d}\n'
-_WRITE_CHUNK = 1 << 16  # records formatted per block by write_corpus
+_WRITE_CHUNK = 1 << 16  # records per block drawn by generate and written by write_corpus
 _READ_BLOCK = 1 << 18  # characters read per block by read_corpus
+# _RECORD's text before, between and after its three ids
+_TEMPLATE = tuple(part.encode() for part in _RECORD.split("%d"))
+_POWERS = 10 ** np.arange(19, dtype=np.int64)  # of each digit position of an int64 id
+_SMALLEST = np.concatenate(([0], _POWERS[1:]))  # the smallest id with a digit there
+_PAD = 0xFF  # a byte no record line holds
 
 
 def write_corpus(corpus: ComparisonCorpus, path: str, meta_extra: dict | None = None) -> None:
@@ -334,18 +324,32 @@ def write_corpus(corpus: ComparisonCorpus, path: str, meta_extra: dict | None = 
     meta = {"Q": corpus.Q, "M": corpus.M, "N": corpus.N}
     if meta_extra:
         meta.update(meta_extra)
-    parts = [json.dumps({"meta": meta}) + "\n"]
-    # Python ints format about twice as fast as numpy scalars; converting
-    # one block at a time keeps few of them, and no per-record strings,
-    # alive at once.
-    for start in range(0, corpus.n_records, _WRITE_CHUNK):
-        block = slice(start, start + _WRITE_CHUNK)
-        parts.append("".join(
-            _RECORD % record
-            for record in zip(corpus.user[block].tolist(), corpus.winner[block].tolist(),
-                              corpus.loser[block].tolist())
-        ))
-    atomic_write_text(path, "".join(parts))
+    blocks = (_record_bytes(*(ids[start:start + _WRITE_CHUNK]
+                              for ids in (corpus.user, corpus.winner, corpus.loser)))
+              for start in range(0, corpus.n_records, _WRITE_CHUNK))
+    atomic_write(path, itertools.chain([(json.dumps({"meta": meta}) + "\n").encode()], blocks))
+
+
+def _record_bytes(*columns: np.ndarray) -> np.ndarray:
+    """The ``_RECORD`` lines of the records whose nonnegative ids are
+    ``columns``, as one uint8 array of their bytes.
+
+    Each record gets a row of a byte grid: the template's bytes in fixed
+    columns, and each id right-aligned in a field as wide as its column's
+    widest id, with ``_PAD`` before its digits.  The grid's bytes that are
+    not ``_PAD``, in row order, are the lines.
+    """
+    widths = [len(str(int(ids.max()))) for ids in columns]
+    grid = np.full((columns[0].size, sum(map(len, _TEMPLATE)) + sum(widths)), _PAD, np.uint8)
+    at = 0
+    for part, ids, width in zip(_TEMPLATE, columns, widths):
+        grid[:, at:at + len(part)] = np.frombuffer(part, np.uint8)
+        at += len(part)
+        digits = (ids[:, None] // _POWERS[width - 1::-1] % 10 + ord("0")).astype(np.uint8)
+        grid[:, at:at + width] = np.where(ids[:, None] >= _SMALLEST[width - 1::-1], digits, _PAD)
+        at += width
+    grid[:, at:] = np.frombuffer(_TEMPLATE[-1], np.uint8)
+    return grid[grid != _PAD]
 
 
 class CorpusError(ValueError):
@@ -479,7 +483,8 @@ def read_corpus(path: str) -> ComparisonCorpus:
         corpus = ComparisonCorpus(Q, M, user, winner, loser, N=N)
     except RecordError as exc:
         raise broken_record(exc.record, exc.rule) from None
-    if meta is not None and M > user.max() + 1:
+    # a Python int: the largest user id plus one may not fit in int64
+    if meta is not None and M > int(user.max()) + 1:
         raise CorpusError(
             f"{path}:{meta_line}: meta M={M} but the largest user id is {int(user.max())}")
     return corpus
@@ -499,8 +504,6 @@ def _line_blocks(fh):
         yield carry + "\n"
 
 
-# _RECORD's text before, between and after its three ids
-_TEMPLATE = tuple(part.encode() for part in _RECORD.split("%d"))
 _MAX_DIGITS = 18  # every id of at most 18 digits fits in int64
 
 

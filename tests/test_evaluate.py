@@ -22,6 +22,7 @@ from mallowmix.generator import (
 from mallowmix.mallows import MallowsComponent, RankingMatrix, build_ranking_matrix
 from mallowmix.permutations import Permutation
 from mallowmix.post import postprocess
+from test_generator import reference_generate
 
 
 def model_of(rankings, phis, prior=None):
@@ -101,10 +102,10 @@ class TestInferWeights:
         # opposed references at dispersion zero: every record identifies
         # its component, so the weights are the per-user label fractions
         model = model_of([[1, 2, 3], [3, 2, 1]], [0.0, 0.0])
-        corpus, _ = generate(model, M=50, N=20, seed=3, keep_labels=True)
+        corpus, _, labels = reference_generate(model, M=50, N=20, seed=3)
         theta = infer_weights(corpus, model)
         for u in range(50):
-            frac = np.bincount(corpus.labels[corpus.user == u], minlength=2) / 20
+            frac = np.bincount(labels[corpus.user == u], minlength=2) / 20
             assert np.allclose(theta[u], frac, atol=1e-9)
 
     def test_matches_grid_search_on_two_outcomes(self):

@@ -23,7 +23,7 @@ from mallowmix.generator import (
     MixedMembershipModel,
     RecordError,
     VertexPrior,
-    empirical_beta,
+    atomic_write,
     generate,
     model_from_dict,
     model_to_dict,
@@ -41,6 +41,49 @@ def small_model(Q=4, K=2, phi=0.3, prior=None):
     comps = [MallowsComponent(Permutation.from_ranking((rng.permutation(Q) + 1).tolist()), phi)
              for _ in range(K)]
     return MixedMembershipModel(components=comps, prior=prior or DirichletPrior(0.5))
+
+
+def reference_generate(model, M, N, seed):
+    """The per-user sampler that ``generate`` replaced, one user at a time,
+    which also returns each record's generating component: the corpus,
+    the (M, K) user weights and the labels."""
+    K, Q = model.K, model.Q
+    beta = model.ranking_matrix().entries
+    cum_mu = np.cumsum(model.pair_distribution())
+    uI, uJ = pairs.unordered_arrays(Q)
+    thetas, wins, loses, labels = [], [], [], []
+    for u in range(M):
+        rng = generator._user_rng(seed, u)
+        theta = model.prior.sample(rng, K)
+        upair = np.minimum(np.searchsorted(cum_mu, rng.random(N), side="right"), cum_mu.size - 1)
+        z = np.minimum(np.searchsorted(np.cumsum(theta), rng.random(N), side="right"), K - 1)
+        i, j = uI[upair], uJ[upair]
+        first = rng.random(N) < beta[pairs.pair_row(i, j, Q), z]
+        thetas.append(theta)
+        wins.append(np.where(first, i, j))
+        loses.append(np.where(first, j, i))
+        labels.append(z)
+    user = np.repeat(np.arange(M, dtype=np.int64), N)
+    corpus = ComparisonCorpus(Q, M, user, np.concatenate(wins), np.concatenate(loses), N=N)
+    return corpus, np.stack(thetas), np.concatenate(labels)
+
+
+def empirical_beta(corpus, labels, K):
+    """Per-component win frequencies of a corpus whose records were drawn
+    from the components ``labels``.
+
+    Entry (row(i, j), k) is the fraction of label-k comparisons of {i, j}
+    won by i; NaN where the pair was never compared under component k.
+    """
+    if labels is None:
+        raise ValueError("corpus has no component labels")
+    W = pairs.num_pairs(corpus.Q)
+    wins = np.zeros((W, K))
+    np.add.at(wins, (corpus.pair_rows(), labels), 1.0)
+    losses = wins[pairs.reverse_rows(corpus.Q)]
+    total = wins + losses
+    with np.errstate(invalid="ignore"):
+        return np.where(total > 0, wins / np.maximum(total, 1e-300), np.nan)
 
 
 class TestPriors:
@@ -202,14 +245,14 @@ class TestGenerate:
     def test_labeled_frequencies_match_beta(self):
         # per-(pair, component) concordance frequencies vs the closed form
         model = small_model(Q=5, K=2, phi=0.3)
-        corpus, _ = generate(model, M=1000, N=100, seed=33, keep_labels=True)
-        beta = empirical_beta(corpus, model.K)
+        corpus, _, labels = reference_generate(model, M=1000, N=100, seed=33)
+        beta = empirical_beta(corpus, labels, model.K)
         exact = build_ranking_matrix(model.components).entries
         rows = corpus.pair_rows()
         for k in range(model.K):
             for w in range(pairs.num_pairs(model.Q)):
                 u_count = np.count_nonzero(
-                    (corpus.labels == k)
+                    (labels == k)
                     & ((rows == w) | (rows == pairs.pair_row(*pairs.row_pair(w, model.Q)[::-1], model.Q))))
                 if u_count < 50:
                     continue
@@ -230,7 +273,7 @@ class TestGenerate:
         model = small_model()
         corpus, _ = generate(model, M=10, N=5, seed=0)
         with pytest.raises(ValueError):
-            empirical_beta(corpus, model.K)
+            empirical_beta(corpus, None, model.K)
 
     def test_corpus_rejects_bad_records(self):
         # record 2 of the good arrays below is the one made bad; each
@@ -256,9 +299,8 @@ class TestGenerate:
 
     def test_empirical_beta_nan_for_unseen(self):
         corpus = ComparisonCorpus(Q=3, M=1, user=np.array([0, 0]),
-                                  winner=np.array([1, 2]), loser=np.array([2, 3]),
-                                  labels=np.array([0, 0]))
-        beta = empirical_beta(corpus, 2)
+                                  winner=np.array([1, 2]), loser=np.array([2, 3]))
+        beta = empirical_beta(corpus, np.array([0, 0]), 2)
         assert beta[pairs.pair_row(1, 2, 3), 0] == 1.0
         assert np.isnan(beta[pairs.pair_row(1, 3, 3), 0])
         assert np.all(np.isnan(beta[:, 1]))
@@ -287,7 +329,7 @@ def assert_rejected(tmp_path, bad, rule):
 class TestSerialization:
     def test_corpus_round_trip(self, tmp_path, monkeypatch):
         model = small_model()
-        corpus, _ = generate(model, M=12, N=4, seed=2, keep_labels=True)
+        corpus, _, _ = reference_generate(model, M=12, N=4, seed=2)
         path = tmp_path / "corpus.jsonl"
         monkeypatch.setattr(generator, "_WRITE_CHUNK", 5)  # blocks end mid-corpus
         write_corpus(corpus, path, meta_extra={"note": "round trip"})
@@ -302,7 +344,7 @@ class TestSerialization:
         assert np.array_equal(back.winner, corpus.winner)
         assert np.array_equal(back.loser, corpus.loser)
         # the on-disk format carries only (user, win, lose) records
-        assert back.labels is None
+        assert not hasattr(back, "labels")
 
     def test_read_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -707,3 +749,119 @@ class TestBulkReader:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 0.8 * peaks[0], peaks
+
+
+@st.composite
+def sampler_models(draw):
+    """A model with 1-4 components on 2-8 items, any of the three priors,
+    and a uniform, non-uniform or partly zero pair distribution."""
+    Q, K = draw(st.integers(2, 8)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    comps = [MallowsComponent(Permutation.from_ranking((rng.permutation(Q) + 1).tolist()),
+                              draw(st.sampled_from([0.0, 0.3, 0.9]))) for _ in range(K)]
+    probs = tuple(rng.dirichlet(np.ones(K)))
+    prior = draw(st.sampled_from([DirichletPrior(0.1), DirichletPrior(2.0), VertexPrior(probs),
+                                  FixedWeights(probs)]))
+    pair_probs = None
+    if draw(st.booleans()):
+        pair_probs = rng.dirichlet(np.ones(pairs.num_unordered(Q)))
+        if draw(st.booleans()):
+            pair_probs[rng.random(pair_probs.size) < 0.5] = 0.0
+            pair_probs = pair_probs / pair_probs.sum() if pair_probs.any() else None
+    return MixedMembershipModel(comps, prior, pair_probs)
+
+
+class TestBlockSampler:
+    """``generate`` against ``reference_generate``, the per-user sampler it
+    replaced: the same records and weights, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=sampler_models(), M=st.integers(1, 40), N=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1), chunk=st.integers(1, 64))
+    def test_matches_the_per_user_sampler(self, model, M, N, seed, chunk):
+        want, want_thetas, _ = reference_generate(model, M, N, seed)
+        # a block holds one user, several, or fewer records than N
+        with mock.patch.object(generator, "_WRITE_CHUNK", chunk):
+            got, thetas = generate(model, M, N, seed)
+        for a, b in ((got.user, want.user), (got.winner, want.winner),
+                     (got.loser, want.loser), (thetas, want_thetas)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert (got.N, got.M) == (want.N, want.M) == (N, M)
+
+
+def reference_write_corpus(corpus, path, meta_extra=None):
+    """The writer that ``write_corpus`` replaced: ``_RECORD`` formatting of
+    one Python record at a time, joined into one string for the file."""
+    meta = {"Q": corpus.Q, "M": corpus.M, "N": corpus.N}
+    if meta_extra:
+        meta.update(meta_extra)
+    parts = [json.dumps({"meta": meta}) + "\n"]
+    for start in range(0, corpus.n_records, generator._WRITE_CHUNK):
+        block = slice(start, start + generator._WRITE_CHUNK)
+        parts.append("".join(
+            generator._RECORD % record
+            for record in zip(corpus.user[block].tolist(), corpus.winner[block].tolist(),
+                              corpus.loser[block].tolist())
+        ))
+    generator.atomic_write_text(path, "".join(parts))
+
+
+# every digit-count boundary of a nonnegative int64, and its largest value
+DIGIT_EDGES = [0, 1, 2**63 - 1] + [10**k + d for k in range(1, 19) for d in (-1, 0)]
+IDS = st.one_of(st.sampled_from(DIGIT_EDGES), st.integers(0, 2**63 - 1),
+                st.integers(10**18, 2**63 - 1))
+ID_RECORDS = st.lists(st.tuples(IDS, IDS.filter(bool), IDS.filter(bool)).filter(
+    lambda r: r[1] != r[2]), max_size=20)
+
+
+class TestBlockWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(records=ID_RECORDS, chunk=st.integers(1, 7))
+    @example(records=[], chunk=3)  # the meta line only
+    @example(records=[(e, max(e, 1), 2 if e <= 1 else 1) for e in DIGIT_EDGES]
+             + [(0, 2 if e <= 1 else 1, max(e, 1)) for e in DIGIT_EDGES], chunk=5)
+    def test_matches_record_formatting(self, tmp_path_factory, records, chunk):
+        Q = max((max(w, l) for _, w, l in records), default=2)
+        M = max((u for u, _, _ in records), default=0) + 1
+        columns = [np.array([r[j] for r in records], dtype=np.int64) for j in range(3)]
+        corpus = ComparisonCorpus(Q, M, *columns)
+        path = tmp_path_factory.mktemp("writer") / "corpus.jsonl"
+        with mock.patch.object(generator, "_WRITE_CHUNK", chunk):  # blocks end mid-corpus
+            write_corpus(corpus, path)
+        meta = json.dumps({"meta": {"Q": Q, "M": M, "N": None}}) + "\n"
+        assert path.read_bytes() == (meta + "".join(generator._RECORD % r for r in records)).encode()
+        if records:  # the reader sends 19-digit ids to the JSON decoder
+            back = read_corpus(path)
+            assert (back.Q, back.M, back.N) == (Q, M, None)
+            for a, b in zip((back.user, back.winner, back.loser), columns):
+                assert a.dtype == np.int64 and np.array_equal(a, b)
+
+    def test_peak_memory_below_the_single_string_writer(self, tmp_path):
+        # the old writer's peak grows with the corpus, the new one's with a block
+        corpus, _ = generate(small_model(Q=20, K=3), M=2000, N=200, seed=3)
+        paths = [tmp_path / "reference.jsonl", tmp_path / "corpus.jsonl"]
+        peaks = []
+        for writer, path in zip((reference_write_corpus, write_corpus), paths):
+            tracemalloc.start()
+            try:
+                writer(corpus, path, {"seed": 3})
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert peaks[1] <= 0.25 * peaks[0], peaks
+
+    def test_atomic_write_keeps_the_target_when_a_block_fails(self, tmp_path):
+        def blocks():
+            yield b"new bytes\n"
+            raise RuntimeError("block failed")
+
+        path = tmp_path / "out.jsonl"
+        for old in (None, b"old bytes\n"):
+            if old is not None:
+                path.write_bytes(old)
+            with pytest.raises(RuntimeError, match="block failed"):
+                atomic_write(path, blocks())
+            assert (path.read_bytes() if path.exists() else None) == old
+            # no temporary file is left beside the target
+            assert os.listdir(tmp_path) == ([] if old is None else ["out.jsonl"])

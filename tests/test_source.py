@@ -40,6 +40,47 @@ def test_imports_are_stdlib_numpy_scipy_or_the_package():
     assert not found, f"imports outside the standard library, numpy and scipy: {found}"
 
 
+def write_calls(tree: ast.AST) -> list[ast.Call]:
+    """Calls in ``tree`` that write a file: ``open`` or ``os.fdopen`` (or any
+    ``.open``/``.fdopen``) with a mode that writes, appends or creates, or a
+    mode that is not a literal; ``.tofile``; ``np.save``, ``np.savez``,
+    ``np.savetxt`` and the like; ``.write_text`` and ``.write_bytes``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("open", "fdopen"):
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")):
+                found.append(node)
+        elif name in ("tofile", "write_text", "write_bytes") or (
+                isinstance(func, ast.Attribute) and name.startswith("save")
+                and isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")):
+            found.append(node)
+    return found
+
+
+def test_files_are_written_only_by_atomic_write():
+    # one write path: every file the package writes goes through a
+    # temporary file and a rename, so no reader sees a partial file
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "generator.py":
+            atomic = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "atomic_write")
+            allowed = {id(node) for node in write_calls(atomic)}
+            assert len(allowed) == 1  # the rule sees atomic_write's own open
+        found += [f"{path.relative_to(PACKAGE)}:{node.lineno}" for node in write_calls(tree)
+                  if id(node) not in allowed]
+    assert not found, f"files written outside generator.atomic_write: {found}"
+
+
 SCIPY_PARTS = ("scipy.sparse", "scipy.optimize")
 
 
