@@ -70,8 +70,11 @@ def reference_detect(cooc: CoocMatrix, config: DetectionConfig):
 
     P = config.resolved_projections
     W = cooc.E.shape[1]
-    dirs = _projection_directions(config.seed, P, W, np.arange(W))
-    proj = rows @ (dirs[:, act] if sampled else dirs).T
+    # Directions restricted to the row coordinates as one contiguous array,
+    # as detection builds them: a strided operand takes other BLAS kernels,
+    # which can give identical rows projections differing in the last bit.
+    dirs = _projection_directions(config.seed, P, W, act if sampled else np.arange(W))
+    proj = rows @ dirs.T
     qhat = np.empty(n)
     for i in range(n):
         peers = J[i]
