@@ -309,14 +309,6 @@ def detect_novel_pairs(cooc: CoocMatrix, config: DetectionConfig) -> NovelPairSe
     )
 
 
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("need a nonempty vector")
-    return _project_rows(v[None, :])[0]
-
-
 def _project_rows(V: np.ndarray) -> np.ndarray:
     """Euclidean projection of every row of the (n, K) array V onto the
     probability simplex."""

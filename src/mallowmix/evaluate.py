@@ -102,9 +102,17 @@ def _unsupported(r: int, Q: int) -> ValueError:
 
 
 def _check_rows_supported(B: np.ndarray, rows: np.ndarray, Q: int) -> None:
-    dead = B[rows].sum(axis=1) == 0
-    if dead.any():
-        raise _unsupported(int(rows[np.argmax(dead)]), Q)
+    dead = B.sum(axis=1) == 0  # one flag per pair row, indexed by the records
+    hit = dead[rows]
+    if hit.any():
+        raise _unsupported(int(rows[np.argmax(hit)]), Q)
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Index of the first element of every run of equal values in ``a``."""
+    new = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
@@ -121,10 +129,16 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
     stopping there before the relative change of the total log-likelihood
     falls to ``tol`` emits a RuntimeWarning.
 
-    Records are sorted by user once and held component-major, as (K, n)
-    arrays, so every occupied user owns one contiguous segment: the E-step
-    repeats each user's weights over its segment and the M-step adds
-    segments with ``np.add.reduceat``.
+    Records of one user and one ordered pair are alike, so the EM runs
+    over one entry per distinct (user, pair row), weighted by its count of
+    records.  One in-place sort of the key ``user * W + row`` (W = Q(Q-1))
+    groups the records into entries, and every occupied user owns one
+    contiguous segment of them.  The E-step repeats each user's weights
+    over its segment and sums the components into one mixture probability
+    per entry; the M-step and each user's log-likelihood add count-weighted
+    segments with ``np.add.reduceat``.  Only the entries' (K, entries)
+    outcome probabilities are held: each component's share of an entry is
+    recomputed where it is needed, one component at a time.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -132,48 +146,73 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
         raise ValueError(f"tol must be a non-negative number, got {tol}")
     B = _observation_columns(B_hat)
     K = B.shape[1]
-    rows = corpus.pair_rows()
-    _check_rows_supported(B, rows, corpus.Q)
-    users = corpus.user
-    M = corpus.M
-    counts = np.bincount(users, minlength=M)
-    occupied = np.flatnonzero(counts)
-    # reduceat returns an element, not 0, for an empty segment, so only
-    # occupied users get one
-    sizes = counts[occupied]
-    starts = np.cumsum(sizes) - sizes
-    order = np.argsort(users, kind="stable")
-    BwT = B.T.take(rows.take(order), axis=1)  # (K, n) outcome probabilities, by user
-    # rows is rebuilt only to name a zero-probability record; holding it
-    # through the loop would raise the peak by n integers
-    del order, rows
-    mix = np.empty_like(BwT)
-    total = np.empty(BwT.shape[1])
+    M, W = corpus.M, pairs.num_pairs(corpus.Q)
+    # keys lie below M * W; checked in Python ints, so they cannot wrap
+    if M * W > np.iinfo(np.int64).max:
+        raise ValueError(f"{M} users times {W} pair rows overflow the weight EM's int64 "
+                         f"(user, pair) keys")
+    key = corpus.pair_rows()
+    _check_rows_supported(B, key, corpus.Q)
+    key += corpus.user * W
+    key.sort()
+    first = _run_starts(key)
+    count = np.diff(first, append=key.size).astype(float)  # records per entry
+    key = key.take(first)
+    del first
+    entry_user, row = np.divmod(key, W)
+    del key
+    starts = _run_starts(entry_user)  # each occupied user's first entry
+    occupied = entry_user.take(starts)
+    del entry_user
+    BwT = B.T.take(row, axis=1)  # (K, entries) outcome probabilities
+    del row
+    entries = np.diff(starts, append=count.size)  # entries per occupied user
+    sizes = np.add.reduceat(count, starts)  # records per occupied user
+    total = np.empty(count.size)
+
+    def component(theta: np.ndarray, k: int) -> np.ndarray:
+        """theta_k B[w, k] of every entry, at ``theta`` (K x occupied users)."""
+        part = np.repeat(theta[k], entries)
+        part *= BwT[k]
+        return part
 
     def e_step(theta: np.ndarray) -> None:
-        """Fill ``mix`` and ``total`` at ``theta`` (K x occupied users)."""
-        for k in range(K):
-            mix[k] = np.repeat(theta[k], sizes)
-        np.multiply(mix, BwT, out=mix)
-        np.copyto(total, mix[0])
+        """Fill ``total`` with every entry's mixture probability."""
+        np.multiply(np.repeat(theta[0], entries), BwT[0], out=total)
         for k in range(1, K):
-            np.add(total, mix[k], out=total)
+            np.add(total, component(theta, k), out=total)
 
     def user_loglik() -> np.ndarray:
         """Each user's log-likelihood at the last E-step (-inf where a
         record has probability zero)."""
         with np.errstate(divide="ignore"):
-            return np.add.reduceat(np.log(total), starts)
+            ll = np.log(total)
+        ll *= count
+        return np.add.reduceat(ll, starts)
 
-    def m_step() -> np.ndarray:
-        np.divide(mix, total, out=mix)  # responsibilities
-        return np.add.reduceat(mix, starts, axis=1) / sizes
+    def responsibility(theta: np.ndarray, k: int) -> np.ndarray:
+        """Component k's count-weighted share of every entry at the last
+        E-step, whose weights were ``theta``.  The share theta_k B[w, k] /
+        total lies in [0, 1], where count / total alone could overflow."""
+        part = component(theta, k)
+        part /= total
+        part *= count
+        return part
 
-    def check_support() -> None:
+    def m_step(theta: np.ndarray) -> np.ndarray:
+        step = np.empty_like(theta)
+        for k in range(K):
+            step[k] = np.add.reduceat(responsibility(theta, k), starts)
+        return step / sizes
+
+    def check_support(theta: np.ndarray) -> None:
         if total.size and total.min() == 0:
-            # name the first such record in corpus order
-            first = np.argsort(users, kind="stable")[total == 0].min()
-            raise _unsupported(int(corpus.pair_rows()[first]), corpus.Q)
+            # an entry's total is zero exactly where each of its terms
+            # theta_k B[w, k] is, so the same terms, taken per record, mark
+            # its records; name the first in corpus order
+            users = np.searchsorted(occupied, corpus.user)
+            p = np.einsum("nk,nk->n", theta.T[users], B[corpus.pair_rows()])
+            raise _unsupported(int(corpus.pair_rows()[np.argmax(p == 0)]), corpus.Q)
 
     theta = np.full((K, occupied.size), 1.0 / K)
     user_ll = None
@@ -184,21 +223,21 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
         if user_ll is None:
             e_step(theta)
             user_ll = user_loglik()
-        check_support()
+        check_support(theta)
         ll = float(user_ll.sum())
         if ll < prev_ll - 1e-9 * (1.0 + abs(prev_ll)):
             raise RuntimeError(
                 f"EM log-likelihood decreased at iteration {it}: {prev_ll!r} -> {ll!r}")
         history.append(ll)
-        theta1 = m_step()
+        theta1 = m_step(theta)
         if _converged(ll, prev_ll, tol):
             theta = theta1
             break
         change = abs(ll - prev_ll) / (1.0 + abs(ll))
         prev_ll = ll
         e_step(theta1)
-        check_support()
-        theta2 = m_step()
+        check_support(theta1)
+        theta2 = m_step(theta1)
         point, extrapolated = _squarem_point(theta, theta1, theta2)
         next_ll = None
         if extrapolated.any():
@@ -210,7 +249,7 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
             if fallback.any():
                 point[:, fallback] = theta2[:, fallback]
             else:
-                next_ll = point_ll  # mix and total already hold the next E-step
+                next_ll = point_ll  # total already holds the next E-step
         theta, user_ll = point, next_ll
     else:
         warnings.warn(
@@ -293,9 +332,14 @@ def predict_loglik(corpus: ComparisonCorpus, theta, B_hat) -> PredictionReport:
             raise ValueError(f"theta must have shape ({corpus.M}, {K})")
         per_user = theta
     rows = corpus.pair_rows()
-    p = np.einsum("nk,nk->n", per_user[corpus.user], B[rows])
+    # one component at a time, so no (n, K) gather is held
+    p = np.zeros(corpus.n_records)
+    for k in range(K):
+        term = per_user[:, k].take(corpus.user)
+        term *= B[:, k].take(rows)
+        p += term
     zero = int(np.count_nonzero(p == 0))
     if zero:
         return PredictionReport(-math.inf, zero, corpus.n_records)
-    avg = float(np.mean(np.log(p)))
+    avg = float(np.mean(np.log(p, out=p)))
     return PredictionReport(avg, 0, corpus.n_records)

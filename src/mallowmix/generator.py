@@ -648,14 +648,6 @@ def model_from_dict(obj: dict) -> MixedMembershipModel:
     return MixedMembershipModel(comps, prior, pair_probs)
 
 
-def write_model(model: MixedMembershipModel, path: str, seed: int | None = None,
-                extra: dict | None = None) -> None:
-    obj = model_to_dict(model, seed=seed)
-    if extra:
-        obj.update(extra)
-    atomic_write_text(path, json.dumps(obj, indent=1) + "\n")
-
-
 def read_model(path: str) -> MixedMembershipModel:
     """Read a model file; a file that is not JSON or breaks a model rule
     fails with ``{path}: {rule}``."""

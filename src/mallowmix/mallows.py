@@ -173,17 +173,6 @@ class RankingMatrix:
     def K(self) -> int:
         return self.entries.shape[1]
 
-    def validate(self, tol: float = 1e-9) -> None:
-        e = self.entries
-        if np.any(~np.isfinite(e)) or np.any(e < -tol):
-            raise ValueError("entries must be finite and nonnegative")
-        if self.kind == "beta":
-            rev = pairs.reverse_rows(self.Q)
-            if np.max(np.abs(e + e[rev] - 1.0)) > tol:
-                raise ValueError("beta and its reverse rows must sum to one")
-        elif np.max(np.abs(e.sum(axis=0) - 1.0)) > tol:
-            raise ValueError("columns of B must sum to one")
-
 
 def shared_Q(components: list[MallowsComponent]) -> int:
     """The item count Q of a nonempty list of components that all share it."""

@@ -9,9 +9,10 @@ import pytest
 
 from mallowmix import pairs
 from mallowmix.cli import main
-from mallowmix.generator import read_corpus, read_model, write_model
+from mallowmix.generator import read_corpus, read_model
 from mallowmix.mallows import MallowsComponent, build_ranking_matrix
 from mallowmix.permutations import Permutation
+from test_generator import write_model
 
 
 def run(capsys, *argv):

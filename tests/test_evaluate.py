@@ -141,28 +141,18 @@ class TestInferWeights:
         assert np.all(theta >= 0)
 
     def test_likelihood_decrease_is_an_error(self, monkeypatch):
-        # An EM step that hands every record's responsibility to the other
-        # component lowers the (concave) likelihood; the loop must stop
-        # with an error naming the iteration, not run on.
+        # A cycle that ends at the swapped weights hands each component's
+        # weight to the other, which lowers the (concave) likelihood; the
+        # loop must stop with an error naming the iteration, not run on.
         B = np.array([[0.8, 0.2], [0.2, 0.8]])
         records = [(0, 1, 2)] * 3 + [(0, 2, 1)]
         u, w, l = (np.array(c) for c in zip(*records))
         corpus = ComparisonCorpus(Q=2, M=1, user=u, winner=w, loser=l)
-        add = np.add
 
-        class SwappedAdd:
-            # The M-step adds each user's (K, n) responsibilities with
-            # np.add.reduceat; with two components they sum to one per
-            # record, so 1 - x sums the other component's.
-            def __call__(self, *args, **kwargs):
-                return add(*args, **kwargs)
+        def swapped(theta0, theta1, theta2):
+            return theta2[::-1].copy(), np.zeros(theta2.shape[1], dtype=bool)
 
-            def reduceat(self, x, indices, axis=0):
-                if x.ndim == 2:
-                    x = 1.0 - x
-                return add.reduceat(x, indices, axis=axis)
-
-        monkeypatch.setattr(np, "add", SwappedAdd())
+        monkeypatch.setattr(evaluate, "_squarem_point", swapped)
         with pytest.raises(RuntimeError, match="decreased at iteration 2"):
             infer_weights(corpus, B)
 
@@ -213,6 +203,30 @@ class TestInferWeights:
                                   winner=np.array([1, 2]), loser=np.array([2, 1]))
         with pytest.raises(ValueError, match=r"comparison \(2, 1\)"):
             infer_weights(corpus, B)
+
+    def test_first_dead_record_in_corpus_order_is_named(self):
+        # rows 4 and 1 have probability zero in every component; row 4
+        # first appears late, after 50 records of live rows, and before
+        # row 1, so it is the one named
+        Q = 3
+        B = np.full((pairs.num_pairs(Q), 2), 0.25)
+        B[[1, 4]] = 0.0
+        rows = np.array([0, 2, 3, 5] * 12 + [0, 2, 4, 5, 1, 3, 4])
+        I, J = pairs.pair_arrays(Q)
+        corpus = ComparisonCorpus(Q=Q, M=4, user=np.arange(rows.size) % 4,
+                                  winner=I[rows], loser=J[rows])
+        i, j = pairs.row_pair(4, Q)
+        with pytest.raises(ValueError, match=rf"comparison \({i}, {j}\) has zero probability"):
+            infer_weights(corpus, B)
+
+    def test_user_by_row_keys_cannot_wrap(self):
+        # user 2**61 times W = 20 pair rows is past int64, so its key would
+        # wrap; the EM refuses the corpus before it allocates anything by M
+        M = 2**61 + 1
+        corpus = ComparisonCorpus(Q=5, M=M, user=np.array([0, M - 1]),
+                                  winner=np.array([1, 2]), loser=np.array([2, 1]))
+        with pytest.raises(ValueError, match=f"{M} users times 20 pair rows overflow"):
+            infer_weights(corpus, np.full((20, 2), 0.05))
 
     def test_bad_user_ids(self):
         with pytest.raises(ValueError, match="user ids"):
@@ -427,6 +441,196 @@ class TestInferWeightsMatchesReference:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= 0.8 * peaks[1], peaks
+
+
+def per_record_infer_weights(corpus, B, *, tol=1e-8, max_iter=500, trace=False):
+    """The SQUAREM EM with one term per record: records stable-sorted by
+    user and held component-major as (K, n) arrays, with a (K, n) mixture
+    array.  ``infer_weights`` runs the same cycles over distinct (user,
+    pair) entries with counts; this is the loop it replaced, kept as the
+    reference it is checked against."""
+    K = B.shape[1]
+    rows = corpus.pair_rows()
+    dead = B[rows].sum(axis=1) == 0
+    if dead.any():
+        raise evaluate._unsupported(int(rows[np.argmax(dead)]), corpus.Q)
+    users = corpus.user
+    M = corpus.M
+    counts = np.bincount(users, minlength=M)
+    occupied = np.flatnonzero(counts)
+    sizes = counts[occupied]
+    starts = np.cumsum(sizes) - sizes
+    order = np.argsort(users, kind="stable")
+    BwT = B.T.take(rows.take(order), axis=1)
+    del order, rows
+    mix = np.empty_like(BwT)
+    total = np.empty(BwT.shape[1])
+
+    def e_step(theta):
+        for k in range(K):
+            mix[k] = np.repeat(theta[k], sizes)
+        np.multiply(mix, BwT, out=mix)
+        np.copyto(total, mix[0])
+        for k in range(1, K):
+            np.add(total, mix[k], out=total)
+
+    def user_loglik():
+        with np.errstate(divide="ignore"):
+            return np.add.reduceat(np.log(total), starts)
+
+    def m_step():
+        np.divide(mix, total, out=mix)
+        return np.add.reduceat(mix, starts, axis=1) / sizes
+
+    def check_support():
+        if total.size and total.min() == 0:
+            first = np.argsort(users, kind="stable")[total == 0].min()
+            raise evaluate._unsupported(int(corpus.pair_rows()[first]), corpus.Q)
+
+    theta = np.full((K, occupied.size), 1.0 / K)
+    user_ll = None
+    history = []
+    prev_ll = -math.inf
+    change = math.inf
+    for it in range(1, max_iter + 1):
+        if user_ll is None:
+            e_step(theta)
+            user_ll = user_loglik()
+        check_support()
+        ll = float(user_ll.sum())
+        if ll < prev_ll - 1e-9 * (1.0 + abs(prev_ll)):
+            raise RuntimeError(
+                f"EM log-likelihood decreased at iteration {it}: {prev_ll!r} -> {ll!r}")
+        history.append(ll)
+        theta1 = m_step()
+        if evaluate._converged(ll, prev_ll, tol):
+            theta = theta1
+            break
+        change = abs(ll - prev_ll) / (1.0 + abs(ll))
+        prev_ll = ll
+        e_step(theta1)
+        check_support()
+        theta2 = m_step()
+        point, extrapolated = evaluate._squarem_point(theta, theta1, theta2)
+        next_ll = None
+        if extrapolated.any():
+            e_step(point)
+            point_ll = user_loglik()
+            fallback = extrapolated & ~(point_ll >= user_ll)
+            if fallback.any():
+                point[:, fallback] = theta2[:, fallback]
+            else:
+                next_ll = point_ll
+        theta, user_ll = point, next_ll
+    else:
+        warnings.warn(
+            f"EM stopped at max_iter={max_iter} without converging; last relative "
+            f"log-likelihood change {change:.3e} (tol {tol:.1e})",
+            RuntimeWarning, stacklevel=2)
+    weights = np.full((M, K), 1.0 / K)
+    weights[occupied] = theta.T
+    if trace:
+        return weights, history
+    return weights
+
+
+@st.composite
+def repeat_cases(draw):
+    """A corpus in which most records repeat a (user, pair) of another:
+    Q <= 4, up to 60 records per user in shuffled order, and users without
+    records.  B has drawn zero entries (whole zero rows among them) and
+    otherwise continuous random entries.
+
+    Its entries are not drawn by Hypothesis, as in ``em_cases``, because
+    Hypothesis ties them: a row equal across components, or one component
+    that is zero where the others tie, makes a user's EM map in one
+    coordinate exactly geometric, and SQUAREM then extrapolates exactly
+    onto the simplex boundary.  Whether that point is feasible, or halves
+    its step, is decided by rounding, so two correct EMs that add in
+    another order take different paths there; ``em_cases`` keeps testing
+    such B against the plain EM."""
+    K = draw(st.integers(1, 6))
+    Q = draw(st.integers(2, 4))
+    M = draw(st.integers(1, 6))
+    per_user = draw(st.lists(st.integers(0, 60), min_size=M, max_size=M))
+    n = sum(per_user)
+    W = pairs.num_pairs(Q)
+    rows = np.array(draw(st.lists(st.integers(0, W - 1), min_size=n, max_size=n)), dtype=int)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(n)
+    I, J = pairs.pair_arrays(Q)
+    corpus = ComparisonCorpus(Q=Q, M=M, user=np.repeat(np.arange(M), per_user)[order],
+                              winner=I[rows], loser=J[rows])
+    B = rng.uniform(size=(W, K))
+    B[draw(arrays(np.bool_, (W, K)))] = 0.0
+    return corpus, B
+
+
+def em_peak(fn, corpus, B):
+    """tracemalloc peak of a three-cycle EM run, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fn(corpus, B, max_iter=3)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def distinct_fraction(corpus):
+    keys = corpus.user * pairs.num_pairs(corpus.Q) + corpus.pair_rows()
+    return np.unique(keys).size / keys.size
+
+
+class TestGroupedEMMatchesPerRecord:
+    """The EM over distinct (user, pair) entries against
+    ``per_record_infer_weights``, the same SQUAREM cycles with one term per
+    record."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=repeat_cases(),
+           tol=st.sampled_from([1e-8, 1e-12]),
+           max_iter=st.sampled_from([1, 2, 5, 500]))
+    def test_same_errors_warnings_and_likelihood(self, case, tol, max_iter):
+        corpus, B = case
+        got, got_warnings = run_em(infer_weights, corpus, B, tol=tol, max_iter=max_iter)
+        want, want_warnings = run_em(per_record_infer_weights, corpus, B,
+                                     tol=tol, max_iter=max_iter)
+        assert got_warnings == want_warnings
+        if isinstance(want, Exception) or isinstance(got, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            return
+        check_weights(corpus, B, *got)
+        # relative in the EM's own sense, 1e-9 * (1 + |ll|), since a user
+        # whose records all have probability one scores exactly zero
+        ll, want_ll = loglik(corpus, got[0], B), loglik(corpus, want[0], B)
+        assert ll == want_ll or abs(ll - want_ll) <= 1e-9 * (1.0 + abs(want_ll)), (ll, want_ll)
+
+    def test_peak_memory_on_repeated_records(self):
+        model = model_of([[1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1], [2, 4, 6, 1, 3, 5]],
+                         [0.3, 0.3, 0.3])
+        corpus, _ = generate(model, M=300, N=40, seed=1)
+        assert 0.4 < distinct_fraction(corpus) < 0.6
+        B = model.observation_matrix().entries
+        peak, want = em_peak(infer_weights, corpus, B), em_peak(per_record_infer_weights, corpus, B)
+        assert peak <= 0.75 * want, (peak, want)
+
+    def test_peak_memory_without_repeats(self):
+        # every user compares 40 distinct ordered pairs of 20 items
+        Q, M, N = 20, 300, 40
+        rng = np.random.default_rng(3)
+        rows = np.concatenate([rng.permutation(pairs.num_pairs(Q))[:N] for _ in range(M)])
+        I, J = pairs.pair_arrays(Q)
+        corpus = ComparisonCorpus(Q=Q, M=M, user=np.repeat(np.arange(M), N),
+                                  winner=I[rows], loser=J[rows])
+        assert distinct_fraction(corpus) == 1.0
+        model = model_of([list(range(1, Q + 1)), list(range(Q, 0, -1)),
+                          list(rng.permutation(Q) + 1)], [0.3, 0.3, 0.3])
+        B = model.observation_matrix().entries
+        peak, want = em_peak(infer_weights, corpus, B), em_peak(per_record_infer_weights, corpus, B)
+        assert peak <= want, (peak, want)
 
 
 class TestPredictLoglik:

@@ -24,16 +24,22 @@ from mallowmix.generator import (
     RecordError,
     VertexPrior,
     atomic_write,
+    atomic_write_text,
     generate,
     model_from_dict,
     model_to_dict,
     read_corpus,
     read_model,
     write_corpus,
-    write_model,
 )
 from mallowmix.mallows import MallowsComponent, build_ranking_matrix
 from mallowmix.permutations import Permutation
+from test_mallows import validate_ranking_matrix
+
+
+def write_model(model, path, seed=None):
+    """Write a model file in the form of ``generate --truth``."""
+    atomic_write_text(path, json.dumps(model_to_dict(model, seed=seed), indent=1) + "\n")
 
 
 def small_model(Q=4, K=2, phi=0.3, prior=None):
@@ -160,7 +166,7 @@ class TestModel:
         model = small_model()
         B = model.observation_matrix()
         assert B.kind == "B"
-        B.validate()
+        validate_ranking_matrix(B)
         mu = model.pair_distribution()
         assert mu.sum() == pytest.approx(1.0)
         # B row = unordered pair probability times concordance probability
