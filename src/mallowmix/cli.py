@@ -188,7 +188,9 @@ def cmd_estimate(args) -> int:
     margin = angles[K - 1] - angles[K] if len(angles) > K else angles[K - 1]
     # scores are multiples of 1/P, so a margin of 0 is a tie
     P = cfg.resolved_projections
-    print(f"estimate: {len(angles)} candidate rows, shortlist depth {novel.shortlist_depth}, "
+    print(f"estimate: {len(angles)} candidate rows, "
+          f"distances in {novel.distance_tiles} of {novel.total_tiles} tiles, "
+          f"shortlist depth {novel.shortlist_depth}, "
           f"noise-floor fallback {'used' if novel.fallback_used else 'not used'}, "
           f"solid-angle margin {margin:.4g} ({round(margin * P)} of {P} projections); "
           f"{len(est.diagnostics['clamped_components'])} clamped dispersions", file=sys.stderr)

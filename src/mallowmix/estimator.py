@@ -17,7 +17,7 @@ import numpy as np
 
 from . import pairs
 from .mallows import RankingMatrix
-from .moments import CoocMatrix, normalized_halves
+from .moments import CoocMatrix
 
 
 class DetectionError(RuntimeError):
@@ -75,6 +75,10 @@ class NovelPairSet:
     # Depth L of the per-direction shortlist: one more than the largest
     # count of non-peers of a row that has peers; 0 when no row has any.
     shortlist_depth: int = 0
+    # Tiles of the upper triangle whose distances were computed, and all
+    # of them; the others were decided by the rows' norms alone.
+    distance_tiles: int = 0
+    total_tiles: int = 0
 
 
 # Edge of the square tiles in which detection computes row distances, and
@@ -91,7 +95,7 @@ def _row_noise(cooc: CoocMatrix, act: np.ndarray, row_sq: np.ndarray) -> np.ndar
     as the sum of squared contributions minus the squared mean term
     (``row_sq`` holds each row's squared norm).
     """
-    Xn, Xpn = normalized_halves(cooc.split)
+    Xn, Xpn = cooc.E.right, cooc.E.left
     M = cooc.M
     sub = Xn[act]
     colsq = np.asarray(sub.multiply(sub).sum(axis=0)).ravel()
@@ -133,37 +137,59 @@ def _near_sets(rows: np.ndarray, sq: np.ndarray, half: float, doubled: bool):
     """Each row's non-peers: the other rows closer to it than ``half``.
 
     Distances come in square tiles of _BLOCK_ROWS rows over the upper
-    triangle, each Gram tile read both ways.  A tile of rows is finished
-    once all its tiles are in; those left of the diagonal wait as boolean
-    masks, at most n * n / 2 bytes.  Returns the count of non-peers per
-    row and, for the rows that have at least one peer, the non-peer pairs
-    (i, j) as sorted keys i * n + j, ended by the sentinel n * n.  Rows
-    without peers keep only their count (n - 1), since they score 1.
+    triangle, the rows taken in ascending norm order, each Gram tile read
+    both ways.  Since ||r_i - c r_j|| >= | ||r_i|| - c ||r_j|| | (c = 2
+    under the doubled rule), a pair of tiles whose norm ranges keep every
+    such gap at half plus twice ``slack`` or more, in both directions,
+    holds no non-peers and gets no Gram product: one slack covers the
+    rounding of sq_i - 2c g + c^2 sq_j, the other, generously, that of the
+    norms.  A tile of rows is finished once all its tiles are in; those
+    computed before it wait as boolean masks, at most n * n / 2 bytes.
+    Returns the count of non-peers per row; for the rows that have at
+    least one peer, the non-peer pairs (i, j) as sorted keys i * n + j,
+    ended by the sentinel n * n; and the number of tiles computed and in
+    all.  Rows without peers keep only their count (n - 1), since they
+    score 1.
     """
-    n = rows.shape[0]
-    tiles = range(-(-n // _BLOCK_ROWS))
-    masks: list[list[np.ndarray]] = [[] for _ in tiles]  # non-peer masks of each tile's rows
+    n, d = rows.shape
+    c = 2.0 if doubled else 1.0
+    order = np.argsort(sq, kind="stable")
+    tiles = [order[lo:lo + _BLOCK_ROWS] for lo in range(0, n, _BLOCK_ROWS)]
+    # each tile's smallest and largest norm and largest squared norm
+    first = np.sqrt(sq[[t[0] for t in tiles]])
+    last_sq = sq[[t[-1] for t in tiles]]
+    last = np.sqrt(last_sq)
+    masks: list[list] = [[] for _ in tiles]  # (columns, non-peer mask) of each tile's rows
     counts = np.empty(n, dtype=np.int64)
     keys = []
-    for a in tiles:
-        A = slice(a * _BLOCK_ROWS, (a + 1) * _BLOCK_ROWS)
-        for b in tiles[a:]:
-            B = slice(b * _BLOCK_ROWS, (b + 1) * _BLOCK_ROWS)
-            gram = rows[A] @ rows[B].T
-            masks[a].append(~(_from_gram(gram, sq[A], sq[B], doubled) >= half))
-            if b != a:
-                masks[b].append(~(_from_gram(gram.T, sq[B], sq[A], doubled) >= half))
-        near = np.hstack(masks[a])
+    computed = 0
+    for a, A in enumerate(tiles):
+        rows_a = rows[A]
+        for b in range(a, len(tiles)):
+            slack = np.sqrt(2.0 * (d + 2) * np.finfo(float).eps * c * c
+                            * (last_sq[a] + last_sq[b]))
+            gap = min(max(first[a] - c * last[b], c * first[b] - last[a]),
+                      max(first[b] - c * last[a], c * first[a] - last[b]))
+            if gap >= half + 2.0 * slack:
+                continue
+            computed += 1
+            B = tiles[b]
+            gram = rows_a @ rows[B].T
+            near = ~(_from_gram(gram, sq[A], sq[B], doubled) >= half)
+            if b == a:
+                np.fill_diagonal(near, False)
+            else:
+                masks[b].append((A, ~(_from_gram(gram.T, sq[B], sq[A], doubled) >= half)))
+            masks[a].append((B, near))
+        counts[A] = sum(near.sum(axis=1) for _, near in masks[a])
+        has_peers = counts[A] < n - 1
+        for cols, near in masks[a]:
+            i, j = np.nonzero(near[has_peers])
+            keys.append(A[has_peers][i] * n + cols[j])
         masks[a] = []
-        lo = a * _BLOCK_ROWS
-        hi = lo + near.shape[0]
-        near[np.arange(hi - lo), np.arange(lo, hi)] = False
-        counts[lo:hi] = near.sum(axis=1)
-        near[counts[lo:hi] == n - 1] = False
-        i, j = np.nonzero(near)
-        keys.append((i + lo) * n + j)
-    keys.append([n * n])
-    return counts, np.concatenate(keys)
+    keys = np.sort(np.concatenate(keys)) if keys else np.empty(0, dtype=np.int64)
+    total = len(tiles) * (len(tiles) + 1) // 2
+    return counts, np.append(keys, n * n), computed, total
 
 
 def _shortlist_wins(proj: np.ndarray, near_keys: np.ndarray, depth: int) -> np.ndarray:
@@ -219,8 +245,9 @@ def detect_novel_pairs(cooc: CoocMatrix, config: DetectionConfig) -> NovelPairSe
     with the plain zeta/2 rule.  Fails if fewer than K rows separated by
     zeta/2 exist.
 
-    Distances are computed in tiles and only each row's set of non-peers
-    is kept; scoring tests the top rows of each direction (see
+    Distances are computed in tiles, except between tiles whose rows'
+    norms alone set them apart, and only each row's set of non-peers is
+    kept; scoring tests the top rows of each direction (see
     ``_shortlist_wins``); the selection walk reads peers from the same
     sets and computes the noise-floor distances of the at most K selected
     rows only.
@@ -236,13 +263,13 @@ def detect_novel_pairs(cooc: CoocMatrix, config: DetectionConfig) -> NovelPairSe
     sampled = cooc.split is not None
     W = cooc.E.shape[1]
     cols = act if sampled else np.arange(W)
-    rows = cooc.E[np.ix_(act, cols)]
+    rows = cooc.E.block(act, cols)
     n = act.size
     half = config.zeta / 2.0
     doubled = config.doubled_distance_rule
 
     sq = np.einsum("ij,ij->i", rows, rows)
-    near_counts, near_keys = _near_sets(rows, sq, half, doubled)
+    near_counts, near_keys, distance_tiles, total_tiles = _near_sets(rows, sq, half, doubled)
     has_peers = near_counts < n - 1
     depth = int(near_counts[has_peers].max()) + 1 if has_peers.any() else 0
 
@@ -306,6 +333,8 @@ def detect_novel_pairs(cooc: CoocMatrix, config: DetectionConfig) -> NovelPairSe
         solid_angles={int(r): float(q) for r, q in zip(act, qhat)},
         fallback_used=fallback_used,
         shortlist_depth=depth,
+        distance_tiles=distance_tiles,
+        total_tiles=total_tiles,
     )
 
 
@@ -419,7 +448,7 @@ def estimate_ranking_matrix(
     sel = np.asarray(novel.rows, dtype=np.int64)
     K = sel.size
 
-    En = E[np.ix_(sel, sel)]
+    En = E.block(sel, sel)
     H = 0.5 * (En + En.T)
     evals = np.linalg.eigvalsh(H)
     if evals[0] < 0:
@@ -430,8 +459,9 @@ def estimate_ranking_matrix(
     lips = max(float(evals[-1]), 1e-12)
 
     act = np.flatnonzero(cooc.active)
-    c = 0.5 * (E[np.ix_(sel, act)].T + E[np.ix_(act, sel)])
-    b, resid, failed = _minimize_simplex_quadratics(H, c, E[act, act], lips, epsilon, max_iter)
+    c = 0.5 * (E.block(sel, act).T + E.block(act, sel))
+    b, resid, failed = _minimize_simplex_quadratics(H, c, E.diagonal(act), lips, epsilon,
+                                                    max_iter)
     if failed.size:
         worst = max(zip(act[failed].tolist(), resid[failed].tolist()), key=lambda t: t[1])
         raise RegressionError(

@@ -6,6 +6,8 @@ to one; the scaled cross product of the halves converges, as the number of
 users grows, to a matrix determined only by the observation matrix B and
 the first two moments of the weight prior.  Splitting removes the
 within-user sampling noise that would otherwise contaminate the diagonal.
+The W x W estimate is never built: it is kept as the two normalized
+halves and read a block at a time (``CoocFactors``).
 """
 
 from __future__ import annotations
@@ -42,13 +44,126 @@ class SplitCounts:
         return self.row_totals() / self.M
 
 
+# Rows per product when a block of E-hat is filled from its factors, so
+# that a sparse product never holds more than this many rows of the block.
+_CHUNK_ROWS = 256
+# The most entries of the sparse ``right`` factor laid out as a dense array
+# at once (8 MB).
+_DENSE_ENTRIES = 2**20
+
+
+def _stored_bytes(factor) -> int:
+    if sp.issparse(factor):
+        return factor.data.nbytes + factor.indices.nbytes + factor.indptr.nbytes
+    return factor.nbytes
+
+
+def _gemm_index(idx: np.ndarray) -> np.ndarray:
+    # numpy hands a product with a single row or column to gemv, whose sums
+    # can differ in the last bit from gemm's; repeating the lone index keeps
+    # every product a gemm
+    return np.repeat(idx, 2) if idx.size == 1 else idx
+
+
+@dataclass(frozen=True)
+class CoocFactors:
+    """A W x W co-occurrence matrix kept as its factors:
+    E = scale * left @ right.T.
+
+    Sampled corpora keep the sparse row-normalized halves (left = X'n,
+    right = Xn, scale = M), analytic moments the dense W x K factors
+    (left = B̄R̄, right = B̄, scale = 1).  Entries are read only through
+    ``block`` and ``diagonal``, which give bit for bit what the full
+    product would hold, so no W x W array is ever built.  A sparse
+    ``right`` must hold no duplicate entries, as the normalized halves
+    never do: laid out densely, duplicates would be added before they are
+    multiplied.
+    """
+
+    left: sp.csr_matrix | np.ndarray
+    right: sp.csr_matrix | np.ndarray
+    scale: float
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.left.shape[0], self.right.shape[0])
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the factors store."""
+        return _stored_bytes(self.left) + _stored_bytes(self.right)
+
+    def block(self, I, J) -> np.ndarray:
+        """E[I][:, J] as a dense array, built _CHUNK_ROWS rows at a time.
+
+        Each entry of a sparse product is a sum of the matched terms in the
+        order of ``left``'s stored indices, whichever rows the product
+        covers.  When the rows J of ``right`` fit in _DENSE_ENTRIES, they
+        are laid out densely: sparse times dense adds the same terms in the
+        same order, plus exact zeros, and skips the symbolic pass of a
+        sparse product.  A gemm entry does not depend on the other rows and
+        columns of its product.  So every block has the full product's bits.
+        """
+        I = np.asarray(I, dtype=np.intp)
+        J = np.asarray(J, dtype=np.intp)
+        out = np.zeros((I.size, J.size))
+        if not sp.issparse(self.left):
+            right = self.right[_gemm_index(J)].T
+        elif J.size * self.right.shape[1] <= _DENSE_ENTRIES:
+            right = self.right[J].T.toarray()
+        else:
+            right = self.right[J].T.tocsr()
+        for lo in range(0, I.size, _CHUNK_ROWS):
+            rows = I[lo:lo + _CHUNK_ROWS]
+            part = out[lo:lo + _CHUNK_ROWS]
+            if sp.issparse(right):
+                (self.left[rows] @ right).toarray(out=part)  # adds into the zeros
+            elif sp.issparse(self.left):
+                part[...] = self.left[rows] @ right
+            else:
+                part[...] = (self.left[_gemm_index(rows)] @ right)[:rows.size, :J.size]
+            part *= self.scale
+        return out
+
+    def diagonal(self, I) -> np.ndarray:
+        """The entries E[i, i] for i in I, a chunk of rows at a time.
+
+        Sparse factors cost O(nnz): each row's products with ``right``'s
+        entries, laid out densely for at most _DENSE_ENTRIES at once, are
+        added one after another in the order of ``left``'s stored indices,
+        as the sparse product adds them; terms that meet no entry of
+        ``right`` add an exact zero.  Dense factors take the diagonals of
+        square blocks.
+        """
+        I = np.asarray(I, dtype=np.intp)
+        sparse = sp.issparse(self.left)
+        step = _CHUNK_ROWS
+        if sparse:
+            step = max(1, min(step, _DENSE_ENTRIES // max(1, self.left.shape[1])))
+        out = np.empty(I.size)
+        for lo in range(0, I.size, step):
+            rows = I[lo:lo + step]
+            if sparse:
+                L = self.left[rows]
+                at = np.repeat(np.arange(rows.size), np.diff(L.indptr))
+                terms = L.data * self.right[rows].toarray()[at, L.indices]
+                # add.at adds the terms one at a time, in their order
+                diag = np.zeros(rows.size)
+                np.add.at(diag, at, terms)
+                diag *= self.scale
+            else:
+                diag = self.block(rows, rows).diagonal()
+            out[lo:lo + step] = diag
+        return out
+
+
 @dataclass
 class CoocMatrix:
     """Estimated co-occurrence matrix with bookkeeping.
 
-    ``E`` is a dense W x W array.  ``M`` is the number of users behind the
-    estimate; 0 marks an analytic (asymptotic) matrix.  Rows and columns
-    outside ``active`` are zero.
+    ``E`` holds the W x W estimate as its factors (``CoocFactors``).  ``M``
+    is the number of users behind the estimate; 0 marks an analytic
+    (asymptotic) matrix.  Rows and columns outside ``active`` are zero.
     ``row_counts`` carries the combined observation count of each pair row
     (None for analytic matrices), letting downstream consumers judge how
     trustworthy each row of the estimate is.  ``split`` keeps the
@@ -57,7 +172,7 @@ class CoocMatrix:
     matrices.
     """
 
-    E: np.ndarray
+    E: CoocFactors
     active: np.ndarray
     M: int
     Q: int
@@ -107,17 +222,18 @@ def _normalize_rows(X: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def cooccurrence(split: SplitCounts) -> CoocMatrix:
-    """E-hat = M * row-normalized(X') row-normalized(X)^T, as a dense array."""
+    """E-hat = M * row-normalized(X') row-normalized(X)^T, kept as those
+    two sparse factors."""
     Xn, Xpn = normalized_halves(split)
-    E = (Xpn @ Xn.T).toarray()
-    E *= split.M
     counts = split.row_totals()
-    return CoocMatrix(E, counts > 0, split.M, split.Q, row_counts=counts, split=split)
+    return CoocMatrix(CoocFactors(Xpn, Xn, float(split.M)), counts > 0, split.M, split.Q,
+                      row_counts=counts, split=split)
 
 
 def analytic_cooccurrence(model: MixedMembershipModel) -> tuple[CoocMatrix, np.ndarray]:
-    """Asymptotic co-occurrence matrix of a model, plus the asymptotic row
-    scale (per-comparison observation mass of each pair row).
+    """Asymptotic co-occurrence matrix B̄R̄B̄ᵀ of a model, kept as its W x K
+    factors, plus the asymptotic row scale (per-comparison observation mass
+    of each pair row).
 
     The weight prior must have a full-rank second moment, otherwise the
     components are not identifiable from these statistics.
@@ -135,5 +251,4 @@ def analytic_cooccurrence(model: MixedMembershipModel) -> tuple[CoocMatrix, np.n
     Bbar = np.zeros_like(B)
     Bbar[active] = B[active] * a[None, :] / Ba[active, None]
     Rbar = R / np.outer(a, a)
-    E = Bbar @ Rbar @ Bbar.T
-    return CoocMatrix(E, active, 0, model.Q), Ba
+    return CoocMatrix(CoocFactors(Bbar @ Rbar, Bbar, 1.0), active, 0, model.Q), Ba

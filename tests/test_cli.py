@@ -174,13 +174,16 @@ class TestEstimateAndEvaluate:
             "-o", str(tmp_path / "est.json"), "--components", "2", "--seed", "0")
         assert code == 0
         assert "estimated 2 components over 8 items" in out
-        m = re.fullmatch(r"estimate: (\d+) candidate rows, shortlist depth (\d+), "
+        m = re.fullmatch(r"estimate: (\d+) candidate rows, distances in (\d+) of (\d+) tiles, "
+                         r"shortlist depth (\d+), "
                          r"noise-floor fallback (used|not used), solid-angle margin (\S+) "
                          r"\((\d+) of (\d+) projections\); (\d+) clamped dispersions\n", err)
         assert m, err
-        assert int(m[1]) >= 2 and m[3] == "not used" and float(m[4]) > 0 and m[7] == "0"
+        assert int(m[1]) >= 2 and m[5] == "not used" and float(m[6]) > 0 and m[9] == "0"
+        # at most 56 pair rows make one tile, which holds the diagonal
+        assert m[2] == m[3] == "1"
         # the margin is a whole number of the P = 150K projections
-        assert m[6] == "300" and float(m[4]) * 300 == pytest.approx(int(m[5]), rel=1e-3)
+        assert m[8] == "300" and float(m[6]) * 300 == pytest.approx(int(m[7]), rel=1e-3)
 
         est = read_json(tmp_path / "est.json")
         assert est["K"] == 2 and est["Q"] == 8

@@ -35,11 +35,12 @@ from mallowmix.moments import (
 )
 from mallowmix.permutations import Permutation
 from mallowmix.separability import check_separability
+from test_moments import dense_factors, full
 
 
 def analytic_toy(E, Q=2):
     E = np.asarray(E, dtype=float)
-    return CoocMatrix(E, np.ones(E.shape[0], dtype=bool), 0, Q)
+    return CoocMatrix(dense_factors(E), np.ones(E.shape[0], dtype=bool), 0, Q)
 
 
 def reference_detect(cooc: CoocMatrix, config: DetectionConfig):
@@ -55,11 +56,17 @@ def reference_detect(cooc: CoocMatrix, config: DetectionConfig):
     if act.size < K:
         raise DetectionError(f"only {act.size} candidate rows, need at least {K}")
     sampled = cooc.split is not None
-    rows = cooc.E[np.ix_(act, act)] if sampled else cooc.E[act]
+    E = full(cooc)
+    rows = E[np.ix_(act, act)] if sampled else E[act]
     n = act.size
 
     sq = np.einsum("ij,ij->i", rows, rows)
-    gram = rows @ rows.T
+    # The Gram product of the rows in ascending norm order, the order in
+    # which detection tiles them: permuted operands can move an entry by
+    # its last bit, and so decide a pair whose distance lies at zeta/2.
+    order = np.argsort(sq, kind="stable")
+    gram = np.empty((n, n))
+    gram[np.ix_(order, order)] = rows[order] @ rows[order].T
     if config.doubled_distance_rule:
         d2 = sq[:, None] - 4.0 * gram + 4.0 * sq[None, :]
     else:
@@ -127,7 +134,8 @@ def radius_of_isolation(cooc: CoocMatrix) -> float:
     """The smallest distance within which some active row has every other
     active row: a zeta/2 above it leaves that row without peers."""
     act = np.flatnonzero(cooc.active)
-    rows = cooc.E[np.ix_(act, act)] if cooc.split is not None else cooc.E[act]
+    E = full(cooc)
+    rows = E[np.ix_(act, act)] if cooc.split is not None else E[act]
     dist = np.sqrt(((rows[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2))
     return float(dist.max(axis=1).min()) if act.size > 1 else 1.0
 
@@ -245,7 +253,7 @@ class TestDetection:
                       [0.0, 1.0, 3.0],
                       [3.0, 3.0, 9.0]])
         counts = np.array([100, 100, 1])
-        cooc = CoocMatrix(E, np.ones(3, dtype=bool), 50, 2, row_counts=counts)
+        cooc = CoocMatrix(dense_factors(E), np.ones(3, dtype=bool), 50, 2, row_counts=counts)
         novel = detect_novel_pairs(cooc, DetectionConfig(n_components=2))
         assert sorted(novel.rows) == [0, 1]
         # disabling the floor lets the outlier through
@@ -301,7 +309,7 @@ def analytic_random(seed, Q, n_active, n_copies, jitter):
     E = clustered_rows(rng, rng.random((W, W)), n_copies, jitter)
     active = np.zeros(W, dtype=bool)
     active[rng.choice(W, size=n_active, replace=False)] = True
-    return CoocMatrix(E, active, 0, Q)
+    return CoocMatrix(dense_factors(E), active, 0, Q)
 
 
 def sampled_random(seed, Q, M, n_copies, jitter):
@@ -314,19 +322,26 @@ def sampled_random(seed, Q, M, n_copies, jitter):
     return cooccurrence(SplitCounts(sp.csr_matrix(X), sp.csr_matrix(Xp), M, Q))
 
 
-def zeta_between_distances(cooc: CoocMatrix, doubled: bool, gap: float) -> float:
-    """A zeta whose half lies midway between two neighbouring distances
-    between active rows (or above the largest), the pair picked by ``gap``
-    in [0, 1]; neighbours closer than 1e-6 of the largest are skipped."""
-    act = np.flatnonzero(cooc.active)
-    rows = cooc.E[np.ix_(act, act)] if cooc.split is not None else cooc.E[act]
+def half_between_distances(rows: np.ndarray, doubled: bool, gap: float) -> float:
+    """A half-zeta midway between two neighbouring distances between rows
+    (or above the largest), the pair picked by ``gap`` in [0, 1];
+    neighbours closer than 1e-6 of the largest are skipped."""
     scale = 2.0 if doubled else 1.0
     dist = np.sqrt(((rows[:, None, :] - scale * rows[None, :, :]) ** 2).sum(axis=2))
-    d = np.unique(np.concatenate([[0.0], dist[~np.eye(act.size, dtype=bool)]]))
+    d = np.unique(np.concatenate([[0.0], dist[~np.eye(rows.shape[0], dtype=bool)]]))
     edges = np.append(d, 2.0 * d[-1] + 1.0)
     lo = np.flatnonzero(np.diff(edges) > 1e-6 * edges[-1])
     k = lo[min(int(gap * lo.size), lo.size - 1)]
-    return edges[k] + edges[k + 1]
+    return (edges[k] + edges[k + 1]) / 2.0
+
+
+def zeta_between_distances(cooc: CoocMatrix, doubled: bool, gap: float) -> float:
+    """A zeta whose half lies midway between two neighbouring distances
+    between active rows (see ``half_between_distances``)."""
+    act = np.flatnonzero(cooc.active)
+    E = full(cooc)
+    rows = E[np.ix_(act, act)] if cooc.split is not None else E[act]
+    return 2.0 * half_between_distances(rows, doubled, gap)
 
 
 def compare_to_reference(cooc, cfg):
@@ -409,6 +424,143 @@ class TestDetectionMatchesReference:
         assert peerless > 0
 
 
+def reference_near_sets(rows, sq, half, doubled):
+    """Near sets from every tile of the upper triangle, rows in index
+    order: ``_near_sets`` before it skipped tiles by their norm gap."""
+    n = rows.shape[0]
+    B = estimator._BLOCK_ROWS
+    tiles = range(-(-n // B))
+    masks = [[] for _ in tiles]
+    counts = np.empty(n, dtype=np.int64)
+    keys = []
+    for a in tiles:
+        A = slice(a * B, (a + 1) * B)
+        for b in tiles[a:]:
+            Bs = slice(b * B, (b + 1) * B)
+            gram = rows[A] @ rows[Bs].T
+            masks[a].append(~(estimator._from_gram(gram, sq[A], sq[Bs], doubled) >= half))
+            if b != a:
+                masks[b].append(~(estimator._from_gram(gram.T, sq[Bs], sq[A], doubled) >= half))
+        near = np.hstack(masks[a])
+        masks[a] = []
+        lo = a * B
+        hi = lo + near.shape[0]
+        near[np.arange(hi - lo), np.arange(lo, hi)] = False
+        counts[lo:hi] = near.sum(axis=1)
+        near[counts[lo:hi] == n - 1] = False
+        i, j = np.nonzero(near)
+        keys.append((i + lo) * n + j)
+    keys.append([n * n])
+    return counts, np.concatenate(keys)
+
+
+def slack_bound(d, sq_i, sq_j, doubled):
+    """The rounding slack of ``_near_sets`` for rows of length d."""
+    c = 2.0 if doubled else 1.0
+    return np.sqrt(2.0 * (d + 2) * np.finfo(float).eps * c * c * (sq_i + sq_j))
+
+
+def near_set_case(seed, n, d, kind, doubled, gap, offsets):
+    """Rows and a half-zeta for ``_near_sets``.
+
+    "random" rows of mixed scales and "tied" rows (a few base rows under
+    random sign flips, so their squared norms tie exactly, and duplicates)
+    get a half midway between two distances.  "parallel" rows are
+    multiples t u of one vector, in pairs whose norm gap |t_i - c t_j| |u|
+    is half plus a drawn multiple of the largest slack (``offsets``), so
+    their distance equals the gap up to rounding."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        rows = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-1, 1, size=(n, 1))
+    elif kind == "tied":
+        base = rng.standard_normal((int(rng.integers(1, 4)), d))
+        base *= 10.0 ** rng.uniform(-1, 1, size=(base.shape[0], 1))
+        rows = base[rng.integers(0, base.shape[0], size=n)]
+        rows = rows * rng.choice([-1.0, 1.0], size=(n, d))
+    else:
+        c = 2.0 if doubled else 1.0
+        u = rng.standard_normal(d)
+        nu = float(np.linalg.norm(u))
+        hf = rng.uniform(0.05, 0.5)
+        s0 = float(slack_bound(d, 16 * nu * nu, 16 * nu * nu, doubled))  # norms below 4 |u|
+        t = []
+        for _ in range(-(-n // 2)):
+            anchor = rng.uniform(1.0, 3.0)
+            m = offsets[int(rng.integers(len(offsets)))]
+            t += [anchor, (anchor + hf + m * s0 / nu) / c]
+        rows = np.array(t[:n])[:, None] * u[None, :]
+        rows = rows[rng.permutation(n)]
+        return rows, hf * nu
+    return rows, half_between_distances(rows, doubled, gap)
+
+
+class TestNearSetsMatchReference:
+    """Tiles skipped by their norm gap change no near set."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 12),
+           kind=st.sampled_from(["random", "tied", "parallel"]), doubled=st.booleans(),
+           gap=st.floats(0.0, 1.0), block=st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_counts_and_keys(self, seed, n, d, kind, doubled, gap, block):
+        # Within one tile pair the Gram entries may come from other BLAS
+        # calls than the reference's and differ in the last bit, so distances
+        # at half within rounding are drawn only with one-row tiles, where
+        # both sides compute every entry with the same dot product.
+        offsets = [-3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 2.5, 3.0]
+        if block == 1:
+            offsets += [-1e-9, 0.0, 1e-9, 1.9, 2.0 + 1e-9]
+        rows, half = near_set_case(seed, n, d, kind, doubled, gap, offsets)
+        sq = np.einsum("ij,ij->i", rows, rows)
+        with mock.patch.object(estimator, "_BLOCK_ROWS", block):
+            want_counts, want_keys = reference_near_sets(rows, sq, half, doubled)
+            counts, keys, computed, total = estimator._near_sets(rows, sq, half, doubled)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(keys, want_keys)
+        tiles = -(-n // block)
+        assert total == tiles * (tiles + 1) // 2
+        assert (0 if doubled else tiles) <= computed <= total
+
+    def test_cases_skip_tiles(self):
+        # the property above is only as strong as the cases it sees: its
+        # parallel rows must leave tiles out under both rules
+        for doubled in (False, True):
+            skipped = 0
+            for seed in range(20):
+                rows, half = near_set_case(seed, 24, 5, "parallel", doubled, 0.0, [0.5, 3.0])
+                sq = np.einsum("ij,ij->i", rows, rows)
+                with mock.patch.object(estimator, "_BLOCK_ROWS", 2):
+                    _, _, computed, total = estimator._near_sets(rows, sq, half, doubled)
+                skipped += total - computed
+            assert skipped > 0
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 400), doubled=st.booleans(),
+           m=st.sampled_from([2.0, 2.0 + 1e-9, 2.01, 2.5]), spread=st.floats(0.0, 12.0))
+    @settings(max_examples=200, deadline=None)
+    def test_no_pair_beyond_the_slack_is_near(self, seed, d, doubled, m, spread):
+        # a pair whose norms differ by half plus twice its slack is far
+        # under the full Gram product, however the row's entries spread
+        rng = np.random.default_rng(seed)
+        c = 2.0 if doubled else 1.0
+        u = rng.standard_normal(d) * 10.0 ** rng.uniform(-spread, spread, size=d)
+        u += 1e-3 * rng.standard_normal(d) * np.abs(u)  # not quite parallel
+        nu = float(np.linalg.norm(u))
+        half = rng.uniform(1e-6, 0.5) * nu
+        t_i = rng.uniform(1.0, 3.0)
+        rows = np.stack([t_i * u, rng.uniform(0.1, 4.0) * u])
+        sq = np.einsum("ij,ij->i", rows, rows)
+        norms = np.sqrt(sq)
+        slack = slack_bound(d, sq[0], sq[1], doubled)
+        t_j = (norms[0] + half + m * slack) / (c * nu)
+        rows[1] = t_j * u
+        sq = np.einsum("ij,ij->i", rows, rows)
+        norms = np.sqrt(sq)
+        slack = slack_bound(d, sq[0], sq[1], doubled)
+        if abs(norms[0] - c * norms[1]) < half + 2.0 * slack:
+            return
+        dist = estimator._from_gram(rows @ rows.T, sq, sq, doubled)
+        assert dist[0, 1] >= half
+
+
 class TestRegression:
     def test_interior_row_recovers_its_coefficients(self):
         # row 2 = 0.3 row0 + 0.7 row1 with a consistent diagonal; the
@@ -418,7 +570,7 @@ class TestRegression:
                      [0.0, 1.0, 0.7],
                      [0.3, 0.7, 0.58]]
         active = np.array([True, True, True, False, False, False])
-        cooc = CoocMatrix(E, active, 0, 3)
+        cooc = CoocMatrix(dense_factors(E), active, 0, 3)
         novel = NovelPairSet(rows=[0, 1], item_pairs=[(1, 2), (1, 3)], solid_angles={})
         B = estimate_ranking_matrix(cooc, np.ones(6), novel)
         C = B.entries
@@ -499,7 +651,7 @@ def reference_estimate_ranking_matrix(cooc, row_scale, novel, epsilon=1e-4, max_
                                       hits=None):
     """The regression with one solver loop per active row."""
     hits = Counter() if hits is None else hits
-    E = cooc.E
+    E = full(cooc)
     W = E.shape[0]
     row_scale = np.asarray(row_scale, dtype=float)
     if row_scale.shape != (W,):

@@ -1,10 +1,15 @@
 """Split-half counts and the co-occurrence estimate behind detection."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mallowmix import pairs
+from mallowmix import moments, pairs
 from mallowmix.generator import (
     ComparisonCorpus,
     DirichletPrior,
@@ -14,6 +19,7 @@ from mallowmix.generator import (
 )
 from mallowmix.mallows import MallowsComponent
 from mallowmix.moments import (
+    CoocFactors,
     CoocMatrix,
     SplitCounts,
     SplitError,
@@ -23,6 +29,43 @@ from mallowmix.moments import (
     split_halves,
 )
 from mallowmix.permutations import Permutation
+
+
+def dense_factors(E) -> CoocFactors:
+    """Factors of a given dense matrix: E @ I.T has E's bits, since every
+    entry adds one product by one to products by zero."""
+    E = np.asarray(E, dtype=float)
+    return CoocFactors(E, np.eye(E.shape[1]), 1.0)
+
+
+def full(cooc: CoocMatrix) -> np.ndarray:
+    """The whole W x W matrix, read through ``block``."""
+    everything = np.arange(cooc.E.shape[0])
+    return cooc.E.block(everything, everything)
+
+
+def reference_cooccurrence_E(split: SplitCounts) -> np.ndarray:
+    """E-hat built whole, as a dense array, the way ``cooccurrence`` built it
+    before it kept the factors."""
+    Xn, Xpn = normalized_halves(split)
+    E = (Xpn @ Xn.T).toarray()
+    E *= split.M
+    return E
+
+
+def reference_analytic_E(model: MixedMembershipModel) -> np.ndarray:
+    """The dense asymptotic matrix, the way ``analytic_cooccurrence`` built
+    it before it kept the factors."""
+    K = model.K
+    a = model.prior.mean(K)
+    R = model.prior.correlation(K)
+    B = model.observation_matrix().entries
+    Ba = B @ a
+    active = Ba > 0
+    Bbar = np.zeros_like(B)
+    Bbar[active] = B[active] * a[None, :] / Ba[active, None]
+    Rbar = R / np.outer(a, a)
+    return Bbar @ Rbar @ Bbar.T
 
 
 def corpus_from_records(Q, M, records):
@@ -96,8 +139,9 @@ class TestCooccurrence:
             records = [(u, 1, 2) for u in range(M) for _ in range(2)]
             cooc = cooccurrence(split_halves(corpus_from_records(3, M, records)))
             w = pairs.pair_row(1, 2, 3)
-            assert cooc.E[w, w] == pytest.approx(1.0)
-            assert np.count_nonzero(cooc.E) == 1
+            assert cooc.E.block([w], [w])[0, 0] == pytest.approx(1.0)
+            assert cooc.E.diagonal([w])[0] == pytest.approx(1.0)
+            assert np.count_nonzero(full(cooc)) == 1
             assert cooc.active[w] and cooc.active.sum() == 1
             assert cooc.M == M and cooc.row_counts[w] == 2 * M
             assert cooc.split is not None
@@ -123,7 +167,7 @@ class TestCooccurrence:
         denom = B @ a_emp
         Bbar = B * a_emp[None, :] / denom[:, None]
         want = Bbar @ (R_emp / np.outer(a_emp, a_emp)) @ Bbar.T
-        assert np.allclose(got.E, want, atol=1e-12)
+        assert np.allclose(full(got), want, atol=1e-12)
 
     def test_matches_analytic_cooccurrence_for_fixed_weights(self):
         # all users share one weight vector: expected-count halves must
@@ -148,10 +192,11 @@ class TestCooccurrence:
         model = MixedMembershipModel([MallowsComponent(ref, 0.0)], FixedWeights((1.0,)))
         cooc, row_scale = analytic_cooccurrence(model)
         act = cooc.active
+        E = full(cooc)
         # dispersion zero: exactly one direction of each pair is possible
         assert act.sum() == pairs.num_unordered(4)
-        assert np.allclose(cooc.E[np.ix_(act, act)], 1.0)
-        assert np.all(cooc.E[~act] == 0) and np.all(cooc.E[:, ~act] == 0)
+        assert np.allclose(E[np.ix_(act, act)], 1.0)
+        assert np.all(E[~act] == 0) and np.all(E[:, ~act] == 0)
         assert np.allclose(row_scale[act], 1.0 / pairs.num_unordered(4))
 
     def test_estimate_converges_to_analytic(self):
@@ -164,24 +209,29 @@ class TestCooccurrence:
         for M in (500, 5000, 50000):
             corpus, _ = generate(model, M=M, N=10, seed=14)
             est = cooccurrence(split_halves(corpus))
-            errs.append(float(np.max(np.abs(est.E - exact.E))))
+            errs.append(float(np.max(np.abs(full(est) - full(exact)))))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 0.05
 
-    def test_dense_at_many_pair_rows(self):
+    def test_factors_at_many_pair_rows(self):
         Q = 46  # 2070 ordered pairs
         model = MixedMembershipModel(
             [MallowsComponent(Permutation.identity(Q), 0.3)], FixedWeights((1.0,)))
         corpus, _ = generate(model, M=60, N=30, seed=6)
         split = split_halves(corpus)
         cooc = cooccurrence(split)
-        assert isinstance(cooc.E, np.ndarray)
+        assert isinstance(cooc.E, CoocFactors)
         assert cooc.E.shape == (pairs.num_pairs(Q),) * 2
         assert (~cooc.active).any()
-        assert np.all(cooc.E[~cooc.active] == 0)
-        assert np.all(cooc.E[:, ~cooc.active] == 0)
+        E = full(cooc)
+        assert np.all(E[~cooc.active] == 0)
+        assert np.all(E[:, ~cooc.active] == 0)
         Xn, Xpn = normalized_halves(split)
-        assert np.array_equal(cooc.E, (60 * (Xpn @ Xn.T)).toarray())
+        assert np.array_equal(E, (60 * (Xpn @ Xn.T)).toarray())
+        # the factors store the two sparse halves, far less than W x W floats
+        assert cooc.E.nbytes == sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+                                    for m in (Xn, Xpn))
+        assert cooc.E.nbytes < E.nbytes / 10
 
     def test_unobserved_rows_inactive(self):
         records = [(0, 1, 2), (0, 1, 2), (1, 1, 2), (1, 2, 3)]
@@ -189,4 +239,134 @@ class TestCooccurrence:
         w12, w23 = pairs.pair_row(1, 2, 3), pairs.pair_row(2, 3, 3)
         assert cooc.active[w12] and cooc.active[w23]
         assert cooc.active.sum() == 2
-        assert np.all(cooc.E[~cooc.active] == 0)
+        assert np.all(full(cooc)[~cooc.active] == 0)
+
+    def test_dense_factors_keep_every_bit(self):
+        rng = np.random.default_rng(3)
+        E = rng.standard_normal((7, 7)) * 10.0 ** rng.integers(-300, 300, size=(7, 7))
+        got = dense_factors(E)
+        assert np.array_equal(got.block(np.arange(7), np.arange(7)), E)
+        assert np.array_equal(got.diagonal([4, 0, 4]), E[[4, 0, 4], [4, 0, 4]])
+
+
+def random_split(seed, Q, M, p_active, p_one_half, shuffle) -> SplitCounts:
+    """Random half counts: rows never seen, rows seen in one half only, and,
+    with ``shuffle``, CSR indices out of order within each row."""
+    rng = np.random.default_rng(seed)
+    W = pairs.num_pairs(Q)
+    seen = rng.random(W) < p_active
+    halves = []
+    for half in range(2):
+        counts = rng.poisson(rng.uniform(0.2, 2.0), size=(W, M)).astype(float)
+        counts[~seen] = 0.0
+        counts[seen & (rng.random(W) < p_one_half)] = 0.0
+        X = sp.csr_matrix(counts)
+        if shuffle:
+            for i in range(W):
+                lo, hi = X.indptr[i], X.indptr[i + 1]
+                perm = lo + rng.permutation(hi - lo)
+                X.indices[lo:hi], X.data[lo:hi] = X.indices[perm], X.data[perm]
+            X.has_sorted_indices = False
+        halves.append(X)
+    return SplitCounts(halves[0], halves[1], M, Q)
+
+
+def random_model(seed, Q, K) -> MixedMembershipModel:
+    rng = np.random.default_rng(seed)
+    comps = [MallowsComponent(Permutation.from_ranking((rng.permutation(Q) + 1).tolist()),
+                              float(phi))
+             for phi in rng.choice([0.0, 0.2, 0.7], size=K)]
+    return MixedMembershipModel(comps, DirichletPrior(float(rng.uniform(0.1, 2.0))))
+
+
+def index_subsets(rng, W, draws=4):
+    """Random row and column index arrays: any order, repeats allowed,
+    singletons and empty ones included."""
+    for size in (0, 1, *rng.integers(1, 2 * W + 1, size=draws - 2)):
+        yield rng.integers(0, W, size=int(size))
+
+
+class TestFactorsMatchDenseReference:
+    """Blocks and diagonals of the factors hold the bits of the dense Ê
+    that ``cooccurrence`` and ``analytic_cooccurrence`` used to build."""
+
+    def check(self, factors, E, rng):
+        for I, J in zip(index_subsets(rng, E.shape[0]), index_subsets(rng, E.shape[1])):
+            assert np.array_equal(factors.block(I, J), E[np.ix_(I, J)])
+            assert np.array_equal(factors.diagonal(I), E[I, I])
+
+    @given(seed=st.integers(0, 2**32 - 1), Q=st.integers(2, 6), M=st.integers(1, 40),
+           p_active=st.floats(0.0, 1.0), p_one_half=st.floats(0.0, 0.5),
+           shuffle=st.booleans(), chunk=st.integers(1, 300),
+           dense_entries=st.integers(0, 2500))
+    @settings(max_examples=200, deadline=None)
+    def test_sampled(self, seed, Q, M, p_active, p_one_half, shuffle, chunk, dense_entries):
+        # dense_entries decides, block by block, whether the rows of the
+        # right factor are laid out densely or transposed as a sparse matrix
+        split = random_split(seed, Q, M, p_active, p_one_half, shuffle)
+        E = reference_cooccurrence_E(split)
+        with mock.patch.multiple(moments, _CHUNK_ROWS=chunk, _DENSE_ENTRIES=dense_entries):
+            self.check(cooccurrence(split).E, E, np.random.default_rng(seed))
+
+    @given(seed=st.integers(0, 2**32 - 1), Q=st.integers(2, 7), K=st.integers(1, 4),
+           chunk=st.integers(1, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_analytic(self, seed, Q, K, chunk):
+        model = random_model(seed, Q, K)
+        try:
+            cooc, _ = analytic_cooccurrence(model)
+        except ValueError:  # a rank-deficient prior draw
+            return
+        with mock.patch.object(moments, "_CHUNK_ROWS", chunk):
+            self.check(cooc.E, reference_analytic_E(model), np.random.default_rng(seed))
+
+    def test_cases_reach_unsorted_rows_and_one_sided_pairs(self):
+        # the sampled property is only as strong as its draws: they must
+        # hold unsorted indices in the factors, inactive rows and rows seen
+        # in one half only
+        split = random_split(5, 5, 30, 0.7, 0.3, True)
+        cooc = cooccurrence(split)
+        X, Xp = (np.asarray(m.sum(axis=1)).ravel() for m in (split.X, split.X_prime))
+        assert not cooc.E.left.has_sorted_indices and not cooc.E.right.has_sorted_indices
+        assert (~cooc.active).any()
+        assert ((X > 0) != (Xp > 0)).any()
+
+    def test_diagonal_adds_terms_in_stored_order(self):
+        # one row whose matched terms sum differently in other orders: the
+        # diagonal must follow the product, not a pairwise or sorted sum
+        vals = np.array([1.0, 1e-16, 1e-16, 1e-16, 1e-16, 1.0, -1.0])
+        left = sp.csr_matrix((vals, np.arange(7), [0, 7]), shape=(1, 7))
+        right = sp.csr_matrix((np.ones(7), np.arange(7), [0, 7]), shape=(1, 7))
+        factors = CoocFactors(left, right, 1.0)
+        want = (left @ right.T).toarray()[0, 0]
+        assert want != np.sum(vals) or want != np.sum(vals[::-1])
+        assert factors.diagonal([0])[0] == want
+        assert factors.block([0], [0])[0, 0] == want
+
+
+class TestCooccurrenceMemory:
+    def test_split_to_ranking_matrix_stays_near_the_candidate_slice(self):
+        # With more pair rows than users the dense W x W E-hat alone would
+        # exceed the n x n candidate slice that detection holds; from the
+        # halves to B-hat nothing may hold much beside that slice.
+        from mallowmix.estimator import DetectionConfig, detect_novel_pairs, estimate_ranking_matrix
+
+        Q = 52  # 2652 pair rows, 800 users
+        model = MixedMembershipModel(
+            [MallowsComponent(Permutation.identity(Q), 0.1),
+             MallowsComponent(Permutation.from_ranking(list(range(Q, 0, -1))), 0.1)],
+            DirichletPrior(0.1))
+        corpus, _ = generate(model, M=800, N=100, seed=1)
+        tracemalloc.start()
+        try:
+            split = split_halves(corpus)
+            cooc = cooccurrence(split)
+            novel = detect_novel_pairs(cooc, DetectionConfig(n_components=1))
+            estimate_ranking_matrix(cooc, split.row_scale(), novel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = len(novel.solid_angles)
+        W = pairs.num_pairs(Q)
+        assert W > 800 and 2000 <= n <= W
+        assert peak < 1.3 * (8 * n * n)
