@@ -172,27 +172,35 @@ def cmd_estimate(args) -> int:
             raise StageError("config", ValueError("-i corpus is required without --exact-moments"))
         corpus = _stage("read", read_corpus, args.input)
         split = _stage("split", split_halves, corpus)
+        del corpus  # nothing reads the records after the split
         cooc = _stage("moments", cooccurrence, split)
         row_scale = split.row_scale()
     novel = _stage("detection", detect_novel_pairs, cooc, cfg)
-    B_hat = _stage(
+    B_hat, (steps, resid) = _stage(
         "regression",
         estimate_ranking_matrix,
         cooc,
         row_scale,
         novel,
         epsilon=args.epsilon,
+        trace=True,
     )
     est = _stage("postprocess", postprocess, B_hat)
     angles = sorted(novel.solid_angles.values(), reverse=True)
     margin = angles[K - 1] - angles[K] if len(angles) > K else angles[K - 1]
     # scores are multiples of 1/P, so a margin of 0 is a tie
     P = cfg.resolved_projections
+    # sigma_{K+1} comes from a block that converged on the top K only, so
+    # it is a lower bound
+    sv = novel.singular_values
+    s_next = float(sv[K]) if sv.size > K else 0.0
     print(f"estimate: {len(angles)} candidate rows, "
-          f"distances in {novel.distance_tiles} of {novel.total_tiles} tiles, "
-          f"shortlist depth {novel.shortlist_depth}, "
-          f"noise-floor fallback {'used' if novel.fallback_used else 'not used'}, "
+          f"sigma_{K} {sv[K - 1]:.4g} and sigma_{K + 1} at least {s_next:.4g} "
+          f"(ratio at most {sv[K - 1] / s_next if s_next > 0 else math.inf:.4g}) "
+          f"after {novel.iterations} subspace iterations, "
+          f"scorer window at most {novel.window} rows, "
           f"solid-angle margin {margin:.4g} ({round(margin * P)} of {P} projections); "
+          f"regression at most {steps} iterations, worst residual {resid:.3e}; "
           f"{len(est.diagnostics['clamped_components'])} clamped dispersions", file=sys.stderr)
     config = {
         "command": "estimate",
@@ -399,7 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--components", type=int, required=True, help="number of components K")
     e.add_argument("--projections", type=int, default=None,
                    help="random projection count (default 150 per component)")
-    e.add_argument("--zeta", type=float, default=0.05, help="row separation tolerance")
+    e.add_argument("--zeta", type=float, default=0.7,
+                   help="row separation tolerance, as a fraction of the spread of the "
+                        "candidate rows' rank-K part (the root mean square of their "
+                        "distances from their mean)")
     e.add_argument("--epsilon", type=float, default=1e-4, help="regression precision")
     e.add_argument("--doubled-distance-rule", action="store_true",
                    help="compare each row against doubled peers during detection")

@@ -3,10 +3,12 @@
 In the asymptotic co-occurrence geometry the rows belonging to pairs that
 are (approximately) specific to one component sit at the extreme points of
 the row cloud; every other row is (approximately) a convex combination of
-them.  Detection scores each row by the fraction of random directions in
-which it strictly dominates its well-separated peers, then greedily picks K
-mutually separated high scorers.  Regression writes every active row as a
-simplex combination of the selected rows and rescales to recover B.
+them.  That geometry has rank K, so detection works on the top K
+singular part of the candidate rows: it scores each row by the fraction of
+random directions in which it strictly dominates its well-separated peers,
+then greedily picks K mutually separated high scorers.  Regression writes
+every active row of the same rank-K part as a simplex combination of the
+selected rows and rescales to recover B.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import pairs
 from .mallows import RankingMatrix
-from .moments import CoocMatrix
+from .moments import CoocFactors, CoocMatrix
 
 
 class DetectionError(RuntimeError):
@@ -32,7 +34,9 @@ class RegressionError(RuntimeError):
 class DetectionConfig:
     n_components: int
     n_projections: int | None = None  # default 150 per component
-    zeta: float = 0.05
+    # fraction of the spread of the candidate rows' rank-K part, the root
+    # mean square of their distances from their mean
+    zeta: float = 0.7
     seed: int = 0
     doubled_distance_rule: bool = False
     # A sampled pair row observed far less often than typical rows has a
@@ -64,164 +68,152 @@ class DetectionConfig:
 
 @dataclass
 class NovelPairSet:
-    """Detection outcome: selected rows and all solid-angle estimates."""
+    """Detection outcome: selected rows, all solid-angle estimates and the
+    rank-K factors that regression reads."""
 
     rows: list[int]  # selected pair rows, in selection order
     item_pairs: list[tuple[int, int]]
     solid_angles: dict[int, float]  # q-hat for every candidate row
-    # Whether the noise-floor dedupe left slots that the plain zeta/2 rule
-    # had to fill.
-    fallback_used: bool = False
-    # Depth L of the per-direction shortlist: one more than the largest
-    # count of non-peers of a row that has peers; 0 when no row has any.
-    shortlist_depth: int = 0
-    # Tiles of the upper triangle whose distances were computed, and all
-    # of them; the others were decided by the rows' norms alone.
-    distance_tiles: int = 0
-    total_tiles: int = 0
+    # E_K = left @ right.T: the candidate slice's top K singular part,
+    # extended to every row and column (see ``_rank_k``)
+    factors: CoocFactors
+    # The slice's top K + 1 singular values (K when it has only K rows),
+    # the subspace iterations that found them, and the most rows one
+    # direction's scorer window held
+    singular_values: np.ndarray | None = None
+    iterations: int = 0
+    window: int = 0
 
 
-# Edge of the square tiles in which detection computes row distances, and
-# the most directions it scores at once, so that its float temporaries
-# stay near _BLOCK_ROWS x n entries however many candidate rows there are.
+# Stream id of the subspace iteration's start block; projection ids count
+# up from 0, so they never reach it.
+_START_STREAM = 2**63 - 2
+# The subspace iteration stops once no top-K singular value has moved by
+# more than this fraction of the largest in one step.
+_SVD_TOL = 1e-12
+_SVD_MAX_ITER = 1000
+# Rows in a direction's first scorer window, and the most rows whose
+# distances to a window the scorer computes at once (see
+# ``_solid_angle_wins``).
+_WINDOW = 64
 _BLOCK_ROWS = 256
 
 
-def _row_noise(cooc: CoocMatrix, act: np.ndarray, row_sq: np.ndarray) -> np.ndarray:
-    """Standard error of each candidate row of E over candidate columns.
+def _rank_k(E: CoocFactors, act: np.ndarray, K: int, seed: int):
+    """The top K singular triplets U S V^T of the slice A = E[act, act], and
+    the rank-K extension E_K = (E[:, act] V) S^-1 (U^T E[act, :]).
 
-    Row a of E is M times a sum over users of independent vectors
-    v_m = X'n[a, m] * Xn[:, m]; the squared error of the sum is estimated
-    as the sum of squared contributions minus the squared mean term
-    (``row_sq`` holds each row's squared norm).
+    A is applied through the factors, A X = scale * left[act] (right[act]^T
+    X), so no n x n array is built.  Block subspace iteration with 2K
+    columns (at most n), started from a Gaussian block of the seed's own
+    stream: each step applies A^T, then A, orthonormalizing after each,
+    until the singular values of the last triangular factor stop moving
+    in their top K (``_SVD_TOL``).  A Rayleigh-Ritz step gives the
+    triplets; each singular vector's sign makes its largest entry in U
+    positive.  E_K is kept as dense W x K factors, scale 1.
+
+    Returns the rows Y = U S, the top K + 1 singular values (K if n = K),
+    the factors of E_K and the iteration count.
     """
-    Xn, Xpn = cooc.E.right, cooc.E.left
-    M = cooc.M
-    sub = Xn[act]
-    colsq = np.asarray(sub.multiply(sub).sum(axis=0)).ravel()
-    psub = Xpn[act]
-    contrib = np.asarray(psub.multiply(psub) @ colsq[:, None]).ravel()
-    return np.sqrt(np.maximum(M**2 * contrib - row_sq / M, 0.0))
+    L, R, s = E.left[act], E.right[act], E.scale
+    n = act.size
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _START_STREAM)))
+    X = np.linalg.qr(rng.standard_normal((n, min(n, 2 * K))))[0]
+    prev = np.full(K, np.inf)
+    for it in range(1, _SVD_MAX_ITER + 1):
+        Z = np.linalg.qr(s * (R @ (L.T @ X)))[0]
+        X, T = np.linalg.qr(s * (L @ (R.T @ Z)))
+        sv = np.linalg.svd(T, compute_uv=False)[:K]
+        if np.all(np.abs(sv - prev) <= _SVD_TOL * sv[0]):
+            break
+        prev = sv
+    else:
+        raise DetectionError(
+            f"the top {K} singular values did not settle in {_SVD_MAX_ITER} iterations")
+    Ub, S, Vt = np.linalg.svd((s * (R @ (L.T @ X))).T, full_matrices=False)
+    U, V = X @ Ub[:, :K], Vt[:K].T
+    sign = np.where(U[np.argmax(np.abs(U), axis=0), np.arange(K)] < 0, -1.0, 1.0)
+    U, V = U * sign, V * sign
+    factors = CoocFactors(s * (E.left @ (R.T @ (V / S[:K]))), s * (E.right @ (L.T @ U)), 1.0)
+    return U * S[:K], S[:K + 1], factors, it
 
 
-def _projection_directions(seed: int, P: int, W: int, cols: np.ndarray) -> np.ndarray:
-    """One isotropic Gaussian direction in W dimensions per projection id,
-    restricted to the coordinates ``cols``: a (P, cols.size) array.
+def _projection_directions(seed: int, P: int, K: int) -> np.ndarray:
+    """One isotropic Gaussian direction in K dimensions per projection id,
+    a (P, K) array.
 
     Each direction has its own stream keyed by (seed, projection id), so a
     run with more projections extends, rather than reshuffles, a smaller
     one.
     """
-    dirs = np.empty((P, cols.size))
-    for r in range(P):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, r)))
-        dirs[r] = rng.standard_normal(W)[cols]
-    return dirs
+    return np.array([np.random.default_rng(np.random.SeedSequence(entropy=(seed, r)))
+                     .standard_normal(K) for r in range(P)])
 
 
-def _from_gram(gram: np.ndarray, sq_from: np.ndarray, sq_to: np.ndarray,
-               doubled: bool) -> np.ndarray:
-    """Distances from rows to rows, given their Gram entries and squared norms.
+def _distances(a: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:
+    """||a_i - c b_j|| for all rows a_i of ``a`` and b_j of ``b``.
 
-    With ``doubled`` row i is compared against twice row j (the literal
-    printed rule), which makes the distance asymmetric.
+    The squares are added one coordinate at a time, so an entry's bits do
+    not depend on which other rows are in the arrays.
     """
-    if doubled:
-        d2 = sq_from[:, None] - 4.0 * gram + 4.0 * sq_to[None, :]
-    else:
-        d2 = sq_from[:, None] - 2.0 * gram + sq_to[None, :]
-    return np.sqrt(np.maximum(d2, 0.0))
+    d2 = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        d2 += (a[:, k, None] - c * b[None, :, k]) ** 2
+    return np.sqrt(d2)
 
 
-def _near_sets(rows: np.ndarray, sq: np.ndarray, half: float, doubled: bool):
-    """Each row's non-peers: the other rows closer to it than ``half``.
+def _first_far_row(Y: np.ndarray, far: float) -> int:
+    """Position of the first row of Y that lies ``far`` or more from a row
+    before it, or -1; distances come _BLOCK_ROWS rows at a time."""
+    for lo in range(0, Y.shape[0], _BLOCK_ROWS):
+        rows = np.arange(lo, min(lo + _BLOCK_ROWS, Y.shape[0]))
+        apart = _distances(Y[rows], Y[:rows[-1] + 1], 1.0) >= far
+        hit = np.flatnonzero((apart & (np.arange(rows[-1] + 1) < rows[:, None])).any(axis=1))
+        if hit.size:
+            return int(rows[hit[0]])
+    return -1
 
-    Distances come in square tiles of _BLOCK_ROWS rows over the upper
-    triangle, the rows taken in ascending norm order, each Gram tile read
-    both ways.  Since ||r_i - c r_j|| >= | ||r_i|| - c ||r_j|| | (c = 2
-    under the doubled rule), a pair of tiles whose norm ranges keep every
-    such gap at half plus twice ``slack`` or more, in both directions,
-    holds no non-peers and gets no Gram product: one slack covers the
-    rounding of sq_i - 2c g + c^2 sq_j, the other, generously, that of the
-    norms.  A tile of rows is finished once all its tiles are in; those
-    computed before it wait as boolean masks, at most n * n / 2 bytes.
-    Returns the count of non-peers per row; for the rows that have at
-    least one peer, the non-peer pairs (i, j) as sorted keys i * n + j,
-    ended by the sentinel n * n; and the number of tiles computed and in
-    all.  Rows without peers keep only their count (n - 1), since they
-    score 1.
+
+def _solid_angle_wins(Y: np.ndarray, proj: np.ndarray, half: float, c: float):
+    """How many directions each row of Y wins, how many it tops (ties
+    included), and the deepest window.
+
+    Row i wins direction r when every other row whose projection
+    proj[r, j] is at or above its own lies within ``half`` of it,
+    ||y_i - c y_j|| < half (c = 2 under the doubled rule).  If two rows
+    at or above row i lie 2 half / c apart, the triangle inequality keeps
+    i from being that close to both.  So each direction sorts its top
+    rows, a window that starts at _WINDOW rows and doubles until its
+    prefix holds such a pair; no row below the pair's lower row can win.
+    The rows at or above that row, ties included, are each tested against
+    the others, _BLOCK_ROWS at a time.  The pair's distance must clear
+    2 half / c by the rounding of computed distances, at most (K + 4) eps
+    relative, so the outcome is exactly that of testing every row.
     """
-    n, d = rows.shape
-    c = 2.0 if doubled else 1.0
-    order = np.argsort(sq, kind="stable")
-    tiles = [order[lo:lo + _BLOCK_ROWS] for lo in range(0, n, _BLOCK_ROWS)]
-    # each tile's smallest and largest norm and largest squared norm
-    first = np.sqrt(sq[[t[0] for t in tiles]])
-    last_sq = sq[[t[-1] for t in tiles]]
-    last = np.sqrt(last_sq)
-    masks: list[list] = [[] for _ in tiles]  # (columns, non-peer mask) of each tile's rows
-    counts = np.empty(n, dtype=np.int64)
-    keys = []
-    computed = 0
-    for a, A in enumerate(tiles):
-        rows_a = rows[A]
-        for b in range(a, len(tiles)):
-            slack = np.sqrt(2.0 * (d + 2) * np.finfo(float).eps * c * c
-                            * (last_sq[a] + last_sq[b]))
-            gap = min(max(first[a] - c * last[b], c * first[b] - last[a]),
-                      max(first[b] - c * last[a], c * first[a] - last[b]))
-            if gap >= half + 2.0 * slack:
-                continue
-            computed += 1
-            B = tiles[b]
-            gram = rows_a @ rows[B].T
-            near = ~(_from_gram(gram, sq[A], sq[B], doubled) >= half)
-            if b == a:
-                np.fill_diagonal(near, False)
-            else:
-                masks[b].append((A, ~(_from_gram(gram.T, sq[B], sq[A], doubled) >= half)))
-            masks[a].append((B, near))
-        counts[A] = sum(near.sum(axis=1) for _, near in masks[a])
-        has_peers = counts[A] < n - 1
-        for cols, near in masks[a]:
-            i, j = np.nonzero(near[has_peers])
-            keys.append(A[has_peers][i] * n + cols[j])
-        masks[a] = []
-    keys = np.sort(np.concatenate(keys)) if keys else np.empty(0, dtype=np.int64)
-    total = len(tiles) * (len(tiles) + 1) // 2
-    return counts, np.append(keys, n * n), computed, total
-
-
-def _shortlist_wins(proj: np.ndarray, near_keys: np.ndarray, depth: int) -> np.ndarray:
-    """Directions each row wins against its peers, from a per-direction shortlist.
-
-    Row i wins direction r when every other row with projection >= its own
-    is a non-peer of i.  A row with at most depth - 1 non-peers can then
-    have at most depth - 1 rows at or above it, so only the top depth + 1
-    rows of a direction can win, and each is tested against the others in
-    that shortlist: the lowest of them has depth rows at or above it and
-    always loses, so rows outside the shortlist, even tied ones, never
-    decide the outcome.  Rows with more non-peers than depth - 1 (rows
-    without peers) get meaningless counts.
-    """
-    n, P = proj.shape
-    T = depth + 1
+    n, K = Y.shape
+    far = 2.0 * half / c * (1.0 + (K + 4) * np.finfo(float).eps) ** 2
     wins = np.zeros(n, dtype=np.int64)
-    chunk = max(1, min(_BLOCK_ROWS, _BLOCK_ROWS * n // (T * T)))
-    others = ~np.eye(T, dtype=bool)[:, :, None]
-    for lo in range(0, P, chunk):
-        vals = proj[:, lo:lo + chunk]
-        top = np.argpartition(vals, n - T, axis=0)[n - T:]  # (T, c)
-        tv = np.take_along_axis(vals, top, axis=0)
-        # blocks[a, b, r]: shortlisted row b sits at or above row a
-        blocks = (tv[None, :, :] >= tv[:, None, :]) & others
-        a, b, r = np.nonzero(blocks)
-        pair = top[a, r] * n + top[b, r]
-        is_near = near_keys[np.searchsorted(near_keys, pair)] == pair
-        won = np.ones(top.shape, dtype=bool)
-        won[a[~is_near], r[~is_near]] = False
-        wins += np.bincount(top[won], minlength=n)
-    return wins
+    tops = np.zeros(n, dtype=np.int64)
+    deepest = 0
+    for p in proj:
+        w = min(n, _WINDOW)
+        while True:
+            top = np.argpartition(-p, w - 1)[:w] if w < n else np.arange(n)
+            top = top[np.argsort(-p[top], kind="stable")]
+            t = _first_far_row(Y[top], far)
+            if t >= 0 or w == n:
+                break
+            w = min(n, 2 * w)
+        window = np.flatnonzero(p >= p[top[t]])
+        vals, Yw = p[window], Y[window]
+        for lo in range(0, window.size, _BLOCK_ROWS):
+            rows = np.arange(lo, min(lo + _BLOCK_ROWS, window.size))
+            above = (vals[None, :] >= vals[rows, None]) & (np.arange(window.size) != rows[:, None])
+            near = _distances(Yw[rows], Yw, c) < half
+            wins[window[rows[~(above & ~near).any(axis=1)]]] += 1
+        tops[window[vals == vals.max()]] += 1
+        deepest = max(deepest, window.size)
+    return wins, tops, deepest
 
 
 def detect_novel_pairs(cooc: CoocMatrix, config: DetectionConfig) -> NovelPairSet:
@@ -229,28 +221,23 @@ def detect_novel_pairs(cooc: CoocMatrix, config: DetectionConfig) -> NovelPairSe
 
     Candidates are the active rows, minus rows observed too rarely for
     their normalized co-occurrence profile to be trustworthy (see
-    ``DetectionConfig.min_count_fraction``).  For sampled matrices the row
-    geometry is likewise restricted to the candidate coordinates: columns
-    belonging to rarely observed pairs carry mostly sampling noise, which
-    would otherwise swamp both the distances and the projections.  A row's
-    score is the fraction of random directions on which its projection
-    strictly exceeds every candidate at distance >= zeta/2 from it (ties
-    score nothing).  Selection walks the scores in descending order,
-    keeping a row only if it stays separated from everything already kept.
-    For sampled matrices two rows are additionally considered the same
-    extreme point when their distance is within three combined standard
-    errors of the row estimates, because independent noisy copies of one
-    underlying row land well apart even though they witness the same
-    component; if that stricter rule cannot fill K slots the walk resumes
-    with the plain zeta/2 rule.  Fails if fewer than K rows separated by
-    zeta/2 exist.
-
-    Distances are computed in tiles, except between tiles whose rows'
-    norms alone set them apart, and only each row's set of non-peers is
-    kept; scoring tests the top rows of each direction (see
-    ``_shortlist_wins``); the selection walk reads peers from the same
-    sets and computes the noise-floor distances of the at most K selected
-    rows only.
+    ``DetectionConfig.min_count_fraction``).  Since E-bar = B-bar R-bar
+    B-bar^T has rank K, detection works on the top K singular part of the
+    candidate slice E[act, act] (``_rank_k``): the n x K rows Y = U S keep
+    the distances and, for directions drawn isotropically in K
+    dimensions, the solid angles of the slice's rows in the noiseless
+    limit, while the sampling noise outside those K dimensions drops
+    out.  zeta is a fraction of the spread of the rows of Y, the root mean
+    square of their distances from their mean: unlike their norms, it
+    does not grow with a part common to every row, as a diffuse weight
+    prior adds, and the plain rule's solid angles ignore such a part too.  A
+    row's score is the fraction of directions in which its projection
+    strictly exceeds every row at distance >= zeta/2 from it (ties score
+    nothing; see ``_solid_angle_wins``).  Rows near one vertex tie on it,
+    so among equal scores a row that tops more directions comes first:
+    its score as zeta goes to 0.  Selection walks the rows in that order,
+    keeping a row only if it lies at zeta/2 or more from every row already
+    kept.  Fails if fewer than K such rows exist.
     """
     K = config.n_components
     candidate = cooc.active.copy()
@@ -260,68 +247,25 @@ def detect_novel_pairs(cooc: CoocMatrix, config: DetectionConfig) -> NovelPairSe
     act = np.flatnonzero(candidate)
     if act.size < K:
         raise DetectionError(f"only {act.size} candidate rows, need at least {K}")
-    sampled = cooc.split is not None
-    W = cooc.E.shape[1]
-    cols = act if sampled else np.arange(W)
-    rows = cooc.E.block(act, cols)
-    n = act.size
-    half = config.zeta / 2.0
-    doubled = config.doubled_distance_rule
+    Y, sv, factors, iterations = _rank_k(cooc.E, act, K, config.seed)
+    # rows that coincide are never separated, even when all of them do
+    spread = Y - Y.mean(axis=0)
+    half = max(config.zeta * float(np.sqrt(np.mean(np.einsum("ij,ij->i", spread, spread))))
+               / 2.0, np.finfo(float).tiny)
+    c = 2.0 if config.doubled_distance_rule else 1.0
+    P = config.resolved_projections
+    wins, tops, window = _solid_angle_wins(Y, _projection_directions(config.seed, P, K) @ Y.T,
+                                           half, c)
+    qhat = wins / P
 
-    sq = np.einsum("ij,ij->i", rows, rows)
-    near_counts, near_keys, distance_tiles, total_tiles = _near_sets(rows, sq, half, doubled)
-    has_peers = near_counts < n - 1
-    depth = int(near_counts[has_peers].max()) + 1 if has_peers.any() else 0
-
-    qhat = np.ones(n)
-    if depth:
-        P = config.resolved_projections
-        # Freed as soon as used: the directions and the projections are
-        # the largest arrays detection holds beside ``rows``.
-        dirs = _projection_directions(config.seed, P, W, cols)
-        proj = rows @ dirs.T  # (n, P)
-        del dirs
-        wins = _shortlist_wins(proj, near_keys, depth)
-        del proj
-        qhat[has_peers] = wins[has_peers] / P
-
-    nu = _row_noise(cooc, act, sq) if sampled else None
     selected: list[int] = []
-    peers: dict[int, np.ndarray] = {}  # selected row -> rows at >= zeta/2 from it
-    distinct: dict[int, np.ndarray] = {}  # selected row -> peers beyond the noise floor
-
-    def select(s: int) -> None:
-        # The peers of s come from its near set, so that selection and
-        # scoring agree on every pair; only the noise floor needs distances.
-        far = np.full(n, has_peers[s])
-        far[s] = False
-        lo, hi = np.searchsorted(near_keys, [s * n, (s + 1) * n])
-        far[near_keys[lo:hi] - s * n] = False
-        peers[s] = far
-        if sampled:
-            dist = _from_gram(rows[s:s + 1] @ rows.T, sq[s:s + 1], sq, doubled)[0]
-            distinct[s] = far & (dist >= 3.0 * np.hypot(nu[s], nu))
-        else:
-            distinct[s] = far
-        selected.append(s)
-
-    order = np.lexsort((act, -qhat))
-    for cand in order:
-        if all(distinct[s][cand] for s in selected):
-            select(int(cand))
+    peers: list[np.ndarray] = []  # rows at zeta/2 or more from each selected row
+    for cand in np.lexsort((act, -tops, -qhat)):
+        if all(far[cand] for far in peers):
+            selected.append(int(cand))
+            peers.append(_distances(Y[cand:cand + 1], Y, c)[0] >= half)
             if len(selected) == K:
                 break
-    fallback_used = len(selected) < K and sampled
-    if fallback_used:
-        # Noise-scaled dedupe was too aggressive for this sample size; top
-        # up with rows that pass the plain separation rule.
-        for cand in order:
-            if cand in selected:
-                continue
-            if all(peers[s][cand] for s in selected):
-                select(int(cand))
-                if len(selected) == K:
-                    break
     if len(selected) < K:
         raise DetectionError(
             f"found only {len(selected)} mutually separated rows at zeta={config.zeta}, need {K}"
@@ -331,10 +275,10 @@ def detect_novel_pairs(cooc: CoocMatrix, config: DetectionConfig) -> NovelPairSe
         rows=sel_rows,
         item_pairs=[pairs.row_pair(r, cooc.Q) for r in sel_rows],
         solid_angles={int(r): float(q) for r, q in zip(act, qhat)},
-        fallback_used=fallback_used,
-        shortlist_depth=depth,
-        distance_tiles=distance_tiles,
-        total_tiles=total_tiles,
+        factors=factors,
+        singular_values=sv,
+        iterations=iterations,
+        window=window,
     )
 
 
@@ -386,14 +330,15 @@ def _minimize_simplex_quadratics(H, c, const, lips, epsilon, max_iter):
     converges once its objective changes by at most epsilon * (1 + |f|).
 
     Returns the solutions, each row's last change (0 at a flat point) and
-    the indices of the rows that did not converge within max_iter steps.
+    step count, and the indices of the rows that did not converge within
+    max_iter steps.
     """
     n, K = c.shape
-    out, resid = np.empty((n, K)), np.empty(n)
+    out, resid, steps = np.empty((n, K)), np.empty(n), np.full(n, max_iter)
     live = np.arange(n)
     b = y = np.full((n, K), 1.0 / K)
     f, t = _objective(H, b, c, const), np.ones(n)
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         b_new = _descent_step(H, y, c, lips)
         f_new = _objective(H, b_new, c, const)
         up = np.flatnonzero(f_new > f)
@@ -407,14 +352,14 @@ def _minimize_simplex_quadratics(H, c, const, lips, epsilon, max_iter):
         y = b_new + ((t - 1.0) / t_next)[:, None] * (b_new - b)
         b, f, t = np.where(flat[:, None], b, b_new), f_new, t_next
         stop = flat | (delta <= epsilon * (1.0 + np.abs(f)))
-        out[live[stop]], resid[live[stop]] = b[stop], delta[stop]
+        out[live[stop]], resid[live[stop]], steps[live[stop]] = b[stop], delta[stop], it
         keep = ~stop
         live, b, f, t, y, delta, c, const = (
             x[keep] for x in (live, b, f, t, y, delta, c, const))
         if not live.size:
             break
     out[live], resid[live] = b, delta
-    return out, resid, live
+    return out, resid, steps, live
 
 
 def estimate_ranking_matrix(
@@ -424,23 +369,27 @@ def estimate_ranking_matrix(
     epsilon: float = 1e-4,
     max_iter: int = 10000,
     threads: int = 1,
-) -> RankingMatrix:
+    trace: bool = False,
+):
     """Recover B by regressing every active row on the selected rows.
 
-    The quadratic program for row w uses only entries of the co-occurrence
-    matrix: with S the selected rows, minimize over the simplex
+    The quadratic program for row w uses only entries of E = novel.factors,
+    the rank-K part of the co-occurrence matrix that detection found: with
+    S the selected rows, minimize over the simplex
         b H b - 2 c b + E[w, w],
     H = (E[S, S] + E[S, S]^T) / 2 and c = (E[S, w] + E[w, S]) / 2.  An
     indefinite H is shifted by |lambda_min| + 1e-10.  All rows are solved
     together (``_minimize_simplex_quadratics``).  Solutions are scaled by
-    ``row_scale`` and the columns normalized to sum to one.  ``threads``
-    has no effect; it is kept so that callers passing it keep working.
+    ``row_scale`` and the columns normalized to sum to one.  With
+    ``trace`` the result comes with the largest step count of any row and
+    the largest last change.  ``threads`` has no effect; it is kept so
+    that callers passing it keep working.
     """
     if not (np.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    E = cooc.E
+    E = novel.factors
     W = E.shape[0]
     row_scale = np.asarray(row_scale, dtype=float)
     if row_scale.shape != (W,):
@@ -460,8 +409,8 @@ def estimate_ranking_matrix(
 
     act = np.flatnonzero(cooc.active)
     c = 0.5 * (E.block(sel, act).T + E.block(act, sel))
-    b, resid, failed = _minimize_simplex_quadratics(H, c, E.diagonal(act), lips, epsilon,
-                                                    max_iter)
+    b, resid, steps, failed = _minimize_simplex_quadratics(H, c, E.diagonal(act), lips,
+                                                           epsilon, max_iter)
     if failed.size:
         worst = max(zip(act[failed].tolist(), resid[failed].tolist()), key=lambda t: t[1])
         raise RegressionError(
@@ -473,4 +422,5 @@ def estimate_ranking_matrix(
     colsum = C.sum(axis=0)
     if np.any(colsum <= 0):
         raise RegressionError("a recovered column has no mass")
-    return RankingMatrix(C / colsum, cooc.Q, "B")
+    B = RankingMatrix(C / colsum, cooc.Q, "B")
+    return (B, (int(steps.max()), float(resid.max()))) if trace else B

@@ -125,13 +125,32 @@ def marginal_table(Q: int, phi: float) -> np.ndarray:
     return table
 
 
-def gap_marginals(gap: np.ndarray, table: np.ndarray) -> np.ndarray:
+def reverse_marginal_table(Q: int, phi: float) -> np.ndarray:
+    """Vector r with r[g] = 1 - pairwise_marginal(g, phi) for g = 1..Q-1,
+    the probability that a pair is ranked against the reference.
+
+    Uses the all-positive-terms form
+        sum_{l=g}^{2g-1} (2g-l) phi^l / (G_g * G_{g+1})
+      = phi^g (G_1 + ... + G_g) / (G_g * G_{g+1}),
+    so it keeps its relative precision where 1 - t[g] would cancel (at
+    gap 19 and phi = 0.1 the value is 1.7e-18).  Entry 0 is NaN.
+    """
+    if Q < 2:
+        raise ValueError("need at least two items")
+    gs = np.cumsum(phi ** np.arange(Q, dtype=float))  # gs[n-1] = geometric_sum(phi, n)
+    table = np.full(Q, np.nan)
+    g = np.arange(1, Q)
+    table[1:] = phi ** g.astype(float) * np.cumsum(gs[:-1]) / (gs[g - 1] * gs[g])
+    return table
+
+
+def gap_marginals(gap: np.ndarray, table: np.ndarray, reverse: np.ndarray) -> np.ndarray:
     """Probability that each ordered pair (i, j) is ranked i above j, given
     ``gap`` = position of j minus position of i in the reference and the
-    ``marginal_table`` of the dispersion."""
+    ``marginal_table`` and ``reverse_marginal_table`` of the dispersion."""
     Q = table.size
     fwd = table[np.clip(gap, 1, Q - 1)]
-    bwd = 1.0 - table[np.clip(-gap, 1, Q - 1)]
+    bwd = reverse[np.clip(-gap, 1, Q - 1)]
     return np.where(gap > 0, fwd, bwd)
 
 
@@ -191,7 +210,9 @@ def build_ranking_matrix(components: list[MallowsComponent]) -> RankingMatrix:
     entries = np.empty((pairs.num_pairs(Q), len(components)))
     for k, comp in enumerate(components):
         pos = np.asarray(comp.reference.positions)
-        entries[:, k] = gap_marginals(pos[J - 1] - pos[I - 1], marginal_table(Q, comp.dispersion))
+        phi = comp.dispersion
+        entries[:, k] = gap_marginals(pos[J - 1] - pos[I - 1], marginal_table(Q, phi),
+                                      reverse_marginal_table(Q, phi))
     return RankingMatrix(entries, Q, "beta")
 
 

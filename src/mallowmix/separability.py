@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pairs
-from .mallows import RankingMatrix, gap_marginals, marginal_table
+from .mallows import RankingMatrix, gap_marginals, marginal_table, reverse_marginal_table
 
 
 @dataclass
@@ -65,14 +65,15 @@ def check_separability(beta, lam: float) -> SeparabilityReport:
     return SeparabilityReport(_is_separable(beta, lam), lam, best.tolist(), witnesses.tolist())
 
 
-def _random_beta(Q: int, K: int, table: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _random_beta(Q: int, K: int, tables: tuple[np.ndarray, np.ndarray],
+                 rng: np.random.Generator) -> np.ndarray:
     """Beta for K uniformly random references sharing one dispersion."""
     I, J = pairs.pair_arrays(Q)
     beta = np.empty((pairs.num_pairs(Q), K))
     for k in range(K):
         pos = np.empty(Q, dtype=np.int64)
         pos[rng.permutation(Q)] = np.arange(1, Q + 1)
-        beta[:, k] = gap_marginals(pos[J - 1] - pos[I - 1], table)
+        beta[:, k] = gap_marginals(pos[J - 1] - pos[I - 1], *tables)
     return beta
 
 
@@ -138,11 +139,11 @@ def separability_probability(Q: int, K: int, phi: float, lam: float,
         raise ValueError("need at least one run")
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lambda must lie in [0, 1), got {lam}")
-    table = marginal_table(Q, phi)
+    tables = marginal_table(Q, phi), reverse_marginal_table(Q, phi)
     hits = 0
     for r in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, r)))
-        beta = _random_beta(Q, K, table, rng)
+        beta = _random_beta(Q, K, tables, rng)
         if _is_separable(beta, lam):
             hits += 1
     p = hits / runs

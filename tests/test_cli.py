@@ -174,16 +174,20 @@ class TestEstimateAndEvaluate:
             "-o", str(tmp_path / "est.json"), "--components", "2", "--seed", "0")
         assert code == 0
         assert "estimated 2 components over 8 items" in out
-        m = re.fullmatch(r"estimate: (\d+) candidate rows, distances in (\d+) of (\d+) tiles, "
-                         r"shortlist depth (\d+), "
-                         r"noise-floor fallback (used|not used), solid-angle margin (\S+) "
-                         r"\((\d+) of (\d+) projections\); (\d+) clamped dispersions\n", err)
+        m = re.fullmatch(r"estimate: (\d+) candidate rows, sigma_2 (\S+) and sigma_3 at least "
+                         r"(\S+) \(ratio at most (\S+)\) after (\d+) subspace iterations, "
+                         r"scorer window at most (\d+) rows, solid-angle margin (\S+) "
+                         r"\((\d+) of (\d+) projections\); regression at most (\d+) "
+                         r"iterations, worst residual (\S+); (\d+) clamped dispersions\n", err)
         assert m, err
-        assert int(m[1]) >= 2 and m[5] == "not used" and float(m[6]) > 0 and m[9] == "0"
-        # at most 56 pair rows make one tile, which holds the diagonal
-        assert m[2] == m[3] == "1"
+        assert int(m[1]) >= 2 and m[12] == "0"
+        # two components stand well clear of the noise
+        assert float(m[2]) > 5 * float(m[3]) > 0
+        assert float(m[4]) == pytest.approx(float(m[2]) / float(m[3]), rel=1e-3)
+        assert int(m[5]) >= 1 and 2 <= int(m[6]) <= int(m[1])
         # the margin is a whole number of the P = 150K projections
-        assert m[8] == "300" and float(m[6]) * 300 == pytest.approx(int(m[7]), rel=1e-3)
+        assert m[9] == "300" and float(m[7]) * 300 == pytest.approx(int(m[8]), abs=1e-3)
+        assert int(m[10]) >= 1 and 0 <= float(m[11]) < 1e-3
 
         est = read_json(tmp_path / "est.json")
         assert est["K"] == 2 and est["Q"] == 8
@@ -398,6 +402,6 @@ class TestGoldenPipeline:
                          "--components", "2")
         assert code == 0
         est = read_json(tmp_path / "est.json")
-        assert est["diagnostics"]["selected_rows"] == [6, 24]
+        assert est["diagnostics"]["selected_rows"] == [1, 24]
         assert [c["ranking"] for c in est["components"]] == [
-            [1, 3, 6, 2, 4, 5], [3, 4, 2, 5, 1, 6]]
+            [1, 3, 6, 2, 4, 5], [4, 3, 2, 5, 1, 6]]

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment, minimize
 
@@ -18,14 +18,21 @@ from mallowmix.estimator import (
     DetectionError,
     NovelPairSet,
     RegressionError,
+    _distances,
     _project_rows,
     _projection_directions,
-    _row_noise,
+    _rank_k,
+    _solid_angle_wins,
     detect_novel_pairs,
     estimate_ranking_matrix,
 )
 from mallowmix.generator import DirichletPrior, MixedMembershipModel, generate
-from mallowmix.mallows import MallowsComponent, RankingMatrix, build_ranking_matrix
+from mallowmix.mallows import (
+    MallowsComponent,
+    RankingMatrix,
+    brute_force_beta,
+    build_ranking_matrix,
+)
 from mallowmix.moments import (
     CoocMatrix,
     SplitCounts,
@@ -33,9 +40,10 @@ from mallowmix.moments import (
     cooccurrence,
     split_halves,
 )
-from mallowmix.permutations import Permutation
+from mallowmix.permutations import Permutation, copeland_rank
+from mallowmix.post import postprocess
 from mallowmix.separability import check_separability
-from test_moments import dense_factors, full
+from test_moments import dense_factors
 
 
 def analytic_toy(E, Q=2):
@@ -43,10 +51,25 @@ def analytic_toy(E, Q=2):
     return CoocMatrix(dense_factors(E), np.ones(E.shape[0], dtype=bool), 0, Q)
 
 
+def brute_force_wins(Y, proj, half, c):
+    """Directions each row wins, testing every row against every other in
+    every direction: the O(n^2 P) form of the scoring rule; and directions
+    each row tops."""
+    near = _distances(Y, Y, c) < half
+    wins = np.zeros(Y.shape[0], dtype=np.int64)
+    tops = np.zeros(Y.shape[0], dtype=np.int64)
+    for p in proj:
+        above = p[None, :] >= p[:, None]
+        np.fill_diagonal(above, False)
+        wins += ~(above & ~near).any(axis=1)
+        tops += p == p.max()
+    return wins, tops
+
+
 def reference_detect(cooc: CoocMatrix, config: DetectionConfig):
-    """Detection with dense n x n distances and a per-row max over each
-    row's peers in every direction: the O(n^2 P) form of the scoring rule.
-    Returns the selected rows and the solid angles."""
+    """Detection with the brute-force scorer and dense distances on the
+    rank-K rows that ``_rank_k`` finds.  Returns the selected rows and the
+    solid angles."""
     K = config.n_components
     candidate = cooc.active.copy()
     if cooc.row_counts is not None and config.min_count_fraction > 0 and candidate.any():
@@ -55,64 +78,21 @@ def reference_detect(cooc: CoocMatrix, config: DetectionConfig):
     act = np.flatnonzero(candidate)
     if act.size < K:
         raise DetectionError(f"only {act.size} candidate rows, need at least {K}")
-    sampled = cooc.split is not None
-    E = full(cooc)
-    rows = E[np.ix_(act, act)] if sampled else E[act]
-    n = act.size
-
-    sq = np.einsum("ij,ij->i", rows, rows)
-    # The Gram product of the rows in ascending norm order, the order in
-    # which detection tiles them: permuted operands can move an entry by
-    # its last bit, and so decide a pair whose distance lies at zeta/2.
-    order = np.argsort(sq, kind="stable")
-    gram = np.empty((n, n))
-    gram[np.ix_(order, order)] = rows[order] @ rows[order].T
-    if config.doubled_distance_rule:
-        d2 = sq[:, None] - 4.0 * gram + 4.0 * sq[None, :]
-    else:
-        d2 = sq[:, None] - 2.0 * gram + sq[None, :]
-    dist = np.sqrt(np.maximum(d2, 0.0))
-    J = dist >= config.zeta / 2.0
-    np.fill_diagonal(J, False)
-
+    Y = _rank_k(cooc.E, act, K, config.seed)[0]
+    spread = Y - Y.mean(axis=0)
+    half = max(config.zeta * float(np.sqrt(np.mean(np.einsum("ij,ij->i", spread, spread))))
+               / 2.0, np.finfo(float).tiny)
+    c = 2.0 if config.doubled_distance_rule else 1.0
     P = config.resolved_projections
-    W = cooc.E.shape[1]
-    # Directions restricted to the row coordinates as one contiguous array,
-    # as detection builds them: a strided operand takes other BLAS kernels,
-    # which can give identical rows projections differing in the last bit.
-    dirs = _projection_directions(config.seed, P, W, act if sampled else np.arange(W))
-    proj = rows @ dirs.T
-    qhat = np.empty(n)
-    for i in range(n):
-        peers = J[i]
-        if not peers.any():
-            qhat[i] = 1.0
-            continue
-        peak = proj[peers].max(axis=0)
-        qhat[i] = float(np.mean(proj[i] > peak))
-
-    if sampled:
-        nu = _row_noise(cooc, act, sq)
-        noise_floor = 3.0 * np.hypot(nu[:, None], nu[None, :])
-        distinct = J & (dist >= noise_floor)
-    else:
-        distinct = J
-
-    order = np.lexsort((act, -qhat))
+    wins, tops = brute_force_wins(Y, _projection_directions(config.seed, P, K) @ Y.T, half, c)
+    qhat = wins / P
+    dist = _distances(Y, Y, c)
     selected: list[int] = []
-    for cand in order:
-        if all(distinct[s, cand] for s in selected):
+    for cand in np.lexsort((act, -tops, -qhat)):
+        if all(dist[s, cand] >= half for s in selected):
             selected.append(int(cand))
             if len(selected) == K:
                 break
-    if len(selected) < K and distinct is not J:
-        for cand in order:
-            if cand in selected:
-                continue
-            if all(J[s, cand] for s in selected):
-                selected.append(int(cand))
-                if len(selected) == K:
-                    break
     if len(selected) < K:
         raise DetectionError(
             f"found only {len(selected)} mutually separated rows at zeta={config.zeta}, need {K}"
@@ -128,16 +108,6 @@ def clustered_rows(rng, base: np.ndarray, n_copies: int, jitter: float) -> np.nd
         src, dst = rng.choice(out.shape[0], size=2, replace=False)
         out[dst] = out[src] + jitter * rng.random(out.shape[1])
     return out
-
-
-def radius_of_isolation(cooc: CoocMatrix) -> float:
-    """The smallest distance within which some active row has every other
-    active row: a zeta/2 above it leaves that row without peers."""
-    act = np.flatnonzero(cooc.active)
-    E = full(cooc)
-    rows = E[np.ix_(act, act)] if cooc.split is not None else E[act]
-    dist = np.sqrt(((rows[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2))
-    return float(dist.max(axis=1).min()) if act.size > 1 else 1.0
 
 
 def project_to_simplex(v):
@@ -266,22 +236,32 @@ class TestDetection:
                       [0.0, 1.0, 0.5],
                       [0.5, 0.5, 0.5]])
         novel = detect_novel_pairs(analytic_toy(E), DetectionConfig(n_components=2))
-        assert novel.fallback_used is False
-        assert novel.shortlist_depth == 1  # every row is a peer of every other
-        # at zeta/2 = 0.75 the midpoint (0.71 from each vertex) has no
-        # peers and scores 1; each vertex keeps the other as its one peer
-        # and has one non-peer
-        novel = detect_novel_pairs(analytic_toy(E), DetectionConfig(n_components=1, zeta=1.5))
-        assert novel.shortlist_depth == 2
-        assert novel.rows == [2] and novel.solid_angles[2] == 1.0
-        assert novel.solid_angles[0] + novel.solid_angles[1] == pytest.approx(1.0, abs=1e-12)
+        # the toy has rank 2
+        assert novel.singular_values[:2] == pytest.approx([1.5, 1.0], rel=1e-12)
+        assert novel.singular_values.size == 3 and novel.singular_values[2] < 1e-12
+        assert 1 <= novel.iterations <= 5
+        # every row lies 2 zeta/2 or more from every other, so each
+        # direction's top two rows end its window
+        assert novel.window == 2
+        # at zeta/2 = 1 the midpoint (0.71 from each vertex) has no peers
+        # and wins every direction; no pair lies 2 zeta/2 apart, so every
+        # window holds all rows; each vertex keeps the other as its one peer
+        Y = _rank_k(analytic_toy(E).E, np.arange(3), 2, 0)[0]
+        wins, tops, deepest = _solid_angle_wins(Y, _projection_directions(0, 300, 2) @ Y.T,
+                                                1.0, 1.0)
+        assert deepest == 3 and wins[2] == 300 and wins[0] + wins[1] == 300
+        assert np.array_equal(tops, [wins[0], wins[1], 0])
 
     def test_no_row_with_peers_scores_one(self):
         E = np.array([[1.0, 0.0], [0.9, 0.1]])
-        novel = detect_novel_pairs(analytic_toy(E), DetectionConfig(n_components=1, zeta=1.0))
-        assert novel.shortlist_depth == 0
+        # the rows' spread is half their distance, so zeta/2 = 1.25 times it
+        novel = detect_novel_pairs(analytic_toy(E), DetectionConfig(n_components=1, zeta=5.0))
+        assert novel.window == 2
         assert novel.solid_angles == {0: 1.0, 1: 1.0}
-        assert novel.rows == [0]
+        # the tie goes to the row that tops more directions; in one
+        # dimension row 1, the smaller, tops the negative ones
+        negative = int((_projection_directions(0, 150, 1) < 0).sum())
+        assert negative != 75 and novel.rows == ([1] if negative > 75 else [0])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -322,28 +302,6 @@ def sampled_random(seed, Q, M, n_copies, jitter):
     return cooccurrence(SplitCounts(sp.csr_matrix(X), sp.csr_matrix(Xp), M, Q))
 
 
-def half_between_distances(rows: np.ndarray, doubled: bool, gap: float) -> float:
-    """A half-zeta midway between two neighbouring distances between rows
-    (or above the largest), the pair picked by ``gap`` in [0, 1];
-    neighbours closer than 1e-6 of the largest are skipped."""
-    scale = 2.0 if doubled else 1.0
-    dist = np.sqrt(((rows[:, None, :] - scale * rows[None, :, :]) ** 2).sum(axis=2))
-    d = np.unique(np.concatenate([[0.0], dist[~np.eye(rows.shape[0], dtype=bool)]]))
-    edges = np.append(d, 2.0 * d[-1] + 1.0)
-    lo = np.flatnonzero(np.diff(edges) > 1e-6 * edges[-1])
-    k = lo[min(int(gap * lo.size), lo.size - 1)]
-    return (edges[k] + edges[k + 1]) / 2.0
-
-
-def zeta_between_distances(cooc: CoocMatrix, doubled: bool, gap: float) -> float:
-    """A zeta whose half lies midway between two neighbouring distances
-    between active rows (see ``half_between_distances``)."""
-    act = np.flatnonzero(cooc.active)
-    E = full(cooc)
-    rows = E[np.ix_(act, act)] if cooc.split is not None else E[act]
-    return 2.0 * half_between_distances(rows, doubled, gap)
-
-
 def compare_to_reference(cooc, cfg):
     try:
         want = reference_detect(cooc, cfg)
@@ -357,208 +315,216 @@ def compare_to_reference(cooc, cfg):
     return got
 
 
-def detect_both(cooc, K, P, zeta_scale, doubled, seed):
-    zeta = 2.0 * zeta_scale * radius_of_isolation(cooc)
-    return compare_to_reference(cooc, DetectionConfig(
-        n_components=K, n_projections=P, zeta=max(zeta, 1e-9), seed=seed,
-        doubled_distance_rule=doubled))
-
-
 class TestDetectionMatchesReference:
-    """The shortlist scorer, blocked distances and on-demand selection
-    distances give exactly the dense reference's rows and solid angles."""
+    """The windowed scorer and the selection walk give exactly the brute-force
+    reference's rows and solid angles on the same rank-K rows."""
 
     @given(seed=st.integers(0, 2**32 - 1), Q=st.integers(2, 5), frac=st.floats(0.3, 1.0),
            n_copies=st.integers(0, 6), jitter=st.sampled_from([0.0, 1e-3, 0.05]),
-           K=st.integers(1, 3), P=st.integers(1, 60), zeta_scale=st.floats(0.0, 1.3),
+           K=st.integers(1, 3), P=st.integers(1, 60), zeta=st.floats(0.01, 4.0),
            doubled=st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_analytic(self, seed, Q, frac, n_copies, jitter, K, P, zeta_scale, doubled):
+    def test_analytic(self, seed, Q, frac, n_copies, jitter, K, P, zeta, doubled):
         W = Q * (Q - 1)
         cooc = analytic_random(seed, Q, max(1, int(frac * W)), min(n_copies, W - 1), jitter)
-        detect_both(cooc, K, P, zeta_scale, doubled, seed % 7)
+        compare_to_reference(cooc, DetectionConfig(n_components=K, n_projections=P, zeta=zeta,
+                                                   seed=seed % 7, doubled_distance_rule=doubled))
 
     @given(seed=st.integers(0, 2**32 - 1), Q=st.integers(3, 5), M=st.integers(4, 30),
            n_copies=st.integers(0, 6), jitter=st.sampled_from([0.0, 1.0]),
-           K=st.integers(1, 3), P=st.integers(1, 60), zeta_scale=st.floats(0.0, 1.3),
-           doubled=st.booleans())
+           K=st.integers(1, 3), P=st.integers(1, 60), zeta=st.floats(0.01, 4.0),
+           doubled=st.booleans(), window=st.integers(1, 7))
     @settings(max_examples=150, deadline=None)
-    def test_sampled(self, seed, Q, M, n_copies, jitter, K, P, zeta_scale, doubled):
+    def test_sampled(self, seed, Q, M, n_copies, jitter, K, P, zeta, doubled, window):
         cooc = sampled_random(seed, Q, M, n_copies, jitter)
-        detect_both(cooc, K, P, zeta_scale, doubled, seed % 7)
-
-    @given(seed=st.integers(0, 2**32 - 1), Q=st.integers(3, 5), M=st.integers(4, 30),
-           n_copies=st.integers(0, 6), jitter=st.sampled_from([0.0, 1.0]),
-           K=st.integers(1, 3), P=st.integers(1, 60), gap=st.floats(0.0, 1.0),
-           doubled=st.booleans(), sampled=st.booleans(), block=st.integers(1, 7))
-    @settings(max_examples=150, deadline=None)
-    def test_many_tiles(self, seed, Q, M, n_copies, jitter, K, P, gap, doubled, sampled,
-                        block):
-        # Tiles smaller than the matrix: Gram tiles read both ways, masks
-        # waiting for their rows, directions scored in chunks.  Those Gram
-        # entries come from other BLAS calls than the reference's single
-        # product and may differ from it in the last bit, so zeta/2 is put
-        # midway between two neighbouring distances, never on one.
-        if sampled:
-            cooc = sampled_random(seed, Q, M, n_copies, jitter)
-        else:
-            cooc = analytic_random(seed, Q, Q * (Q - 1) // 2, min(n_copies, 5), jitter / 20)
-        cfg = DetectionConfig(n_components=K, n_projections=P, seed=seed % 7,
-                              zeta=zeta_between_distances(cooc, doubled, gap),
+        cfg = DetectionConfig(n_components=K, n_projections=P, zeta=zeta, seed=seed % 7,
                               doubled_distance_rule=doubled)
-        with mock.patch.object(estimator, "_BLOCK_ROWS", block):
+        with mock.patch.object(estimator, "_WINDOW", window):
             compare_to_reference(cooc, cfg)
 
-    def test_cases_reach_deep_shortlists_and_peerless_rows(self):
-        # the property above is only as strong as the cases it sees: make
-        # sure its generators produce shortlists deeper than one row and
-        # rows without peers that still leave other rows scored
-        depths, peerless = set(), 0
+    def test_cases_reach_deep_windows_and_peerless_rows(self):
+        # the properties above are only as strong as the cases they see:
+        # make sure their generators produce windows deeper than the first
+        # one and rows without peers that still leave other rows scored
+        deepest, peerless = 0, 0
         for seed in range(40):
             cooc = sampled_random(seed, 4, 20, 4, 1.0)
-            got = detect_both(cooc, 1, 40, 0.3 + 0.025 * seed, seed % 2 == 1, seed)
+            cfg = DetectionConfig(n_components=1 + seed % 2, n_projections=40,
+                                  zeta=0.2 + 0.1 * seed, seed=seed,
+                                  doubled_distance_rule=seed % 4 > 1)
+            with mock.patch.object(estimator, "_WINDOW", 2):
+                got = compare_to_reference(cooc, cfg)
             if got is not None:
-                depths.add(got.shortlist_depth)
-                peerless += bool(got.shortlist_depth) and 1.0 in got.solid_angles.values()
-        assert max(depths) > 2
+                deepest = max(deepest, got.window)
+                angles = set(got.solid_angles.values())
+                peerless += 1.0 in angles and len(angles) > 1
+        assert deepest > 4
         assert peerless > 0
 
 
-def reference_near_sets(rows, sq, half, doubled):
-    """Near sets from every tile of the upper triangle, rows in index
-    order: ``_near_sets`` before it skipped tiles by their norm gap."""
-    n = rows.shape[0]
-    B = estimator._BLOCK_ROWS
-    tiles = range(-(-n // B))
-    masks = [[] for _ in tiles]
-    counts = np.empty(n, dtype=np.int64)
-    keys = []
-    for a in tiles:
-        A = slice(a * B, (a + 1) * B)
-        for b in tiles[a:]:
-            Bs = slice(b * B, (b + 1) * B)
-            gram = rows[A] @ rows[Bs].T
-            masks[a].append(~(estimator._from_gram(gram, sq[A], sq[Bs], doubled) >= half))
-            if b != a:
-                masks[b].append(~(estimator._from_gram(gram.T, sq[Bs], sq[A], doubled) >= half))
-        near = np.hstack(masks[a])
-        masks[a] = []
-        lo = a * B
-        hi = lo + near.shape[0]
-        near[np.arange(hi - lo), np.arange(lo, hi)] = False
-        counts[lo:hi] = near.sum(axis=1)
-        near[counts[lo:hi] == n - 1] = False
-        i, j = np.nonzero(near)
-        keys.append((i + lo) * n + j)
-    keys.append([n * n])
-    return counts, np.concatenate(keys)
+def scorer_case(seed, n, K, kind, P, doubled):
+    """Rows, their projections on P directions, and a zeta/2.
 
-
-def slack_bound(d, sq_i, sq_j, doubled):
-    """The rounding slack of ``_near_sets`` for rows of length d."""
-    c = 2.0 if doubled else 1.0
-    return np.sqrt(2.0 * (d + 2) * np.finfo(float).eps * c * c * (sq_i + sq_j))
-
-
-def near_set_case(seed, n, d, kind, doubled, gap, offsets):
-    """Rows and a half-zeta for ``_near_sets``.
-
-    "random" rows of mixed scales and "tied" rows (a few base rows under
-    random sign flips, so their squared norms tie exactly, and duplicates)
-    get a half midway between two distances.  "parallel" rows are
-    multiples t u of one vector, in pairs whose norm gap |t_i - c t_j| |u|
-    is half plus a drawn multiple of the largest slack (``offsets``), so
-    their distance equals the gap up to rounding."""
+    "random" rows have mixed scales; "duplicated" rows repeat a few base
+    rows, so they tie in every direction; "grid" rows and directions have
+    small integer entries, so rows that differ tie in some directions and
+    windows end inside runs of ties.  Their zeta/2 is one of the computed
+    distances, or c/2 times one, so that some distances sit exactly at
+    zeta/2 and some pairs exactly 2 zeta/2 / c apart.  "midpoint" rows are
+    three: a pair 2 zeta/2 / c apart and the point at zeta/2 from both, up
+    to rounding, projected at or below them: the one place where the
+    scorer's rounding slack decides."""
     rng = np.random.default_rng(seed)
+    c = 2.0 if doubled else 1.0
+    if kind == "midpoint":
+        a = rng.standard_normal(K) * 10.0 ** rng.uniform(-1, 1)
+        u = rng.standard_normal(K)
+        b = a + rng.uniform(0.1, 2.0) * u
+        # the pair's computed distance is exactly 2 zeta/2 / c
+        half = c * float(_distances(a[None, :], b[None, :], 1.0)[0, 0]) / 2.0
+        Y = np.stack([a, b, c * (a + b) / 2.0])
+        # the triangle inequality keeps the point from lying within zeta/2
+        # of both, except by rounding: move it by an ulp or two per entry
+        # until the computed distances say it does, if they can
+        for _ in range(200):
+            if (_distances(Y[2:], Y[:2], c) < half).all():
+                break
+            Y[2] = c * (a + b) / 2.0 + rng.integers(-2, 3, size=K) * np.spacing(Y[2])
+        if doubled:
+            # the projection of a + b lies below a's and b's when both are
+            # negative
+            dirs = -(a + b) + 1e-3 * rng.standard_normal((P, K))
+        else:
+            # orthogonal to b - a, so the three rows tie up to rounding
+            dirs = rng.standard_normal((P, K))
+            dirs -= np.outer(dirs @ u, u) / (u @ u)
+        return Y, dirs @ Y.T, half
     if kind == "random":
-        rows = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-1, 1, size=(n, 1))
-    elif kind == "tied":
-        base = rng.standard_normal((int(rng.integers(1, 4)), d))
-        base *= 10.0 ** rng.uniform(-1, 1, size=(base.shape[0], 1))
-        rows = base[rng.integers(0, base.shape[0], size=n)]
-        rows = rows * rng.choice([-1.0, 1.0], size=(n, d))
+        Y = rng.standard_normal((n, K)) * 10.0 ** rng.uniform(-1, 1, size=(n, 1))
+        dirs = rng.standard_normal((P, K))
+    elif kind == "duplicated":
+        base = rng.standard_normal((int(rng.integers(1, 4)), K))
+        Y = base[rng.integers(0, base.shape[0], size=n)]
+        dirs = rng.standard_normal((P, K))
     else:
-        c = 2.0 if doubled else 1.0
-        u = rng.standard_normal(d)
-        nu = float(np.linalg.norm(u))
-        hf = rng.uniform(0.05, 0.5)
-        s0 = float(slack_bound(d, 16 * nu * nu, 16 * nu * nu, doubled))  # norms below 4 |u|
-        t = []
-        for _ in range(-(-n // 2)):
-            anchor = rng.uniform(1.0, 3.0)
-            m = offsets[int(rng.integers(len(offsets)))]
-            t += [anchor, (anchor + hf + m * s0 / nu) / c]
-        rows = np.array(t[:n])[:, None] * u[None, :]
-        rows = rows[rng.permutation(n)]
-        return rows, hf * nu
-    return rows, half_between_distances(rows, doubled, gap)
+        Y = rng.integers(-2, 3, size=(n, K)).astype(float)
+        dirs = rng.integers(-2, 3, size=(P, K)).astype(float)
+    d = np.unique(_distances(Y, Y, 1.0))
+    d = d[d > 0] if (d > 0).any() else np.ones(1)
+    half = d[rng.integers(d.size)] * (c / 2.0 if rng.random() < 0.5 else 1.0)
+    return Y, dirs @ Y.T, half
 
 
-class TestNearSetsMatchReference:
-    """Tiles skipped by their norm gap change no near set."""
+def first_far_pair(Y, p, half, c):
+    """Where the scorer's window stops in direction p: the first position,
+    in descending order, whose prefix holds two rows 2 half / c apart (the
+    last if none), and how many rows lie at or above that position's."""
+    order = np.argsort(-p, kind="stable")
+    far = np.tril(_distances(Y[order], Y[order], 1.0) >= 2.0 * half / c, -1).any(axis=1)
+    t = int(np.argmax(far)) if far.any() else p.size - 1
+    return t, int(np.count_nonzero(p >= p[order[t]]))
 
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 12),
-           kind=st.sampled_from(["random", "tied", "parallel"]), doubled=st.booleans(),
-           gap=st.floats(0.0, 1.0), block=st.integers(1, 8))
+
+class TestScorerMatchesBruteForce:
+    """The windowed scorer wins and tops exactly the directions the O(n^2 P)
+    scorer does."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), K=st.integers(1, 4),
+           kind=st.sampled_from(["random", "duplicated", "grid", "midpoint"]),
+           doubled=st.booleans(), P=st.integers(1, 20), window=st.integers(1, 8),
+           block=st.sampled_from([1, 2, 3, 7, 256]))
     @settings(max_examples=300, deadline=None)
-    def test_counts_and_keys(self, seed, n, d, kind, doubled, gap, block):
-        # Within one tile pair the Gram entries may come from other BLAS
-        # calls than the reference's and differ in the last bit, so distances
-        # at half within rounding are drawn only with one-row tiles, where
-        # both sides compute every entry with the same dot product.
-        offsets = [-3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 2.5, 3.0]
-        if block == 1:
-            offsets += [-1e-9, 0.0, 1e-9, 1.9, 2.0 + 1e-9]
-        rows, half = near_set_case(seed, n, d, kind, doubled, gap, offsets)
-        sq = np.einsum("ij,ij->i", rows, rows)
-        with mock.patch.object(estimator, "_BLOCK_ROWS", block):
-            want_counts, want_keys = reference_near_sets(rows, sq, half, doubled)
-            counts, keys, computed, total = estimator._near_sets(rows, sq, half, doubled)
-        assert np.array_equal(counts, want_counts)
-        assert np.array_equal(keys, want_keys)
-        tiles = -(-n // block)
-        assert total == tiles * (tiles + 1) // 2
-        assert (0 if doubled else tiles) <= computed <= total
-
-    def test_cases_skip_tiles(self):
-        # the property above is only as strong as the cases it sees: its
-        # parallel rows must leave tiles out under both rules
-        for doubled in (False, True):
-            skipped = 0
-            for seed in range(20):
-                rows, half = near_set_case(seed, 24, 5, "parallel", doubled, 0.0, [0.5, 3.0])
-                sq = np.einsum("ij,ij->i", rows, rows)
-                with mock.patch.object(estimator, "_BLOCK_ROWS", 2):
-                    _, _, computed, total = estimator._near_sets(rows, sq, half, doubled)
-                skipped += total - computed
-            assert skipped > 0
-
-    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 400), doubled=st.booleans(),
-           m=st.sampled_from([2.0, 2.0 + 1e-9, 2.01, 2.5]), spread=st.floats(0.0, 12.0))
-    @settings(max_examples=200, deadline=None)
-    def test_no_pair_beyond_the_slack_is_near(self, seed, d, doubled, m, spread):
-        # a pair whose norms differ by half plus twice its slack is far
-        # under the full Gram product, however the row's entries spread
-        rng = np.random.default_rng(seed)
+    def test_same_wins(self, seed, n, K, kind, doubled, P, window, block):
+        Y, proj, half = scorer_case(seed, n, K, kind, P, doubled)
         c = 2.0 if doubled else 1.0
-        u = rng.standard_normal(d) * 10.0 ** rng.uniform(-spread, spread, size=d)
-        u += 1e-3 * rng.standard_normal(d) * np.abs(u)  # not quite parallel
-        nu = float(np.linalg.norm(u))
-        half = rng.uniform(1e-6, 0.5) * nu
-        t_i = rng.uniform(1.0, 3.0)
-        rows = np.stack([t_i * u, rng.uniform(0.1, 4.0) * u])
-        sq = np.einsum("ij,ij->i", rows, rows)
-        norms = np.sqrt(sq)
-        slack = slack_bound(d, sq[0], sq[1], doubled)
-        t_j = (norms[0] + half + m * slack) / (c * nu)
-        rows[1] = t_j * u
-        sq = np.einsum("ij,ij->i", rows, rows)
-        norms = np.sqrt(sq)
-        slack = slack_bound(d, sq[0], sq[1], doubled)
-        if abs(norms[0] - c * norms[1]) < half + 2.0 * slack:
-            return
-        dist = estimator._from_gram(rows @ rows.T, sq, sq, doubled)
-        assert dist[0, 1] >= half
+        with mock.patch.object(estimator, "_WINDOW", window), \
+                mock.patch.object(estimator, "_BLOCK_ROWS", block):
+            wins, tops, deepest = _solid_angle_wins(Y, proj, half, c)
+        want_wins, want_tops = brute_force_wins(Y, proj, half, c)
+        assert np.array_equal(wins, want_wins) and np.array_equal(tops, want_tops)
+        assert 1 <= deepest <= Y.shape[0]
+
+    def test_cases_reach_ties_deep_windows_and_the_slack(self):
+        # the property above is only as strong as the cases it sees: its
+        # grid rows must end windows inside runs of ties, under both rules,
+        # and its cases must need windows past the first; its midpoint rows
+        # must be computed within zeta/2 of both rows of a pair whose
+        # computed distance reaches 2 zeta/2 / c, and lie below both
+        for doubled in (False, True):
+            c = 2.0 if doubled else 1.0
+            tie_runs, deep, slack = 0, 0, 0
+            for seed in range(60):
+                Y, proj, half = scorer_case(seed, 30, 2, "grid", 10, doubled)
+                for p in proj:
+                    t, m = first_far_pair(Y, p, half, c)
+                    tie_runs += m > t + 1
+                    deep += t + 1 > 4
+                Y, proj, half = scorer_case(seed, 3, 4, "midpoint", 10, doubled)
+                near = _distances(Y[2:], Y[:2], c)[0] < half
+                below = (proj[:, 2] <= proj[:, :2].min(axis=1)).any()
+                slack += bool(near.all() and below)
+            assert tie_runs > 0 and deep > 0 and slack > 0
+
+
+class TestRankK:
+    """The subspace iteration against numpy's SVD of the dense slice."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), K=st.integers(1, 4),
+           noise=st.sampled_from([0.0, 1e-6, 1e-2]), active=st.floats(0.5, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_dense_svd(self, seed, n, K, noise, active):
+        # a rank-K matrix with singular values 1..K times 10, plus noise
+        rng = np.random.default_rng(seed)
+        K = min(K, n)
+        Ul = np.linalg.qr(rng.standard_normal((n, K)))[0]
+        Vl = np.linalg.qr(rng.standard_normal((n, K)))[0]
+        A = (Ul * 10.0 * np.arange(K, 0, -1)) @ Vl.T + noise * rng.standard_normal((n, n))
+        act = np.sort(rng.choice(n, size=max(K, int(active * n)), replace=False))
+        E = dense_factors(A)
+        Y, sv, factors, iterations = _rank_k(E, act, K, seed % 7)
+        U_ref, s_ref, Vt_ref = np.linalg.svd(A[np.ix_(act, act)])
+        np.testing.assert_allclose(sv[:K], s_ref[:K], rtol=1e-9)
+        if act.size > K:
+            # a Ritz value from below
+            assert sv.size == K + 1 and sv[K] <= s_ref[K] * (1 + 1e-9) + 1e-12
+        else:
+            assert sv.size == K
+        U = Y / sv[:K]
+        # the cosines of the principal angles between the two subspaces
+        cosines = np.linalg.svd(U.T @ U_ref[:, :K], compute_uv=False)
+        assert cosines.min() > 1.0 - 1e-6
+        assert np.all(U[np.argmax(np.abs(U), axis=0), np.arange(K)] > 0)
+        # E_K agrees with the slice's top K part on the slice, and rows
+        # and columns outside it come from the same factors
+        top = (U_ref[:, :K] * s_ref[:K]) @ Vt_ref[:K]
+        everything = np.arange(n)
+        EK = factors.block(everything, everything)
+        np.testing.assert_allclose(EK[np.ix_(act, act)], top, atol=1e-7 * s_ref[0])
+        assert factors.left.shape == factors.right.shape == (n, K)
+        assert 1 <= iterations <= 40
+
+    def test_exact_rank_k_sampled_slice(self):
+        # the sampled halves of a corpus: numpy's SVD of the dense slice
+        cooc = sampled_model_cooc(Q=5, K=2, phi=0.1, alpha=0.2, M=400, N=20, model_seed=3)
+        act = np.flatnonzero(cooc.active)
+        Y, sv, _, _ = _rank_k(cooc.E, act, 2, 0)
+        s_ref = np.linalg.svd(cooc.E.block(act, act), compute_uv=False)
+        np.testing.assert_allclose(sv[:2], s_ref[:2], rtol=1e-9)
+        assert Y.shape == (act.size, 2)
+
+    def test_reruns_are_bit_identical_and_seeds_agree(self):
+        cooc = sampled_model_cooc(Q=5, K=2, phi=0.1, alpha=0.2, M=400, N=20, model_seed=3)
+        act = np.flatnonzero(cooc.active)
+        a, b, other = (_rank_k(cooc.E, act, 2, seed)[0] for seed in (4, 4, 5))
+        assert np.array_equal(a, b)
+        # another start block finds the same rows, signs included
+        np.testing.assert_allclose(other, a, atol=1e-5 * np.abs(a).max())
+
+    def test_unsettled_iteration_fails(self):
+        cooc = sampled_model_cooc(Q=5, K=2, phi=0.1, alpha=0.2, M=400, N=20, model_seed=3)
+        with mock.patch.object(estimator, "_SVD_MAX_ITER", 1):
+            with pytest.raises(DetectionError, match="did not settle in 1 iterations"):
+                detect_novel_pairs(cooc, DetectionConfig(n_components=2))
 
 
 class TestRegression:
@@ -571,7 +537,8 @@ class TestRegression:
                      [0.3, 0.7, 0.58]]
         active = np.array([True, True, True, False, False, False])
         cooc = CoocMatrix(dense_factors(E), active, 0, 3)
-        novel = NovelPairSet(rows=[0, 1], item_pairs=[(1, 2), (1, 3)], solid_angles={})
+        novel = NovelPairSet(rows=[0, 1], item_pairs=[(1, 2), (1, 3)], solid_angles={},
+                             factors=cooc.E)
         B = estimate_ranking_matrix(cooc, np.ones(6), novel)
         C = B.entries
         # columns were normalized; undo with the known column sums
@@ -582,13 +549,13 @@ class TestRegression:
 
     def test_row_scale_shape_checked(self):
         cooc = analytic_toy([[1.0, 0.0], [0.0, 1.0]])
-        novel = NovelPairSet(rows=[0, 1], item_pairs=[], solid_angles={})
+        novel = NovelPairSet(rows=[0, 1], item_pairs=[], solid_angles={}, factors=cooc.E)
         with pytest.raises(ValueError, match="row_scale"):
             estimate_ranking_matrix(cooc, np.ones(3), novel)
 
     def test_zero_scale_column_is_an_error(self):
         cooc = analytic_toy([[1.0, 0.0], [0.0, 1.0]])
-        novel = NovelPairSet(rows=[0, 1], item_pairs=[], solid_angles={})
+        novel = NovelPairSet(rows=[0, 1], item_pairs=[], solid_angles={}, factors=cooc.E)
         with pytest.raises(RegressionError, match="no mass"):
             estimate_ranking_matrix(cooc, np.zeros(2), novel)
 
@@ -649,10 +616,11 @@ def reference_minimize(H, c, const, lips, epsilon, max_iter, hits):
 
 def reference_estimate_ranking_matrix(cooc, row_scale, novel, epsilon=1e-4, max_iter=10000,
                                       hits=None):
-    """The regression with one solver loop per active row."""
+    """The regression with one solver loop per active row, on the dense
+    matrix of ``novel.factors``."""
     hits = Counter() if hits is None else hits
-    E = full(cooc)
-    W = E.shape[0]
+    W = novel.factors.shape[0]
+    E = novel.factors.block(np.arange(W), np.arange(W))
     row_scale = np.asarray(row_scale, dtype=float)
     if row_scale.shape != (W,):
         raise ValueError(f"row_scale must have shape ({W},)")
@@ -710,7 +678,8 @@ def regression_case(seed, source, Q, K, scale):
                  "sparse": rng.random(W) * (rng.random(W) < 0.5), "zeros": np.zeros(W)}[scale]
     act = np.flatnonzero(cooc.active)
     rows = rng.choice(act, size=min(K, act.size), replace=False)
-    return cooc, row_scale, NovelPairSet(rows=rows.tolist(), item_pairs=[], solid_angles={})
+    return cooc, row_scale, NovelPairSet(rows=rows.tolist(), item_pairs=[], solid_angles={},
+                                         factors=cooc.E)
 
 
 def compare_regression(cooc, row_scale, novel, epsilon, max_iter, hits=None):
@@ -760,7 +729,7 @@ class TestRegressionMatchesReference:
 
     def test_rejects_bad_epsilon_and_max_iter(self):
         cooc = analytic_toy([[1.0, 0.0], [0.0, 1.0]])
-        novel = NovelPairSet(rows=[0, 1], item_pairs=[], solid_angles={})
+        novel = NovelPairSet(rows=[0, 1], item_pairs=[], solid_angles={}, factors=cooc.E)
         for epsilon in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="epsilon"):
                 estimate_ranking_matrix(cooc, np.ones(2), novel, epsilon=epsilon)
@@ -794,6 +763,24 @@ class TestAnalyticPipeline:
 
     def test_small_dispersion_is_near_exact(self):
         assert self.full_recovery_error(Q=8, K=2, phi=0.1) <= 1e-3
+
+    @given(seed=st.integers(0, 2**32 - 1), Q=st.integers(3, 6), K=st.integers(1, 3),
+           phi=st.sampled_from([0.0, 0.05, 0.1, 0.2]), alpha=st.sampled_from([0.1, 0.3, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_rankings_match_the_oracle(self, seed, Q, K, phi, alpha):
+        # exact moments of a model whose every component owns a pair row
+        # with ratio 0.1 or less: detection and regression on the rank-K
+        # part recover the rankings that enumeration over all Q! gives
+        rng = np.random.default_rng(seed)
+        comps = [MallowsComponent(Permutation.from_ranking((rng.permutation(Q) + 1).tolist()),
+                                  phi) for _ in range(K)]
+        beta = brute_force_beta(comps).entries
+        assume(check_separability(beta, 0.1).separable)
+        cooc, row_scale = analytic_cooccurrence(MixedMembershipModel(comps, DirichletPrior(alpha)))
+        novel = detect_novel_pairs(cooc, DetectionConfig(n_components=K))
+        est = postprocess(estimate_ranking_matrix(cooc, row_scale, novel))
+        want = sorted(list(copeland_rank(beta[:, k] > 0.5, Q).ranking) for k in range(K))
+        assert sorted(list(r.ranking) for r in est.rankings) == want
 
     def test_zero_dispersion_selects_pure_rows(self):
         # when every component has a pair only it orders one way, each
@@ -829,20 +816,6 @@ def sampled_model_cooc(Q, K, phi, alpha, M, N, model_seed, corpus_seed=15):
 
 
 class TestSampledPipeline:
-    def test_noise_floor_fills_k_without_fallback(self):
-        cooc = sampled_model_cooc(Q=6, K=2, phi=0.0, alpha=0.1, M=3000, N=40, model_seed=10)
-        novel = detect_novel_pairs(cooc, DetectionConfig(n_components=2))
-        assert novel.fallback_used is False
-        assert novel.rows == reference_detect(cooc, DetectionConfig(n_components=2))[0]
-
-    def test_fallback_tops_up_the_noise_floor_dedupe(self):
-        cooc = sampled_model_cooc(Q=6, K=3, phi=0.2, alpha=0.3, M=500, N=30, model_seed=4)
-        cfg = DetectionConfig(n_components=3)
-        novel = detect_novel_pairs(cooc, cfg)
-        assert novel.fallback_used is True
-        assert len(novel.rows) == 3
-        assert novel.rows == reference_detect(cooc, cfg)[0]
-
     def test_detection_memory_stays_near_the_row_slice(self):
         # n x n temporaries (gram, distances, masks) would each add a
         # multiple of the row slice; projections add 2 P / n of it

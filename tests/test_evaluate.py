@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -566,6 +566,23 @@ def repeat_cases(draw):
     return corpus, B
 
 
+def stopped_near_a_boundary_maximum():
+    """A case on which the two EMs, stopped by the 1e-8 rule after 15 and
+    14 cycles, end 4.1e-7 apart at a log-likelihood of -191.976: more than
+    1e-9 * (1 + |ll|), less than 1e-8 * (1 + |ll|).  Q = 2, four users,
+    K = 6 with zeros in B; found by Hypothesis (seed 5)."""
+    users = ("20331331112223312103132233332133222113211231033232223331121322121122"
+             "123211323223213223313301133333323302122213333223323232223312213233")
+    winners = ("11111111111111111111111111111111111111111111111111111111111112121111"
+               "111221111222222222222211221111112221212221111112222222222222111222")
+    winner = np.array([int(ch) for ch in winners])
+    corpus = ComparisonCorpus(Q=2, M=4, user=np.array([int(ch) for ch in users]),
+                              winner=winner, loser=3 - winner)
+    B = np.array([[0.7518347988662641, 0.0, 0.0, 0.0, 0.0, 0.8505746526938961],
+                  [0.0, 0.10482092524188713, 0.0, 0.0, 0.0, 0.0]])
+    return corpus, B
+
+
 def em_peak(fn, corpus, B):
     """tracemalloc peak of a three-cycle EM run, in bytes."""
     tracemalloc.start()
@@ -593,6 +610,7 @@ class TestGroupedEMMatchesPerRecord:
     @given(case=repeat_cases(),
            tol=st.sampled_from([1e-8, 1e-12]),
            max_iter=st.sampled_from([1, 2, 5, 500]))
+    @example(case=stopped_near_a_boundary_maximum(), tol=1e-8, max_iter=500)
     def test_same_errors_warnings_and_likelihood(self, case, tol, max_iter):
         corpus, B = case
         got, got_warnings = run_em(infer_weights, corpus, B, tol=tol, max_iter=max_iter)
@@ -603,10 +621,15 @@ class TestGroupedEMMatchesPerRecord:
             assert type(got) is type(want) and str(got) == str(want)
             return
         check_weights(corpus, B, *got)
-        # relative in the EM's own sense, 1e-9 * (1 + |ll|), since a user
-        # whose records all have probability one scores exactly zero
+        # Relative in the EM's own sense, since a user whose records all
+        # have probability one scores exactly zero.  Both EMs stop once a
+        # cycle moves the log-likelihood by at most tol * (1 + |ll|); near
+        # a maximum on the simplex boundary, where EM converges sublinearly,
+        # their sums in another order drift apart by up to that slack before
+        # either stops (see ``stopped_near_a_boundary_maximum``).
         ll, want_ll = loglik(corpus, got[0], B), loglik(corpus, want[0], B)
-        assert ll == want_ll or abs(ll - want_ll) <= 1e-9 * (1.0 + abs(want_ll)), (ll, want_ll)
+        slack = max(tol, 1e-9) * (1.0 + abs(want_ll))
+        assert ll == want_ll or abs(ll - want_ll) <= slack, (ll, want_ll)
 
     def test_peak_memory_on_repeated_records(self):
         model = model_of([[1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1], [2, 4, 6, 1, 3, 5]],

@@ -7,6 +7,7 @@ the package are checked against an independent derivation.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from mallowmix.mallows import (
     marginal_ratio_bound,
     marginal_table,
     pairwise_marginal,
+    reverse_marginal_table,
     rim_sample,
 )
 from mallowmix.permutations import Permutation
@@ -205,6 +207,21 @@ class TestPairMarginals:
             for g in range(1, 8):
                 assert t[g] == pytest.approx(pairwise_marginal(g, phi), rel=1e-12)
 
+    def test_reverse_table_keeps_relative_precision(self):
+        # against exact rational arithmetic, down to values far below
+        # 1 - t[g]'s rounding: 1.7e-18 at gap 19 and phi = 0.1
+        for phi in (Fraction(0), Fraction(1, 10), Fraction(1, 2), Fraction(19, 20)):
+            r = reverse_marginal_table(21, float(phi))
+            assert np.isnan(r[0])
+            for g in range(1, 21):
+                G1 = sum((phi ** i for i in range(g)), Fraction(0))
+                G2 = sum((phi ** i for i in range(g + 1)), Fraction(0))
+                exact = 1 - sum(((l + 1) * phi ** l for l in range(g)), Fraction(0)) / (G1 * G2)
+                assert r[g] == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+        assert reverse_marginal_table(21, 0.1)[19] == pytest.approx(1.7e-18, rel=1e-12)
+        with pytest.raises(ValueError):
+            reverse_marginal_table(1, 0.5)
+
     def test_monotone_in_gap_and_dispersion(self):
         for phi in (0.1, 0.5, 0.9):
             vals = [pairwise_marginal(g, phi) for g in range(1, 12)]
@@ -263,6 +280,19 @@ class TestBetaMatrices:
                 brute = brute_force_beta(comps)
                 assert np.max(np.abs(built.entries - brute.entries)) <= 1e-10
                 validate_ranking_matrix(built)
+
+    def test_reversed_entries_match_brute_force_relatively(self):
+        # entries far below 1e-16, where 1 - t[g] kept no relative precision
+        rng = np.random.default_rng(5)
+        refs = [Permutation.from_ranking((rng.permutation(7) + 1).tolist()) for _ in range(2)]
+        smallest = 1.0
+        for phi in (0.01, 0.001):
+            comps = [MallowsComponent(r, phi) for r in refs]
+            built = build_ranking_matrix(comps).entries
+            brute = brute_force_beta(comps).entries
+            np.testing.assert_allclose(built, brute, rtol=1e-11, atol=0.0)
+            smallest = min(smallest, built.min())
+        assert smallest < 1e-16
 
     def test_two_items(self):
         comp = MallowsComponent(Permutation.identity(2), 0.5)
