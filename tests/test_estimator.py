@@ -342,6 +342,24 @@ class TestDetectionMatchesReference:
         with mock.patch.object(estimator, "_WINDOW", window):
             compare_to_reference(cooc, cfg)
 
+    @given(seed=st.integers(0, 2**32 - 1), Q=st.integers(3, 5), M=st.integers(4, 30),
+           n_copies=st.integers(0, 6), jitter=st.sampled_from([0.0, 1.0]),
+           K=st.integers(1, 3), P=st.integers(1, 60), zeta=st.floats(0.01, 4.0),
+           doubled=st.booleans(), sampled=st.booleans(), block=st.integers(1, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_many_tiles(self, seed, Q, M, n_copies, jitter, K, P, zeta, doubled, sampled,
+                        block):
+        # distance blocks smaller than the window: the scorer's far-pair
+        # search and its wins both take distances _BLOCK_ROWS rows at a time
+        if sampled:
+            cooc = sampled_random(seed, Q, M, n_copies, jitter)
+        else:
+            cooc = analytic_random(seed, Q, Q * (Q - 1) // 2, min(n_copies, 5), jitter / 20)
+        cfg = DetectionConfig(n_components=K, n_projections=P, zeta=zeta, seed=seed % 7,
+                              doubled_distance_rule=doubled)
+        with mock.patch.object(estimator, "_BLOCK_ROWS", block):
+            compare_to_reference(cooc, cfg)
+
     def test_cases_reach_deep_windows_and_peerless_rows(self):
         # the properties above are only as strong as the cases they see:
         # make sure their generators produce windows deeper than the first
