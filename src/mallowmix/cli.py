@@ -185,6 +185,8 @@ def cmd_estimate(args) -> int:
         epsilon=args.epsilon,
         trace=True,
     )
+    Q = cooc.Q
+    del cooc, row_scale  # B_hat keeps the counts that the dispersion refit reads
     est = _stage("postprocess", postprocess, B_hat)
     angles = sorted(novel.solid_angles.values(), reverse=True)
     margin = angles[K - 1] - angles[K] if len(angles) > K else angles[K - 1]
@@ -201,10 +203,13 @@ def cmd_estimate(args) -> int:
           f"scorer window at most {novel.window} rows, "
           f"solid-angle margin {margin:.4g} ({round(margin * P)} of {P} projections); "
           f"regression at most {steps} iterations, worst residual {resid:.3e}; "
-          f"{len(est.diagnostics['clamped_components'])} clamped dispersions", file=sys.stderr)
+          f"{len(est.diagnostics['clamped_components'])} clamped dispersions"
+          + (f"; dispersions refitted on the records after {est.refit['weight_cycles']} "
+             f"weight cycles and {est.refit['newton_steps']} Newton steps"
+             if est.refit else ""), file=sys.stderr)
     config = {
         "command": "estimate",
-        "items": cooc.Q,
+        "items": Q,
         "components": K,
         "projections": cfg.resolved_projections,
         "zeta": args.zeta,
@@ -233,7 +238,7 @@ def cmd_estimate(args) -> int:
     )
     elapsed = time.perf_counter() - t0
     print(
-        f"estimated {K} components over {cooc.Q} items in {elapsed:.2f}s; "
+        f"estimated {K} components over {Q} items in {elapsed:.2f}s; "
         f"selected pairs {novel.item_pairs}; wrote {args.output}"
     )
     return 0

@@ -380,7 +380,8 @@ def estimate_ranking_matrix(
     H = (E[S, S] + E[S, S]^T) / 2 and c = (E[S, w] + E[w, S]) / 2.  An
     indefinite H is shifted by |lambda_min| + 1e-10.  All rows are solved
     together (``_minimize_simplex_quadratics``).  Solutions are scaled by
-    ``row_scale`` and the columns normalized to sum to one.  With
+    ``row_scale`` and the columns normalized to sum to one; the result
+    keeps ``cooc.split``, the counts of a sampled corpus.  With
     ``trace`` the result comes with the largest step count of any row and
     the largest last change.  ``threads`` has no effect; it is kept so
     that callers passing it keep working.
@@ -422,5 +423,5 @@ def estimate_ranking_matrix(
     colsum = C.sum(axis=0)
     if np.any(colsum <= 0):
         raise RegressionError("a recovered column has no mass")
-    B = RankingMatrix(C / colsum, cooc.Q, "B")
+    B = RankingMatrix(C / colsum, cooc.Q, "B", counts=cooc.split)
     return (B, (int(steps.max()), float(resid.max()))) if trace else B

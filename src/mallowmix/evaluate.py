@@ -12,7 +12,7 @@ import numpy as np
 
 from . import pairs
 from .generator import ComparisonCorpus, MixedMembershipModel
-from .mallows import RankingMatrix
+from .mallows import RankingMatrix, gap_marginals, marginal_table, reverse_marginal_table
 from .permutations import Permutation, kendall_tau
 from .post import EstimatedModel
 
@@ -94,6 +94,24 @@ def _observation_columns(B_hat) -> np.ndarray:
 
 
 EM_TOL = 1e-8  # default relative log-likelihood change at which the weight EM stops
+# The dispersion refit's weight EM stops at this relative change; on the
+# benchmark's wide-q60 corpora its dispersions then lie within 1e-3 of
+# those after a weight EM run to EM_TOL.
+REFIT_TOL = 1e-3
+# Dispersions enter the refit at no less than _REFIT_FLOOR, so that every
+# record keeps a positive probability.  Forward differences of step
+# _REFIT_STEP give the Newton derivatives.
+_REFIT_FLOOR = 1e-3
+_REFIT_STEP = 1e-5
+# Newton stops once a step would move no dispersion by more than this,
+# well above the few 1e-9 by which the differences' error shifts the
+# maximum.
+_REFIT_PHI_TOL = 1e-7
+_REFIT_MAX_STEPS = 100
+_REFIT_HALVINGS = 30
+# The refit reads every s-th user, s the smallest stride that leaves at
+# most this many records, so that its cost stays bounded as corpora grow.
+_REFIT_RECORDS = 2**19
 
 
 def _unsupported(r: int, Q: int) -> ValueError:
@@ -166,6 +184,33 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
     del entry_user
     BwT = B.T.take(row, axis=1)  # (K, entries) outcome probabilities
     del row
+
+    def unsupported(theta: np.ndarray):
+        # an entry's total is zero exactly where each of its terms
+        # theta_k B[w, k] is, so the same terms, taken per record, mark
+        # its records; name the first in corpus order
+        users = np.searchsorted(occupied, corpus.user)
+        p = np.einsum("nk,nk->n", theta.T[users], B[corpus.pair_rows()])
+        return _unsupported(int(corpus.pair_rows()[np.argmax(p == 0)]), corpus.Q)
+
+    theta, history = _weights_em(count, starts, BwT, tol, max_iter, unsupported)
+    weights = np.full((M, K), 1.0 / K)
+    weights[occupied] = theta.T
+    if trace:
+        return weights, history
+    return weights
+
+
+def _weights_em(count: np.ndarray, starts: np.ndarray, BwT: np.ndarray, tol: float,
+                max_iter: int, unsupported) -> tuple[np.ndarray, list[float]]:
+    """The weight EM of ``infer_weights`` on grouped entries: entry e holds
+    ``count[e]`` records whose outcome has probability ``BwT[k, e]`` under
+    component k, and every user's entries run contiguously from its
+    ``starts``.  Returns the (K, users) weights and the total
+    log-likelihood at the start of every cycle; ``unsupported(theta)``
+    gives the error to raise when an entry has probability zero.
+    """
+    K = BwT.shape[0]
     entries = np.diff(starts, append=count.size)  # entries per occupied user
     sizes = np.add.reduceat(count, starts)  # records per occupied user
     total = np.empty(count.size)
@@ -207,14 +252,9 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
 
     def check_support(theta: np.ndarray) -> None:
         if total.size and total.min() == 0:
-            # an entry's total is zero exactly where each of its terms
-            # theta_k B[w, k] is, so the same terms, taken per record, mark
-            # its records; name the first in corpus order
-            users = np.searchsorted(occupied, corpus.user)
-            p = np.einsum("nk,nk->n", theta.T[users], B[corpus.pair_rows()])
-            raise _unsupported(int(corpus.pair_rows()[np.argmax(p == 0)]), corpus.Q)
+            raise unsupported(theta)
 
-    theta = np.full((K, occupied.size), 1.0 / K)
+    theta = np.full((K, starts.size), 1.0 / K)
     user_ll = None
     history: list[float] = []
     prev_ll = -math.inf
@@ -255,13 +295,101 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
         warnings.warn(
             f"EM stopped at max_iter={max_iter} without converging; last relative "
             f"log-likelihood change {change:.3e} (tol {tol:.1e})",
-            RuntimeWarning, stacklevel=2)
-    weights = np.full((M, K), 1.0 / K)
-    weights[occupied] = theta.T
-    if trace:
-        return weights, history
-    return weights
+            RuntimeWarning, stacklevel=3)
+    return theta, history
 
+
+def refit_dispersions(counts, rankings: list[Permutation], dispersions, *,
+                      tol: float = REFIT_TOL) -> tuple[list[float], dict]:
+    """The dispersions refitted by likelihood on the records behind a
+    sampled estimate, with the rankings fixed.
+
+    ``counts`` holds every user's records per ordered pair row (the
+    ``SplitCounts`` of ``moments.split_halves``).  A record of pair row w
+    has probability sum_k theta_uk beta_k(w) times the pair's own
+    probability, which all components share and which drops out;
+    beta_k(w) is the Mallows order probability of w at its gap in ranking
+    k.  The refit takes one step of the alternation between weights and
+    dispersions: every user's weights theta_u come from the weight EM of
+    ``infer_weights`` at the given dispersions (raised to at least
+    _REFIT_FLOOR), stopped at relative change ``tol``, and are held while
+    Newton's method maximizes the records' log-likelihood over the K
+    dispersions.  The weights keep part of the given dispersions' error,
+    the less the more records each user has.  Newton keeps each phi in
+    [0, 1) and halves a step until the likelihood does not fall; its
+    derivatives in phi are forward differences of the pair marginal
+    tables.  It stops once a step would move no dispersion by more than
+    _REFIT_PHI_TOL, or when no step keeps the likelihood.
+
+    Returns the dispersions and a dict with the weight EM's cycles, the
+    Newton steps taken and the final log-likelihood.
+    """
+    Q = counts.Q
+    C = (counts.X + counts.X_prime).T.tocsr()  # one row of pair-row counts per user
+    C = C[::max(1, math.ceil(C.data.sum() / _REFIT_RECORDS))]
+    count, row = C.data, C.indices
+    starts = C.indptr[:-1][np.diff(C.indptr) > 0]
+    entries = np.diff(starts, append=count.size)
+    I, J = pairs.pair_arrays(Q)
+    gaps = []
+    for sigma in rankings:
+        pos = np.empty(Q + 1, dtype=np.int64)
+        pos[list(sigma.ranking)] = np.arange(Q)
+        gaps.append(pos[J] - pos[I])
+
+    def order_probabilities(phis) -> np.ndarray:
+        """beta_k(w) for every component and pair row, (K, W)."""
+        return np.array([gap_marginals(g, marginal_table(Q, phi), reverse_marginal_table(Q, phi))
+                         for g, phi in zip(gaps, phis)])
+
+    phis = np.maximum(np.asarray(dispersions, dtype=float), _REFIT_FLOOR)
+    theta, history = _weights_em(
+        count, starts, order_probabilities(phis).take(row, axis=1), tol, 500,
+        lambda _: RuntimeError("a record has probability zero in every component"))
+    weight = np.array([np.repeat(t, entries) for t in theta])  # theta_uk of every entry
+
+    def mixture(phis) -> tuple[np.ndarray, float]:
+        """sum_k theta_uk beta_k(w) of every entry, and the log-likelihood."""
+        beta = order_probabilities(phis)
+        total = np.zeros(count.size)
+        for k in range(len(gaps)):
+            total += weight[k] * beta[k].take(row)
+        with np.errstate(divide="ignore"):
+            return total, float(count @ np.log(total))
+
+    total, ll = mixture(phis)
+    hi = math.nextafter(1.0, 0.0)
+    steps = 0
+    for _ in range(_REFIT_MAX_STEPS):
+        b0, b1, b2 = (order_probabilities(phis + j * _REFIT_STEP) for j in range(3))
+        w = count / total
+        slope = ((4.0 * b1 - 3.0 * b0 - b2) / (2.0 * _REFIT_STEP)).take(row, axis=1)
+        slope *= weight  # theta_uk d beta_k / d phi_k of every entry
+        grad = slope @ w
+        curve = (b0 - 2.0 * b1 + b2) / _REFIT_STEP**2
+        hess = np.diag([(weight[k] * curve[k].take(row)) @ w for k in range(len(gaps))])
+        w /= total
+        for k in range(len(gaps)):
+            hess[k] -= slope @ (slope[k] * w)
+        del slope
+        try:
+            np.linalg.cholesky(-hess)  # a Newton step only where the curvature is negative
+            move = np.linalg.solve(-hess, grad)
+        except np.linalg.LinAlgError:
+            move = grad / np.maximum(np.abs(np.diag(hess)), np.finfo(float).tiny)
+        if np.max(np.abs(np.clip(phis + move, 0.0, hi) - phis)) <= _REFIT_PHI_TOL:
+            break
+        for _ in range(_REFIT_HALVINGS):
+            cand = np.clip(phis + move, 0.0, hi)
+            cand_total, cand_ll = mixture(cand)
+            if cand_ll >= ll:
+                break
+            move *= 0.5
+        else:
+            break
+        phis, total, ll = cand, cand_total, cand_ll
+        steps += 1
+    return phis.tolist(), {"weight_cycles": len(history), "newton_steps": steps, "loglik": ll}
 
 _MAX_HALVINGS = 30  # step halvings toward -1 before a user takes theta2
 

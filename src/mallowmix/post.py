@@ -4,7 +4,9 @@ Four steps per component: turn B-hat into order probabilities by dividing
 each row by itself plus its reversed row, round at one half into a win
 relation, aggregate the wins into a ranking by Copeland counts, and read
 the dispersion off the inverse order probabilities of the ranking's
-adjacent pairs.
+adjacent pairs, net of the mixing that an impure selected row spreads
+over every pair.  An estimate from a sampled corpus then has its
+dispersions refitted by likelihood on the corpus records, rankings fixed.
 """
 
 from __future__ import annotations
@@ -17,8 +19,13 @@ import numpy as np
 
 from . import pairs
 from .generator import atomic_write_text
-from .mallows import RankingMatrix
+from .mallows import RankingMatrix, marginal_table
 from .permutations import Permutation, copeland_rank
+
+# The dispersion readout fits phi and the mixing e until a round moves e
+# by at most _MIXING_TOL, within _MIXING_ITER accelerated rounds.
+_MIXING_ITER = 100
+_MIXING_TOL = 1e-14
 
 
 class PostprocessError(ValueError):
@@ -32,6 +39,9 @@ class EstimatedModel:
     B_hat: np.ndarray
     beta_hat: np.ndarray  # NaN where a pair could not be resolved
     diagnostics: dict = field(default_factory=dict)
+    # the dispersion refit's weight cycles, Newton steps and log-likelihood;
+    # None when B-hat carries no counts
+    refit: dict | None = None
 
     @property
     def Q(self) -> int:
@@ -83,31 +93,66 @@ def recover_rankings(wins: np.ndarray, Q: int) -> list[Permutation]:
 
 
 def estimate_dispersion(beta_col: np.ndarray, ranking: Permutation) -> tuple[float, bool]:
-    """Dispersion from the adjacent pairs of the recovered ranking.
+    """Dispersion from the order probabilities along the recovered ranking.
 
-    For consecutive items of the ranking, 1/beta averages to 1 + phi, so
-    phi is that mean minus one, clamped into [0, 1).  Returns the estimate
-    and whether clamping fired.
+    For consecutive items of the ranking, 1/beta averages to 1 + phi.  A
+    selected row that is not pure mixes other components into the column,
+    and their orders, unrelated to this ranking, pull every order
+    probability toward one half: beta-hat = (1 - e) t_phi(g) + e/2 for a
+    pair g places apart, t_phi the pair marginal.  So phi and e are fitted
+    in turn until e settles: phi from the adjacent pairs with the mixing
+    taken out, e by least squares over every pair the ranking orders.  e
+    stays in [0, smallest adjacent probability], where no adjacent
+    probability loses its sign.  phi is clamped into [0, 1).  Returns the
+    estimate and whether clamping fired.
     """
     Q = len(ranking)
-    order = ranking.ranking
-    total = 0.0
-    for p in range(Q - 1):
-        i, j = order[p], order[p + 1]
-        b = beta_col[pairs.pair_row(i, j, Q)]
-        if not np.isfinite(b) or b <= 0:
-            raise PostprocessError(
-                f"degenerate order probability for adjacent pair ({i}, {j}); cannot estimate dispersion"
-            )
-        total += 1.0 / b
-    raw = total / (Q - 1) - 1.0
+    order = np.asarray(ranking.ranking)
+    adj = beta_col[pairs.pair_row(order[:-1], order[1:], Q)]
+    bad = ~(np.isfinite(adj) & (adj > 0))
+    if bad.any():
+        p = int(np.argmax(bad))
+        raise PostprocessError(
+            f"degenerate order probability for adjacent pair ({order[p]}, {order[p + 1]}); "
+            f"cannot estimate dispersion"
+        )
+    pos = np.empty(Q + 1, dtype=np.int64)
+    pos[order] = np.arange(Q)
+    I, J = pairs.pair_arrays(Q)
+    gap = pos[J] - pos[I]
+    along = (gap > 0) & np.isfinite(beta_col)
+    gap, b = gap[along], beta_col[along]
     hi = math.nextafter(1.0, 0.0)
-    phi = min(max(raw, 0.0), hi)
+
+    def round_trip(e: float) -> tuple[float, float, float]:
+        """phi (clamped and raw) net of mixing e, and the e that fits it."""
+        raw = (1.0 - e) * float(np.mean(1.0 / (adj - 0.5 * e))) - 1.0
+        phi = min(max(raw, 0.0), hi)
+        t = marginal_table(Q, phi)[gap]
+        x = 0.5 - t
+        xx = float(x @ x)
+        e_fit = min(max(float(x @ (b - t)) / xx, 0.0), float(adj.min())) if xx > 0 else 0.0
+        return e_fit, phi, raw
+
+    e = 0.0
+    for _ in range(_MIXING_ITER):
+        e1, phi, raw = round_trip(e)
+        if abs(e1 - e) <= _MIXING_TOL:
+            break
+        # Steffensen's step on the fixed point of e: plain rounds close in
+        # on it only linearly
+        e2 = round_trip(e1)[0]
+        bend = e2 - 2.0 * e1 + e
+        e = e - (e1 - e) ** 2 / bend if bend else e2
+        e = min(max(e, 0.0), float(adj.min()))
     return phi, phi != raw
 
 
 def postprocess(B_hat: RankingMatrix) -> EstimatedModel:
-    """Run all four steps and collect diagnostics."""
+    """Run all four steps and collect diagnostics; then, when B-hat keeps
+    the counts of its corpus, refit the dispersions on them
+    (``evaluate.refit_dispersions``).  The diagnostics describe the
+    readout off B-hat."""
     beta_hat, unresolved = recover_beta(B_hat)
     wins, ties = round_relations(beta_hat, B_hat.Q)
     rankings = recover_rankings(wins, B_hat.Q)
@@ -132,7 +177,12 @@ def postprocess(B_hat: RankingMatrix) -> EstimatedModel:
         "clamped_components": clamped,
         "degenerate_dispersions": degenerate,
     }
-    return EstimatedModel(rankings, dispersions, B_hat.entries, beta_hat, diagnostics)
+    refit = None
+    if B_hat.counts is not None:
+        from .evaluate import refit_dispersions  # evaluate imports this module
+
+        dispersions, refit = refit_dispersions(B_hat.counts, rankings, dispersions)
+    return EstimatedModel(rankings, dispersions, B_hat.entries, beta_hat, diagnostics, refit)
 
 
 def estimated_model_to_dict(est: EstimatedModel, seed: int | None = None,

@@ -178,9 +178,12 @@ class TestEstimateAndEvaluate:
                          r"(\S+) \(ratio at most (\S+)\) after (\d+) subspace iterations, "
                          r"scorer window at most (\d+) rows, solid-angle margin (\S+) "
                          r"\((\d+) of (\d+) projections\); regression at most (\d+) "
-                         r"iterations, worst residual (\S+); (\d+) clamped dispersions\n", err)
+                         r"iterations, worst residual (\S+); (\d+) clamped dispersions; "
+                         r"dispersions refitted on the records after (\d+) weight cycles and "
+                         r"(\d+) Newton steps\n", err)
         assert m, err
         assert int(m[1]) >= 2 and m[12] == "0"
+        assert int(m[13]) >= 1 and int(m[14]) >= 1
         # two components stand well clear of the noise
         assert float(m[2]) > 5 * float(m[3]) > 0
         assert float(m[4]) == pytest.approx(float(m[2]) / float(m[3]), rel=1e-3)

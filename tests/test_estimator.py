@@ -589,6 +589,22 @@ class TestRegression:
         b = estimate_ranking_matrix(cooc, row_scale, novel, threads=4)
         assert np.array_equal(a.entries, b.entries)
 
+    def test_result_keeps_the_counts_of_a_sampled_corpus(self):
+        # postprocess refits the dispersions on them; analytic moments have none
+        rng = np.random.default_rng(2)
+        model = MixedMembershipModel(
+            [MallowsComponent(Permutation.from_ranking((rng.permutation(6) + 1).tolist()), 0.2)
+             for _ in range(2)],
+            DirichletPrior(0.4))
+        cooc, row_scale = analytic_cooccurrence(model)
+        novel = detect_novel_pairs(cooc, DetectionConfig(n_components=2))
+        assert estimate_ranking_matrix(cooc, row_scale, novel).counts is None
+        corpus, _ = generate(model, M=300, N=20, seed=5)
+        split = split_halves(corpus)
+        cooc = cooccurrence(split)
+        novel = detect_novel_pairs(cooc, DetectionConfig(n_components=2))
+        assert estimate_ranking_matrix(cooc, split.row_scale(), novel).counts is split
+
 
 def reference_project_to_simplex(v: np.ndarray) -> np.ndarray:
     """The one-vector simplex projection the row-wise one replaced."""

@@ -19,7 +19,14 @@ from mallowmix.generator import (
     MixedMembershipModel,
     generate,
 )
-from mallowmix.mallows import MallowsComponent, RankingMatrix, build_ranking_matrix
+from mallowmix.mallows import (
+    MallowsComponent,
+    RankingMatrix,
+    build_ranking_matrix,
+    marginal_table,
+    reverse_marginal_table,
+)
+from mallowmix.moments import split_halves
 from mallowmix.permutations import Permutation
 from mallowmix.post import postprocess
 from test_generator import reference_generate
@@ -654,6 +661,72 @@ class TestGroupedEMMatchesPerRecord:
         B = model.observation_matrix().entries
         peak, want = em_peak(infer_weights, corpus, B), em_peak(per_record_infer_weights, corpus, B)
         assert peak <= want, (peak, want)
+
+
+class TestRefitDispersions:
+    def test_single_component_matches_grid_search(self):
+        # one component: every weight is one, so the refit is the
+        # one-dimensional maximum of the records' log-likelihood, which
+        # depends on phi only through each record's gap in the ranking
+        Q = 6
+        model = model_of([[3, 1, 6, 2, 5, 4]], [0.35], prior=FixedWeights((1.0,)))
+        corpus, _ = generate(model, M=300, N=20, seed=4)
+        sigma = model.components[0].reference
+        phis, info = evaluate.refit_dispersions(split_halves(corpus), [sigma], [0.6])
+        pos = np.empty(Q + 1, dtype=np.int64)
+        pos[list(sigma.ranking)] = np.arange(Q)
+        gap = pos[corpus.loser] - pos[corpus.winner]
+
+        def loglik(phi):
+            t, r = marginal_table(Q, phi), reverse_marginal_table(Q, phi)
+            return float(np.sum(np.log(np.where(gap > 0, t[np.abs(gap)], r[np.abs(gap)]))))
+
+        grid = np.linspace(0.0, 0.99, 991)
+        best = grid[int(np.argmax([loglik(p) for p in grid]))]
+        fine = np.linspace(best - 1e-3, best + 1e-3, 2001)
+        best = fine[int(np.argmax([loglik(p) for p in fine]))]
+        assert phis[0] == pytest.approx(best, abs=2e-6)
+        assert info["loglik"] == pytest.approx(loglik(phis[0]), rel=1e-12)
+
+    def test_moves_readout_errors_toward_the_truth(self):
+        # the weights are fitted once, at the readout's dispersions, and
+        # keep part of its error; the refit still lands nearer the truth
+        model = model_of([[1, 2, 3, 4, 5, 6, 7, 8], [8, 6, 4, 2, 7, 5, 3, 1]], [0.2, 0.4],
+                         prior=DirichletPrior(0.2))
+        corpus, _ = generate(model, M=500, N=200, seed=9)
+        split = split_halves(corpus)
+        refs = [c.reference for c in model.components]
+        for start in ([0.25, 0.35], [0.15, 0.45]):
+            phis, info = evaluate.refit_dispersions(split, refs, start)
+            assert all(abs(p - t) < 0.6 * abs(s - t)
+                       for p, s, t in zip(phis, start, [0.2, 0.4])), phis
+            assert info["weight_cycles"] >= 1 and info["newton_steps"] >= 1
+            # the same inputs give the same bits
+            assert evaluate.refit_dispersions(split, refs, start) == (phis, info)
+
+    def test_large_corpus_reads_every_sth_user(self, monkeypatch):
+        model = model_of([[2, 4, 1, 3, 5], [5, 1, 4, 2, 3]], [0.3, 0.3])
+        corpus, _ = generate(model, M=400, N=10, seed=3)
+        refs = [c.reference for c in model.components]
+        monkeypatch.setattr(evaluate, "_REFIT_RECORDS", 1500)  # 4000 records: stride 3
+        strided = evaluate.refit_dispersions(split_halves(corpus), refs, [0.3, 0.3])
+        keep = corpus.user % 3 == 0
+        sub = ComparisonCorpus(Q=5, M=134, user=corpus.user[keep] // 3,
+                               winner=corpus.winner[keep], loser=corpus.loser[keep])
+        assert evaluate.refit_dispersions(split_halves(sub), refs, [0.3, 0.3]) == strided
+
+    def test_postprocess_refits_when_b_hat_keeps_counts(self):
+        model = model_of([[1, 3, 2, 5, 4], [4, 5, 1, 2, 3]], [0.25, 0.25])
+        corpus, _ = generate(model, M=500, N=20, seed=8)
+        split = split_halves(corpus)
+        B = model.observation_matrix()
+        plain = postprocess(B)
+        assert plain.refit is None and plain.dispersions == pytest.approx([0.25, 0.25])
+        refit = postprocess(RankingMatrix(B.entries, 5, "B", counts=split))
+        assert [r.ranking for r in refit.rankings] == [r.ranking for r in plain.rankings]
+        want, info = evaluate.refit_dispersions(split, plain.rankings, plain.dispersions)
+        assert refit.dispersions == want and refit.refit == info
+        assert refit.diagnostics == plain.diagnostics
 
 
 class TestPredictLoglik:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mallowmix import pairs
 from mallowmix.generator import DirichletPrior, MixedMembershipModel
@@ -110,6 +112,19 @@ class TestDispersion:
         beta = build_ranking_matrix([MallowsComponent(ranking, 0.0)]).entries[:, 0]
         phi, clamped = estimate_dispersion(beta, ranking)
         assert phi == 0.0 and not clamped
+
+    @settings(max_examples=80, deadline=None)
+    @given(Q=st.integers(3, 12), phi=st.floats(0.0, 0.8), e=st.floats(0.0, 0.4),
+           seed=st.integers(0, 2**16))
+    def test_uniform_mixing_is_taken_out(self, Q, phi, e, seed):
+        # an impure selected row pulls every order probability toward one
+        # half by the same fraction e; the readout sees through it, where
+        # the plain adjacent ratio would read (1 + phi) / (1 - e / 2 ...) - 1
+        order = (np.random.default_rng(seed).permutation(Q) + 1).tolist()
+        ranking = Permutation.from_ranking(order)
+        beta = build_ranking_matrix([MallowsComponent(ranking, phi)]).entries[:, 0]
+        phi_hat, _ = estimate_dispersion((1.0 - e) * beta + e / 2, ranking)
+        assert phi_hat == pytest.approx(phi, abs=1e-8)
 
     def test_negative_raw_estimate_clamps_to_zero(self):
         # adjacent probabilities above one imply a negative raw estimate
