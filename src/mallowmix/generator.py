@@ -575,15 +575,36 @@ def _prior_to_json(prior) -> dict:
     raise ValueError(f"unknown prior type {type(prior).__name__}")
 
 
-def _prior_from_json(obj: dict):
-    t = obj.get("type")
+def _prior_from_json(obj):
+    def entries(key: str) -> tuple[float, ...]:
+        return tuple(_json_number(x, f"prior {key} entry")
+                     for x in _json_list(_field(obj, key, "prior"), f"prior {key}"))
+
+    t = _field(obj, "type", "prior")
     if t == "dirichlet":
-        return DirichletPrior(_json_number(obj["alpha0"], "prior alpha0"))
+        return DirichletPrior(_json_number(_field(obj, "alpha0", "prior"), "prior alpha0"))
     if t == "vertex":
-        return VertexPrior(tuple(_json_number(p, "prior probs entry") for p in obj["probs"]))
+        return VertexPrior(entries("probs"))
     if t == "fixed":
-        return FixedWeights(tuple(_json_number(w, "prior weights entry") for w in obj["weights"]))
+        return FixedWeights(entries("weights"))
     raise ValueError(f"unknown prior type {t!r}")
+
+
+def _field(obj, key: str, what: str):
+    """``obj[key]`` if ``obj`` is a JSON object with that field, else a
+    ValueError naming ``what``."""
+    if type(obj) is not dict:
+        raise ValueError(f"{what} is not a JSON object")
+    if key not in obj:
+        raise ValueError(f"{what} has no {key!r} field")
+    return obj[key]
+
+
+def _json_list(value, what: str) -> list:
+    """``value`` if it is a JSON list, else a ValueError naming ``what``."""
+    if type(value) is not list:
+        raise ValueError(f"{what} is not a JSON list")
+    return value
 
 
 def _json_integer(value, field: str) -> int:
@@ -619,26 +640,32 @@ def model_to_dict(model: MixedMembershipModel, seed: int | None = None) -> dict:
 
 def model_from_dict(obj: dict) -> MixedMembershipModel:
     """The model of a model file's JSON object, whose values are checked,
-    not converted: Q, K and ranking entries must be JSON integers, and
-    dispersions and probabilities JSON numbers."""
-    Q = _json_integer(obj["Q"], "Q")
+    not converted: the model, its components and its prior must be JSON
+    objects with their fields, lists JSON lists, Q, K and ranking entries
+    JSON integers, and dispersions and probabilities JSON numbers."""
+    Q = _json_integer(_field(obj, "Q", "model"), "Q")
     comps = []
-    for k, c in enumerate(obj["components"]):
-        ranking = [_json_integer(x, f"component {k} ranking entry") for x in c["ranking"]]
+    for k, c in enumerate(_json_list(_field(obj, "components", "model"), "components")):
+        what = f"component {k}"
+        ranking = [_json_integer(x, f"{what} ranking entry")
+                   for x in _json_list(_field(c, "ranking", what), f"{what} ranking")]
         ref = Permutation.from_ranking(ranking)
         if len(ref) != Q:
             raise ValueError("component ranking length disagrees with Q")
-        comps.append(MallowsComponent(ref, _json_number(c["phi"], f"component {k} phi")))
+        comps.append(MallowsComponent(ref, _json_number(_field(c, "phi", what), f"{what} phi")))
     if "K" in obj and _json_integer(obj["K"], "K") != len(comps):
         raise ValueError("K disagrees with the number of components")
     # Estimated-model files carry no weight prior; such models can be
     # evaluated and used for prediction but not for generation.
     prior = _prior_from_json(obj["prior"]) if obj.get("prior") is not None else None
     pair_probs = None
-    if obj.get("pair_dist"):
+    pair_dist = obj.get("pair_dist")
+    if pair_dist is not None and _json_list(pair_dist, "pair_dist"):
         pair_probs = np.zeros(pairs.num_unordered(Q))
         unordered = pairs.unordered_index(Q)
-        for entry in obj["pair_dist"]:
+        for entry in pair_dist:
+            if type(entry) is not list or len(entry) != 3:
+                raise ValueError(f"pair_dist entry {entry!r} must be [i, j, p]")
             i, j, p = entry
             if not (type(i) is int and type(j) is int and 1 <= i <= Q and 1 <= j <= Q
                     and i != j):

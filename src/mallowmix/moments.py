@@ -7,7 +7,8 @@ users grows, to a matrix determined only by the observation matrix B and
 the first two moments of the weight prior.  Splitting removes the
 within-user sampling noise that would otherwise contaminate the diagonal.
 The W x W estimate is never built: it is kept as the two normalized
-halves and read a block at a time (``CoocFactors``).
+halves (``CoocFactors``), which detection reads only through products
+with dense blocks.
 """
 
 from __future__ import annotations
@@ -44,12 +45,8 @@ class SplitCounts:
         return self.row_totals() / self.M
 
 
-# Rows per product when a block of E-hat is filled from its factors, so
-# that a sparse product never holds more than this many rows of the block.
+# Rows of the square blocks whose diagonals ``CoocFactors.diagonal`` reads.
 _CHUNK_ROWS = 256
-# The most entries of the sparse ``right`` factor laid out as a dense array
-# at once (8 MB).
-_DENSE_ENTRIES = 2**20
 
 
 def _stored_bytes(factor) -> int:
@@ -71,13 +68,12 @@ class CoocFactors:
     E = scale * left @ right.T.
 
     Sampled corpora keep the sparse row-normalized halves (left = X'n,
-    right = Xn, scale = M), analytic moments the dense W x K factors
-    (left = B̄R̄, right = B̄, scale = 1).  Entries are read only through
-    ``block`` and ``diagonal``, which give bit for bit what the full
-    product would hold, so no W x W array is ever built.  A sparse
-    ``right`` must hold no duplicate entries, as the normalized halves
-    never do: laid out densely, duplicates would be added before they are
-    multiplied.
+    right = Xn, scale = M); only ``estimator._rank_k`` reads them, through
+    products with dense blocks.  Analytic moments keep the dense W x K
+    factors B̄R̄ and B̄, and the rank-K part that detection finds keeps
+    dense W x K factors too (both scale 1).  ``block`` and ``diagonal``
+    read entries of dense factors only, bit for bit what the full product
+    would hold, so no W x W array is ever built.
     """
 
     left: sp.csr_matrix | np.ndarray
@@ -93,67 +89,31 @@ class CoocFactors:
         """Bytes the factors store."""
         return _stored_bytes(self.left) + _stored_bytes(self.right)
 
-    def block(self, I, J) -> np.ndarray:
-        """E[I][:, J] as a dense array, built _CHUNK_ROWS rows at a time.
+    def _require_dense(self):
+        if sp.issparse(self.left) or sp.issparse(self.right):
+            raise TypeError("CoocFactors.block and diagonal read dense factors; "
+                            "these are sparse")
 
-        Each entry of a sparse product is a sum of the matched terms in the
-        order of ``left``'s stored indices, whichever rows the product
-        covers.  When the rows J of ``right`` fit in _DENSE_ENTRIES, they
-        are laid out densely: sparse times dense adds the same terms in the
-        same order, plus exact zeros, and skips the symbolic pass of a
-        sparse product.  A gemm entry does not depend on the other rows and
-        columns of its product.  So every block has the full product's bits.
-        """
+    def block(self, I, J) -> np.ndarray:
+        """E[I][:, J] as a dense array, in one gemm.  A gemm entry does not
+        depend on the other rows and columns of its product, so every block
+        has the full product's bits."""
+        self._require_dense()
         I = np.asarray(I, dtype=np.intp)
         J = np.asarray(J, dtype=np.intp)
-        out = np.zeros((I.size, J.size))
-        if not sp.issparse(self.left):
-            right = self.right[_gemm_index(J)].T
-        elif J.size * self.right.shape[1] <= _DENSE_ENTRIES:
-            right = self.right[J].T.toarray()
-        else:
-            right = self.right[J].T.tocsr()
-        for lo in range(0, I.size, _CHUNK_ROWS):
-            rows = I[lo:lo + _CHUNK_ROWS]
-            part = out[lo:lo + _CHUNK_ROWS]
-            if sp.issparse(right):
-                (self.left[rows] @ right).toarray(out=part)  # adds into the zeros
-            elif sp.issparse(self.left):
-                part[...] = self.left[rows] @ right
-            else:
-                part[...] = (self.left[_gemm_index(rows)] @ right)[:rows.size, :J.size]
-            part *= self.scale
+        out = (self.left[_gemm_index(I)] @ self.right[_gemm_index(J)].T)[:I.size, :J.size]
+        out *= self.scale
         return out
 
     def diagonal(self, I) -> np.ndarray:
-        """The entries E[i, i] for i in I, a chunk of rows at a time.
-
-        Sparse factors cost O(nnz): each row's products with ``right``'s
-        entries, laid out densely for at most _DENSE_ENTRIES at once, are
-        added one after another in the order of ``left``'s stored indices,
-        as the sparse product adds them; terms that meet no entry of
-        ``right`` add an exact zero.  Dense factors take the diagonals of
-        square blocks.
-        """
+        """The entries E[i, i] for i in I, read off square blocks of
+        _CHUNK_ROWS rows, so that each has the bits ``block`` gives it."""
+        self._require_dense()
         I = np.asarray(I, dtype=np.intp)
-        sparse = sp.issparse(self.left)
-        step = _CHUNK_ROWS
-        if sparse:
-            step = max(1, min(step, _DENSE_ENTRIES // max(1, self.left.shape[1])))
         out = np.empty(I.size)
-        for lo in range(0, I.size, step):
-            rows = I[lo:lo + step]
-            if sparse:
-                L = self.left[rows]
-                at = np.repeat(np.arange(rows.size), np.diff(L.indptr))
-                terms = L.data * self.right[rows].toarray()[at, L.indices]
-                # add.at adds the terms one at a time, in their order
-                diag = np.zeros(rows.size)
-                np.add.at(diag, at, terms)
-                diag *= self.scale
-            else:
-                diag = self.block(rows, rows).diagonal()
-            out[lo:lo + step] = diag
+        for lo in range(0, I.size, _CHUNK_ROWS):
+            rows = I[lo:lo + _CHUNK_ROWS]
+            out[lo:lo + _CHUNK_ROWS] = self.block(rows, rows).diagonal()
         return out
 
 
@@ -161,20 +121,18 @@ class CoocFactors:
 class CoocMatrix:
     """Estimated co-occurrence matrix with bookkeeping.
 
-    ``E`` holds the W x W estimate as its factors (``CoocFactors``).  ``M``
-    is the number of users behind the estimate; 0 marks an analytic
-    (asymptotic) matrix.  Rows and columns outside ``active`` are zero.
-    ``row_counts`` carries the combined observation count of each pair row
-    (None for analytic matrices), letting downstream consumers judge how
-    trustworthy each row of the estimate is.  ``split`` keeps the
-    per-user half counts the estimate was built from, so detection can
-    judge the sampling noise of row differences; None for analytic
-    matrices.
+    ``E`` holds the W x W estimate as its factors (``CoocFactors``).  Rows
+    and columns outside ``active`` are zero.  ``row_counts`` carries the
+    combined observation count of each pair row (None for analytic
+    matrices), letting downstream consumers judge how trustworthy each row
+    of the estimate is.  ``split`` keeps the per-user half counts the
+    estimate was built from; regression leaves them on B̂ as its
+    ``counts``, where ``evaluate.refit_dispersions`` reads them.  None for
+    analytic matrices.
     """
 
     E: CoocFactors
     active: np.ndarray
-    M: int
     Q: int
     row_counts: np.ndarray | None = None
     split: "SplitCounts | None" = None
@@ -226,7 +184,7 @@ def cooccurrence(split: SplitCounts) -> CoocMatrix:
     two sparse factors."""
     Xn, Xpn = normalized_halves(split)
     counts = split.row_totals()
-    return CoocMatrix(CoocFactors(Xpn, Xn, float(split.M)), counts > 0, split.M, split.Q,
+    return CoocMatrix(CoocFactors(Xpn, Xn, float(split.M)), counts > 0, split.Q,
                       row_counts=counts, split=split)
 
 
@@ -251,4 +209,4 @@ def analytic_cooccurrence(model: MixedMembershipModel) -> tuple[CoocMatrix, np.n
     Bbar = np.zeros_like(B)
     Bbar[active] = B[active] * a[None, :] / Ba[active, None]
     Rbar = R / np.outer(a, a)
-    return CoocMatrix(CoocFactors(Bbar @ Rbar, Bbar, 1.0), active, 0, model.Q), Ba
+    return CoocMatrix(CoocFactors(Bbar @ Rbar, Bbar, 1.0), active, model.Q), Ba

@@ -242,7 +242,7 @@ def solid_angle_toy(n_projections):
     E = np.array([[1.0, 0.0, 0.5],
                   [0.0, 1.0, 0.5],
                   [0.5, 0.5, 0.5]])
-    cooc = CoocMatrix(dense_factors(E), np.ones(3, dtype=bool), 0, 2)
+    cooc = CoocMatrix(dense_factors(E), np.ones(3, dtype=bool), 2)
     return detect_novel_pairs(cooc, DetectionConfig(n_components=2,
                                                     n_projections=n_projections))
 

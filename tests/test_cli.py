@@ -359,8 +359,10 @@ class TestOtherCommands:
 
 
     def test_model_files_are_checked_at_read(self, tmp_path, capsys):
-        # a vertex prior of 3 classes for 2 components, and a ranking entry
-        # of 1.7, each fail the read stage of every command that reads them
+        # a vertex prior of 3 classes for 2 components, a ranking entry of
+        # 1.7, a missing field, a value that is not a JSON object or list
+        # and a short pair_dist entry each fail the read stage of every
+        # command that reads them, naming the file and the rule
         code, _, _ = run(
             capsys, "generate", "--items", "4", "--components", "2",
             "--users", "10", "--comparisons", "4", "--phi", "0.2",
@@ -371,8 +373,19 @@ class TestOtherCommands:
         bad_prior = dict(truth, prior={"type": "vertex", "probs": [0.2, 0.3, 0.5]})
         bad_ranking = json.loads(json.dumps(truth))
         bad_ranking["components"][0]["ranking"][0] += 0.7
+        no_phi = json.loads(json.dumps(truth))
+        del no_phi["components"][0]["phi"]
         for obj, message in ((bad_prior, "class probabilities do not match K"),
-                             (bad_ranking, "ranking entry must be a JSON integer")):
+                             (bad_ranking, "ranking entry must be a JSON integer"),
+                             ({"Q": 3}, "model has no 'components' field"),
+                             (no_phi, "component 0 has no 'phi' field"),
+                             (dict(truth, prior={"type": "dirichlet"}),
+                              "prior has no 'alpha0' field"),
+                             ([], "model is not a JSON object"),
+                             (dict(truth, components=5), "components is not a JSON list"),
+                             (dict(truth, pair_dist=0), "pair_dist is not a JSON list"),
+                             (dict(truth, pair_dist=[[1, 2]]),
+                              "pair_dist entry [1, 2] must be [i, j, p]")):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(obj))
             for argv in (["predict", "--model", str(path), "-i", str(tmp_path / "c.jsonl"),

@@ -43,12 +43,12 @@ from mallowmix.moments import (
 from mallowmix.permutations import Permutation, copeland_rank
 from mallowmix.post import postprocess
 from mallowmix.separability import check_separability
-from test_moments import dense_factors
+from test_moments import dense_factors, full
 
 
 def analytic_toy(E, Q=2):
     E = np.asarray(E, dtype=float)
-    return CoocMatrix(dense_factors(E), np.ones(E.shape[0], dtype=bool), 0, Q)
+    return CoocMatrix(dense_factors(E), np.ones(E.shape[0], dtype=bool), Q)
 
 
 def brute_force_wins(Y, proj, half, c):
@@ -223,7 +223,7 @@ class TestDetection:
                       [0.0, 1.0, 3.0],
                       [3.0, 3.0, 9.0]])
         counts = np.array([100, 100, 1])
-        cooc = CoocMatrix(dense_factors(E), np.ones(3, dtype=bool), 50, 2, row_counts=counts)
+        cooc = CoocMatrix(dense_factors(E), np.ones(3, dtype=bool), 2, row_counts=counts)
         novel = detect_novel_pairs(cooc, DetectionConfig(n_components=2))
         assert sorted(novel.rows) == [0, 1]
         # disabling the floor lets the outlier through
@@ -289,7 +289,7 @@ def analytic_random(seed, Q, n_active, n_copies, jitter):
     E = clustered_rows(rng, rng.random((W, W)), n_copies, jitter)
     active = np.zeros(W, dtype=bool)
     active[rng.choice(W, size=n_active, replace=False)] = True
-    return CoocMatrix(dense_factors(E), active, 0, Q)
+    return CoocMatrix(dense_factors(E), active, Q)
 
 
 def sampled_random(seed, Q, M, n_copies, jitter):
@@ -526,7 +526,7 @@ class TestRankK:
         cooc = sampled_model_cooc(Q=5, K=2, phi=0.1, alpha=0.2, M=400, N=20, model_seed=3)
         act = np.flatnonzero(cooc.active)
         Y, sv, _, _ = _rank_k(cooc.E, act, 2, 0)
-        s_ref = np.linalg.svd(cooc.E.block(act, act), compute_uv=False)
+        s_ref = np.linalg.svd(full(cooc)[np.ix_(act, act)], compute_uv=False)
         np.testing.assert_allclose(sv[:2], s_ref[:2], rtol=1e-9)
         assert Y.shape == (act.size, 2)
 
@@ -554,7 +554,7 @@ class TestRegression:
                      [0.0, 1.0, 0.7],
                      [0.3, 0.7, 0.58]]
         active = np.array([True, True, True, False, False, False])
-        cooc = CoocMatrix(dense_factors(E), active, 0, 3)
+        cooc = CoocMatrix(dense_factors(E), active, 3)
         novel = NovelPairSet(rows=[0, 1], item_pairs=[(1, 2), (1, 3)], solid_angles={},
                              factors=cooc.E)
         B = estimate_ranking_matrix(cooc, np.ones(6), novel)
@@ -695,8 +695,9 @@ def regression_case(seed, source, Q, K, scale):
     """A co-occurrence matrix, a row scale and K distinct selected active
     rows (fewer if fewer rows are active).  ``source`` is "model" (analytic
     moments of a random mixture), "random" (a random matrix, whose H is
-    mostly indefinite) or "sampled"; ``scale`` is "random", "ones",
-    "sparse" (zero on about half the rows) or "zeros"."""
+    mostly indefinite) or "sampled" (a random corpus, read through the
+    rank-K factors that detection hands regression); ``scale`` is
+    "random", "ones", "sparse" (zero on about half the rows) or "zeros"."""
     rng = np.random.default_rng(seed)
     W = Q * (Q - 1)
     if source == "model":
@@ -712,8 +713,9 @@ def regression_case(seed, source, Q, K, scale):
                  "sparse": rng.random(W) * (rng.random(W) < 0.5), "zeros": np.zeros(W)}[scale]
     act = np.flatnonzero(cooc.active)
     rows = rng.choice(act, size=min(K, act.size), replace=False)
+    factors = _rank_k(cooc.E, act, rows.size, seed)[2] if source == "sampled" else cooc.E
     return cooc, row_scale, NovelPairSet(rows=rows.tolist(), item_pairs=[], solid_angles={},
-                                         factors=cooc.E)
+                                         factors=factors)
 
 
 def compare_regression(cooc, row_scale, novel, epsilon, max_iter, hits=None):

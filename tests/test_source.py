@@ -22,22 +22,35 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
-def test_imports_are_stdlib_numpy_scipy_or_the_package():
-    # Runtime dependencies are numpy and scipy only.
-    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy", "mallowmix"}
-    found = []
+def absolute_imports():
+    """("file:line", dotted name) of each absolute import in the package;
+    ``from a import b`` gives a.b."""
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue  # relative imports stay inside the package
-            found += [f"{path.relative_to(PACKAGE)}:{node.lineno}: {name}" for name in names
-                      if name.partition(".")[0] not in allowed]
+            yield from ((f"{path.relative_to(PACKAGE)}:{node.lineno}", name) for name in names)
+
+
+def test_imports_are_stdlib_numpy_scipy_or_the_package():
+    # Runtime dependencies are numpy and scipy only.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy", "mallowmix"}
+    found = [f"{where}: {name}" for where, name in absolute_imports()
+             if name.partition(".")[0] not in allowed]
     assert not found, f"imports outside the standard library, numpy and scipy: {found}"
+
+
+def test_only_moments_imports_scipy_sparse():
+    # one module owns the sparse format, and generate and predict, which
+    # never import moments, stay free of scipy
+    found = [f"{where}: {name}" for where, name in absolute_imports()
+             if (name + ".").startswith("scipy.sparse.")]
+    assert found and all(f.startswith("moments.py:") for f in found), found
 
 
 def write_calls(tree: ast.AST) -> list[ast.Call]:
