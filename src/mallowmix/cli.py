@@ -205,7 +205,9 @@ def cmd_estimate(args) -> int:
           f"regression at most {steps} iterations, worst residual {resid:.3e}; "
           f"{len(est.diagnostics['clamped_components'])} clamped dispersions"
           + (f"; dispersions refitted on the records after {est.refit['weight_cycles']} "
-             f"weight cycles and {est.refit['newton_steps']} Newton steps"
+             f"weight cycles and {est.refit['newton_steps']} Newton steps, log-likelihood "
+             f"{est.refit['loglik'] / est.refit['records']:.4f} per record read "
+             f"(log 1/2 = {math.log(0.5):.4f})"
              if est.refit else ""), file=sys.stderr)
     config = {
         "command": "estimate",

@@ -112,6 +112,10 @@ _REFIT_HALVINGS = 30
 # The refit reads every s-th user, s the smallest stride that leaves at
 # most this many records, so that its cost stays bounded as corpora grow.
 _REFIT_RECORDS = 2**19
+# The weight EM sweeps blocks of whole users of at most this many entries;
+# a user with more entries takes a block of its own.  predict_loglik reads
+# records in blocks of this size too.
+_EM_BLOCK = 2**15
 
 
 def _unsupported(r: int, Q: int) -> ValueError:
@@ -151,12 +155,11 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
     over one entry per distinct (user, pair row), weighted by its count of
     records.  One in-place sort of the key ``user * W + row`` (W = Q(Q-1))
     groups the records into entries, and every occupied user owns one
-    contiguous segment of them.  The E-step repeats each user's weights
-    over its segment and sums the components into one mixture probability
-    per entry; the M-step and each user's log-likelihood add count-weighted
-    segments with ``np.add.reduceat``.  Only the entries' (K, entries)
-    outcome probabilities are held: each component's share of an entry is
-    recomputed where it is needed, one component at a time.
+    contiguous segment of them.  Each EM step is one sweep over blocks of
+    whole users (``_EM_BLOCK``) that forms each term theta_k B[w, k] once
+    per block and adds count-weighted segments with ``np.add.reduceat``;
+    beside the entries' (K, entries) outcome probabilities only one
+    block's terms are held.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -209,88 +212,97 @@ def _weights_em(count: np.ndarray, starts: np.ndarray, BwT: np.ndarray, tol: flo
     ``starts``.  Returns the (K, users) weights and the total
     log-likelihood at the start of every cycle; ``unsupported(theta)``
     gives the error to raise when an entry has probability zero.
+
+    Each EM step is one sweep over blocks of whole users that forms a
+    block's terms theta_k B[w, k] once, adds them into its mixture
+    probabilities and turns them into its M-step shares.  A SQUAREM cycle
+    sweeps theta1 and then the extrapolated point, whose M-step is the next
+    cycle's theta1 unless a user falls back to theta2 (that sweep then
+    forms no more shares).
     """
     K = BwT.shape[0]
     entries = np.diff(starts, append=count.size)  # entries per occupied user
+    ends = starts + entries
     sizes = np.add.reduceat(count, starts)  # records per occupied user
-    total = np.empty(count.size)
+    blocks = []
+    u = 0
+    while u < starts.size:
+        v = max(u + 1, int(np.searchsorted(ends, starts[u] + _EM_BLOCK, side="right")))
+        blocks.append((u, v))
+        u = v
 
-    def component(theta: np.ndarray, k: int) -> np.ndarray:
-        """theta_k B[w, k] of every entry, at ``theta`` (K x occupied users)."""
-        part = np.repeat(theta[k], entries)
-        part *= BwT[k]
-        return part
-
-    def e_step(theta: np.ndarray) -> None:
-        """Fill ``total`` with every entry's mixture probability."""
-        np.multiply(np.repeat(theta[0], entries), BwT[0], out=total)
-        for k in range(1, K):
-            np.add(total, component(theta, k), out=total)
-
-    def user_loglik() -> np.ndarray:
-        """Each user's log-likelihood at the last E-step (-inf where a
-        record has probability zero)."""
-        with np.errstate(divide="ignore"):
-            ll = np.log(total)
-        ll *= count
-        return np.add.reduceat(ll, starts)
-
-    def responsibility(theta: np.ndarray, k: int) -> np.ndarray:
-        """Component k's count-weighted share of every entry at the last
-        E-step, whose weights were ``theta``.  The share theta_k B[w, k] /
-        total lies in [0, 1], where count / total alone could overflow."""
-        part = component(theta, k)
-        part /= total
-        part *= count
-        return part
-
-    def m_step(theta: np.ndarray) -> np.ndarray:
+    def sweep(theta: np.ndarray, loglik: bool = True, floor=None):
+        """Each user's log-likelihood at ``theta`` (K x occupied users; -inf
+        where a record has probability zero) if ``loglik``, and the M-step
+        from ``theta``: None where an entry has probability zero, or, given
+        ``floor``, where a user's log-likelihood is not at least its floor,
+        since that step is not used."""
+        user_ll = np.empty(theta.shape[1]) if loglik else None
         step = np.empty_like(theta)
-        for k in range(K):
-            step[k] = np.add.reduceat(responsibility(theta, k), starts)
-        return step / sizes
-
-    def check_support(theta: np.ndarray) -> None:
-        if total.size and total.min() == 0:
-            raise unsupported(theta)
+        for u, v in blocks:
+            lo, hi = starts[u], ends[v - 1]
+            local = starts[u:v] - lo
+            terms = np.repeat(theta[:, u:v], entries[u:v], axis=1)
+            terms *= BwT[:, lo:hi]
+            total = terms[0].copy() if K == 1 else terms[0] + terms[1]
+            for k in range(2, K):
+                total += terms[k]
+            if step is not None and total.min() == 0:
+                step = None
+                if not loglik:
+                    break
+            if step is not None:
+                # each component's count-weighted share theta_k B[w, k] /
+                # total, in [0, 1] where count / total alone could overflow
+                terms /= total
+                terms *= count[lo:hi]
+                for k in range(K):
+                    step[k, u:v] = np.add.reduceat(terms[k], local)
+            if loglik:
+                with np.errstate(divide="ignore"):
+                    np.log(total, out=total)
+                total *= count[lo:hi]
+                user_ll[u:v] = np.add.reduceat(total, local)
+                if floor is not None and not (user_ll[u:v] >= floor[u:v]).all():
+                    step = None
+            del terms, total  # before the next block's are formed
+        return user_ll, None if step is None else step / sizes
 
     theta = np.full((K, starts.size), 1.0 / K)
-    user_ll = None
+    user_ll = theta1 = None
     history: list[float] = []
     prev_ll = -math.inf
     change = math.inf
     for it in range(1, max_iter + 1):
         if user_ll is None:
-            e_step(theta)
-            user_ll = user_loglik()
-        check_support(theta)
+            user_ll, theta1 = sweep(theta)
+        if theta1 is None:
+            raise unsupported(theta)
         ll = float(user_ll.sum())
         if ll < prev_ll - 1e-9 * (1.0 + abs(prev_ll)):
             raise RuntimeError(
                 f"EM log-likelihood decreased at iteration {it}: {prev_ll!r} -> {ll!r}")
         history.append(ll)
-        theta1 = m_step(theta)
         if _converged(ll, prev_ll, tol):
             theta = theta1
             break
         change = abs(ll - prev_ll) / (1.0 + abs(ll))
         prev_ll = ll
-        e_step(theta1)
-        check_support(theta1)
-        theta2 = m_step(theta1)
-        point, extrapolated = _squarem_point(theta, theta1, theta2)
-        next_ll = None
+        _, theta2 = sweep(theta1, loglik=False)
+        if theta2 is None:
+            raise unsupported(theta1)
+        theta, extrapolated = _squarem_point(theta, theta1, theta2)
+        floor = np.where(extrapolated, user_ll, -math.inf)
+        user_ll = theta1 = None
         if extrapolated.any():
-            e_step(point)
-            point_ll = user_loglik()
             # a point that lowers a user's likelihood, or gives one of its
-            # records probability zero, falls back to theta2
-            fallback = extrapolated & ~(point_ll >= user_ll)
+            # records probability zero, falls back to theta2; else its
+            # sweep is the next cycle's first
+            user_ll, theta1 = sweep(theta, floor=floor)
+            fallback = ~(user_ll >= floor)
             if fallback.any():
-                point[:, fallback] = theta2[:, fallback]
-            else:
-                next_ll = point_ll  # total already holds the next E-step
-        theta, user_ll = point, next_ll
+                theta[:, fallback] = theta2[:, fallback]
+                user_ll = theta1 = None
     else:
         warnings.warn(
             f"EM stopped at max_iter={max_iter} without converging; last relative "
@@ -314,15 +326,17 @@ def refit_dispersions(counts, rankings: list[Permutation], dispersions, *,
     ``infer_weights`` at the given dispersions (raised to at least
     _REFIT_FLOOR), stopped at relative change ``tol``, and are held while
     Newton's method maximizes the records' log-likelihood over the K
-    dispersions.  The weights keep part of the given dispersions' error,
-    the less the more records each user has.  Newton keeps each phi in
-    [0, 1) and halves a step until the likelihood does not fall; its
-    derivatives in phi are forward differences of the pair marginal
-    tables.  It stops once a step would move no dispersion by more than
-    _REFIT_PHI_TOL, or when no step keeps the likelihood.
+    dispersions; each component's weights are repeated over the entries
+    only where a term needs them, one component at a time.  The weights
+    keep part of the given dispersions' error, the less the more records
+    each user has.  Newton keeps each phi in [0, 1) and halves a step until
+    the likelihood does not fall; its derivatives in phi are forward
+    differences of the pair marginal tables.  It stops once a step would
+    move no dispersion by more than _REFIT_PHI_TOL, or when no step keeps
+    the likelihood.
 
     Returns the dispersions and a dict with the weight EM's cycles, the
-    Newton steps taken and the final log-likelihood.
+    Newton steps taken, the final log-likelihood and the records read.
     """
     Q = counts.Q
     C = (counts.X + counts.X_prime).T.tocsr()  # one row of pair-row counts per user
@@ -346,14 +360,20 @@ def refit_dispersions(counts, rankings: list[Permutation], dispersions, *,
     theta, history = _weights_em(
         count, starts, order_probabilities(phis).take(row, axis=1), tol, 500,
         lambda _: RuntimeError("a record has probability zero in every component"))
-    weight = np.array([np.repeat(t, entries) for t in theta])  # theta_uk of every entry
+
+    def weighted(k: int, values: np.ndarray) -> np.ndarray:
+        """theta_uk values[w] of every entry, from component k's values
+        per pair row."""
+        part = values.take(row)
+        part *= np.repeat(theta[k], entries)
+        return part
 
     def mixture(phis) -> tuple[np.ndarray, float]:
         """sum_k theta_uk beta_k(w) of every entry, and the log-likelihood."""
         beta = order_probabilities(phis)
         total = np.zeros(count.size)
         for k in range(len(gaps)):
-            total += weight[k] * beta[k].take(row)
+            total += weighted(k, beta[k])
         with np.errstate(divide="ignore"):
             return total, float(count @ np.log(total))
 
@@ -363,11 +383,13 @@ def refit_dispersions(counts, rankings: list[Permutation], dispersions, *,
     for _ in range(_REFIT_MAX_STEPS):
         b0, b1, b2 = (order_probabilities(phis + j * _REFIT_STEP) for j in range(3))
         w = count / total
-        slope = ((4.0 * b1 - 3.0 * b0 - b2) / (2.0 * _REFIT_STEP)).take(row, axis=1)
-        slope *= weight  # theta_uk d beta_k / d phi_k of every entry
+        dbeta = (4.0 * b1 - 3.0 * b0 - b2) / (2.0 * _REFIT_STEP)
+        slope = np.empty((len(gaps), count.size))  # theta_uk d beta_k / d phi_k of every entry
+        for k in range(len(gaps)):
+            slope[k] = weighted(k, dbeta[k])
         grad = slope @ w
         curve = (b0 - 2.0 * b1 + b2) / _REFIT_STEP**2
-        hess = np.diag([(weight[k] * curve[k].take(row)) @ w for k in range(len(gaps))])
+        hess = np.diag([weighted(k, curve[k]) @ w for k in range(len(gaps))])
         w /= total
         for k in range(len(gaps)):
             hess[k] -= slope @ (slope[k] * w)
@@ -389,7 +411,8 @@ def refit_dispersions(counts, rankings: list[Permutation], dispersions, *,
             break
         phis, total, ll = cand, cand_total, cand_ll
         steps += 1
-    return phis.tolist(), {"weight_cycles": len(history), "newton_steps": steps, "loglik": ll}
+    return phis.tolist(), {"weight_cycles": len(history), "newton_steps": steps, "loglik": ll,
+                           "records": int(count.sum())}
 
 _MAX_HALVINGS = 30  # step halvings toward -1 before a user takes theta2
 
@@ -459,13 +482,16 @@ def predict_loglik(corpus: ComparisonCorpus, theta, B_hat) -> PredictionReport:
         if theta.shape != (corpus.M, K):
             raise ValueError(f"theta must have shape ({corpus.M}, {K})")
         per_user = theta
-    rows = corpus.pair_rows()
-    # one component at a time, so no (n, K) gather is held
+    # a block of records and one component at a time, so that beside p
+    # only one block's pair rows and terms are held
     p = np.zeros(corpus.n_records)
-    for k in range(K):
-        term = per_user[:, k].take(corpus.user)
-        term *= B[:, k].take(rows)
-        p += term
+    for lo in range(0, corpus.n_records, _EM_BLOCK):
+        hi = lo + _EM_BLOCK
+        rows = corpus.pair_rows(lo, hi)
+        for k in range(K):
+            term = per_user[:, k].take(corpus.user[lo:hi])
+            term *= B[:, k].take(rows)
+            p[lo:hi] += term
     zero = int(np.count_nonzero(p == 0))
     if zero:
         return PredictionReport(-math.inf, zero, corpus.n_records)

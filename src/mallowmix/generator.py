@@ -215,9 +215,9 @@ class ComparisonCorpus:
     def n_records(self) -> int:
         return self.user.size
 
-    def pair_rows(self) -> np.ndarray:
-        """Ordered-pair row index of every record."""
-        return pairs.pair_row(self.winner, self.loser, self.Q)
+    def pair_rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Ordered-pair row index of every record, or of records start:stop."""
+        return pairs.pair_row(self.winner[start:stop], self.loser[start:stop], self.Q)
 
 
 # Stream id for drawing the model itself (references etc.); user streams use

@@ -39,8 +39,8 @@ class EstimatedModel:
     B_hat: np.ndarray
     beta_hat: np.ndarray  # NaN where a pair could not be resolved
     diagnostics: dict = field(default_factory=dict)
-    # the dispersion refit's weight cycles, Newton steps and log-likelihood;
-    # None when B-hat carries no counts
+    # the dispersion refit's weight cycles, Newton steps, log-likelihood and
+    # records read; None when B-hat carries no counts
     refit: dict | None = None
 
     @property

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 
 import numpy as np
@@ -180,10 +181,13 @@ class TestEstimateAndEvaluate:
                          r"\((\d+) of (\d+) projections\); regression at most (\d+) "
                          r"iterations, worst residual (\S+); (\d+) clamped dispersions; "
                          r"dispersions refitted on the records after (\d+) weight cycles and "
-                         r"(\d+) Newton steps\n", err)
+                         r"(\d+) Newton steps, log-likelihood (\S+) per record read "
+                         r"\(log 1/2 = -0\.6931\)\n", err)
         assert m, err
         assert int(m[1]) >= 2 and m[12] == "0"
         assert int(m[13]) >= 1 and int(m[14]) >= 1
+        # the records' order carries information that a coin flip lacks
+        assert math.log(0.5) < float(m[15]) < 0
         # two components stand well clear of the noise
         assert float(m[2]) > 5 * float(m[3]) > 0
         assert float(m[4]) == pytest.approx(float(m[2]) / float(m[3]), rel=1e-3)

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from mallowmix.mallows import (
     MallowsComponent,
     RankingMatrix,
     build_ranking_matrix,
+    gap_marginals,
     marginal_table,
     reverse_marginal_table,
 )
@@ -341,6 +343,33 @@ def check_weights(corpus, B, theta, history):
     assert np.all(theta[empty] == 1.0 / K)
 
 
+def squarem_spy(squarem_point, points):
+    """``squarem_point`` that also appends (theta0, point, extrapolated) of
+    every call to ``points``."""
+    def spy(theta0, theta1, theta2):
+        point, extrapolated = squarem_point(theta0, theta1, theta2)
+        points.append((theta0.copy(), point.copy(), extrapolated.copy()))
+        return point, extrapolated
+    return spy
+
+
+def squarem_outcomes(corpus, B, points):
+    """What became of each user's extrapolated point among the spied
+    ``points``: "extrapolated" when its likelihood is no lower than at the
+    cycle's start, so the EM keeps it, else "fallback" to theta2."""
+    seen = set()
+    occupied = np.flatnonzero(np.bincount(corpus.user, minlength=corpus.M))
+    Bw = B[corpus.pair_rows()]
+    for theta0, point, extrapolated in points:
+        for col in np.flatnonzero(extrapolated):
+            mine = corpus.user == occupied[col]
+            with np.errstate(divide="ignore"):
+                ll0 = np.log(Bw[mine] @ theta0[:, col]).sum()
+                ll = np.log(Bw[mine] @ point[:, col]).sum()
+            seen.add("extrapolated" if ll >= ll0 else "fallback")
+    return seen
+
+
 class TestInferWeightsMatchesReference:
     """The SQUAREM EM against ``reference_infer_weights``, the plain EM it
     accelerates: the same errors, weights on the simplex, and a maximum at
@@ -374,18 +403,9 @@ class TestInferWeightsMatchesReference:
         assert ll >= want_ll - 1e-9 * (1.0 + abs(want_ll))
 
     def test_cases_reach_extrapolation_and_fallback(self, monkeypatch):
-        # Spy on the SQUAREM points and classify each user that got an
-        # extrapolated point: kept when its likelihood is no lower than at
-        # the cycle's start, else the EM falls back to theta2.
         points = []
-        squarem_point = evaluate._squarem_point
-
-        def spy(theta0, theta1, theta2):
-            point, extrapolated = squarem_point(theta0, theta1, theta2)
-            points.append((theta0.copy(), point.copy(), extrapolated.copy()))
-            return point, extrapolated
-
-        monkeypatch.setattr(evaluate, "_squarem_point", spy)
+        monkeypatch.setattr(evaluate, "_squarem_point",
+                            squarem_spy(evaluate._squarem_point, points))
         seen = set()
 
         @settings(max_examples=300, deadline=None, database=None)
@@ -394,15 +414,7 @@ class TestInferWeightsMatchesReference:
             corpus, B = case
             points.clear()
             run_em(infer_weights, corpus, B)
-            occupied = np.flatnonzero(np.bincount(corpus.user, minlength=corpus.M))
-            Bw = B[corpus.pair_rows()]
-            for theta0, point, extrapolated in points:
-                for col in np.flatnonzero(extrapolated):
-                    mine = corpus.user == occupied[col]
-                    with np.errstate(divide="ignore"):
-                        ll0 = np.log(Bw[mine] @ theta0[:, col]).sum()
-                        ll = np.log(Bw[mine] @ point[:, col]).sum()
-                    seen.add("extrapolated" if ll >= ll0 else "fallback")
+            seen.update(squarem_outcomes(corpus, B, points))
 
         run()
         assert seen == {"extrapolated", "fallback"}
@@ -663,6 +675,168 @@ class TestGroupedEMMatchesPerRecord:
         assert peak <= want, (peak, want)
 
 
+def entry_weights_em(count, starts, BwT, tol, max_iter, unsupported):
+    """The weight EM over whole entries arrays: every E-step fills an
+    entries-long ``total`` and every M-step forms each theta_k B[w, k]
+    term again.  ``evaluate._weights_em`` sweeps blocks of users and forms
+    each term once; this is the loop it replaced, kept as the reference it
+    must match bit for bit."""
+    K = BwT.shape[0]
+    entries = np.diff(starts, append=count.size)
+    sizes = np.add.reduceat(count, starts)
+    total = np.empty(count.size)
+
+    def component(theta, k):
+        part = np.repeat(theta[k], entries)
+        part *= BwT[k]
+        return part
+
+    def e_step(theta):
+        np.multiply(np.repeat(theta[0], entries), BwT[0], out=total)
+        for k in range(1, K):
+            np.add(total, component(theta, k), out=total)
+
+    def user_loglik():
+        with np.errstate(divide="ignore"):
+            ll = np.log(total)
+        ll *= count
+        return np.add.reduceat(ll, starts)
+
+    def responsibility(theta, k):
+        part = component(theta, k)
+        part /= total
+        part *= count
+        return part
+
+    def m_step(theta):
+        step = np.empty_like(theta)
+        for k in range(K):
+            step[k] = np.add.reduceat(responsibility(theta, k), starts)
+        return step / sizes
+
+    def check_support(theta):
+        if total.size and total.min() == 0:
+            raise unsupported(theta)
+
+    theta = np.full((K, starts.size), 1.0 / K)
+    user_ll = None
+    history = []
+    prev_ll = -math.inf
+    change = math.inf
+    for it in range(1, max_iter + 1):
+        if user_ll is None:
+            e_step(theta)
+            user_ll = user_loglik()
+        check_support(theta)
+        ll = float(user_ll.sum())
+        if ll < prev_ll - 1e-9 * (1.0 + abs(prev_ll)):
+            raise RuntimeError(
+                f"EM log-likelihood decreased at iteration {it}: {prev_ll!r} -> {ll!r}")
+        history.append(ll)
+        theta1 = m_step(theta)
+        if evaluate._converged(ll, prev_ll, tol):
+            theta = theta1
+            break
+        change = abs(ll - prev_ll) / (1.0 + abs(ll))
+        prev_ll = ll
+        e_step(theta1)
+        check_support(theta1)
+        theta2 = m_step(theta1)
+        point, extrapolated = evaluate._squarem_point(theta, theta1, theta2)
+        next_ll = None
+        if extrapolated.any():
+            e_step(point)
+            point_ll = user_loglik()
+            fallback = extrapolated & ~(point_ll >= user_ll)
+            if fallback.any():
+                point[:, fallback] = theta2[:, fallback]
+            else:
+                next_ll = point_ll
+        theta, user_ll = point, next_ll
+    else:
+        warnings.warn(
+            f"EM stopped at max_iter={max_iter} without converging; last relative "
+            f"log-likelihood change {change:.3e} (tol {tol:.1e})",
+            RuntimeWarning, stacklevel=3)
+    return theta, history
+
+
+def swapped_point(theta0, theta1, theta2):
+    """A SQUAREM point that hands each component's weight to the next one
+    (reversed order), so that the likelihood can fall."""
+    return theta2[::-1].copy(), np.zeros(theta2.shape[1], dtype=bool)
+
+
+def sweep_and_entry_runs(corpus, B, block, swap, **kwargs):
+    """``run_em`` of ``infer_weights`` with blocks of ``block`` entries, and
+    of the same with ``entry_weights_em`` in place of the sweep; with
+    ``swap`` both take ``swapped_point`` as their SQUAREM point."""
+    squarem = swapped_point if swap else evaluate._squarem_point
+    with mock.patch.object(evaluate, "_squarem_point", squarem):
+        with mock.patch.object(evaluate, "_EM_BLOCK", block):
+            got = run_em(infer_weights, corpus, B, **kwargs)
+        with mock.patch.object(evaluate, "_weights_em", entry_weights_em):
+            want = run_em(infer_weights, corpus, B, **kwargs)
+    return got, want
+
+
+def largest_user(corpus):
+    """The most distinct (user, pair) entries any one user has."""
+    keys = np.unique(corpus.user * pairs.num_pairs(corpus.Q) + corpus.pair_rows())
+    return int(np.bincount(keys // pairs.num_pairs(corpus.Q), minlength=1).max())
+
+
+sweep_cases = dict(case=st.one_of(em_cases(), repeat_cases()), block=st.integers(1, 7),
+                   swap=st.booleans(), tol=st.sampled_from([1e-8, 1e-12, 0.0]),
+                   max_iter=st.sampled_from([1, 2, 5, 500]))
+
+
+class TestSweepMatchesEntryEM:
+    """The EM swept a block of users at a time against ``entry_weights_em``,
+    the same cycles over whole entries arrays: the same bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(**sweep_cases)
+    def test_same_bits_warnings_and_errors(self, case, block, swap, tol, max_iter):
+        corpus, B = case
+        (got, got_warnings), (want, want_warnings) = sweep_and_entry_runs(
+            corpus, B, block, swap, tol=tol, max_iter=max_iter)
+        assert got_warnings == want_warnings
+        if isinstance(want, Exception) or isinstance(got, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            return
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
+
+    def test_cases_reach_every_path(self):
+        points = []
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(**sweep_cases)
+        def run(case, block, swap, tol, max_iter):
+            corpus, B = case
+            points.clear()
+            spy = squarem_spy(swapped_point if swap else evaluate._squarem_point, points)
+            with mock.patch.object(evaluate, "_squarem_point", spy), \
+                    mock.patch.object(evaluate, "_EM_BLOCK", block):
+                out, caught = run_em(infer_weights, corpus, B, tol=tol, max_iter=max_iter)
+            if largest_user(corpus) > block:
+                seen.add("user past a block")
+            if caught:
+                seen.add("max_iter")
+            if isinstance(out, ValueError) and "zero probability" in str(out):
+                seen.add("zero probability")
+            if isinstance(out, RuntimeError) and "decreased" in str(out):
+                seen.add("decrease")
+            if not swap:
+                seen.update(squarem_outcomes(corpus, B, points))
+
+        run()
+        assert seen == {"user past a block", "max_iter", "zero probability", "decrease",
+                        "extrapolated", "fallback"}
+
+
 class TestRefitDispersions:
     def test_single_component_matches_grid_search(self):
         # one component: every weight is one, so the refit is the
@@ -729,6 +903,133 @@ class TestRefitDispersions:
         assert refit.diagnostics == plain.diagnostics
 
 
+def weight_array_refit_dispersions(counts, rankings, dispersions, *, tol=evaluate.REFIT_TOL):
+    """The dispersion refit with its weights repeated over every entry as
+    one (K, entries) array, and its weight EM over whole entries arrays
+    (``entry_weights_em``): the code ``evaluate.refit_dispersions``
+    replaced, kept as the reference it must match bit for bit.  Its info
+    dict has no ``records``."""
+    Q = counts.Q
+    C = (counts.X + counts.X_prime).T.tocsr()
+    C = C[::max(1, math.ceil(C.data.sum() / evaluate._REFIT_RECORDS))]
+    count, row = C.data, C.indices
+    starts = C.indptr[:-1][np.diff(C.indptr) > 0]
+    entries = np.diff(starts, append=count.size)
+    I, J = pairs.pair_arrays(Q)
+    gaps = []
+    for sigma in rankings:
+        pos = np.empty(Q + 1, dtype=np.int64)
+        pos[list(sigma.ranking)] = np.arange(Q)
+        gaps.append(pos[J] - pos[I])
+
+    def order_probabilities(phis):
+        return np.array([gap_marginals(g, marginal_table(Q, phi), reverse_marginal_table(Q, phi))
+                         for g, phi in zip(gaps, phis)])
+
+    phis = np.maximum(np.asarray(dispersions, dtype=float), evaluate._REFIT_FLOOR)
+    theta, history = entry_weights_em(
+        count, starts, order_probabilities(phis).take(row, axis=1), tol, 500,
+        lambda _: RuntimeError("a record has probability zero in every component"))
+    weight = np.array([np.repeat(t, entries) for t in theta])
+
+    def mixture(phis):
+        beta = order_probabilities(phis)
+        total = np.zeros(count.size)
+        for k in range(len(gaps)):
+            total += weight[k] * beta[k].take(row)
+        with np.errstate(divide="ignore"):
+            return total, float(count @ np.log(total))
+
+    step = evaluate._REFIT_STEP
+    total, ll = mixture(phis)
+    hi = math.nextafter(1.0, 0.0)
+    steps = 0
+    for _ in range(evaluate._REFIT_MAX_STEPS):
+        b0, b1, b2 = (order_probabilities(phis + j * step) for j in range(3))
+        w = count / total
+        slope = ((4.0 * b1 - 3.0 * b0 - b2) / (2.0 * step)).take(row, axis=1)
+        slope *= weight
+        grad = slope @ w
+        curve = (b0 - 2.0 * b1 + b2) / step**2
+        hess = np.diag([(weight[k] * curve[k].take(row)) @ w for k in range(len(gaps))])
+        w /= total
+        for k in range(len(gaps)):
+            hess[k] -= slope @ (slope[k] * w)
+        del slope
+        try:
+            np.linalg.cholesky(-hess)
+            move = np.linalg.solve(-hess, grad)
+        except np.linalg.LinAlgError:
+            move = grad / np.maximum(np.abs(np.diag(hess)), np.finfo(float).tiny)
+        if np.max(np.abs(np.clip(phis + move, 0.0, hi) - phis)) <= evaluate._REFIT_PHI_TOL:
+            break
+        for _ in range(evaluate._REFIT_HALVINGS):
+            cand = np.clip(phis + move, 0.0, hi)
+            cand_total, cand_ll = mixture(cand)
+            if cand_ll >= ll:
+                break
+            move *= 0.5
+        else:
+            break
+        phis, total, ll = cand, cand_total, cand_ll
+        steps += 1
+    return phis.tolist(), {"weight_cycles": len(history), "newton_steps": steps, "loglik": ll}
+
+
+def refit_case(K, M, N, seed):
+    """Split counts of a Q = 7 corpus from K components, the references,
+    and read-off dispersions 0.05 off the true ones."""
+    rng = np.random.default_rng(seed)
+    rankings = [list(rng.permutation(7) + 1) for _ in range(K)]
+    phis = list(rng.uniform(0.15, 0.5, K))
+    corpus, _ = generate(model_of(rankings, phis, prior=DirichletPrior(0.3)), M=M, N=N, seed=seed)
+    refs = [Permutation.from_ranking(r) for r in rankings]
+    return corpus, refs, [p + 0.05 * (-1) ** k for k, p in enumerate(phis)]
+
+
+def refit_peak(fn, split, refs, start):
+    """tracemalloc peak of one refit, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(split, refs, start)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestRefitMatchesWeightArray:
+    """``refit_dispersions`` against ``weight_array_refit_dispersions``."""
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_same_bits(self, K, stride, monkeypatch):
+        corpus, refs, start = refit_case(K, M=300, N=30, seed=K)
+        split = split_halves(corpus)
+        # 9000 records: a limit of 3000 reads every third user
+        monkeypatch.setattr(evaluate, "_REFIT_RECORDS", 9000 // stride)
+        monkeypatch.setattr(evaluate, "_EM_BLOCK", 500)
+        phis, info = evaluate.refit_dispersions(split, refs, start)
+        want, want_info = weight_array_refit_dispersions(split, refs, start)
+        assert np.array(phis).tobytes() == np.array(want).tobytes()
+        assert info == {**want_info, "records": int(np.count_nonzero(corpus.user % stride == 0))}
+        assert info["newton_steps"] >= 1
+
+    def test_peak_memory_without_the_weight_array(self, monkeypatch):
+        # the weight array is K x entries floats; the refit holds it no
+        # more.  The weight EM's blocks are cut to about a tenth of the
+        # entries, as on the benchmark's corpora, so that the EM's peak
+        # stays below the Newton steps'.
+        monkeypatch.setattr(evaluate, "_EM_BLOCK", 2**12)
+        K = 5
+        corpus, refs, start = refit_case(K, M=2000, N=40, seed=6)
+        split = split_halves(corpus)
+        entries = (split.X + split.X_prime).nnz
+        peak = refit_peak(evaluate.refit_dispersions, split, refs, start)
+        want = refit_peak(weight_array_refit_dispersions, split, refs, start)
+        assert peak <= want - 0.8 * K * entries * 8, (peak, want, K * entries * 8)
+
+
 class TestPredictLoglik:
     def test_deterministic_corpus_scores_pair_probability(self):
         # dispersion zero, uniform pairs over three items: every record
@@ -789,3 +1090,57 @@ class TestPredictLoglik:
         ll_true = predict_loglik(corpus, infer_weights(corpus, truth), truth)
         ll_wrong = predict_loglik(corpus, infer_weights(corpus, wrong), wrong)
         assert ll_true.avg_loglik > ll_wrong.avg_loglik
+
+
+def per_record_predict_loglik(corpus, theta, B):
+    """``predict_loglik`` with each component's terms gathered for all
+    records at once: the form it replaced, kept as its reference."""
+    B = np.asarray(B, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    per_user = np.broadcast_to(theta, (corpus.M, B.shape[1])) if theta.ndim == 1 else theta
+    rows = corpus.pair_rows()
+    p = np.zeros(corpus.n_records)
+    for k in range(B.shape[1]):
+        term = per_user[:, k].take(corpus.user)
+        term *= B[:, k].take(rows)
+        p += term
+    zero = int(np.count_nonzero(p == 0))
+    if zero:
+        return evaluate.PredictionReport(-math.inf, zero, corpus.n_records)
+    return evaluate.PredictionReport(float(np.mean(np.log(p, out=p))), 0, corpus.n_records)
+
+
+class TestPredictLoglikInBlocks:
+    @pytest.mark.parametrize("block", [1, 7, 100, 2**15])
+    def test_same_bits_as_per_record(self, block, monkeypatch):
+        model = model_of([[3, 1, 2, 4], [1, 4, 2, 3], [2, 3, 4, 1]], [0.2, 0.5, 0.0])
+        corpus, _ = generate(model, M=40, N=12, seed=11)
+        B = model.observation_matrix().entries
+        theta = infer_weights(corpus, B)
+        monkeypatch.setattr(evaluate, "_EM_BLOCK", block)
+        for weights in (theta, theta[0]):
+            report = predict_loglik(corpus, weights, B)
+            assert report == per_record_predict_loglik(corpus, weights, B)
+        # dispersion zero in one component: records it cannot produce
+        zero = predict_loglik(corpus, np.array([0.0, 0.0, 1.0]), B)
+        assert zero.zero_events > 0
+        assert zero == per_record_predict_loglik(corpus, np.array([0.0, 0.0, 1.0]), B)
+
+    def test_peak_memory_is_p_and_one_block(self, monkeypatch):
+        block = 2**12
+        monkeypatch.setattr(evaluate, "_EM_BLOCK", block)
+        model = model_of([[1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1], [2, 4, 6, 1, 3, 5]],
+                         [0.3, 0.3, 0.3])
+        corpus, _ = generate(model, M=500, N=100, seed=1)
+        B = model.observation_matrix().entries
+        theta = infer_weights(corpus, B)
+        n = corpus.n_records
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            predict_loglik(corpus, theta, B)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # p, its n zero flags, and one block's pair rows and terms
+        assert peak <= 9 * n + 64 * block, (peak, n)
