@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pairs
-from .generator import ComparisonCorpus, MixedMembershipModel
-from .mallows import RankingMatrix, gap_marginals, marginal_table, reverse_marginal_table
+from .generator import ComparisonCorpus
+from .mallows import (RankingMatrix, gap_marginals, marginal_table, pair_gaps,
+                      reverse_marginal_table)
 from .permutations import Permutation, kendall_tau
-from .post import EstimatedModel
 
 
 @dataclass
@@ -39,57 +39,43 @@ class PredictionReport:
     n: int
 
 
-def _components_of(obj) -> tuple[list[Permutation], list[float]]:
-    if isinstance(obj, EstimatedModel):
-        return list(obj.rankings), [float(p) for p in obj.dispersions]
-    if isinstance(obj, MixedMembershipModel):
-        return ([c.reference for c in obj.components],
-                [c.dispersion for c in obj.components])
-    raise TypeError(f"cannot extract components from {type(obj).__name__}")
-
-
 def align_and_score(truth, estimate) -> RecoveryReport:
     """Match estimated components to true ones and score the recovery.
 
     Components are paired by minimum-cost bipartite matching with Kendall
     distance as the cost, so the score is invariant to how the estimate
-    happens to order its components.  Both arguments may be estimated or
-    generative models.
+    happens to order its components.  Each argument is a model with a list
+    of ``MallowsComponent``s as its ``components``: a generative
+    ``MixedMembershipModel`` or a ``post.EstimatedModel``.
     """
-    true_refs, true_phis = _components_of(truth)
-    est_refs, est_phis = _components_of(estimate)
-    if len(true_refs) != len(est_refs):
+    true, est = truth.components, estimate.components
+    if len(true) != len(est):
         raise ValueError(
-            f"component count mismatch: truth has {len(true_refs)}, estimate has {len(est_refs)}"
-        )
-    Q = len(true_refs[0])
-    if len(est_refs[0]) != Q:
-        raise ValueError(f"item count mismatch: truth has {Q}, estimate has {len(est_refs[0])}")
+            f"component count mismatch: truth has {len(true)}, estimate has {len(est)}")
+    Q = true[0].Q
+    if est[0].Q != Q:
+        raise ValueError(f"item count mismatch: truth has {Q}, estimate has {est[0].Q}")
     # imported here so that only evaluate pays for loading scipy.optimize
     from scipy.optimize import linear_sum_assignment
 
-    K = len(true_refs)
-    cost = np.empty((K, K))
-    for k in range(K):
-        for j in range(K):
-            cost[k, j] = kendall_tau(true_refs[k], est_refs[j])
+    K = len(true)
+    cost = np.array([[kendall_tau(t.reference, e.reference) for e in est] for t in true],
+                    dtype=float)
     rows, cols = linear_sum_assignment(cost)
     matching = [0] * K
     for k, j in zip(rows, cols):
         matching[int(k)] = int(j)
     per_component = [int(cost[k, matching[k]]) for k in range(K)]
-    phi_errors = [abs(true_phis[k] - est_phis[matching[k]]) for k in range(K)]
+    phi_errors = [abs(true[k].dispersion - est[matching[k]].dispersion) for k in range(K)]
     normalized = float(np.mean(per_component)) / pairs.num_pairs(Q)
     return RecoveryReport(normalized, per_component, phi_errors, matching)
 
 
 def _observation_columns(B_hat) -> np.ndarray:
+    """The (W, K) observation probabilities of a ``RankingMatrix`` or an
+    array."""
     if isinstance(B_hat, RankingMatrix):
-        return np.asarray(B_hat.entries, dtype=float)
-    if isinstance(B_hat, EstimatedModel):
-        return np.asarray(B_hat.B_hat, dtype=float)
-    if isinstance(B_hat, MixedMembershipModel):
-        return B_hat.observation_matrix().entries
+        return B_hat.entries
     return np.asarray(B_hat, dtype=float)
 
 
@@ -123,13 +109,6 @@ def _unsupported(r: int, Q: int) -> ValueError:
     return ValueError(f"comparison ({i}, {j}) has zero probability in every component")
 
 
-def _check_rows_supported(B: np.ndarray, rows: np.ndarray, Q: int) -> None:
-    dead = B.sum(axis=1) == 0  # one flag per pair row, indexed by the records
-    hit = dead[rows]
-    if hit.any():
-        raise _unsupported(int(rows[np.argmax(hit)]), Q)
-
-
 def _run_starts(a: np.ndarray) -> np.ndarray:
     """Index of the first element of every run of equal values in ``a``."""
     new = np.ones(a.size, dtype=bool)
@@ -144,9 +123,12 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
     Expectation-maximization on the multinomial mixture sum_k B[w, k] theta_k,
     run for every user at once from the barycenter start and accelerated by
     SQUAREM (Varadhan & Roland, Scand. J. Stat. 2008) with the S3 step
-    length chosen per user.  Returns an (M, K) array of weights; users
-    without records keep the barycenter.  With ``trace`` the total
-    log-likelihood at the start of every cycle is returned as well.  A
+    length chosen per user.  ``B_hat`` holds the (W, K) observation
+    probabilities, a ``RankingMatrix`` or an array.  Returns an (M, K)
+    array of weights; users without records keep the barycenter.  A record
+    with probability zero in every component is an error that names the
+    first one in corpus order.  With ``trace`` the total log-likelihood at
+    the start of every cycle is returned as well.  A
     cycle takes at most three EM steps; ``max_iter`` bounds the cycles, and
     stopping there before the relative change of the total log-likelihood
     falls to ``tol`` emits a RuntimeWarning.
@@ -173,7 +155,6 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
         raise ValueError(f"{M} users times {W} pair rows overflow the weight EM's int64 "
                          f"(user, pair) keys")
     key = corpus.pair_rows()
-    _check_rows_supported(B, key, corpus.Q)
     key += corpus.user * W
     key.sort()
     first = _run_starts(key)
@@ -189,12 +170,15 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
     del row
 
     def unsupported(theta: np.ndarray):
-        # an entry's total is zero exactly where each of its terms
-        # theta_k B[w, k] is, so the same terms, taken per record, mark
-        # its records; name the first in corpus order
-        users = np.searchsorted(occupied, corpus.user)
-        p = np.einsum("nk,nk->n", theta.T[users], B[corpus.pair_rows()])
-        return _unsupported(int(corpus.pair_rows()[np.argmax(p == 0)]), corpus.Q)
+        # the first record in corpus order whose pair row is zero in every
+        # component (the first sweep, at the barycenter, meets them all);
+        # failing one, the first whose terms theta_k B[w, k] all underflowed
+        rows = corpus.pair_rows()
+        dead = B.sum(axis=1)[rows] == 0
+        if not dead.any():
+            users = np.searchsorted(occupied, corpus.user)
+            dead = np.einsum("nk,nk->n", theta.T[users], B[rows]) == 0
+        return _unsupported(int(rows[np.argmax(dead)]), corpus.Q)
 
     theta, history = _weights_em(count, starts, BwT, tol, max_iter, unsupported)
     weights = np.full((M, K), 1.0 / K)
@@ -344,12 +328,7 @@ def refit_dispersions(counts, rankings: list[Permutation], dispersions, *,
     count, row = C.data, C.indices
     starts = C.indptr[:-1][np.diff(C.indptr) > 0]
     entries = np.diff(starts, append=count.size)
-    I, J = pairs.pair_arrays(Q)
-    gaps = []
-    for sigma in rankings:
-        pos = np.empty(Q + 1, dtype=np.int64)
-        pos[list(sigma.ranking)] = np.arange(Q)
-        gaps.append(pos[J] - pos[I])
+    gaps = [pair_gaps(sigma.positions) for sigma in rankings]
 
     def order_probabilities(phis) -> np.ndarray:
         """beta_k(w) for every component and pair row, (K, W)."""
@@ -469,19 +448,16 @@ def em_summary(history: list[float]) -> tuple[int, bool, float]:
 def predict_loglik(corpus: ComparisonCorpus, theta, B_hat) -> PredictionReport:
     """Average log-likelihood per comparison under fixed weights.
 
-    ``theta`` is either one weight vector shared by all users or an (M, K)
-    array of per-user weights.  A comparison whose mixture probability is
-    zero makes the average -inf; the count of such events is reported.
+    ``theta`` holds every user's weights, (M, K) as ``infer_weights``
+    returns them, and ``B_hat`` the (W, K) observation probabilities, a
+    ``RankingMatrix`` or an array.  A comparison whose mixture probability
+    is zero makes the average -inf; the count of such events is reported.
     """
     B = _observation_columns(B_hat)
     K = B.shape[1]
     theta = np.asarray(theta, dtype=float)
-    if theta.ndim == 1:
-        per_user = np.broadcast_to(theta, (corpus.M, K))
-    else:
-        if theta.shape != (corpus.M, K):
-            raise ValueError(f"theta must have shape ({corpus.M}, {K})")
-        per_user = theta
+    if theta.shape != (corpus.M, K):
+        raise ValueError(f"theta must have shape ({corpus.M}, {K})")
     # a block of records and one component at a time, so that beside p
     # only one block's pair rows and terms are held
     p = np.zeros(corpus.n_records)
@@ -489,7 +465,7 @@ def predict_loglik(corpus: ComparisonCorpus, theta, B_hat) -> PredictionReport:
         hi = lo + _EM_BLOCK
         rows = corpus.pair_rows(lo, hi)
         for k in range(K):
-            term = per_user[:, k].take(corpus.user[lo:hi])
+            term = theta[:, k].take(corpus.user[lo:hi])
             term *= B[:, k].take(rows)
             p[lo:hi] += term
     zero = int(np.count_nonzero(p == 0))

@@ -395,17 +395,11 @@ def read_corpus(path: str) -> ComparisonCorpus:
             rest = np.ones(ends.size, bool)  # lines for the JSON decoder
             rest[lines] = False
             rest = np.flatnonzero(rest)
-            # in the text, a line starts at its byte offset less the UTF-8
-            # continuation bytes before it
-            tails = (np.flatnonzero((np.frombuffer(raw, np.uint8) & 0xC0) == 0x80)
-                     if len(raw) > len(block) else ends[:0])
-            text_starts, text_ends = (offsets[rest] - np.searchsorted(tails, offsets[rest])
-                                      for offsets in (starts, ends))
             first_writer = lines[0] if lines.size else ends.size
             found: list[int] = []  # block lines of the records decoded here
-            for i, start, stop in zip(rest.tolist(), text_starts.tolist(), text_ends.tolist()):
+            for i, start, stop in zip(rest.tolist(), starts[rest].tolist(), ends[rest].tolist()):
                 lineno = base + i + 1
-                line = block[start:stop].strip()
+                line = raw[start:stop].decode().strip()
                 if not line:
                     skipped.append(lineno)
                     continue

@@ -144,6 +144,15 @@ def reverse_marginal_table(Q: int, phi: float) -> np.ndarray:
     return table
 
 
+def pair_gaps(positions) -> np.ndarray:
+    """Position of j minus position of i for every ordered pair row (i, j),
+    given ``positions[..., item - 1]``, the position of each item in one
+    ranking or, along the last axis, in each of several."""
+    pos = np.asarray(positions)
+    I, J = pairs.pair_arrays(pos.shape[-1])
+    return pos[..., J - 1] - pos[..., I - 1]
+
+
 def gap_marginals(gap: np.ndarray, table: np.ndarray, reverse: np.ndarray) -> np.ndarray:
     """Probability that each ordered pair (i, j) is ranked i above j, given
     ``gap`` = position of j minus position of i in the reference and the
@@ -210,13 +219,11 @@ def shared_Q(components: list[MallowsComponent]) -> int:
 def build_ranking_matrix(components: list[MallowsComponent]) -> RankingMatrix:
     """Closed-form beta matrix for a list of components sharing the items."""
     Q = shared_Q(components)
-    I, J = pairs.pair_arrays(Q)
     entries = np.empty((pairs.num_pairs(Q), len(components)))
     for k, comp in enumerate(components):
-        pos = np.asarray(comp.reference.positions)
         phi = comp.dispersion
-        entries[:, k] = gap_marginals(pos[J - 1] - pos[I - 1], marginal_table(Q, phi),
-                                      reverse_marginal_table(Q, phi))
+        entries[:, k] = gap_marginals(pair_gaps(comp.reference.positions),
+                                      marginal_table(Q, phi), reverse_marginal_table(Q, phi))
     return RankingMatrix(entries, Q, "beta")
 
 

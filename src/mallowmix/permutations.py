@@ -71,42 +71,22 @@ def kendall_tau(a: Permutation, b: Permutation) -> int:
     return int(np.count_nonzero((pa[i] < pa[j]) != (pb[i] < pb[j])))
 
 
-def copeland_rank(wins, Q: int, *, partial: bool = False) -> Permutation:
+def copeland_rank(wins: np.ndarray, Q: int) -> Permutation:
     """Aggregate a pairwise win relation into a ranking by win counts.
 
-    Parameters
-    ----------
-    wins : boolean array of shape (W,) over ordered pair rows, or an
-        iterable of ``(winner, loser)`` tuples.
-    Q : number of items.
-    partial : when False, every unordered pair must be decided in exactly
-        one direction.  When True, undecided pairs are skipped and only the
-        decided ones count.  Both directions marked at once is always an
-        error.
-
-    Ties in win counts are broken toward the smaller item id.
+    ``wins`` is a boolean vector over the W ordered pair rows, True at row
+    (i, j) where i beats j.  A pair decided in neither direction counts for
+    neither item; one marked in both directions is an error.  Ties in win
+    counts are broken toward the smaller item id.
     """
     W = pairs.num_pairs(Q)
-    if isinstance(wins, np.ndarray) and wins.dtype != object:
-        rel = wins.astype(bool)
-        if rel.shape != (W,):
-            raise ValueError(f"win relation must have shape ({W},), got {rel.shape}")
-    else:
-        rel = np.zeros(W, dtype=bool)
-        for winner, loser in wins:
-            rel[pairs.pair_row(winner, loser, Q)] = True
-
-    rev = pairs.reverse_rows(Q)
-    both = rel & rel[rev]
+    rel = np.asarray(wins, dtype=bool)
+    if rel.shape != (W,):
+        raise ValueError(f"win relation must have shape ({W},), got {rel.shape}")
+    both = rel & rel[pairs.reverse_rows(Q)]
     if both.any():
         i, j = pairs.row_pair(int(np.flatnonzero(both)[0]), Q)
         raise ValueError(f"pair ({i}, {j}) is marked as a win in both directions")
-    if not partial:
-        neither = ~rel & ~rel[rev]
-        if neither.any():
-            i, j = pairs.row_pair(int(np.flatnonzero(neither)[0]), Q)
-            raise ValueError(f"pair ({i}, {j}) is decided in neither direction")
-
     I, _ = pairs.pair_arrays(Q)
     counts = np.bincount(I[rel] - 1, minlength=Q)
     order = sorted(range(1, Q + 1), key=lambda item: (-counts[item - 1], item))

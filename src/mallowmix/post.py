@@ -6,7 +6,8 @@ relation, aggregate the wins into a ranking by Copeland counts, and read
 the dispersion off the inverse order probabilities of the ranking's
 adjacent pairs, net of the mixing that an impure selected row spreads
 over every pair.  An estimate from a sampled corpus then has its
-dispersions refitted by likelihood on the corpus records, rankings fixed.
+dispersions refitted by likelihood on the corpus records, rankings fixed,
+by ``evaluate.refit_dispersions``; ``evaluate`` does not import this module.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pairs
+from .evaluate import refit_dispersions
 from .generator import atomic_write_text
-from .mallows import RankingMatrix, marginal_table
+from .mallows import MallowsComponent, RankingMatrix, marginal_table, pair_gaps
 from .permutations import Permutation, copeland_rank
 
 # The dispersion readout fits phi and the mixing e until a round moves e
@@ -36,7 +38,6 @@ class PostprocessError(ValueError):
 class EstimatedModel:
     rankings: list[Permutation]
     dispersions: list[float]
-    B_hat: np.ndarray
     beta_hat: np.ndarray  # NaN where a pair could not be resolved
     diagnostics: dict = field(default_factory=dict)
     # the dispersion refit's weight cycles, Newton steps, log-likelihood and
@@ -50,6 +51,12 @@ class EstimatedModel:
     @property
     def K(self) -> int:
         return len(self.rankings)
+
+    @property
+    def components(self) -> list[MallowsComponent]:
+        """The rankings and dispersions as ``MixedMembershipModel.components``."""
+        return [MallowsComponent(sigma, float(phi))
+                for sigma, phi in zip(self.rankings, self.dispersions)]
 
 
 def recover_beta(B_hat: RankingMatrix) -> tuple[np.ndarray, int]:
@@ -88,8 +95,9 @@ def round_relations(beta_hat: np.ndarray, Q: int) -> tuple[np.ndarray, int]:
 
 
 def recover_rankings(wins: np.ndarray, Q: int) -> list[Permutation]:
-    """Copeland ranking per component from the win indicators."""
-    return [copeland_rank(wins[:, k], Q, partial=True) for k in range(wins.shape[1])]
+    """Copeland ranking per component from the win indicators; a pair
+    decided in neither direction counts for neither item."""
+    return [copeland_rank(wins[:, k], Q) for k in range(wins.shape[1])]
 
 
 def estimate_dispersion(beta_col: np.ndarray, ranking: Permutation) -> tuple[float, bool]:
@@ -116,10 +124,7 @@ def estimate_dispersion(beta_col: np.ndarray, ranking: Permutation) -> tuple[flo
             f"degenerate order probability for adjacent pair ({order[p]}, {order[p + 1]}); "
             f"cannot estimate dispersion"
         )
-    pos = np.empty(Q + 1, dtype=np.int64)
-    pos[order] = np.arange(Q)
-    I, J = pairs.pair_arrays(Q)
-    gap = pos[J] - pos[I]
+    gap = pair_gaps(ranking.positions)
     along = (gap > 0) & np.isfinite(beta_col)
     gap, b = gap[along], beta_col[along]
     hi = math.nextafter(1.0, 0.0)
@@ -151,8 +156,9 @@ def estimate_dispersion(beta_col: np.ndarray, ranking: Permutation) -> tuple[flo
 def postprocess(B_hat: RankingMatrix) -> EstimatedModel:
     """Run all four steps and collect diagnostics; then, when B-hat keeps
     the counts of its corpus, refit the dispersions on them
-    (``evaluate.refit_dispersions``).  The diagnostics describe the
-    readout off B-hat."""
+    (``evaluate.refit_dispersions``).  A pair that B-hat leaves unresolved
+    counts for neither item in the Copeland counts.  The diagnostics
+    describe the readout off B-hat."""
     beta_hat, unresolved = recover_beta(B_hat)
     wins, ties = round_relations(beta_hat, B_hat.Q)
     rankings = recover_rankings(wins, B_hat.Q)
@@ -179,10 +185,8 @@ def postprocess(B_hat: RankingMatrix) -> EstimatedModel:
     }
     refit = None
     if B_hat.counts is not None:
-        from .evaluate import refit_dispersions  # evaluate imports this module
-
         dispersions, refit = refit_dispersions(B_hat.counts, rankings, dispersions)
-    return EstimatedModel(rankings, dispersions, B_hat.entries, beta_hat, diagnostics, refit)
+    return EstimatedModel(rankings, dispersions, beta_hat, diagnostics, refit)
 
 
 def estimated_model_to_dict(est: EstimatedModel, seed: int | None = None,

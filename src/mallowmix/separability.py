@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pairs
-from .mallows import RankingMatrix, gap_marginals, marginal_table, reverse_marginal_table
+from .mallows import (RankingMatrix, gap_marginals, marginal_table, pair_gaps,
+                      reverse_marginal_table)
 
 
 @dataclass
@@ -68,13 +68,10 @@ def check_separability(beta, lam: float) -> SeparabilityReport:
 def _random_beta(Q: int, K: int, tables: tuple[np.ndarray, np.ndarray],
                  rng: np.random.Generator) -> np.ndarray:
     """Beta for K uniformly random references sharing one dispersion."""
-    I, J = pairs.pair_arrays(Q)
-    beta = np.empty((pairs.num_pairs(Q), K))
+    pos = np.empty((K, Q), dtype=np.int64)
     for k in range(K):
-        pos = np.empty(Q, dtype=np.int64)
-        pos[rng.permutation(Q)] = np.arange(1, Q + 1)
-        beta[:, k] = gap_marginals(pos[J - 1] - pos[I - 1], *tables)
-    return beta
+        pos[k, rng.permutation(Q)] = np.arange(1, Q + 1)
+    return gap_marginals(pair_gaps(pos).T, *tables)
 
 
 def _top_two(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -103,7 +103,7 @@ class TestInferWeights:
     def test_single_component_is_degenerate(self):
         model = model_of([[1, 2, 3]], [0.4], prior=FixedWeights((1.0,)))
         corpus, _ = generate(model, M=8, N=6, seed=1)
-        theta = infer_weights(corpus, model)
+        theta = infer_weights(corpus, model.observation_matrix())
         assert theta.shape == (8, 1)
         assert np.all(theta == 1.0)
 
@@ -112,7 +112,7 @@ class TestInferWeights:
         # its component, so the weights are the per-user label fractions
         model = model_of([[1, 2, 3], [3, 2, 1]], [0.0, 0.0])
         corpus, _, labels = reference_generate(model, M=50, N=20, seed=3)
-        theta = infer_weights(corpus, model)
+        theta = infer_weights(corpus, model.observation_matrix())
         for u in range(50):
             frac = np.bincount(labels[corpus.user == u], minlength=2) / 20
             assert np.allclose(theta[u], frac, atol=1e-9)
@@ -144,7 +144,7 @@ class TestInferWeights:
     def test_loglik_trace_never_decreases(self):
         model = model_of([[4, 2, 3, 1], [1, 3, 2, 4]], [0.3, 0.2])
         corpus, _ = generate(model, M=30, N=10, seed=5)
-        theta, history = infer_weights(corpus, model, trace=True)
+        theta, history = infer_weights(corpus, model.observation_matrix(), trace=True)
         assert np.all(np.diff(history) >= -1e-9)
         assert np.allclose(theta.sum(axis=1), 1.0)
         assert np.all(theta >= 0)
@@ -180,9 +180,10 @@ class TestInferWeights:
         model = model_of([[4, 2, 3, 1], [1, 3, 2, 4]], [0.3, 0.2])
         corpus, _ = generate(model, M=30, N=10, seed=5)
         with pytest.warns(RuntimeWarning, match=r"max_iter=1 .*change inf"):
-            theta = infer_weights(corpus, model, max_iter=1)
+            theta = infer_weights(corpus, model.observation_matrix(), max_iter=1)
         with pytest.warns(RuntimeWarning, match=r"max_iter=2 .*change \d\.\d{3}e"):
-            _, history = infer_weights(corpus, model, max_iter=2, trace=True)
+            _, history = infer_weights(corpus, model.observation_matrix(), max_iter=2,
+                                        trace=True)
         assert theta.shape == (30, 2) and len(history) == 2
         iterations, converged, change = em_summary(history)
         assert (iterations, converged) == (2, False)
@@ -194,7 +195,7 @@ class TestInferWeights:
         corpus, _ = generate(model, M=30, N=10, seed=5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, history = infer_weights(corpus, model, trace=True)
+            _, history = infer_weights(corpus, model.observation_matrix(), trace=True)
         iterations, converged, change = em_summary(history)
         assert iterations == len(history) > 2 and converged and change <= 1e-8
 
@@ -227,6 +228,18 @@ class TestInferWeights:
         i, j = pairs.row_pair(4, Q)
         with pytest.raises(ValueError, match=rf"comparison \({i}, {j}\) has zero probability"):
             infer_weights(corpus, B)
+
+    def test_dead_row_is_named_before_an_underflowed_one(self):
+        # row (2, 1) is not zero, but half its smallest subnormal entry
+        # rounds to zero at the barycenter; the record of row (1, 2), zero
+        # in every component, is named although it comes later
+        B = np.array([[0.0, 0.0], [5e-324, 0.0]])
+        corpus = ComparisonCorpus(Q=2, M=1, user=np.array([0, 0]),
+                                  winner=np.array([2, 1]), loser=np.array([1, 2]))
+        with pytest.raises(ValueError, match=r"comparison \(1, 2\)"):
+            infer_weights(corpus, B)
+        with pytest.raises(ValueError, match=r"comparison \(2, 1\)"):
+            infer_weights(corpus, B[[1, 1]])
 
     def test_user_by_row_keys_cannot_wrap(self):
         # user 2**61 times W = 20 pair rows is past int64, so its key would
@@ -1036,7 +1049,7 @@ class TestPredictLoglik:
         # has probability exactly one third
         model = model_of([[2, 1, 3]], [0.0], prior=FixedWeights((1.0,)))
         corpus, _ = generate(model, M=10, N=8, seed=2)
-        report = predict_loglik(corpus, np.array([1.0]), model)
+        report = predict_loglik(corpus, np.ones((10, 1)), model.observation_matrix())
         assert report.avg_loglik == pytest.approx(math.log(1 / 3))
         assert report.zero_events == 0
         assert report.n == 80
@@ -1045,7 +1058,7 @@ class TestPredictLoglik:
         model = model_of([[1, 2, 3]], [0.0], prior=FixedWeights((1.0,)))
         corpus = ComparisonCorpus(Q=3, M=1, user=np.array([0, 0]),
                                   winner=np.array([1, 2]), loser=np.array([2, 1]))
-        report = predict_loglik(corpus, np.array([1.0]), model)
+        report = predict_loglik(corpus, np.ones((1, 1)), model.observation_matrix())
         assert report.avg_loglik == -math.inf
         assert report.zero_events == 1
 
@@ -1053,7 +1066,7 @@ class TestPredictLoglik:
         B = np.array([[0.8, 0.2], [0.2, 0.8]])
         corpus = ComparisonCorpus(Q=2, M=1, user=np.array([0, 0]),
                                   winner=np.array([1, 2]), loser=np.array([2, 1]))
-        report = predict_loglik(corpus, np.array([0.3, 0.7]), B)
+        report = predict_loglik(corpus, np.array([[0.3, 0.7]]), B)
         want = (math.log(0.3 * 0.8 + 0.7 * 0.2) + math.log(0.3 * 0.2 + 0.7 * 0.8)) / 2
         assert report.avg_loglik == pytest.approx(want, abs=1e-12)
 
@@ -1066,20 +1079,12 @@ class TestPredictLoglik:
         b = predict_loglik(corpus, theta[:, ::-1], B[:, ::-1])
         assert a.avg_loglik == pytest.approx(b.avg_loglik, abs=1e-12)
 
-    def test_shared_vector_matches_tiled_matrix(self):
-        model = model_of([[1, 3, 2], [2, 3, 1]], [0.4, 0.4])
-        corpus, _ = generate(model, M=15, N=6, seed=7)
-        B = model.observation_matrix().entries
-        shared = np.array([0.25, 0.75])
-        a = predict_loglik(corpus, shared, B)
-        b = predict_loglik(corpus, np.tile(shared, (15, 1)), B)
-        assert a.avg_loglik == b.avg_loglik
-
     def test_theta_shape_checked(self):
         model = model_of([[1, 2]], [0.3], prior=FixedWeights((1.0,)))
         corpus, _ = generate(model, M=4, N=4, seed=0)
-        with pytest.raises(ValueError, match="theta must have shape"):
-            predict_loglik(corpus, np.ones((3, 1)), model)
+        for theta in (np.ones((3, 1)), np.ones(1)):  # nor one vector for all users
+            with pytest.raises(ValueError, match="theta must have shape"):
+                predict_loglik(corpus, theta, model.observation_matrix())
 
     def test_true_components_beat_mismatched_ones(self):
         # weights fitted under the true B must predict better than
@@ -1087,8 +1092,9 @@ class TestPredictLoglik:
         truth = model_of([[5, 3, 1, 4, 2], [2, 4, 5, 1, 3]], [0.2, 0.2])
         wrong = model_of([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]], [0.2, 0.2])
         corpus, _ = generate(truth, M=200, N=40, seed=19)
-        ll_true = predict_loglik(corpus, infer_weights(corpus, truth), truth)
-        ll_wrong = predict_loglik(corpus, infer_weights(corpus, wrong), wrong)
+        B_true, B_wrong = truth.observation_matrix(), wrong.observation_matrix()
+        ll_true = predict_loglik(corpus, infer_weights(corpus, B_true), B_true)
+        ll_wrong = predict_loglik(corpus, infer_weights(corpus, B_wrong), B_wrong)
         assert ll_true.avg_loglik > ll_wrong.avg_loglik
 
 
@@ -1097,11 +1103,10 @@ def per_record_predict_loglik(corpus, theta, B):
     records at once: the form it replaced, kept as its reference."""
     B = np.asarray(B, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    per_user = np.broadcast_to(theta, (corpus.M, B.shape[1])) if theta.ndim == 1 else theta
     rows = corpus.pair_rows()
     p = np.zeros(corpus.n_records)
     for k in range(B.shape[1]):
-        term = per_user[:, k].take(corpus.user)
+        term = theta[:, k].take(corpus.user)
         term *= B[:, k].take(rows)
         p += term
     zero = int(np.count_nonzero(p == 0))
@@ -1118,13 +1123,14 @@ class TestPredictLoglikInBlocks:
         B = model.observation_matrix().entries
         theta = infer_weights(corpus, B)
         monkeypatch.setattr(evaluate, "_EM_BLOCK", block)
-        for weights in (theta, theta[0]):
+        for weights in (theta, np.tile(theta[0], (corpus.M, 1))):
             report = predict_loglik(corpus, weights, B)
             assert report == per_record_predict_loglik(corpus, weights, B)
         # dispersion zero in one component: records it cannot produce
-        zero = predict_loglik(corpus, np.array([0.0, 0.0, 1.0]), B)
+        third = np.tile([0.0, 0.0, 1.0], (corpus.M, 1))
+        zero = predict_loglik(corpus, third, B)
         assert zero.zero_events > 0
-        assert zero == per_record_predict_loglik(corpus, np.array([0.0, 0.0, 1.0]), B)
+        assert zero == per_record_predict_loglik(corpus, third, B)
 
     def test_peak_memory_is_p_and_one_block(self, monkeypatch):
         block = 2**12

@@ -23,6 +23,7 @@ from mallowmix.mallows import (
     mallows_pmf,
     marginal_ratio_bound,
     marginal_table,
+    pair_gaps,
     pairwise_marginal,
     reverse_marginal_table,
     rim_sample,
@@ -182,6 +183,18 @@ class TestInsertionSampler:
 
 
 class TestPairMarginals:
+    def test_pair_gaps_are_position_differences(self):
+        rng = np.random.default_rng(4)
+        for Q in (2, 3, 7):
+            sigmas = [Permutation.from_ranking((rng.permutation(Q) + 1).tolist())
+                      for _ in range(3)]
+            want = [[sigma.position_of(j) - sigma.position_of(i)
+                     for i, j in (pairs.row_pair(w, Q) for w in range(pairs.num_pairs(Q)))]
+                    for sigma in sigmas]
+            assert pair_gaps(sigmas[0].positions).tolist() == want[0]
+            # several rankings along the last axis, one row of gaps each
+            assert pair_gaps([sigma.positions for sigma in sigmas]).tolist() == want
+
     def test_adjacent_pair_closed_form(self):
         for phi in (0.0, 0.1, 0.5, 0.9):
             assert pairwise_marginal(1, phi) == pytest.approx(1 / (1 + phi), rel=1e-12)

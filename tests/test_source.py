@@ -53,6 +53,48 @@ def test_only_moments_imports_scipy_sparse():
     assert found and all(f.startswith("moments.py:") for f in found), found
 
 
+def package_imports() -> dict[str, set[str]]:
+    """The package modules each package module imports, counting imports
+    inside functions as well as at module level."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    graph = {}
+    for name in sorted(modules):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        targets = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    targets.add(node.module.partition(".")[0])
+                else:  # from . import a, b
+                    targets.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mallowmix."):
+                targets.add(node.module.split(".")[1])
+            elif isinstance(node, ast.Import):
+                targets.update(alias.name.split(".")[1] for alias in node.names
+                               if alias.name.startswith("mallowmix."))
+        graph[name] = targets & modules - {name}
+    return graph
+
+
+def test_package_import_graph_is_acyclic():
+    # modules import in one direction, so none needs a deferred import to
+    # break a cycle
+    graph = package_imports()
+    assert "post" in graph["cli"] and "evaluate" in graph["post"]  # the rule sees both forms
+    done: set[str] = set()
+
+    def visit(name: str, path: list[str]) -> None:
+        if name in path:
+            raise AssertionError(f"import cycle: {' -> '.join(path[path.index(name):] + [name])}")
+        if name not in done:
+            for target in sorted(graph[name]):
+                visit(target, path + [name])
+            done.add(name)
+
+    for name in sorted(graph):
+        visit(name, [])
+
+
 def write_calls(tree: ast.AST) -> list[ast.Call]:
     """Calls in ``tree`` that write a file: ``open`` or ``os.fdopen`` (or any
     ``.open``/``.fdopen``) with a mode that writes, appends or creates, or a
