@@ -19,7 +19,7 @@ import numpy as np
 
 from . import pairs
 from .mallows import RankingMatrix
-from .moments import CoocFactors, CoocMatrix
+from .moments import CoocFactors, CoocMatrix, gemm_index
 
 
 class DetectionError(RuntimeError):
@@ -97,6 +97,8 @@ _SVD_MAX_ITER = 1000
 # ``_solid_angle_wins``).
 _WINDOW = 64
 _BLOCK_ROWS = 256
+# Directions whose projections are formed in one gemm (see ``_projections``).
+_DIRECTION_BLOCK = 64
 
 
 def _rank_k(E: CoocFactors, act: np.ndarray, K: int, seed: int):
@@ -110,7 +112,8 @@ def _rank_k(E: CoocFactors, act: np.ndarray, K: int, seed: int):
     until the singular values of the last triangular factor stop moving
     in their top K (``_SVD_TOL``).  A Rayleigh-Ritz step gives the
     triplets; each singular vector's sign makes its largest entry in U
-    positive.  E_K is kept as dense W x K factors, scale 1.
+    positive.  E_K is kept as dense W x K factors, scale 1.  A slice of
+    rank below K has no rank-K part, and raises ``DetectionError``.
 
     Returns the rows Y = U S, the top K + 1 singular values (K if n = K),
     the factors of E_K and the iteration count.
@@ -131,6 +134,13 @@ def _rank_k(E: CoocFactors, act: np.ndarray, K: int, seed: int):
         raise DetectionError(
             f"the top {K} singular values did not settle in {_SVD_MAX_ITER} iterations")
     Ub, S, Vt = np.linalg.svd((s * (R @ (L.T @ X))).T, full_matrices=False)
+    # the rank as numpy.linalg.matrix_rank counts it: singular values above
+    # the largest times n eps
+    rank = int(np.count_nonzero(S[:K] > S[0] * n * np.finfo(float).eps))
+    if rank < K:
+        raise DetectionError(
+            f"the {n} candidate rows' co-occurrence slice has rank {rank}, below the "
+            f"{K} components asked for")
     U, V = X @ Ub[:, :K], Vt[:K].T
     sign = np.where(U[np.argmax(np.abs(U), axis=0), np.arange(K)] < 0, -1.0, 1.0)
     U, V = U * sign, V * sign
@@ -146,8 +156,23 @@ def _projection_directions(seed: int, P: int, K: int) -> np.ndarray:
     run with more projections extends, rather than reshuffles, a smaller
     one.
     """
-    return np.array([np.random.default_rng(np.random.SeedSequence(entropy=(seed, r)))
-                     .standard_normal(K) for r in range(P)])
+    out = np.empty((P, K))
+    for r in range(P):
+        out[r] = np.random.default_rng(np.random.SeedSequence(entropy=(seed, r))).standard_normal(K)
+    return out
+
+
+def _projections(directions: np.ndarray, Y: np.ndarray):
+    """The projections directions @ Y.T, one row per direction, formed one
+    gemm per block of _DIRECTION_BLOCK directions, so only a block's rows
+    are held.  A gemm entry does not depend on the product's other rows,
+    so each row has the bits of the whole product; a lone direction in a
+    block is repeated, since numpy would hand one row to gemv, unless it
+    is the only direction, as the whole product would too."""
+    P = directions.shape[0]
+    for lo in range(0, P, _DIRECTION_BLOCK):
+        idx = np.arange(lo, min(lo + _DIRECTION_BLOCK, P))
+        yield from (directions[gemm_index(idx) if P > 1 else idx] @ Y.T)[:idx.size]
 
 
 def _distances(a: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:
@@ -174,12 +199,13 @@ def _first_far_row(Y: np.ndarray, far: float) -> int:
     return -1
 
 
-def _solid_angle_wins(Y: np.ndarray, proj: np.ndarray, half: float, c: float):
+def _solid_angle_wins(Y: np.ndarray, proj, half: float, c: float):
     """How many directions each row of Y wins, how many it tops (ties
-    included), and the deepest window.
+    included), and the deepest window; ``proj`` yields each direction's
+    projections of the rows of Y.
 
     Row i wins direction r when every other row whose projection
-    proj[r, j] is at or above its own lies within ``half`` of it,
+    proj[r][j] is at or above its own lies within ``half`` of it,
     ||y_i - c y_j|| < half (c = 2 under the doubled rule).  If two rows
     at or above row i lie 2 half / c apart, the triangle inequality keeps
     i from being that close to both.  So each direction sorts its top
@@ -254,8 +280,8 @@ def detect_novel_pairs(cooc: CoocMatrix, config: DetectionConfig) -> NovelPairSe
                / 2.0, np.finfo(float).tiny)
     c = 2.0 if config.doubled_distance_rule else 1.0
     P = config.resolved_projections
-    wins, tops, window = _solid_angle_wins(Y, _projection_directions(config.seed, P, K) @ Y.T,
-                                           half, c)
+    wins, tops, window = _solid_angle_wins(
+        Y, _projections(_projection_directions(config.seed, P, K), Y), half, c)
     qhat = wins / P
 
     selected: list[int] = []

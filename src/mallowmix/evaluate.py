@@ -104,8 +104,11 @@ _REFIT_RECORDS = 2**19
 _EM_BLOCK = 2**15
 
 
-def _unsupported(r: int, Q: int) -> ValueError:
+def _unsupported(r: int, Q: int, underflow: bool = False) -> ValueError:
     i, j = pairs.row_pair(r, Q)
+    if underflow:
+        return ValueError(f"comparison ({i}, {j}): the record's mixture probability "
+                          f"underflowed to zero at the current weights")
     return ValueError(f"comparison ({i}, {j}) has zero probability in every component")
 
 
@@ -175,10 +178,11 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
         # failing one, the first whose terms theta_k B[w, k] all underflowed
         rows = corpus.pair_rows()
         dead = B.sum(axis=1)[rows] == 0
-        if not dead.any():
+        underflow = not dead.any()
+        if underflow:
             users = np.searchsorted(occupied, corpus.user)
             dead = np.einsum("nk,nk->n", theta.T[users], B[rows]) == 0
-        return _unsupported(int(rows[np.argmax(dead)]), corpus.Q)
+        return _unsupported(int(rows[np.argmax(dead)]), corpus.Q, underflow)
 
     theta, history = _weights_em(count, starts, BwT, tol, max_iter, unsupported)
     weights = np.full((M, K), 1.0 / K)

@@ -461,9 +461,11 @@ def read_corpus(path: str) -> ComparisonCorpus:
     except OverflowError:
         bad = _first_broken(columns, lambda v: not -2**63 <= v < 2**63)
         raise broken_record(int(records[bad]), "user, win and lose must fit in 64 bits") from None
-    for j, value in enumerate(values):
-        ids[j][records] = value
-        ids[j] = ids[j][:n].copy()  # trimmed one at a time: an unused tail would stay mapped
+    for column, value in zip(ids, values):
+        column[records] = value
+        # the buffers are never viewed, so each shrinks to its n records in
+        # place (realloc), with no copy of them beside it
+        column.resize(n, refcheck=False)
     user, winner, loser = ids
     if meta is not None:
         Q = meta["Q"]

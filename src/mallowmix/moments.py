@@ -47,6 +47,8 @@ class SplitCounts:
 
 # Rows of the square blocks whose diagonals ``CoocFactors.diagonal`` reads.
 _CHUNK_ROWS = 256
+# Records whose half ``split_halves`` decides at once.
+_SPLIT_SLICE = 1 << 16
 
 
 def _stored_bytes(factor) -> int:
@@ -55,10 +57,10 @@ def _stored_bytes(factor) -> int:
     return factor.nbytes
 
 
-def _gemm_index(idx: np.ndarray) -> np.ndarray:
-    # numpy hands a product with a single row or column to gemv, whose sums
-    # can differ in the last bit from gemm's; repeating the lone index keeps
-    # every product a gemm
+def gemm_index(idx: np.ndarray) -> np.ndarray:
+    """``idx``, with a lone index repeated.  numpy hands a product with a
+    single row or column to gemv, whose sums can differ in the last bit
+    from gemm's; repeating the lone index keeps every product a gemm."""
     return np.repeat(idx, 2) if idx.size == 1 else idx
 
 
@@ -101,7 +103,7 @@ class CoocFactors:
         self._require_dense()
         I = np.asarray(I, dtype=np.intp)
         J = np.asarray(J, dtype=np.intp)
-        out = (self.left[_gemm_index(I)] @ self.right[_gemm_index(J)].T)[:I.size, :J.size]
+        out = (self.left[gemm_index(I)] @ self.right[gemm_index(J)].T)[:I.size, :J.size]
         out *= self.scale
         return out
 
@@ -143,29 +145,64 @@ def split_halves(corpus: ComparisonCorpus) -> SplitCounts:
 
     A user with n records contributes the first ceil(n/2) to X and the rest
     to X_prime.  Every user must have at least two records.
+
+    A stable sort by user finds each user's cut, the record index of its
+    first second-half record; a record is in the first half when its index
+    is below its user's cut.  Each half's CSR is read off the sorted
+    distinct keys ``row * M + user`` of its records: the run lengths are
+    the counts, and the keys are already in row-major order.
     """
-    M = corpus.M
+    M, n = corpus.M, corpus.n_records
+    W = pairs.num_pairs(corpus.Q)
+    # keys lie below W * M; checked in Python ints, so they cannot wrap
+    if W * M > np.iinfo(np.int64).max:
+        raise ValueError(f"{M} users times {W} pair rows overflow the split's int64 "
+                         f"(pair, user) keys")
     counts = np.bincount(corpus.user, minlength=M)
     if counts.min() < 2:
         u = int(np.argmin(counts))
         raise SplitError(f"user {u} has {int(counts[u])} comparison(s); need at least 2")
 
-    order = np.argsort(corpus.user, kind="stable")
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    rank_within = np.arange(corpus.n_records) - np.repeat(offsets, counts)
-    first_half_sorted = rank_within < np.repeat((counts + 1) // 2, counts)
-    first = np.zeros(corpus.n_records, dtype=bool)
-    first[order] = first_half_sorted
+    cut = np.cumsum(counts)
+    cut -= counts // 2  # sorted position of each user's first second-half record
+    cut = np.argsort(corpus.user, kind="stable").take(cut)
+    first = np.empty(n, dtype=bool)
+    for lo in range(0, n, _SPLIT_SLICE):
+        hi = min(lo + _SPLIT_SLICE, n)
+        np.less(np.arange(lo, hi), cut.take(corpus.user[lo:hi]), out=first[lo:hi])
+    del cut
 
-    rows = corpus.pair_rows()
-    W = pairs.num_pairs(corpus.Q)
+    key = corpus.pair_rows()
+    key *= M
+    key += corpus.user
+    halves = [key[first]]
+    np.logical_not(first, out=first)
+    halves.append(key[first])
+    del key, first
+    # popped, so that each half's keys go once its counts are read
+    X = _half_counts(halves.pop(0), W, M)
+    return SplitCounts(X, _half_counts(halves.pop(), W, M), M, corpus.Q)
 
-    def mat(mask: np.ndarray) -> sp.csr_matrix:
-        data = np.ones(int(mask.sum()))
-        m = sp.coo_matrix((data, (rows[mask], corpus.user[mask])), shape=(W, M))
-        return m.tocsr()
 
-    return SplitCounts(mat(first), mat(~first), M, corpus.Q)
+def _half_counts(key: np.ndarray, W: int, M: int) -> sp.csr_matrix:
+    """The W x M count matrix of one half from its keys ``row * M + user``,
+    which are sorted in place."""
+    key.sort()
+    new = np.empty(key.size, dtype=bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    records = key.size
+    key = key[new]  # the distinct keys
+    del new
+    data = np.empty(key.size)  # run lengths
+    np.subtract(starts[1:], starts[:-1], out=data[:-1])
+    data[-1] = records - starts[-1]
+    del starts
+    index = np.int32 if max(W, M, records) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.searchsorted(key, np.arange(W + 1, dtype=np.int64) * M).astype(index)
+    np.remainder(key, M, out=key)
+    return sp.csr_matrix((data, key.astype(index), indptr), shape=(W, M))
 
 
 def normalized_halves(split: SplitCounts) -> tuple[sp.csr_matrix, sp.csr_matrix]:

@@ -20,11 +20,19 @@ def num_unordered(Q: int) -> int:
 
 
 def pair_row(i, j, Q: int):
-    """Row index of ordered pair (i, j).  Accepts scalars or arrays."""
+    """Row index of ordered pair (i, j).  Accepts scalars or arrays; arrays
+    give one int64 array, built in place."""
     i = np.asarray(i)
     j = np.asarray(j)
-    row = (i - 1) * (Q - 1) + (j - 1) - (j > i)
-    return int(row) if row.ndim == 0 else row.astype(np.int64)
+    if i.ndim == 0 and j.ndim == 0:
+        return int((i - 1) * (Q - 1) + (j - 1) - (j > i))
+    row = np.empty(np.broadcast_shapes(i.shape, j.shape), np.int64)
+    np.subtract(i, 1, out=row)
+    row *= Q - 1
+    row += j
+    row -= 1
+    row -= j > i
+    return row
 
 
 def row_pair(row: int, Q: int) -> tuple[int, int]:

@@ -1,6 +1,7 @@
 """Recovery scoring, per-user weight inference, held-out prediction."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -236,9 +237,13 @@ class TestInferWeights:
         B = np.array([[0.0, 0.0], [5e-324, 0.0]])
         corpus = ComparisonCorpus(Q=2, M=1, user=np.array([0, 0]),
                                   winner=np.array([2, 1]), loser=np.array([1, 2]))
-        with pytest.raises(ValueError, match=r"comparison \(1, 2\)"):
+        with pytest.raises(ValueError, match=r"^comparison \(1, 2\) has zero probability "
+                                             r"in every component$"):
             infer_weights(corpus, B)
-        with pytest.raises(ValueError, match=r"comparison \(2, 1\)"):
+        # with no dead row left, the underflowed record is named as such
+        with pytest.raises(ValueError, match=r"^comparison \(2, 1\): the record's mixture "
+                                             r"probability underflowed to zero at the "
+                                             r"current weights$"):
             infer_weights(corpus, B[[1, 1]])
 
     def test_user_by_row_keys_cannot_wrap(self):
@@ -279,7 +284,8 @@ def reference_infer_weights(corpus, B, *, tol=1e-8, max_iter=500, trace=False):
         total = mix.sum(axis=1)
         if np.any(total == 0):
             i, j = pairs.row_pair(int(rows[np.argmax(total == 0)]), corpus.Q)
-            raise ValueError(f"comparison ({i}, {j}) has zero probability in every component")
+            raise ValueError(f"comparison ({i}, {j}): the record's mixture probability "
+                             f"underflowed to zero at the current weights")
         ll = float(np.log(total).sum())
         if ll < prev_ll - 1e-9 * (1.0 + abs(prev_ll)):
             raise RuntimeError(
@@ -517,7 +523,8 @@ def per_record_infer_weights(corpus, B, *, tol=1e-8, max_iter=500, trace=False):
     def check_support():
         if total.size and total.min() == 0:
             first = np.argsort(users, kind="stable")[total == 0].min()
-            raise evaluate._unsupported(int(corpus.pair_rows()[first]), corpus.Q)
+            raise evaluate._unsupported(int(corpus.pair_rows()[first]), corpus.Q,
+                                        underflow=True)
 
     theta = np.full((K, occupied.size), 1.0 / K)
     user_ll = None
@@ -615,6 +622,56 @@ def stopped_near_a_boundary_maximum():
     return corpus, B
 
 
+# Cases on which the two EMs, stopped at max_iter = 5, part on a SQUAREM
+# step decided by rounding, as (Q, each record's user as a digit string,
+# its pair row as another, B).  "tiny change" (tol 1e-12) was found by
+# Hypothesis (--hypothesis-seed 37): the two print the last relative
+# change as 3.319e-12 and 3.318e-12.  "change" and "likelihood" (tol 1e-8)
+# were found by a random search of the same shapes: 2.853e-06 against
+# 2.854e-06, and the same warning with final log-likelihoods
+# -30.25183823870742 and -30.251839149800574, 9.1e-7 apart where
+# 1e-8 * (1 + |ll|) is 3.1e-7.
+PARTED_AT_MAX_ITER = {
+    "tiny change": (
+        3, "01111010011111011001111111011101011110110011110010001101001100011101011110111111111111",
+        "00000000000000000030000000000000000000000000000010112215530000000000000000000000000122",
+        [[0.8612834961776684, 0.0, 0.0],
+         [0.0, 0.007091828603166261, 0.0],
+         [0.719909383508693, 0.0, 0.0],
+         [0.2152181671629736, 0.0, 0.8050548331450097],
+         [0.0, 0.0, 0.0],
+         [0.0, 0.0, 0.5895020620840481]]),
+    "change": (
+        2, "0011011111110000001001011001111111001011110111110",
+        "1100110100000111101000110111010011010000010001001",
+        [[0.938833247987742, 0.9326237734978077, 0.0],
+         [0.0, 0.0, 0.04566453513292312]]),
+    "likelihood": (
+        2, "25211555002244035531213225503033555120311105225223130115215503320503521153102353522"
+           "525555054255032001144525545002102302215502530515115231553133220025515202",
+        "10011111011111011001110001010001000011010000100110110100111000010100101110011101110"
+        "011111001001100001011100111010110010010011110100011000110111110011100111",
+        [[0.4737742589044651, 0.7606700304831624, 0.45020697319852865],
+         [0.0, 0.8818338220068159, 0.8818814110320179]]),
+}
+
+
+def parted_at_max_iter(name):
+    """The corpus and B of the case ``name`` in ``PARTED_AT_MAX_ITER``."""
+    Q, users, rows, B = PARTED_AT_MAX_ITER[name]
+    I, J = pairs.pair_arrays(Q)
+    rows = np.array([int(ch) for ch in rows])
+    users = np.array([int(ch) for ch in users])
+    corpus = ComparisonCorpus(Q=Q, M=int(users.max()) + 1, user=users,
+                              winner=I[rows], loser=J[rows])
+    return corpus, np.array(B)
+
+
+def stop_warning(text):
+    """A max_iter warning without the last relative change it prints."""
+    return re.sub(r"change \S+ \(", "change * (", text)
+
+
 def em_peak(fn, corpus, B):
     """tracemalloc peak of a three-cycle EM run, in bytes."""
     tracemalloc.start()
@@ -643,12 +700,28 @@ class TestGroupedEMMatchesPerRecord:
            tol=st.sampled_from([1e-8, 1e-12]),
            max_iter=st.sampled_from([1, 2, 5, 500]))
     @example(case=stopped_near_a_boundary_maximum(), tol=1e-8, max_iter=500)
+    @example(case=parted_at_max_iter("tiny change"), tol=1e-12, max_iter=5)
+    @example(case=parted_at_max_iter("change"), tol=1e-8, max_iter=5)
+    @example(case=parted_at_max_iter("likelihood"), tol=1e-8, max_iter=5)
     def test_same_errors_warnings_and_likelihood(self, case, tol, max_iter):
         corpus, B = case
         got, got_warnings = run_em(infer_weights, corpus, B, tol=tol, max_iter=max_iter)
         want, want_warnings = run_em(per_record_infer_weights, corpus, B,
                                      tol=tol, max_iter=max_iter)
-        assert got_warnings == want_warnings
+        if got_warnings or want_warnings:
+            # A max_iter stop.  The two EMs sum in another order, and a
+            # SQUAREM step decided by rounding can part their paths before
+            # either stops (see ``parted_at_max_iter``), so each is held to
+            # what it guarantees on its own: the same warning, up to the
+            # last relative change it prints; valid weights; and a history
+            # that does not decrease.
+            assert ([stop_warning(w) for w in got_warnings]
+                    == [stop_warning(w) for w in want_warnings]
+                    == [stop_warning(f"EM stopped at max_iter={max_iter} without converging; "
+                                     f"last relative log-likelihood change 0 (tol {tol:.1e})")])
+            check_weights(corpus, B, *got)
+            check_weights(corpus, B, *want)
+            return
         if isinstance(want, Exception) or isinstance(got, Exception):
             assert type(got) is type(want) and str(got) == str(want)
             return

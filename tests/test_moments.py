@@ -1,5 +1,6 @@
 """Split-half counts and the co-occurrence estimate behind detection."""
 
+import re
 import tracemalloc
 from unittest import mock
 
@@ -124,6 +125,113 @@ class TestSplit:
         for mat in (Xn, Xpn):
             rs = np.asarray(mat.sum(axis=1)).ravel()
             assert np.all((np.abs(rs - 1.0) < 1e-12) | (rs == 0.0))
+
+
+def reference_split_halves(corpus: ComparisonCorpus) -> SplitCounts:
+    """The split through COO matrices: each record's rank within its user,
+    a first-half mask scattered back by the stable sort, and
+    ``coo_matrix.tocsr`` summing each half's ones.  ``split_halves`` reads
+    the halves off sorted (pair, user) keys instead; this is the form it
+    replaced, kept as the reference it must match bit for bit."""
+    M = corpus.M
+    counts = np.bincount(corpus.user, minlength=M)
+    if counts.min() < 2:
+        u = int(np.argmin(counts))
+        raise SplitError(f"user {u} has {int(counts[u])} comparison(s); need at least 2")
+    order = np.argsort(corpus.user, kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    rank_within = np.arange(corpus.n_records) - np.repeat(offsets, counts)
+    first_half_sorted = rank_within < np.repeat((counts + 1) // 2, counts)
+    first = np.zeros(corpus.n_records, dtype=bool)
+    first[order] = first_half_sorted
+    rows = corpus.pair_rows()
+    W = pairs.num_pairs(corpus.Q)
+
+    def mat(mask: np.ndarray) -> sp.csr_matrix:
+        data = np.ones(int(mask.sum()))
+        m = sp.coo_matrix((data, (rows[mask], corpus.user[mask])), shape=(W, M))
+        return m.tocsr()
+
+    return SplitCounts(mat(first), mat(~first), M, corpus.Q)
+
+
+@st.composite
+def split_cases(draw):
+    """A corpus with users in shuffled record order, repeated (user, pair)
+    records, and now and then a user with fewer than two records."""
+    Q = draw(st.integers(2, 6))
+    M = draw(st.integers(1, 8))
+    per_user = draw(st.lists(st.integers(1, 25), min_size=M, max_size=M))
+    n = sum(per_user)
+    W = pairs.num_pairs(Q)
+    rows = np.array(draw(st.lists(st.integers(0, W - 1), min_size=n, max_size=n)))
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(n)
+    I, J = pairs.pair_arrays(Q)
+    return ComparisonCorpus(Q=Q, M=M, user=np.repeat(np.arange(M), per_user)[order],
+                            winner=I[rows], loser=J[rows])
+
+
+def split_peak(corpus: ComparisonCorpus) -> int:
+    """tracemalloc peak of ``split_halves`` beyond what was live before, in
+    bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        split_halves(corpus)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestSplitMatchesCOOReference:
+    """``split_halves`` against ``reference_split_halves``: the same errors
+    and, in both halves, the same data, indices and indptr, dtypes and
+    sorted indices."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=split_cases(), slice_records=st.sampled_from([1, 2, 3, 1 << 16]))
+    def test_same_bits(self, corpus, slice_records):
+        try:
+            want = reference_split_halves(corpus)
+        except SplitError as exc:
+            with pytest.raises(SplitError, match=f"^{re.escape(str(exc))}$"):
+                split_halves(corpus)
+            return
+        with mock.patch.object(moments, "_SPLIT_SLICE", slice_records):
+            got = split_halves(corpus)
+        assert (got.M, got.Q) == (want.M, want.Q)
+        for g, w in ((got.X, want.X), (got.X_prime, want.X_prime)):
+            assert g.shape == w.shape
+            for field in ("data", "indices", "indptr"):
+                a, b = getattr(g, field), getattr(w, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+            assert g.has_sorted_indices and w.has_sorted_indices
+
+    def test_user_by_row_keys_cannot_wrap(self):
+        # 2**61 + 1 users times W = 20 pair rows is past int64, so a key
+        # could wrap; the split refuses the corpus before it allocates
+        # anything by M
+        M = 2**61 + 1
+        corpus = ComparisonCorpus(Q=5, M=M, user=np.array([0, M - 1]),
+                                  winner=np.array([1, 2]), loser=np.array([2, 1]))
+        with pytest.raises(ValueError, match=f"^{M} users times 20 pair rows overflow"):
+            split_halves(corpus)
+
+    @pytest.mark.parametrize("Q, M, N", [(20, 1000, 300), (60, 2000, 50)])
+    def test_peak_beyond_the_corpus(self, Q, M, N):
+        # the split holds at most one int64 key per record, a first-half
+        # mask and both halves' keys, so its peak beyond the corpus stays
+        # under 0.85 of the records' 24 bytes each (the COO form took about
+        # 2.05); wide corpora repeat few (user, pair) records, so their
+        # halves' entries cost most (0.79 here, 0.71 at Q = 20)
+        model = MixedMembershipModel(
+            [MallowsComponent(Permutation.identity(Q), 0.1),
+             MallowsComponent(Permutation.from_ranking(list(range(Q, 0, -1))), 0.1)],
+            DirichletPrior(0.1))
+        corpus, _ = generate(model, M=M, N=N, seed=2)
+        records = sum(ids.nbytes for ids in (corpus.user, corpus.winner, corpus.loser))
+        peak = split_peak(corpus)
+        assert peak < 0.85 * records, (peak, records)
 
 
 class TestCooccurrence:

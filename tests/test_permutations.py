@@ -100,6 +100,21 @@ class TestPairRows:
                 seen.add((i, j))
             assert len(seen) == pairs.num_pairs(Q)
 
+    def test_array_path_matches_scalar_formula(self):
+        # every ordered pair at Q <= 8, as int32 and int64 item arrays, in
+        # one call: the in-place int64 path gives each the scalar row
+        for Q in range(2, 9):
+            I, J = np.array([(i, j) for i in range(1, Q + 1) for j in range(1, Q + 1)
+                             if i != j]).T
+            want = [(i - 1) * (Q - 1) + (j - 1) - (j > i) for i, j in zip(I.tolist(), J.tolist())]
+            for dtype in (np.int32, np.int64):
+                rows = pairs.pair_row(I.astype(dtype), J.astype(dtype), Q)
+                assert rows.dtype == np.int64 and rows.tolist() == want
+                assert rows.tolist() == [pairs.pair_row(i, j, Q)
+                                         for i, j in zip(I.tolist(), J.tolist())]
+            # a scalar item against an array broadcasts
+            assert pairs.pair_row(1, J[I == 1], Q).tolist() == want[:Q - 1]
+
     def test_reverse_rows_is_involution(self):
         for Q in (2, 4, 8):
             rev = pairs.reverse_rows(Q)
