@@ -26,11 +26,10 @@ from .generator import (
     MixedMembershipModel,
     VertexPrior,
     atomic_write_text,
-    generate,
+    generate_corpus_file,
     model_to_dict,
     read_corpus,
     read_model,
-    write_corpus,
 )
 from .mallows import MallowsComponent, brute_force_beta
 from .permutations import Permutation
@@ -93,7 +92,7 @@ def _build_model(args) -> MixedMembershipModel:
     phis = _stage("config", _phi_list, args.phi, K)
     prior = _stage("config", _build_prior, args.alpha, args.vertex_prior, K)
     components = _stage("config", _draw_components, _model_rng(args.seed), Q, phis)
-    return MixedMembershipModel(components, prior)
+    return _stage("config", MixedMembershipModel, components, prior)
 
 
 def _draw_components(rng, Q: int, phis: list[float]) -> list[MallowsComponent]:
@@ -118,6 +117,8 @@ def _finite_or_none(x: float) -> float | None:
 def cmd_generate(args) -> int:
     if args.comparisons < 2:
         raise StageError("config", ValueError("--comparisons must be at least 2"))
+    if args.users < 1:
+        raise StageError("config", ValueError("--users must be at least 1"))
     model = _build_model(args)
     if model.prior is None:
         raise StageError("config", ValueError("model file has no weight prior; cannot generate"))
@@ -135,15 +136,16 @@ def cmd_generate(args) -> int:
         "output": args.output,
         "truth": args.truth,
     }
-    corpus, thetas = _stage(
-        "generate", generate, model, args.users, args.comparisons, args.seed, threads=args.threads
-    )
-    _stage("write", write_corpus, corpus, args.output, {"seed": args.seed, "config": config})
+    # each block of users is written before the next is drawn, so with the
+    # arguments checked above, what fails here is the write
+    thetas = _stage("write", generate_corpus_file, args.output, model, args.users,
+                    args.comparisons, args.seed, {"seed": args.seed, "config": config})
     truth = model_to_dict(model, seed=args.seed)
     truth["config"] = config
     truth["weights"] = thetas.tolist()
     _stage("write", _write_json, args.truth, truth)
-    print(f"wrote {corpus.n_records} records to {args.output} and the truth to {args.truth}")
+    print(f"wrote {args.users * args.comparisons} records to {args.output} "
+          f"and the truth to {args.truth}")
     return 0
 
 

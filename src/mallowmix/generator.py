@@ -241,22 +241,56 @@ def generate(
     Returns the corpus and the (M, K) matrix of sampled user weights.
     Each comparison's order is drawn from the closed-form pair marginal of
     its component, the law of that pair's order in a full ranking drawn by
-    ``rim_sample``.  Users are drawn a block at a time: each user's weights
-    and uniforms come from the user's own stream, and the rest runs once
-    per block.  ``threads`` has no effect; it is kept so that callers
+    ``rim_sample``.  The records are those of ``_user_blocks``, gathered
+    into one corpus.  ``threads`` has no effect; it is kept so that callers
     passing it keep working.
     """
+    thetas = _weights_array(model, M, N)
+    columns = user, winner, loser = [np.empty(M * N, np.int64) for _ in range(3)]
+    at = 0
+    for block in _user_blocks(model, M, N, seed, thetas):
+        for column, ids in zip(columns, (block.user, block.winner, block.loser)):
+            column[at:at + ids.size] = ids
+        at += block.n_records
+    return ComparisonCorpus(model.Q, M, user, winner, loser, N=N), thetas
+
+
+def generate_corpus_file(path: str, model: MixedMembershipModel, M: int, N: int, seed: int,
+                         meta_extra: dict | None = None) -> np.ndarray:
+    """``generate`` followed by ``write_corpus`` to ``path``, with the same
+    bytes, holding no array of the corpus's size: each block of users is
+    drawn, checked, formatted and written before the next one is drawn.
+    Returns the (M, K) matrix of sampled user weights."""
+    thetas = _weights_array(model, M, N)
+    blocks = ((block.user, block.winner, block.loser)
+              for block in _user_blocks(model, M, N, seed, thetas))
+    _write_records(path, {"Q": model.Q, "M": M, "N": N}, meta_extra, blocks)
+    return thetas
+
+
+def _weights_array(model: MixedMembershipModel, M: int, N: int) -> np.ndarray:
+    """The (M, K) array that ``_user_blocks`` fills, once the arguments of
+    a draw of M users with N comparisons each are checked."""
     if M < 1 or N < 1:
         raise ValueError("M and N must be positive")
     if model.prior is None:
         raise ValueError("model carries no weight prior; cannot generate")
+    return np.empty((M, model.K))
+
+
+def _user_blocks(model: MixedMembershipModel, M: int, N: int, seed: int, thetas: np.ndarray):
+    """The records of M users with N comparisons each, as one checked
+    ``ComparisonCorpus`` per block of whole users, at most ``_WRITE_CHUNK``
+    records or one user; each user's weights go into its row of ``thetas``.
+
+    Each user's weights and uniforms come from the user's own stream, and
+    the rest runs once per block, so the records and weights do not depend
+    on the block size.
+    """
     K, Q = model.K, model.Q
     beta = model.ranking_matrix().entries
     cum_mu = np.cumsum(model.pair_distribution())
     uI, uJ = pairs.unordered_arrays(Q)
-    thetas = np.empty((M, K))
-    winner = np.empty((M, N), np.int64)
-    loser = np.empty((M, N), np.int64)
     per_block = max(1, _WRITE_CHUNK // N)
     for start in range(0, M, per_block):
         stop = min(start + per_block, M)
@@ -275,11 +309,9 @@ def generate(
         # The order of one fresh ranking restricted to {i, j} is a Bernoulli
         # draw with the closed-form pair marginal, so sample that directly.
         first = r[:, 2] < beta[pairs.pair_row(i, j, Q), z]
-        winner[start:stop] = np.where(first, i, j)
-        loser[start:stop] = np.where(first, j, i)
-    user = np.repeat(np.arange(M, dtype=np.int64), N)
-    corpus = ComparisonCorpus(Q, M, user, winner.ravel(), loser.ravel(), N=N)
-    return corpus, thetas
+        user = np.repeat(np.arange(start, stop, dtype=np.int64), N)
+        yield ComparisonCorpus(Q, M, user, np.where(first, i, j).ravel(),
+                               np.where(first, j, i).ravel(), N=N)
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +321,25 @@ def generate(
 def atomic_write(path: str, blocks) -> None:
     """Write the bytes-like blocks to a temporary file beside ``path``, then
     rename it to ``path``, so readers never observe a partial file.  If a
-    block fails, the temporary file goes and ``path`` is left as it was."""
+    block fails, the temporary file goes and ``path`` is left as it was.
+
+    An OSError that names the temporary file, or no file, is raised again
+    naming ``path``: the temporary file is gone by then, and its name means
+    nothing to the caller."""
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(blocks)  # drops each block before drawing the next
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        # before mkstemp returns, the file it names is the temporary one
+        if (isinstance(exc, OSError) and exc.errno is not None
+                and (tmp is None or exc.filename in (tmp, None))):
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 
@@ -310,8 +351,14 @@ def atomic_write_text(path: str, text: str) -> None:
 # One corpus record line.  write_corpus formats every record with it, and
 # read_corpus parses the lines of exactly this form in bulk.
 _RECORD = '{"user": %d, "win": %d, "lose": %d}\n'
-_WRITE_CHUNK = 1 << 16  # records per block drawn by generate and written by write_corpus
-_READ_BLOCK = 1 << 18  # characters read per block by read_corpus
+# Records per block.  generate draws users in blocks of at most this many
+# records (or one user), generate_corpus_file writes each block before it
+# draws the next, and write_corpus formats this many records at a time.
+# Measured for the `generate` command at Q=20, M=3000, N=300 on a 2-core
+# host: peak RSS 38.2, 40.3, 44.2 and 51.9 MB at 2**13 to 2**16 records,
+# and at 2**13 the per-block work starts to cost time.
+_WRITE_CHUNK = 1 << 14
+_READ_BLOCK = 1 << 18  # bytes read per block by read_corpus
 # _RECORD's text before, between and after its three ids
 _TEMPLATE = tuple(part.encode() for part in _RECORD.split("%d"))
 _POWERS = 10 ** np.arange(19, dtype=np.int64)  # of each digit position of an int64 id
@@ -321,13 +368,19 @@ _PAD = 0xFF  # a byte no record line holds
 
 def write_corpus(corpus: ComparisonCorpus, path: str, meta_extra: dict | None = None) -> None:
     """One JSON object per line; first line carries corpus metadata."""
-    meta = {"Q": corpus.Q, "M": corpus.M, "N": corpus.N}
+    blocks = ([ids[start:start + _WRITE_CHUNK]
+               for ids in (corpus.user, corpus.winner, corpus.loser)]
+              for start in range(0, corpus.n_records, _WRITE_CHUNK))
+    _write_records(path, {"Q": corpus.Q, "M": corpus.M, "N": corpus.N}, meta_extra, blocks)
+
+
+def _write_records(path: str, meta: dict, meta_extra: dict | None, blocks) -> None:
+    """``atomic_write`` the meta line of ``meta`` updated by ``meta_extra``,
+    then the ``_RECORD`` lines of each block of (user, winner, loser) ids."""
     if meta_extra:
         meta.update(meta_extra)
-    blocks = (_record_bytes(*(ids[start:start + _WRITE_CHUNK]
-                              for ids in (corpus.user, corpus.winner, corpus.loser)))
-              for start in range(0, corpus.n_records, _WRITE_CHUNK))
-    atomic_write(path, itertools.chain([(json.dumps({"meta": meta}) + "\n").encode()], blocks))
+    atomic_write(path, itertools.chain([(json.dumps({"meta": meta}) + "\n").encode()],
+                                       (_record_bytes(*columns) for columns in blocks)))
 
 
 def _record_bytes(*columns: np.ndarray) -> np.ndarray:
@@ -373,7 +426,9 @@ def read_corpus(path: str) -> ComparisonCorpus:
     Errors read ``{path}:{line}: {rule}``.
 
     Lines in ``write_corpus``'s form are parsed in bulk, a block of lines
-    at a time; every other line goes through the JSON decoder.
+    at a time; every other line is decoded as UTF-8 and goes through the
+    JSON decoder.  A line ends at a newline, a carriage return and newline,
+    or a lone carriage return, as in Python's text mode.
     """
     meta = None
     meta_line = 0
@@ -383,13 +438,11 @@ def read_corpus(path: str) -> ComparisonCorpus:
     decode = json.JSONDecoder().decode  # json.loads without its per-call argument handling
     n = 0  # records read
     base = 0  # file lines before the current block
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size // _MIN_RECORD_BYTES + 1
         ids = [np.empty(size, np.int64) for _ in range(3)]  # user, win and lose of each record
-        for block in _line_blocks(fh):
-            raw = block.encode()
-            # in UTF-8 a newline byte is always a newline
-            ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+        for raw in _line_blocks(fh):
+            ends = _line_ends(raw)
             starts = np.concatenate(([0], ends[:-1] + 1))
             lines, values = _writer_lines(raw, starts, ends)
             rest = np.ones(ends.size, bool)  # lines for the JSON decoder
@@ -399,7 +452,10 @@ def read_corpus(path: str) -> ComparisonCorpus:
             found: list[int] = []  # block lines of the records decoded here
             for i, start, stop in zip(rest.tolist(), starts[rest].tolist(), ends[rest].tolist()):
                 lineno = base + i + 1
-                line = raw[start:stop].decode().strip()
+                try:
+                    line = raw[start:stop].decode().strip()
+                except UnicodeDecodeError:
+                    raise CorpusError(f"{path}:{lineno}: line is not valid UTF-8") from None
                 if not line:
                     skipped.append(lineno)
                     continue
@@ -487,17 +543,32 @@ def read_corpus(path: str) -> ComparisonCorpus:
 
 
 def _line_blocks(fh):
-    """The text of ``fh`` in blocks of whole lines, each ending in a newline."""
-    carry = ""
+    """The bytes of the binary file ``fh`` in blocks of whole lines, each
+    ending in a line end (see ``_line_ends``)."""
+    carry = b""
     while chunk := fh.read(_READ_BLOCK):
-        cut = chunk.rfind("\n") + 1
+        # a carriage return that ends the chunk may be half of a "\r\n"
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
         if cut:
             yield carry + chunk[:cut]
             carry = chunk[cut:]
         else:
             carry += chunk
     if carry:
-        yield carry + "\n"
+        yield carry + b"\n"
+
+
+def _line_ends(raw: bytes) -> np.ndarray:
+    """The index of the byte that ends each line of ``raw``: a newline, or a
+    carriage return not followed by one.  In UTF-8 these bytes are always
+    those characters."""
+    b = np.frombuffer(raw, np.uint8)
+    end = b == ord("\n")
+    if b"\r" in raw:
+        lone = b == ord("\r")
+        lone[:-1] &= ~end[1:]
+        end |= lone
+    return np.flatnonzero(end)
 
 
 _MAX_DIGITS = 18  # every id of at most 18 digits fits in int64
@@ -507,8 +578,8 @@ def _writer_lines(raw: bytes, starts: np.ndarray, ends: np.ndarray):
     """The lines of ``raw`` in ``_RECORD``'s form whose ids are JSON
     integers of at most 18 digits: their indices and their (3, m) ids.
 
-    ``raw`` holds UTF-8 bytes of whole lines; line i starts at ``starts[i]``
-    and ends with the newline at ``ends[i]``.  A line is in the form when it
+    ``raw`` holds the bytes of whole lines; line i starts at ``starts[i]``
+    and ends with the line end at ``ends[i]``.  A line is in the form when it
     has exactly three runs of digits, each starting where the template's
     text before it ends, and the template's bytes around them.  A negative
     id breaks the form: no valid corpus holds one, and the JSON decoder
@@ -517,7 +588,7 @@ def _writer_lines(raw: bytes, starts: np.ndarray, ends: np.ndarray):
     padded = raw + bytes(_MAX_DIGITS)  # room to read each part and digit step past the end
     b = np.frombuffer(padded, np.uint8)
     digit = (b[:len(raw)] - ord("0")) <= 9
-    # the last byte, a newline, ends every run
+    # the last byte, a line end, ends every run
     bounds = np.flatnonzero(np.diff(digit, prepend=False))
     first, last = bounds[0::2], bounds[1::2]  # run r is b[first[r]:last[r]]
     upto = np.searchsorted(first, ends)  # runs that start before each line's newline

@@ -3,14 +3,17 @@
 import hashlib
 import json
 import math
+import os
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from mallowmix import pairs
+from mallowmix import generator, pairs
 from mallowmix.cli import main
-from mallowmix.generator import read_corpus, read_model
+from mallowmix.generator import generate, read_corpus, read_model, write_corpus
 from mallowmix.mallows import MallowsComponent, build_ranking_matrix
 from mallowmix.permutations import Permutation
 from test_generator import write_model
@@ -125,6 +128,89 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "--items", "4", "--components", "3",
                            "--phi", "0.1", "--phi", "0.2", "--comparisons", "4", *base)
         assert code == 2 and "error in config stage" in err
+        code, _, err = run(capsys, "generate", "--items", "4", "--components", "1",
+                           "--phi", "0.1", "--comparisons", "4", *base, "--users", "0")
+        assert code == 2 and err == "error in config stage: --users must be at least 1\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["generate", "oracle"])
+    @pytest.mark.parametrize("components", ["0", "-2"])
+    def test_no_components_is_a_config_error(self, tmp_path, capsys, command, components):
+        out = ["--users", "10", "--comparisons", "4", "-o", str(tmp_path / "c.jsonl"),
+               "--truth", str(tmp_path / "t.json")] if command == "generate" else []
+        code, _, err = run(capsys, command, "--items", "4", "--components", components,
+                           "--phi", "0.1", *out)
+        assert code == 2
+        assert err == "error in config stage: need at least one component\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_write_errors_name_the_requested_path(self, tmp_path, capsys):
+        base = ["generate", "--items", "4", "--components", "1", "--phi", "0.1",
+                "--users", "10", "--comparisons", "4"]
+        missing = tmp_path / "missing"
+        for paths in ([missing / "c.jsonl", tmp_path / "t.json"],
+                      [tmp_path / "c.jsonl", missing / "t.json"]):
+            code, _, err = run(capsys, *base, "-o", str(paths[0]), "--truth", str(paths[1]))
+            assert code == 2
+            bad = next(path for path in paths if path.parent == missing)
+            assert err == (f"error in write stage: [Errno 2] No such file or directory: "
+                           f"'{bad}'\n")
+            assert not any(name.startswith(".tmp-") for name in os.listdir(tmp_path))
+
+    def test_files_are_those_of_generate_and_write_corpus(self, tmp_path, capsys):
+        flags = ["generate", "--items", "5", "--components", "3", "--users", "23",
+                 "--comparisons", "5", "--phi", "0.2", "--alpha", "0.4", "--seed", "3",
+                 "--truth", str(tmp_path / "t.json")]
+        # 7 records per block: write_corpus's blocks end mid-user, and
+        # generate_corpus_file draws and writes one user per block
+        for chunk in (generator._WRITE_CHUNK, 7):
+            path = tmp_path / f"c{chunk}.jsonl"
+            with mock.patch.object(generator, "_WRITE_CHUNK", chunk):
+                code, _, _ = run(capsys, *flags, "-o", str(path))
+            assert code == 0
+            meta = json.loads(path.read_bytes().split(b"\n", 1)[0])["meta"]
+            for split in (generator._WRITE_CHUNK, 7):
+                with mock.patch.object(generator, "_WRITE_CHUNK", split):
+                    corpus, thetas = generate(read_model(tmp_path / "t.json"), 23, 5, 3)
+                    write_corpus(corpus, tmp_path / "want.jsonl",
+                                 {"seed": 3, "config": meta["config"]})
+                assert path.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+                assert read_json(tmp_path / "t.json")["weights"] == thetas.tolist()
+
+    def test_a_failed_block_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        record_bytes = generator._record_bytes
+        calls = []
+
+        def fail_second(*columns):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("formatter failed")
+            return record_bytes(*columns)
+
+        monkeypatch.setattr(generator, "_record_bytes", fail_second)
+        monkeypatch.setattr(generator, "_WRITE_CHUNK", 20)  # one user of 20 records a block
+        code, _, err = run(capsys, "generate", "--items", "4", "--components", "2",
+                           "--phi", "0.1", "--users", "5", "--comparisons", "20",
+                           "-o", str(tmp_path / "c.jsonl"), "--truth", str(tmp_path / "t.json"))
+        assert code == 2 and err == "error in write stage: formatter failed\n"
+        assert len(calls) == 2 and os.listdir(tmp_path) == []
+
+    def test_memory_does_not_grow_with_the_users(self, tmp_path, capsys):
+        # each block of users is written before the next is drawn, so past
+        # one block only the (M, K) weights grow with M
+        peaks = []
+        for users in (400, 4000):
+            tracemalloc.start()
+            try:
+                code, _, _ = run(capsys, "generate", "--items", "10", "--components", "2",
+                                 "--phi", "0.2", "--users", str(users), "--comparisons", "100",
+                                 "-o", str(tmp_path / "c.jsonl"),
+                                 "--truth", str(tmp_path / "t.json"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
     def test_out_of_range_phi_exits_2(self, tmp_path, capsys):
         base = ["generate", "--items", "4", "--components", "2",

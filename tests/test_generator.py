@@ -26,6 +26,7 @@ from mallowmix.generator import (
     atomic_write,
     atomic_write_text,
     generate,
+    generate_corpus_file,
     model_from_dict,
     model_to_dict,
     read_corpus,
@@ -721,6 +722,24 @@ class TestBulkReader:
         for a, b in ((back.user, user), (back.winner, winner), (back.loser, loser)):
             assert a.dtype == np.int64 and np.array_equal(a, b)
 
+    @pytest.mark.parametrize("block", [16, generator._READ_BLOCK])
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
+    def test_invalid_utf8_names_the_line(self, tmp_path, monkeypatch, block, ending):
+        monkeypatch.setattr(generator, "_READ_BLOCK", block)  # the line in a later block
+        lines = [b'{"meta": {"Q": 4, "M": 2}}', (WRITER_FORM % (0, 1, 2)).encode(),
+                 '{"user": 1, "win": 3, "lose": 4, "note": "\u00e9"}'.encode(),
+                 b'{"user": 1, "win": 2, "lose": 3, "note": "\xff"}',
+                 (WRITER_FORM % (1, 4, 1)).encode()]
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(ending.join(lines) + ending)
+        with pytest.raises(CorpusError) as info:
+            read_corpus(path)
+        assert str(info.value) == f"{path}:4: line is not valid UTF-8"
+        del lines[3]  # the rest, "\u00e9" included, reads
+        path.write_bytes(ending.join(lines) + ending)
+        back = read_corpus(path)
+        assert back.user.tolist() == [0, 1, 1] and back.winner.tolist() == [1, 3, 4]
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_reads_a_pipe(self, tmp_path, monkeypatch):
         # a pipe has no size to bound the record count by, so the id
@@ -779,7 +798,8 @@ def sampler_models(draw):
 
 class TestBlockSampler:
     """``generate`` against ``reference_generate``, the per-user sampler it
-    replaced: the same records and weights, bit for bit."""
+    replaced: the same records and weights, bit for bit; and
+    ``generate_corpus_file`` against ``generate`` and ``write_corpus``."""
 
     @settings(max_examples=200, deadline=None)
     @given(model=sampler_models(), M=st.integers(1, 40), N=st.integers(1, 30),
@@ -793,6 +813,20 @@ class TestBlockSampler:
                      (got.loser, want.loser), (thetas, want_thetas)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert (got.N, got.M) == (want.N, want.M) == (N, M)
+
+    @settings(max_examples=50, deadline=None)
+    @given(model=sampler_models(), M=st.integers(1, 40), N=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1), chunk=st.integers(1, 64))
+    def test_file_is_that_of_generate_and_write_corpus(self, tmp_path_factory, model, M, N,
+                                                       seed, chunk):
+        d = tmp_path_factory.mktemp("stream")
+        want = d / "want.jsonl"
+        corpus, want_thetas = generate(model, M, N, seed)
+        write_corpus(corpus, want, {"seed": seed})
+        with mock.patch.object(generator, "_WRITE_CHUNK", chunk):
+            thetas = generate_corpus_file(d / "got.jsonl", model, M, N, seed, {"seed": seed})
+        assert (d / "got.jsonl").read_bytes() == want.read_bytes()
+        assert thetas.dtype == want_thetas.dtype and np.array_equal(thetas, want_thetas)
 
 
 def reference_write_corpus(corpus, path, meta_extra=None):
@@ -856,6 +890,17 @@ class TestBlockWriter:
                 tracemalloc.stop()
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert peaks[1] <= 0.25 * peaks[0], peaks
+
+    def test_atomic_write_errors_name_the_path(self, tmp_path):
+        # mkstemp fails in a missing folder, os.replace onto a folder
+        for path, error in ((tmp_path / "missing" / "out.json", FileNotFoundError),
+                            (tmp_path / "folder", IsADirectoryError)):
+            (tmp_path / "folder").mkdir(exist_ok=True)
+            with pytest.raises(error) as info:
+                atomic_write(path, [b"bytes\n"])
+            assert info.value.filename == str(path) and info.value.filename2 is None
+            assert str(info.value).endswith(f": {str(path)!r}")
+            assert os.listdir(tmp_path) == ["folder"] and os.listdir(tmp_path / "folder") == []
 
     def test_atomic_write_keeps_the_target_when_a_block_fails(self, tmp_path):
         def blocks():
