@@ -21,7 +21,11 @@ import numpy as np
 from . import pairs
 from .evaluate import align_and_score, em_summary, infer_weights, predict_loglik
 from .generator import (
+    ITEM_LIMIT,
+    MAX_ITEMS,
+    MAX_USERS,
     MODEL_STREAM,
+    USER_LIMIT,
     DirichletPrior,
     MixedMembershipModel,
     VertexPrior,
@@ -89,6 +93,8 @@ def _build_model(args) -> MixedMembershipModel:
     if args.items is None or args.components is None:
         raise StageError("config", ValueError("--items and --components are required without -i"))
     Q, K = args.items, args.components
+    if Q > MAX_ITEMS:
+        raise StageError("config", ValueError(f"--items {Q}: {ITEM_LIMIT}"))
     phis = _stage("config", _phi_list, args.phi, K)
     prior = _stage("config", _build_prior, args.alpha, args.vertex_prior, K)
     components = _stage("config", _draw_components, _model_rng(args.seed), Q, phis)
@@ -119,6 +125,8 @@ def cmd_generate(args) -> int:
         raise StageError("config", ValueError("--comparisons must be at least 2"))
     if args.users < 1:
         raise StageError("config", ValueError("--users must be at least 1"))
+    if args.users > MAX_USERS:
+        raise StageError("config", ValueError(f"--users {args.users}: {USER_LIMIT}"))
     model = _build_model(args)
     if model.prior is None:
         raise StageError("config", ValueError("model file has no weight prior; cannot generate"))

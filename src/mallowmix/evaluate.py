@@ -138,13 +138,15 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
 
     Records of one user and one ordered pair are alike, so the EM runs
     over one entry per distinct (user, pair row), weighted by its count of
-    records.  One in-place sort of the key ``user * W + row`` (W = Q(Q-1))
-    groups the records into entries, and every occupied user owns one
-    contiguous segment of them.  Each EM step is one sweep over blocks of
-    whole users (``_EM_BLOCK``) that forms each term theta_k B[w, k] once
-    per block and adds count-weighted segments with ``np.add.reduceat``;
-    beside the entries' (K, entries) outcome probabilities only one
-    block's terms are held.
+    records.  One in-place sort of the int64 key ``user * W + row``
+    (W = Q(Q-1); below M * W, which the corpus limits keep within int64),
+    formed with the users widened before the product and the rows added a
+    block at a time, groups the records into entries, and every occupied
+    user owns one contiguous segment of them.  Each EM step is one sweep
+    over blocks of whole users (``_EM_BLOCK``) that forms each term
+    theta_k B[w, k] once per block and adds count-weighted segments with
+    ``np.add.reduceat``; beside the entries' (K, entries) outcome
+    probabilities only one block's terms are held.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -152,13 +154,10 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
         raise ValueError(f"tol must be a non-negative number, got {tol}")
     B = _observation_columns(B_hat)
     K = B.shape[1]
-    M, W = corpus.M, pairs.num_pairs(corpus.Q)
-    # keys lie below M * W; checked in Python ints, so they cannot wrap
-    if M * W > np.iinfo(np.int64).max:
-        raise ValueError(f"{M} users times {W} pair rows overflow the weight EM's int64 "
-                         f"(user, pair) keys")
-    key = corpus.pair_rows()
-    key += corpus.user * W
+    M, W, n = corpus.M, pairs.num_pairs(corpus.Q), corpus.n_records
+    key = np.multiply(corpus.user, W, dtype=np.int64)
+    for lo in range(0, n, _EM_BLOCK):
+        key[lo:lo + _EM_BLOCK] += corpus.pair_rows(lo, lo + _EM_BLOCK)
     key.sort()
     first = _run_starts(key)
     count = np.diff(first, append=key.size).astype(float)  # records per entry
@@ -175,14 +174,20 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
     def unsupported(theta: np.ndarray):
         # the first record in corpus order whose pair row is zero in every
         # component (the first sweep, at the barycenter, meets them all);
-        # failing one, the first whose terms theta_k B[w, k] all underflowed
-        rows = corpus.pair_rows()
-        dead = B.sum(axis=1)[rows] == 0
-        underflow = not dead.any()
-        if underflow:
-            users = np.searchsorted(occupied, corpus.user)
-            dead = np.einsum("nk,nk->n", theta.T[users], B[rows]) == 0
-        return _unsupported(int(rows[np.argmax(dead)]), corpus.Q, underflow)
+        # failing one, the first whose terms theta_k B[w, k] all underflowed;
+        # a block of records at a time
+        dead = B.sum(axis=1) == 0
+        for underflow in (False, True):
+            for lo in range(0, n, _EM_BLOCK):
+                rows = corpus.pair_rows(lo, lo + _EM_BLOCK)
+                if underflow:
+                    users = np.searchsorted(occupied, corpus.user[lo:lo + _EM_BLOCK])
+                    bad = np.einsum("nk,nk->n", theta.T[users], B[rows]) == 0
+                else:
+                    bad = dead[rows]
+                if bad.any():
+                    return _unsupported(int(rows[np.argmax(bad)]), corpus.Q, underflow)
+        raise RuntimeError("the weight EM met a record of probability zero it cannot find")
 
     theta, history = _weights_em(count, starts, BwT, tol, max_iter, unsupported)
     weights = np.full((M, K), 1.0 / K)

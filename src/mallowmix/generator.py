@@ -173,14 +173,43 @@ class RecordError(ValueError):
         self.rule = rule
 
 
+# The corpus limits.  Under them every id fits the stored record form,
+# int32 users and int16 items, 8 bytes a record, and every key that joins a
+# pair row and a user, below M * Q(Q-1) < 2**61, fits int64.
+MAX_USERS = 2**31 - 1  # M
+MAX_ITEMS = 2**15 - 1  # Q
+USER_LIMIT = f"M must be at most {MAX_USERS} and user ids below it"
+ITEM_LIMIT = f"Q and item ids must be at most {MAX_ITEMS}"
+# of the user, winner and loser columns: the stored type, the largest id
+# the limits allow, and the rule an id past it breaks
+_DTYPES = (np.int32, np.int16, np.int16)
+_LARGEST = (MAX_USERS - 1, MAX_ITEMS, MAX_ITEMS)
+_LIMITS = (USER_LIMIT, ITEM_LIMIT, ITEM_LIMIT)
+
+
+def limit_rule(Q: int, M: int) -> str | None:
+    """The corpus limit that Q items or M users break, or None."""
+    if M > MAX_USERS:
+        return USER_LIMIT
+    if Q > MAX_ITEMS:
+        return ITEM_LIMIT
+    return None
+
+
 @dataclass
 class ComparisonCorpus:
     """Flat record arrays of one corpus: who compared what and who won.
 
-    Every record must hold integer ids, items in 1..Q, a winner other than
-    its loser and a user in 0..M-1.  A record that breaks a rule raises
-    ``RecordError``, which names the first such record and, of the rules
-    it breaks, the one first in alphabetical order.
+    The records are stored in one fixed form of 8 bytes: ``user`` as int32
+    and ``winner`` and ``loser`` as int16.  That is lossless under the
+    corpus limits, M at most ``MAX_USERS`` = 2**31 - 1 and Q at most
+    ``MAX_ITEMS`` = 32767; a Q or M past them raises ValueError with the
+    rule ``USER_LIMIT`` or ``ITEM_LIMIT``.  Every record must hold integer
+    ids, items in 1..Q, a winner other than its loser and a user in 0..M-1,
+    checked on the arrays as given, before they are narrowed.  A record
+    that breaks a rule raises ``RecordError``, which names the first such
+    record and, of the rules it breaks, the one first in alphabetical
+    order.  Consumers that do arithmetic on ids widen them to int64 first.
     """
 
     Q: int
@@ -195,13 +224,15 @@ class ComparisonCorpus:
         n = columns[0].size
         if any(ids.size != n for ids in columns):
             raise ValueError("record arrays must have equal length")
+        rule = limit_rule(self.Q, self.M)
+        if rule:
+            raise ValueError(rule)
         # a non-integer array breaks this rule at every record, so first at record 0
         if n and not all(ids.dtype.kind in "iu" and np.can_cast(ids.dtype, np.int64)
                          for ids in columns):
             raise RecordError(0, "user, winner and loser must be integer arrays")
-        self.user, self.winner, self.loser = (ids.astype(np.int64, copy=False)
-                                              for ids in columns)
-        user, winner, loser, Q, M = self.user, self.winner, self.loser, self.Q, self.M
+        user, winner, loser = columns
+        Q, M = self.Q, self.M
         # min and max first: a valid corpus then allocates only the winner == loser mask
         if n and (min(winner.min(), loser.min()) < 1 or max(winner.max(), loser.max()) > Q
                   or user.min() < 0 or user.max() >= M or np.any(winner == loser)):
@@ -210,6 +241,9 @@ class ComparisonCorpus:
                      (winner == loser, "winner and loser must differ"),
                      ((user < 0) | (user >= M), f"user ids must lie in 0..{M - 1}"))
             raise RecordError(*min((int(np.argmax(bad)), rule) for bad, rule in rules if bad.any()))
+        # every id now lies within the limits, so narrowing loses nothing
+        self.user, self.winner, self.loser = (ids.astype(dtype, copy=False)
+                                              for ids, dtype in zip(columns, _DTYPES))
 
     @property
     def n_records(self) -> int:
@@ -246,7 +280,7 @@ def generate(
     passing it keep working.
     """
     thetas = _weights_array(model, M, N)
-    columns = user, winner, loser = [np.empty(M * N, np.int64) for _ in range(3)]
+    columns = user, winner, loser = [np.empty(M * N, dtype) for dtype in _DTYPES]
     at = 0
     for block in _user_blocks(model, M, N, seed, thetas):
         for column, ids in zip(columns, (block.user, block.winner, block.loser)):
@@ -273,6 +307,9 @@ def _weights_array(model: MixedMembershipModel, M: int, N: int) -> np.ndarray:
     a draw of M users with N comparisons each are checked."""
     if M < 1 or N < 1:
         raise ValueError("M and N must be positive")
+    rule = limit_rule(model.Q, M)
+    if rule:
+        raise ValueError(rule)
     if model.prior is None:
         raise ValueError("model carries no weight prior; cannot generate")
     return np.empty((M, model.K))
@@ -418,17 +455,22 @@ def read_corpus(path: str) -> ComparisonCorpus:
     """Read a JSON Lines corpus, rejecting any record that breaks a rule.
 
     Every record must be a JSON object whose user, win and lose are JSON
-    integers that fit in 64 bits; the records must then pass the rules of
-    ``ComparisonCorpus``, with Q and M taken from the meta line or, without
-    one, from the largest ids.  A meta line must be an object with integer
-    Q and M (and N, if given, an integer or null); its M must not exceed the
-    largest user id plus one, since users without records cannot be split.
-    Errors read ``{path}:{line}: {rule}``.
+    integers that fit in 64 bits, and lie within the corpus limits (user ids
+    below ``MAX_USERS``, item ids at most ``MAX_ITEMS``); the records must
+    then pass the rules of ``ComparisonCorpus``, with Q and M taken from the
+    meta line or, without one, from the largest ids.  A meta line must be an
+    object with integer Q and M within the limits (and N, if given, an
+    integer or null); its M must not exceed the largest user id plus one,
+    since users without records cannot be split.  Errors read
+    ``{path}:{line}: {rule}``, naming the meta line or the first record
+    that breaks the rule.
 
     Lines in ``write_corpus``'s form are parsed in bulk, a block of lines
     at a time; every other line is decoded as UTF-8 and goes through the
     JSON decoder.  A line ends at a newline, a carriage return and newline,
-    or a lone carriage return, as in Python's text mode.
+    or a lone carriage return, as in Python's text mode.  The records are
+    held in the corpus's own 8-byte form from the start: each block's ids
+    are checked against the limits before they are stored.
     """
     meta = None
     meta_line = 0
@@ -438,9 +480,11 @@ def read_corpus(path: str) -> ComparisonCorpus:
     decode = json.JSONDecoder().decode  # json.loads without its per-call argument handling
     n = 0  # records read
     base = 0  # file lines before the current block
+    top = [-2**63] * 3  # the largest user, win and lose id read
+    limit = None  # (record, rule) of the first record past a corpus limit
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size // _MIN_RECORD_BYTES + 1
-        ids = [np.empty(size, np.int64) for _ in range(3)]  # user, win and lose of each record
+        ids = [np.empty(size, dtype) for dtype in _DTYPES]  # user, win and lose of each record
         for raw in _line_blocks(fh):
             ends = _line_ends(raw)
             starts = np.concatenate(([0], ends[:-1] + 1))
@@ -486,12 +530,13 @@ def read_corpus(path: str) -> ComparisonCorpus:
                 loses.append(lose)
             total = n + lines.size + len(found)
             if total > ids[0].size:  # a pipe has no size, and a file may grow while read
-                ids = [np.concatenate((column[:n], np.empty(total, np.int64))) for column in ids]
+                ids = [np.concatenate((column[:n], np.empty(total, column.dtype)))
+                       for column in ids]
             # record index of a line: records in earlier blocks, then in this one
             records.append(n + np.arange(len(found)) + np.searchsorted(lines, found))
             at = n + np.arange(lines.size) + np.searchsorted(found, lines)
-            for column, value in zip(ids, values):
-                column[at] = value
+            broken = _store(ids, at, values, top)
+            limit = limit or broken  # blocks come in record order
             n = total
             base += ends.size
     if not n:
@@ -506,7 +551,7 @@ def read_corpus(path: str) -> ComparisonCorpus:
         return CorpusError(f"{path}:{line}: {rule}")
 
     # Bulk-parsed records hold JSON integers of at most 18 digits, so only
-    # the decoded ones can break these two rules.
+    # the decoded ones can break the next two rules.
     records = np.concatenate(records)
     # bool, float and str ids would otherwise convert silently below
     if any(not set(map(type, column)) <= {int} for column in columns):
@@ -517,8 +562,10 @@ def read_corpus(path: str) -> ComparisonCorpus:
     except OverflowError:
         bad = _first_broken(columns, lambda v: not -2**63 <= v < 2**63)
         raise broken_record(int(records[bad]), "user, win and lose must fit in 64 bits") from None
-    for column, value in zip(ids, values):
-        column[records] = value
+    limit = min(filter(None, (limit, _store(ids, records, values, top))), default=None)
+    if limit:
+        raise broken_record(*limit)
+    for column in ids:
         # the buffers are never viewed, so each shrinks to its n records in
         # place (realloc), with no copy of them beside it
         column.resize(n, refcheck=False)
@@ -528,18 +575,38 @@ def read_corpus(path: str) -> ComparisonCorpus:
         M = meta["M"]
         N = meta.get("N")
     else:
-        Q = int(max(winner.max(), loser.max()))
-        M = int(user.max()) + 1
+        Q = max(top[1:])
+        M = top[0] + 1
         N = None
     try:
         corpus = ComparisonCorpus(Q, M, user, winner, loser, N=N)
     except RecordError as exc:
         raise broken_record(exc.record, exc.rule) from None
-    # a Python int: the largest user id plus one may not fit in int64
-    if meta is not None and M > int(user.max()) + 1:
-        raise CorpusError(
-            f"{path}:{meta_line}: meta M={M} but the largest user id is {int(user.max())}")
+    if meta is not None and M > top[0] + 1:
+        raise CorpusError(f"{path}:{meta_line}: meta M={M} but the largest user id is {top[0]}")
     return corpus
+
+
+def _store(ids: list[np.ndarray], at: np.ndarray, values: np.ndarray, top: list[int]):
+    """Store the (3, m) int64 ``values`` of the records ``at``, given in
+    increasing order, in the narrow user, win and lose buffers ``ids``, and
+    raise ``top`` to each column's largest id.  Returns (record, rule) of
+    the first of these records with an id past a corpus limit, or None.
+
+    An id below its buffer's type is stored as the type's least value: it
+    breaks the same rule of ``ComparisonCorpus`` either way, since user ids
+    must not be negative and item ids must be positive."""
+    if not at.size:
+        return None
+    past = []
+    for j, (column, value) in enumerate(zip(ids, values)):
+        top[j] = max(top[j], int(value.max()))
+        over = value > _LARGEST[j]
+        if over.any():
+            past.append((int(at[np.argmax(over)]), _LIMITS[j]))
+        bounds = np.iinfo(column.dtype)
+        column[at] = np.clip(value, bounds.min, bounds.max)
+    return min(past, default=None)
 
 
 def _line_blocks(fh):
@@ -624,7 +691,7 @@ def _meta_rule(meta) -> str | None:
         value = meta.get(key)
         if type(value) is not int and not (key == "N" and value is None):
             return f"meta {key} must be a JSON integer"
-    return None
+    return limit_rule(meta["Q"], meta["M"])
 
 
 def _first_broken(columns, bad) -> int:

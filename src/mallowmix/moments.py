@@ -150,15 +150,16 @@ def split_halves(corpus: ComparisonCorpus) -> SplitCounts:
     first second-half record; a record is in the first half when its index
     is below its user's cut.  Each half's CSR is read off the sorted
     distinct keys ``row * M + user`` of its records: the run lengths are
-    the counts, and the keys are already in row-major order.
+    the counts, and the keys are already in row-major order.  The keys lie
+    below W * M, which the corpus limits keep within int64.  The narrow
+    user ids are counted a slice at a time and widened into the keys in
+    place, so no int64 copy of them is made.
     """
     M, n = corpus.M, corpus.n_records
     W = pairs.num_pairs(corpus.Q)
-    # keys lie below W * M; checked in Python ints, so they cannot wrap
-    if W * M > np.iinfo(np.int64).max:
-        raise ValueError(f"{M} users times {W} pair rows overflow the split's int64 "
-                         f"(pair, user) keys")
-    counts = np.bincount(corpus.user, minlength=M)
+    counts = np.zeros(M, dtype=np.int64)
+    for lo in range(0, n, _SPLIT_SLICE):
+        np.add.at(counts, corpus.user[lo:lo + _SPLIT_SLICE], 1)
     if counts.min() < 2:
         u = int(np.argmin(counts))
         raise SplitError(f"user {u} has {int(counts[u])} comparison(s); need at least 2")

@@ -21,13 +21,15 @@ def num_unordered(Q: int) -> int:
 
 def pair_row(i, j, Q: int):
     """Row index of ordered pair (i, j).  Accepts scalars or arrays; arrays
-    give one int64 array, built in place."""
+    of any integer type give one int64 array, built in place, into which
+    the items are widened before any arithmetic."""
     i = np.asarray(i)
     j = np.asarray(j)
     if i.ndim == 0 and j.ndim == 0:
+        i, j = int(i), int(j)  # so that no product wraps in a narrow type
         return int((i - 1) * (Q - 1) + (j - 1) - (j > i))
     row = np.empty(np.broadcast_shapes(i.shape, j.shape), np.int64)
-    np.subtract(i, 1, out=row)
+    np.subtract(i, 1, out=row, dtype=np.int64)
     row *= Q - 1
     row += j
     row -= 1

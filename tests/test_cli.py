@@ -13,7 +13,14 @@ import pytest
 
 from mallowmix import generator, pairs
 from mallowmix.cli import main
-from mallowmix.generator import generate, read_corpus, read_model, write_corpus
+from mallowmix.generator import (
+    ITEM_LIMIT,
+    USER_LIMIT,
+    generate,
+    read_corpus,
+    read_model,
+    write_corpus,
+)
 from mallowmix.mallows import MallowsComponent, build_ranking_matrix
 from mallowmix.permutations import Permutation
 from test_generator import write_model
@@ -142,6 +149,20 @@ class TestGenerate:
                            "--phi", "0.1", *out)
         assert code == 2
         assert err == "error in config stage: need at least one component\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["generate", "oracle"])
+    def test_items_and_users_past_the_corpus_limits(self, tmp_path, capsys, command):
+        out = ["--users", "10", "--comparisons", "4", "-o", str(tmp_path / "c.jsonl"),
+               "--truth", str(tmp_path / "t.json")] if command == "generate" else []
+        code, _, err = run(capsys, command, "--items", "32768", "--components", "1",
+                           "--phi", "0.1", *out)
+        assert code == 2 and err == f"error in config stage: --items 32768: {ITEM_LIMIT}\n"
+        if command == "generate":
+            code, _, err = run(capsys, command, "--items", "4", "--components", "1",
+                               "--phi", "0.1", *out, "--users", str(2**31))
+            assert code == 2
+            assert err == f"error in config stage: --users {2**31}: {USER_LIMIT}\n"
         assert os.listdir(tmp_path) == []
 
     def test_write_errors_name_the_requested_path(self, tmp_path, capsys):

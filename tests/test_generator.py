@@ -16,6 +16,10 @@ from scipy import stats
 
 from mallowmix import generator, pairs
 from mallowmix.generator import (
+    ITEM_LIMIT,
+    MAX_ITEMS,
+    MAX_USERS,
+    USER_LIMIT,
     ComparisonCorpus,
     CorpusError,
     DirichletPrior,
@@ -298,11 +302,44 @@ class TestGenerate:
             with pytest.raises(RecordError, match=re.escape(f"record {record}: {rule}")) as err:
                 ComparisonCorpus(Q=4, M=3, **arrays)
             assert (err.value.record, err.value.rule) == (record, rule)
+        # ids that would wrap into range when narrowed are checked first:
+        # 2**32 is 0 as an int32, 65537 is 1 as an int16
+        for field, value, rule in (("user", 2**32, "user ids must lie in 0..2"),
+                                   ("winner", 65537, "item ids must lie in 1..4")):
+            arrays = {k: np.array(v) for k, v in good.items()}
+            arrays[field] = np.array(good[field][:2] + [value] + good[field][3:])
+            with pytest.raises(RecordError, match=re.escape(f"record 2: {rule}")):
+                ComparisonCorpus(Q=4, M=3, **arrays)
         # a record that breaks two rules reports the alphabetically first
         with pytest.raises(RecordError, match=re.escape("record 1: item ids")):
             ComparisonCorpus(Q=4, M=3, user=np.array([0, 9]), winner=np.array([1, 7]),
                              loser=np.array([2, 7]))
         ComparisonCorpus(Q=4, M=3, **{k: np.array(v) for k, v in good.items()})
+
+    def test_corpus_stores_its_form_within_the_limits(self):
+        # ids of any integer type are stored as int32 users and int16
+        # items, exactly, up to the limits
+        for dtype in (np.int8, np.uint16, np.int64):
+            corpus = ComparisonCorpus(Q=4, M=3, user=np.array([0, 2], dtype),
+                                      winner=np.array([1, 4], dtype),
+                                      loser=np.array([4, 3], dtype))
+            assert (corpus.user.dtype, corpus.winner.dtype, corpus.loser.dtype) == (
+                np.int32, np.int16, np.int16)
+            assert corpus.user.tolist() == [0, 2] and corpus.loser.tolist() == [4, 3]
+        corpus = ComparisonCorpus(Q=MAX_ITEMS, M=MAX_USERS, user=np.array([0, MAX_USERS - 1]),
+                                  winner=np.array([MAX_ITEMS, 1]),
+                                  loser=np.array([1, MAX_ITEMS]))
+        assert corpus.user.tolist() == [0, 2**31 - 2]
+        assert corpus.winner.tolist() == [32767, 1] and corpus.loser.tolist() == [1, 32767]
+        # a Q or M past the limits is refused before any id is looked at
+        for Q, M, rule in ((MAX_ITEMS + 1, 3, ITEM_LIMIT), (4, MAX_USERS + 1, USER_LIMIT),
+                           (4, 2**61, USER_LIMIT)):
+            with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+                ComparisonCorpus(Q=Q, M=M, user=np.array([0]), winner=np.array([1]),
+                                 loser=np.array([2]))
+        # and generate refuses such an M before it allocates anything by M
+        with pytest.raises(ValueError, match=f"^{re.escape(USER_LIMIT)}$"):
+            generate(small_model(), M=MAX_USERS + 1, N=2, seed=0)
 
     def test_empirical_beta_nan_for_unseen(self):
         corpus = ComparisonCorpus(Q=3, M=1, user=np.array([0, 0]),
@@ -384,6 +421,35 @@ class TestSerialization:
     def test_read_rejects_ids_beyond_64_bits(self, tmp_path):
         for bad in ((1, 2**63, 3), (-2**63 - 1, 2, 3)):
             assert_rejected(tmp_path, bad, "user, win and lose must fit in 64 bits")
+
+    def test_read_rejects_ids_past_the_corpus_limits(self, tmp_path):
+        # with a meta line, ids past the limits break them before the
+        # corpus's own ranges
+        for bad, rule in (((2**31 - 1, 1, 2), USER_LIMIT), ((3 * 10**9, 1, 2), USER_LIMIT),
+                          ((1, 40000, 2), ITEM_LIMIT), ((1, 2, 32768), ITEM_LIMIT),
+                          ((2**31 - 1, 40000, 3), USER_LIMIT),
+                          ('{"win": 40000, "user": 1, "lose": 2}', ITEM_LIMIT)):
+            assert_rejected(tmp_path, bad, rule)
+        # without one, a 4-record corpus names the first record past a limit
+        path = tmp_path / "bad.jsonl"
+        for bad, line, rule in (((3 * 10**9, 1, 2), 3, USER_LIMIT),
+                                ((1, 40000, 2), 2, ITEM_LIMIT)):
+            records = [(0, 1, 2), bad if line == 2 else (0, 2, 1), bad, (1, 2, 1)]
+            path.write_text("".join(record(*r) + "\n" for r in records))
+            with pytest.raises(CorpusError, match=f"^{re.escape(f'{path}:{line}: {rule}')}$"):
+                read_corpus(path)
+        # a meta line past the limits is named
+        for meta, rule in (({"Q": 40000, "M": 2}, ITEM_LIMIT),
+                           ({"Q": 5, "M": 2**31}, USER_LIMIT)):
+            path.write_text(json.dumps({"meta": meta}) + "\n" + record(0, 1, 2) + "\n")
+            with pytest.raises(CorpusError, match=f"^{re.escape(f'{path}:1: {rule}')}$"):
+                read_corpus(path)
+        # ids at the limits read, and are stored exactly
+        path.write_text(record(0, 1, MAX_ITEMS) + "\n" + record(MAX_USERS - 1, MAX_ITEMS, 1)
+                        + "\n")
+        back = read_corpus(path)
+        assert (back.Q, back.M) == (MAX_ITEMS, MAX_USERS)
+        assert back.user.tolist() == [0, 2**31 - 2] and back.loser.tolist() == [32767, 1]
 
     def test_read_rejects_a_record_that_is_not_an_object(self, tmp_path):
         for bad in ("[1, 2, 3]", '"user"', "null"):
@@ -504,7 +570,8 @@ class TestSerialization:
 
 def reference_read_corpus(path):
     """The per-line reader that ``read_corpus`` replaced: one JSON decode
-    per line into three Python lists, the rules checked over all records."""
+    per line into three Python lists, the rules checked over all records,
+    on int64 ids: the corpus limits first, then ``ComparisonCorpus``'s."""
     users, wins, loses = [], [], []
     meta = None
     meta_line = 0
@@ -561,6 +628,13 @@ def reference_read_corpus(path):
     except OverflowError:
         raise broken_record(first_broken(columns, lambda v: not -2**63 <= v < 2**63),
                             "user, win and lose must fit in 64 bits") from None
+    past = [(int(np.argmax(ids > largest)), rule)
+            for ids, largest, rule in ((user, MAX_USERS - 1, USER_LIMIT),
+                                       (winner, MAX_ITEMS, ITEM_LIMIT),
+                                       (loser, MAX_ITEMS, ITEM_LIMIT))
+            if (ids > largest).any()]
+    if past:
+        raise broken_record(*min(past))
     if meta is not None:
         Q, M, N = meta["Q"], meta["M"], meta.get("N")
     else:
@@ -586,11 +660,15 @@ def read_outcome(reader, path):
     return corpus.Q, corpus.M, corpus.N, corpus.user, corpus.winner, corpus.loser
 
 
+# the documented stored types of a corpus's user, winner and loser ids
+CORPUS_DTYPES = (np.int32, np.int16, np.int16)
+
+
 def assert_same_outcome(got, want):
     assert len(got) == len(want) and got[:-3] == want[:-3], (got, want)
-    for a, b in zip(got[-3:], want[-3:]):
+    for a, b, dtype in zip(got[-3:], want[-3:], CORPUS_DTYPES):
         if isinstance(b, np.ndarray):
-            assert a.dtype == np.int64 and np.array_equal(a, b), (got, want)
+            assert a.dtype == b.dtype == dtype and np.array_equal(a, b), (got, want)
         else:
             assert a == b, (got, want)
 
@@ -601,7 +679,10 @@ PADS = st.sampled_from(["", "", "", " ", "\t", "\x0c", "\x85", "\u2028"])
 ODD_IDS = st.sampled_from([
     "-0", "-1", "01", "00", "+1", "1.0", "1e2", "-", "1-2", "--1", "true", '"3"', "null",
     "1" * 18, "9" * 18, "1" * 19, "1" * 20,
-    str(2**63 - 1), str(2**63), str(-2**63), str(-2**63 - 1)])
+    str(2**63 - 1), str(2**63), str(-2**63), str(-2**63 - 1),
+    # at and past the corpus limits, and past the stored types' least values
+    "32767", "32768", "65537", str(2**31 - 2), str(2**31 - 1), str(2**32), "-32769",
+    str(-2**31 - 1)])
 
 
 @st.composite
@@ -719,8 +800,9 @@ class TestBulkReader:
             back = read_corpus(path)
         assert len(calls) == 1 and calls[0].startswith('{"meta"')
         assert (back.Q, back.M, back.N) == (Q, corpus.M, None)
-        for a, b in ((back.user, user), (back.winner, winner), (back.loser, loser)):
-            assert a.dtype == np.int64 and np.array_equal(a, b)
+        for a, b, dtype in zip((back.user, back.winner, back.loser), (user, winner, loser),
+                               CORPUS_DTYPES):
+            assert a.dtype == dtype and np.array_equal(a, b)
 
     @pytest.mark.parametrize("block", [16, generator._READ_BLOCK])
     @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
@@ -849,7 +931,7 @@ def reference_write_corpus(corpus, path, meta_extra=None):
 # every digit-count boundary of a nonnegative int64, and its largest value
 DIGIT_EDGES = [0, 1, 2**63 - 1] + [10**k + d for k in range(1, 19) for d in (-1, 0)]
 IDS = st.one_of(st.sampled_from(DIGIT_EDGES), st.integers(0, 2**63 - 1),
-                st.integers(10**18, 2**63 - 1))
+                st.integers(10**18, 2**63 - 1), st.integers(0, MAX_ITEMS))
 ID_RECORDS = st.lists(st.tuples(IDS, IDS.filter(bool), IDS.filter(bool)).filter(
     lambda r: r[1] != r[2]), max_size=20)
 
@@ -860,7 +942,18 @@ class TestBlockWriter:
     @example(records=[], chunk=3)  # the meta line only
     @example(records=[(e, max(e, 1), 2 if e <= 1 else 1) for e in DIGIT_EDGES]
              + [(0, 2 if e <= 1 else 1, max(e, 1)) for e in DIGIT_EDGES], chunk=5)
+    # the same edges, as far as the corpus limits let a corpus hold them
+    @example(records=[(e, max(e, 1), 2 if e <= 1 else 1) for e in DIGIT_EDGES if e <= MAX_ITEMS]
+             + [(e, 1, 2) for e in DIGIT_EDGES if e < MAX_USERS], chunk=5)
     def test_matches_record_formatting(self, tmp_path_factory, records, chunk):
+        # the formatter, on int64 columns a chunk of records at a time,
+        # lays out ids of every size up to 2**63 - 1
+        columns = [np.array([r[j] for r in records], dtype=np.int64) for j in range(3)]
+        lines = b"".join(generator._record_bytes(*(ids[lo:lo + chunk] for ids in columns))
+                         .tobytes() for lo in range(0, len(records), chunk))
+        assert lines == "".join(generator._RECORD % r for r in records).encode()
+        # write_corpus and read_corpus carry the records a corpus can hold
+        records = [r for r in records if r[0] < MAX_USERS and max(r[1:]) <= MAX_ITEMS]
         Q = max((max(w, l) for _, w, l in records), default=2)
         M = max((u for u, _, _ in records), default=0) + 1
         columns = [np.array([r[j] for r in records], dtype=np.int64) for j in range(3)]
@@ -870,11 +963,11 @@ class TestBlockWriter:
             write_corpus(corpus, path)
         meta = json.dumps({"meta": {"Q": Q, "M": M, "N": None}}) + "\n"
         assert path.read_bytes() == (meta + "".join(generator._RECORD % r for r in records)).encode()
-        if records:  # the reader sends 19-digit ids to the JSON decoder
+        if records:
             back = read_corpus(path)
             assert (back.Q, back.M, back.N) == (Q, M, None)
-            for a, b in zip((back.user, back.winner, back.loser), columns):
-                assert a.dtype == np.int64 and np.array_equal(a, b)
+            for a, b, dtype in zip((back.user, back.winner, back.loser), columns, CORPUS_DTYPES):
+                assert a.dtype == dtype and np.array_equal(a, b)
 
     def test_peak_memory_below_the_single_string_writer(self, tmp_path):
         # the old writer's peak grows with the corpus, the new one's with a block

@@ -2,6 +2,8 @@
 
 import re
 import tracemalloc
+import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -11,12 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mallowmix import moments, pairs
+from mallowmix.evaluate import infer_weights
 from mallowmix.generator import (
+    MAX_ITEMS,
+    MAX_USERS,
+    USER_LIMIT,
     ComparisonCorpus,
     DirichletPrior,
     FixedWeights,
     MixedMembershipModel,
     generate,
+    read_corpus,
+    write_corpus,
 )
 from mallowmix.mallows import MallowsComponent
 from mallowmix.moments import (
@@ -171,16 +179,57 @@ def split_cases(draw):
                             winner=I[rows], loser=J[rows])
 
 
-def split_peak(corpus: ComparisonCorpus) -> int:
-    """tracemalloc peak of ``split_halves`` beyond what was live before, in
-    bytes."""
+def peak_beyond(fn, *args, **kwargs) -> int:
+    """tracemalloc peak of ``fn(*args, **kwargs)`` beyond what was live
+    before, in bytes; warnings are ignored."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        split_halves(corpus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fn(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def reversed_pair_model(Q: int) -> MixedMembershipModel:
+    """Two components, the identity and its reverse, at phi = 0.1."""
+    return MixedMembershipModel(
+        [MallowsComponent(Permutation.identity(Q), 0.1),
+         MallowsComponent(Permutation.from_ranking(list(range(Q, 0, -1))), 0.1)],
+        DirichletPrior(0.1))
+
+
+def wide_key_corpus() -> ComparisonCorpus:
+    """Q = 1000 items (W = 999,000 pair rows) and M = 3000 users of two
+    records each, in shuffled order: the keys row * M + user and
+    user * W + row reach M * W = 3.0e9, past 2**31, so a key formed in the
+    corpus's int32 or int16 wraps."""
+    rng = np.random.default_rng(7)
+    Q, M = 1000, 3000
+    rows = rng.integers(0, pairs.num_pairs(Q), 2 * M)
+    I, J = pairs.pair_arrays(Q)
+    return ComparisonCorpus(Q=Q, M=M, user=rng.permutation(np.repeat(np.arange(M), 2)),
+                            winner=I[rows], loser=J[rows])
+
+
+def int64_rows(corpus: ComparisonCorpus) -> np.ndarray:
+    """The pair row of every record, from its items widened to int64 here."""
+    return pairs.pair_row(corpus.winner.astype(np.int64), corpus.loser.astype(np.int64),
+                          corpus.Q)
+
+
+def assert_same_halves(got: SplitCounts, want: SplitCounts):
+    """The same M and Q and, in both halves, the same data, indices and
+    indptr, dtypes and sorted indices."""
+    assert (got.M, got.Q) == (want.M, want.Q)
+    for g, w in ((got.X, want.X), (got.X_prime, want.X_prime)):
+        assert g.shape == w.shape
+        for field in ("data", "indices", "indptr"):
+            a, b = getattr(g, field), getattr(w, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+        assert g.has_sorted_indices and w.has_sorted_indices
 
 
 class TestSplitMatchesCOOReference:
@@ -199,23 +248,27 @@ class TestSplitMatchesCOOReference:
             return
         with mock.patch.object(moments, "_SPLIT_SLICE", slice_records):
             got = split_halves(corpus)
-        assert (got.M, got.Q) == (want.M, want.Q)
-        for g, w in ((got.X, want.X), (got.X_prime, want.X_prime)):
-            assert g.shape == w.shape
-            for field in ("data", "indices", "indptr"):
-                a, b = getattr(g, field), getattr(w, field)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
-            assert g.has_sorted_indices and w.has_sorted_indices
+        assert_same_halves(got, want)
 
     def test_user_by_row_keys_cannot_wrap(self):
         # 2**61 + 1 users times W = 20 pair rows is past int64, so a key
-        # could wrap; the split refuses the corpus before it allocates
-        # anything by M
+        # could wrap; the corpus limits refuse such a corpus before the
+        # split sees it, and under them every key fits int64
         M = 2**61 + 1
-        corpus = ComparisonCorpus(Q=5, M=M, user=np.array([0, M - 1]),
-                                  winner=np.array([1, 2]), loser=np.array([2, 1]))
-        with pytest.raises(ValueError, match=f"^{M} users times 20 pair rows overflow"):
-            split_halves(corpus)
+        with pytest.raises(ValueError, match=f"^{re.escape(USER_LIMIT)}$"):
+            ComparisonCorpus(Q=5, M=M, user=np.array([0, M - 1]),
+                             winner=np.array([1, 2]), loser=np.array([2, 1]))
+        assert MAX_USERS * pairs.num_pairs(MAX_ITEMS) < 2**63
+
+    def test_keys_past_int32(self):
+        # the keys row * M + user reach 3.0e9; the reference splits the
+        # same records with every id widened to int64 here
+        corpus = wide_key_corpus()
+        assert corpus.M * pairs.num_pairs(corpus.Q) > 2**31
+        rows = int64_rows(corpus)
+        wide = SimpleNamespace(Q=corpus.Q, M=corpus.M, n_records=corpus.n_records,
+                               user=corpus.user.astype(np.int64), pair_rows=rows.copy)
+        assert_same_halves(split_halves(corpus), reference_split_halves(wide))
 
     @pytest.mark.parametrize("Q, M, N", [(20, 1000, 300), (60, 2000, 50)])
     def test_peak_beyond_the_corpus(self, Q, M, N):
@@ -223,15 +276,38 @@ class TestSplitMatchesCOOReference:
         # mask and both halves' keys, so its peak beyond the corpus stays
         # under 0.85 of the records' 24 bytes each (the COO form took about
         # 2.05); wide corpora repeat few (user, pair) records, so their
-        # halves' entries cost most (0.79 here, 0.71 at Q = 20)
-        model = MixedMembershipModel(
-            [MallowsComponent(Permutation.identity(Q), 0.1),
-             MallowsComponent(Permutation.from_ranking(list(range(Q, 0, -1))), 0.1)],
-            DirichletPrior(0.1))
-        corpus, _ = generate(model, M=M, N=N, seed=2)
-        records = sum(ids.nbytes for ids in (corpus.user, corpus.winner, corpus.loser))
-        peak = split_peak(corpus)
+        # halves' entries cost most (0.79 here, 0.71 at Q = 20); the 24
+        # bytes are those of three int64 ids, not the corpus's 8
+        corpus, _ = generate(reversed_pair_model(Q), M=M, N=N, seed=2)
+        records = 24 * corpus.n_records
+        peak = peak_beyond(split_halves, corpus)
         assert peak < 0.85 * records, (peak, records)
+
+
+class TestPeaksPerRecord:
+    """tracemalloc peaks, in bytes per record, of the other stages that
+    read a whole corpus."""
+
+    def test_read_peak_per_record(self, tmp_path):
+        # read_corpus holds its ids in the corpus's 8-byte form from the
+        # start: buffers for one record per 28 bytes of file, 10.3 bytes a
+        # record here, and one block's working set, about 2.7 MB (9 bytes a
+        # record here); buffers of three int64 ids would take 30.9 alone
+        corpus, _ = generate(reversed_pair_model(20), M=1000, N=300, seed=2)
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, path)
+        peak = peak_beyond(read_corpus, path)
+        assert peak < 24 * corpus.n_records, (peak, corpus.n_records)
+
+    def test_weight_em_peak_beyond_the_corpus(self):
+        # 200 records per user over W = 20 pair rows repeat (user, pair)
+        # entries often, so the EM's peak is its int64 key, 8 bytes a
+        # record, and the key's run-start mask; an int64 column of
+        # user * W beside the key would add 8 more
+        corpus, _ = generate(reversed_pair_model(5), M=1000, N=200, seed=2)
+        B = reversed_pair_model(5).observation_matrix()
+        peak = peak_beyond(infer_weights, corpus, B, max_iter=3)
+        assert peak < 12 * corpus.n_records, (peak, corpus.n_records)
 
 
 class TestCooccurrence:
