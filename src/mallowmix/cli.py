@@ -3,7 +3,8 @@
 Subcommands: generate a synthetic corpus, estimate components from a
 corpus, evaluate an estimate against the truth, measure separability
 probability, dump an exact small-scale order-probability table, and score
-held-out comparisons.  Every output file embeds the resolved configuration
+a corpus's comparisons under a model, each user's weights fitted on the
+same records.  Every output file embeds the resolved configuration
 and seed, and is written atomically (write-then-rename), so a failed run
 never leaves a partial file behind.
 """
@@ -171,7 +172,6 @@ def cmd_estimate(args) -> int:
         n_projections=args.projections,
         zeta=args.zeta,
         seed=args.seed,
-        doubled_distance_rule=args.doubled_distance_rule,
         min_count_fraction=args.min_count_fraction,
     )
     if args.exact_moments:
@@ -327,9 +327,7 @@ def cmd_oracle(args) -> int:
     obj = {
         "Q": model.Q,
         "K": model.K,
-        "components": [
-            {"ranking": list(c.reference.ranking), "phi": c.dispersion} for c in model.components
-        ],
+        "components": model_to_dict(model)["components"],
         "pairs": [[int(i), int(j)] for i, j in zip(I, J)],
         "beta": table.entries.tolist(),
         "config": {
@@ -411,12 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--vertex-prior", default=None,
                    help="comma-separated class probabilities for a vertex prior")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--threads", type=int, default=1,
-                   help="no effect; kept for the benchmark replay")
     g.add_argument("-i", "--input", default=None, help="sample from an existing model file")
     g.add_argument("-o", "--output", required=True, help="corpus JSONL output path")
     g.add_argument("--truth", required=True, help="ground-truth model JSON output path")
-    g.set_defaults(func=cmd_generate)
+    g.set_defaults(func=cmd_generate, threads=1)  # for config fields that no option sets
 
     e = sub.add_parser("estimate", help="estimate components from a corpus")
     e.add_argument("-i", "--input", default=None, help="corpus JSONL path")
@@ -429,17 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "candidate rows' rank-K part (the root mean square of their "
                         "distances from their mean)")
     e.add_argument("--epsilon", type=float, default=1e-4, help="regression precision")
-    e.add_argument("--doubled-distance-rule", action="store_true",
-                   help="compare each row against doubled peers during detection")
     e.add_argument("--min-count-fraction", type=float, default=0.2,
                    help="exclude rows observed less than this fraction of the "
                         "median row count from detection candidacy (0 disables)")
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--threads", type=int, default=1,
-                   help="no effect; kept for the benchmark replay")
     e.add_argument("--exact-moments", default=None, metavar="TRUTH",
                    help="debug mode: use the analytic co-occurrence of this truth model file")
-    e.set_defaults(func=cmd_estimate)
+    e.set_defaults(func=cmd_estimate, threads=1, doubled_distance_rule=False)  # as for generate
 
     v = sub.add_parser("evaluate", help="score an estimate against the truth")
     v.add_argument("--truth", required=True, help="ground-truth model JSON path")
@@ -468,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     # _build_model reads a prior, which the oracle never uses
     o.set_defaults(func=cmd_oracle, alpha=None, vertex_prior=None)
 
-    r = sub.add_parser("predict", help="score held-out comparisons under a model")
+    r = sub.add_parser("predict", help="fit each user's weights on a corpus under a model "
+                                       "and score the same records")
     r.add_argument("--model", required=True, help="model JSON path (truth or estimate)")
     r.add_argument("-i", "--input", required=True, help="corpus JSONL path")
     r.add_argument("-o", "--output", default=None, help="report JSON output path")

@@ -38,7 +38,7 @@ class DetectionConfig:
     # mean square of their distances from their mean
     zeta: float = 0.7
     seed: int = 0
-    doubled_distance_rule: bool = False
+    doubled_distance_rule: bool = False  # kept for callers passing False; True is refused
     # A sampled pair row observed far less often than typical rows has a
     # co-occurrence profile made of a handful of users, and row
     # normalization inflates it into a spurious extreme point.  Rows whose
@@ -58,6 +58,8 @@ class DetectionConfig:
         if not (np.isfinite(self.min_count_fraction) and self.min_count_fraction >= 0):
             raise ValueError(
                 f"min_count_fraction must be nonnegative and finite, got {self.min_count_fraction}")
+        if self.doubled_distance_rule:
+            raise ValueError("the doubled distance rule is not supported")
 
     @property
     def resolved_projections(self) -> int:
@@ -175,15 +177,15 @@ def _projections(directions: np.ndarray, Y: np.ndarray):
         yield from (directions[gemm_index(idx) if P > 1 else idx] @ Y.T)[:idx.size]
 
 
-def _distances(a: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:
-    """||a_i - c b_j|| for all rows a_i of ``a`` and b_j of ``b``.
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||a_i - b_j|| for all rows a_i of ``a`` and b_j of ``b``.
 
     The squares are added one coordinate at a time, so an entry's bits do
     not depend on which other rows are in the arrays.
     """
     d2 = np.zeros((a.shape[0], b.shape[0]))
     for k in range(a.shape[1]):
-        d2 += (a[:, k, None] - c * b[None, :, k]) ** 2
+        d2 += (a[:, k, None] - b[None, :, k]) ** 2
     return np.sqrt(d2)
 
 
@@ -192,32 +194,31 @@ def _first_far_row(Y: np.ndarray, far: float) -> int:
     before it, or -1; distances come _BLOCK_ROWS rows at a time."""
     for lo in range(0, Y.shape[0], _BLOCK_ROWS):
         rows = np.arange(lo, min(lo + _BLOCK_ROWS, Y.shape[0]))
-        apart = _distances(Y[rows], Y[:rows[-1] + 1], 1.0) >= far
+        apart = _distances(Y[rows], Y[:rows[-1] + 1]) >= far
         hit = np.flatnonzero((apart & (np.arange(rows[-1] + 1) < rows[:, None])).any(axis=1))
         if hit.size:
             return int(rows[hit[0]])
     return -1
 
 
-def _solid_angle_wins(Y: np.ndarray, proj, half: float, c: float):
+def _solid_angle_wins(Y: np.ndarray, proj, half: float):
     """How many directions each row of Y wins, how many it tops (ties
     included), and the deepest window; ``proj`` yields each direction's
     projections of the rows of Y.
 
-    Row i wins direction r when every other row whose projection
-    proj[r][j] is at or above its own lies within ``half`` of it,
-    ||y_i - c y_j|| < half (c = 2 under the doubled rule).  If two rows
-    at or above row i lie 2 half / c apart, the triangle inequality keeps
-    i from being that close to both.  So each direction sorts its top
-    rows, a window that starts at _WINDOW rows and doubles until its
-    prefix holds such a pair; no row below the pair's lower row can win.
-    The rows at or above that row, ties included, are each tested against
-    the others, _BLOCK_ROWS at a time.  The pair's distance must clear
-    2 half / c by the rounding of computed distances, at most (K + 4) eps
-    relative, so the outcome is exactly that of testing every row.
+    Row i wins direction r when every other row whose projection proj[r][j]
+    is at or above its own lies within ``half`` of it, ||y_i - y_j|| < half.
+    If two rows at or above row i lie 2 half apart, the triangle inequality
+    keeps i from being that close to both.  So each direction sorts its top
+    rows, a window that starts at _WINDOW rows and doubles until its prefix
+    holds such a pair; no row below the pair's lower row can win.  The rows
+    at or above that row, ties included, are each tested against the
+    others, _BLOCK_ROWS at a time.  The pair's distance must clear 2 half
+    by the rounding of computed distances, at most (K + 4) eps relative, so
+    the outcome is exactly that of testing every row.
     """
     n, K = Y.shape
-    far = 2.0 * half / c * (1.0 + (K + 4) * np.finfo(float).eps) ** 2
+    far = 2.0 * half * (1.0 + (K + 4) * np.finfo(float).eps) ** 2
     wins = np.zeros(n, dtype=np.int64)
     tops = np.zeros(n, dtype=np.int64)
     deepest = 0
@@ -235,7 +236,7 @@ def _solid_angle_wins(Y: np.ndarray, proj, half: float, c: float):
         for lo in range(0, window.size, _BLOCK_ROWS):
             rows = np.arange(lo, min(lo + _BLOCK_ROWS, window.size))
             above = (vals[None, :] >= vals[rows, None]) & (np.arange(window.size) != rows[:, None])
-            near = _distances(Yw[rows], Yw, c) < half
+            near = _distances(Yw[rows], Yw) < half
             wins[window[rows[~(above & ~near).any(axis=1)]]] += 1
         tops[window[vals == vals.max()]] += 1
         deepest = max(deepest, window.size)
@@ -256,7 +257,7 @@ def detect_novel_pairs(cooc: CoocMatrix, config: DetectionConfig) -> NovelPairSe
     out.  zeta is a fraction of the spread of the rows of Y, the root mean
     square of their distances from their mean: unlike their norms, it
     does not grow with a part common to every row, as a diffuse weight
-    prior adds, and the plain rule's solid angles ignore such a part too.  A
+    prior adds, and the solid angles ignore such a part too.  A
     row's score is the fraction of directions in which its projection
     strictly exceeds every row at distance >= zeta/2 from it (ties score
     nothing; see ``_solid_angle_wins``).  Rows near one vertex tie on it,
@@ -278,10 +279,9 @@ def detect_novel_pairs(cooc: CoocMatrix, config: DetectionConfig) -> NovelPairSe
     spread = Y - Y.mean(axis=0)
     half = max(config.zeta * float(np.sqrt(np.mean(np.einsum("ij,ij->i", spread, spread))))
                / 2.0, np.finfo(float).tiny)
-    c = 2.0 if config.doubled_distance_rule else 1.0
     P = config.resolved_projections
     wins, tops, window = _solid_angle_wins(
-        Y, _projections(_projection_directions(config.seed, P, K), Y), half, c)
+        Y, _projections(_projection_directions(config.seed, P, K), Y), half)
     qhat = wins / P
 
     selected: list[int] = []
@@ -289,7 +289,7 @@ def detect_novel_pairs(cooc: CoocMatrix, config: DetectionConfig) -> NovelPairSe
     for cand in np.lexsort((act, -tops, -qhat)):
         if all(far[cand] for far in peers):
             selected.append(int(cand))
-            peers.append(_distances(Y[cand:cand + 1], Y, c)[0] >= half)
+            peers.append(_distances(Y[cand:cand + 1], Y)[0] >= half)
             if len(selected) == K:
                 break
     if len(selected) < K:
@@ -329,23 +329,23 @@ def _project_rows(V: np.ndarray) -> np.ndarray:
     return np.maximum(V - theta[:, None], 0.0)
 
 
-def _objective(H, b, c, const):
-    """b H b - 2 c b + const for every row of b.
+def _objective(H, b, g, const):
+    """b H b - 2 g b + const for every row of b.
 
     Stacked matmuls make one BLAS call per row, as a product of that row
     alone would, so each row's value does not depend on the batch.
     """
     bHb = (b[:, None, :] @ H @ b[:, :, None])[:, 0, 0]
-    return bHb - ((2.0 * c)[:, None, :] @ b[:, :, None])[:, 0, 0] + const
+    return bHb - ((2.0 * g)[:, None, :] @ b[:, :, None])[:, 0, 0] + const
 
 
-def _descent_step(H, y, c, lips):
+def _descent_step(H, y, g, lips):
     """Projected gradient step of length 1 / lips from every row of y."""
-    return _project_rows(y - ((H @ y[:, :, None])[:, :, 0] - c) / lips)
+    return _project_rows(y - ((H @ y[:, :, None])[:, :, 0] - g) / lips)
 
 
-def _minimize_simplex_quadratics(H, c, const, lips, epsilon, max_iter):
-    """min_b b H b - 2 c[w] b + const[w] over the simplex, for every row w.
+def _minimize_simplex_quadratics(H, g, const, lips, epsilon, max_iter):
+    """min_b b H b - 2 g[w] b + const[w] over the simplex, for every row w.
 
     Accelerated projected gradient with fixed step 1/lips, run on all rows
     at once; each row keeps its own iterate, momentum and objective, and
@@ -359,17 +359,17 @@ def _minimize_simplex_quadratics(H, c, const, lips, epsilon, max_iter):
     step count, and the indices of the rows that did not converge within
     max_iter steps.
     """
-    n, K = c.shape
+    n, K = g.shape
     out, resid, steps = np.empty((n, K)), np.empty(n), np.full(n, max_iter)
     live = np.arange(n)
     b = y = np.full((n, K), 1.0 / K)
-    f, t = _objective(H, b, c, const), np.ones(n)
+    f, t = _objective(H, b, g, const), np.ones(n)
     for it in range(1, max_iter + 1):
-        b_new = _descent_step(H, y, c, lips)
-        f_new = _objective(H, b_new, c, const)
+        b_new = _descent_step(H, y, g, lips)
+        f_new = _objective(H, b_new, g, const)
         up = np.flatnonzero(f_new > f)
-        b_new[up] = _descent_step(H, b[up], c[up], lips)
-        f_new[up] = _objective(H, b_new[up], c[up], const[up])
+        b_new[up] = _descent_step(H, b[up], g[up], lips)
+        f_new[up] = _objective(H, b_new[up], g[up], const[up])
         t[up] = 1.0
         flat = np.zeros(live.size, dtype=bool)
         flat[up] = f_new[up] > f[up]
@@ -380,8 +380,8 @@ def _minimize_simplex_quadratics(H, c, const, lips, epsilon, max_iter):
         stop = flat | (delta <= epsilon * (1.0 + np.abs(f)))
         out[live[stop]], resid[live[stop]], steps[live[stop]] = b[stop], delta[stop], it
         keep = ~stop
-        live, b, f, t, y, delta, c, const = (
-            x[keep] for x in (live, b, f, t, y, delta, c, const))
+        live, b, f, t, y, delta, g, const = (
+            x[keep] for x in (live, b, f, t, y, delta, g, const))
         if not live.size:
             break
     out[live], resid[live] = b, delta
@@ -402,8 +402,8 @@ def estimate_ranking_matrix(
     The quadratic program for row w uses only entries of E = novel.factors,
     the rank-K part of the co-occurrence matrix that detection found: with
     S the selected rows, minimize over the simplex
-        b H b - 2 c b + E[w, w],
-    H = (E[S, S] + E[S, S]^T) / 2 and c = (E[S, w] + E[w, S]) / 2.  An
+        b H b - 2 g b + E[w, w],
+    H = (E[S, S] + E[S, S]^T) / 2 and g = (E[S, w] + E[w, S]) / 2.  An
     indefinite H is shifted by |lambda_min| + 1e-10.  All rows are solved
     together (``_minimize_simplex_quadratics``).  Solutions are scaled by
     ``row_scale`` and the columns normalized to sum to one; the result
@@ -435,8 +435,8 @@ def estimate_ranking_matrix(
     lips = max(float(evals[-1]), 1e-12)
 
     act = np.flatnonzero(cooc.active)
-    c = 0.5 * (E.block(sel, act).T + E.block(act, sel))
-    b, resid, steps, failed = _minimize_simplex_quadratics(H, c, E.diagonal(act), lips,
+    g = 0.5 * (E.block(sel, act).T + E.block(act, sel))
+    b, resid, steps, failed = _minimize_simplex_quadratics(H, g, E.diagonal(act), lips,
                                                            epsilon, max_iter)
     if failed.size:
         worst = max(zip(act[failed].tolist(), resid[failed].tolist()), key=lambda t: t[1])

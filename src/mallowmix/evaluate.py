@@ -1,5 +1,5 @@
 """Scoring recovered components against ground truth, plus per-user weight
-inference and held-out comparison likelihood.
+inference and the log-likelihood of comparisons under fitted weights.
 """
 
 from __future__ import annotations
@@ -112,13 +112,6 @@ def _unsupported(r: int, Q: int, underflow: bool = False) -> ValueError:
     return ValueError(f"comparison ({i}, {j}) has zero probability in every component")
 
 
-def _run_starts(a: np.ndarray) -> np.ndarray:
-    """Index of the first element of every run of equal values in ``a``."""
-    new = np.ones(a.size, dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=new[1:])
-    return np.flatnonzero(new)
-
-
 def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
                   max_iter: int = 500, trace: bool = False):
     """Per-user maximum-likelihood mixture weights for fixed components.
@@ -158,14 +151,10 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
     key = np.multiply(corpus.user, W, dtype=np.int64)
     for lo in range(0, n, _EM_BLOCK):
         key[lo:lo + _EM_BLOCK] += corpus.pair_rows(lo, lo + _EM_BLOCK)
-    key.sort()
-    first = _run_starts(key)
-    count = np.diff(first, append=key.size).astype(float)  # records per entry
-    key = key.take(first)
-    del first
+    key, count = pairs.distinct_counts(key)  # each entry's key and records
     entry_user, row = np.divmod(key, W)
     del key
-    starts = _run_starts(entry_user)  # each occupied user's first entry
+    starts = pairs.run_starts(entry_user)  # each occupied user's first entry
     occupied = entry_user.take(starts)
     del entry_user
     BwT = B.T.take(row, axis=1)  # (K, entries) outcome probabilities

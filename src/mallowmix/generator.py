@@ -129,6 +129,8 @@ class MixedMembershipModel:
 
     def __post_init__(self):
         Q = shared_Q(self.components)
+        if Q < 2:
+            raise ValueError("need at least two items")
         if self.prior is not None:
             self.prior.mean(self.K)  # a prior of fixed length must have K entries
         if self.pair_probs is not None:
@@ -459,9 +461,10 @@ def read_corpus(path: str) -> ComparisonCorpus:
     below ``MAX_USERS``, item ids at most ``MAX_ITEMS``); the records must
     then pass the rules of ``ComparisonCorpus``, with Q and M taken from the
     meta line or, without one, from the largest ids.  A meta line must be an
-    object with integer Q and M within the limits (and N, if given, an
-    integer or null); its M must not exceed the largest user id plus one,
-    since users without records cannot be split.  Errors read
+    object with integer Q and M within the limits (and N, if given, null or
+    a positive integer); its M must not exceed the largest user id plus
+    one, since users without records cannot be split, and every user in
+    0..M-1 must have N records when N is an integer.  Errors read
     ``{path}:{line}: {rule}``, naming the meta line or the first record
     that breaks the rule.
 
@@ -584,6 +587,17 @@ def read_corpus(path: str) -> ComparisonCorpus:
         raise broken_record(exc.record, exc.rule) from None
     if meta is not None and M > top[0] + 1:
         raise CorpusError(f"{path}:{meta_line}: meta M={M} but the largest user id is {top[0]}")
+    if N is not None:
+        # n records cannot give N each to users 0..n // N, so one of them is short
+        bound = min(M, n // N + 1)
+        counts = np.zeros(bound, dtype=np.int64)
+        for lo in range(0, n, _WRITE_CHUNK):  # no int64 copy of the users
+            ids = user[lo:lo + _WRITE_CHUNK]
+            np.add.at(counts, ids[ids < bound], 1)
+        off = np.flatnonzero(counts != N)
+        if off.size:
+            raise CorpusError(f"{path}:{meta_line}: meta N={N} but user {off[0]} has "
+                              f"{counts[off[0]]} records")
     return corpus
 
 
@@ -691,6 +705,8 @@ def _meta_rule(meta) -> str | None:
         value = meta.get(key)
         if type(value) is not int and not (key == "N" and value is None):
             return f"meta {key} must be a JSON integer"
+    if meta.get("N") is not None and meta["N"] < 1:
+        return "meta N must be at least 1"
     return limit_rule(meta["Q"], meta["M"])
 
 
@@ -699,7 +715,9 @@ def _first_broken(columns, bad) -> int:
     return min(next((r for r, v in enumerate(ids) if bad(v)), len(ids)) for ids in columns)
 
 
-def _prior_to_json(prior) -> dict:
+def _prior_to_json(prior) -> dict | None:
+    if prior is None:  # an estimated model carries no weight prior
+        return None
     if isinstance(prior, DirichletPrior):
         return {"type": "dirichlet", "alpha0": prior.alpha0}
     if isinstance(prior, VertexPrior):

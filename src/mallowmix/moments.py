@@ -180,27 +180,14 @@ def split_halves(corpus: ComparisonCorpus) -> SplitCounts:
     np.logical_not(first, out=first)
     halves.append(key[first])
     del key, first
-    # popped, so that each half's keys go once its counts are read
-    X = _half_counts(halves.pop(0), W, M)
-    return SplitCounts(X, _half_counts(halves.pop(), W, M), M, corpus.Q)
+    # popped, so that each half's keys go once its distinct keys are read
+    X = _half_counts(*pairs.distinct_counts(halves.pop(0)), W, M)
+    return SplitCounts(X, _half_counts(*pairs.distinct_counts(halves.pop()), W, M), M, corpus.Q)
 
 
-def _half_counts(key: np.ndarray, W: int, M: int) -> sp.csr_matrix:
-    """The W x M count matrix of one half from its keys ``row * M + user``,
-    which are sorted in place."""
-    key.sort()
-    new = np.empty(key.size, dtype=bool)
-    new[0] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    records = key.size
-    key = key[new]  # the distinct keys
-    del new
-    data = np.empty(key.size)  # run lengths
-    np.subtract(starts[1:], starts[:-1], out=data[:-1])
-    data[-1] = records - starts[-1]
-    del starts
-    index = np.int32 if max(W, M, records) <= np.iinfo(np.int32).max else np.int64
+def _half_counts(key: np.ndarray, data: np.ndarray, W: int, M: int) -> sp.csr_matrix:
+    """The W x M counts of one half from its sorted distinct keys row * M + user."""
+    index = np.int32 if max(W, M, key.size) <= np.iinfo(np.int32).max else np.int64
     indptr = np.searchsorted(key, np.arange(W + 1, dtype=np.int64) * M).astype(index)
     np.remainder(key, M, out=key)
     return sp.csr_matrix((data, key.astype(index), indptr), shape=(W, M))

@@ -1,4 +1,4 @@
-"""Row indexing for ordered item pairs.
+"""Row indexing for ordered item pairs, and the runs of keys built on them.
 
 Items carry ids 1..Q.  Every matrix that is indexed by comparisons uses the
 W = Q(Q-1) ordered pairs (i, j) with i != j, laid out lexicographically:
@@ -74,3 +74,23 @@ def unordered_index(Q: int) -> np.ndarray:
     rev = reverse_rows(Q)
     out[~forward] = out[rev[~forward]]
     return out
+
+
+def run_starts(a: np.ndarray) -> np.ndarray:
+    """Index of the first element of every run of equal values in ``a``."""
+    new = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def distinct_counts(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``key``, which is sorted in place and dropped
+    before the counts are formed, and how many times each occurs, as floats."""
+    key.sort()
+    starts = run_starts(key)
+    distinct, n = key.take(starts), key.size
+    del key
+    count = np.empty(starts.size)
+    np.subtract(starts[1:], starts[:-1], out=count[:-1])
+    count[-1:] = n - starts[-1:]
+    return distinct, count

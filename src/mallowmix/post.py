@@ -20,7 +20,7 @@ import numpy as np
 
 from . import pairs
 from .evaluate import refit_dispersions
-from .generator import atomic_write_text
+from .generator import MixedMembershipModel, atomic_write_text, model_to_dict
 from .mallows import MallowsComponent, RankingMatrix, marginal_table, pair_gaps
 from .permutations import Permutation, copeland_rank
 
@@ -194,17 +194,9 @@ def estimated_model_to_dict(est: EstimatedModel, seed: int | None = None,
     diagnostics = dict(est.diagnostics)
     if extra_diagnostics:
         diagnostics.update(extra_diagnostics)
-    return {
-        "Q": est.Q,
-        "K": est.K,
-        "components": [
-            {"ranking": list(sigma.ranking), "phi": float(phi)}
-            for sigma, phi in zip(est.rankings, est.dispersions)
-        ],
-        "prior": None,  # the pipeline does not recover the weight prior
-        "seed": seed,
-        "diagnostics": diagnostics,
-    }
+    out = model_to_dict(MixedMembershipModel(est.components, None), seed)  # no prior recovered
+    out["diagnostics"] = diagnostics
+    return out
 
 
 def write_estimated_model(est: EstimatedModel, path: str, seed: int | None = None,

@@ -152,6 +152,24 @@ class TestGenerate:
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command", ["generate", "oracle"])
+    def test_one_item_is_a_config_error(self, tmp_path, capsys, command):
+        out = ["--users", "10", "--comparisons", "4", "-o", str(tmp_path / "c.jsonl"),
+               "--truth", str(tmp_path / "t.json")] if command == "generate" else []
+        code, stdout, err = run(capsys, command, "--items", "1", "--components", "1",
+                                "--phi", "0.1", *out)
+        assert code == 2 and stdout == ""
+        assert err == "error in config stage: need at least two items\n"
+        assert os.listdir(tmp_path) == []
+        # a model file with one item fails at read, naming the file
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"Q": 1, "K": 1, "components": [{"ranking": [1], "phi": 0.1}],
+                                    "prior": {"type": "dirichlet", "alpha0": 0.1}}))
+        code, _, err = run(capsys, command, "-i", str(path), *out)
+        assert code == 2
+        assert err == f"error in read stage: {path}: need at least two items\n"
+        assert os.listdir(tmp_path) == ["one.json"]
+
+    @pytest.mark.parametrize("command", ["generate", "oracle"])
     def test_items_and_users_past_the_corpus_limits(self, tmp_path, capsys, command):
         out = ["--users", "10", "--comparisons", "4", "-o", str(tmp_path / "c.jsonl"),
                "--truth", str(tmp_path / "t.json")] if command == "generate" else []
@@ -371,6 +389,29 @@ class TestEstimateAndEvaluate:
         assert code == 2 and "error in regression stage" in err and "epsilon" in err
         assert not (tmp_path / "est.json").exists()
 
+    @pytest.mark.parametrize("argv", [["estimate", "--doubled-distance-rule"],
+                                      ["estimate", "--threads", "2"],
+                                      ["generate", "--threads", "2"]],
+                             ids=["estimate-doubled", "estimate-threads", "generate-threads"])
+    def test_removed_options_are_refused(self, tmp_path, capsys, monkeypatch, argv):
+        # detection has one separation rule and neither command has threads
+        monkeypatch.chdir(tmp_path)
+        command, *flags = argv
+        required = (["-i", "c.jsonl", "-o", "e.json", "--components", "2"]
+                    if command == "estimate" else
+                    ["--items", "4", "--components", "1", "--phi", "0.1", "--users", "10",
+                     "--comparisons", "4", "-o", "c.jsonl", "--truth", "t.json"])
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *required, *flags])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        assert "--threads" not in text and "--doubled-distance-rule" not in text
+        assert os.listdir(tmp_path) == []
+
     def test_estimate_requires_an_input(self, tmp_path, capsys):
         code, _, err = run(capsys, "estimate", "-o", str(tmp_path / "e.json"),
                            "--components", "2")
@@ -530,5 +571,7 @@ class TestGoldenPipeline:
         assert code == 0
         est = read_json(tmp_path / "est.json")
         assert est["diagnostics"]["selected_rows"] == [1, 24]
+        # the fields that no option sets any more keep their values
+        assert est["config"]["threads"] == 1 and est["config"]["doubled_distance_rule"] is False
         assert [c["ranking"] for c in est["components"]] == [
             [1, 3, 6, 2, 4, 5], [4, 3, 2, 5, 1, 6]]

@@ -52,11 +52,11 @@ def analytic_toy(E, Q=2):
     return CoocMatrix(dense_factors(E), np.ones(E.shape[0], dtype=bool), Q)
 
 
-def brute_force_wins(Y, proj, half, c):
+def brute_force_wins(Y, proj, half):
     """Directions each row wins, testing every row against every other in
     every direction: the O(n^2 P) form of the scoring rule; and directions
     each row tops."""
-    near = _distances(Y, Y, c) < half
+    near = _distances(Y, Y) < half
     wins = np.zeros(Y.shape[0], dtype=np.int64)
     tops = np.zeros(Y.shape[0], dtype=np.int64)
     for p in proj:
@@ -83,11 +83,10 @@ def reference_detect(cooc: CoocMatrix, config: DetectionConfig):
     spread = Y - Y.mean(axis=0)
     half = max(config.zeta * float(np.sqrt(np.mean(np.einsum("ij,ij->i", spread, spread))))
                / 2.0, np.finfo(float).tiny)
-    c = 2.0 if config.doubled_distance_rule else 1.0
     P = config.resolved_projections
-    wins, tops = brute_force_wins(Y, _projection_directions(config.seed, P, K) @ Y.T, half, c)
+    wins, tops = brute_force_wins(Y, _projection_directions(config.seed, P, K) @ Y.T, half)
     qhat = wins / P
-    dist = _distances(Y, Y, c)
+    dist = _distances(Y, Y)
     selected: list[int] = []
     for cand in np.lexsort((act, -tops, -qhat)):
         if all(dist[s, cand] >= half for s in selected):
@@ -257,8 +256,7 @@ class TestDetection:
         # and wins every direction; no pair lies 2 zeta/2 apart, so every
         # window holds all rows; each vertex keeps the other as its one peer
         Y = _rank_k(analytic_toy(E).E, np.arange(3), 2, 0)[0]
-        wins, tops, deepest = _solid_angle_wins(Y, _projection_directions(0, 300, 2) @ Y.T,
-                                                1.0, 1.0)
+        wins, tops, deepest = _solid_angle_wins(Y, _projection_directions(0, 300, 2) @ Y.T, 1.0)
         assert deepest == 3 and wins[2] == 300 and wins[0] + wins[1] == 300
         assert np.array_equal(tops, [wins[0], wins[1], 0])
 
@@ -282,6 +280,9 @@ class TestDetection:
             DetectionConfig(n_components=1, n_projections=0)
         with pytest.raises(ValueError):
             DetectionConfig(n_components=1, min_count_fraction=-0.1)
+        # detection has one separation rule; the doubled one is refused
+        with pytest.raises(ValueError, match="doubled distance rule"):
+            DetectionConfig(n_components=2, doubled_distance_rule=True)
         assert DetectionConfig(n_components=3).resolved_projections == 450
         assert DetectionConfig(n_components=3, n_projections=7).resolved_projections == 7
 
@@ -331,42 +332,38 @@ class TestDetectionMatchesReference:
 
     @given(seed=st.integers(0, 2**32 - 1), Q=st.integers(2, 5), frac=st.floats(0.3, 1.0),
            n_copies=st.integers(0, 6), jitter=st.sampled_from([0.0, 1e-3, 0.05]),
-           K=st.integers(1, 3), P=st.integers(1, 60), zeta=st.floats(0.01, 4.0),
-           doubled=st.booleans())
+           K=st.integers(1, 3), P=st.integers(1, 60), zeta=st.floats(0.01, 4.0))
     @settings(max_examples=150, deadline=None)
-    def test_analytic(self, seed, Q, frac, n_copies, jitter, K, P, zeta, doubled):
+    def test_analytic(self, seed, Q, frac, n_copies, jitter, K, P, zeta):
         W = Q * (Q - 1)
         cooc = analytic_random(seed, Q, max(1, int(frac * W)), min(n_copies, W - 1), jitter)
         compare_to_reference(cooc, DetectionConfig(n_components=K, n_projections=P, zeta=zeta,
-                                                   seed=seed % 7, doubled_distance_rule=doubled))
+                                                   seed=seed % 7))
 
     @given(seed=st.integers(0, 2**32 - 1), Q=st.integers(3, 5), M=st.integers(4, 30),
            n_copies=st.integers(0, 6), jitter=st.sampled_from([0.0, 1.0]),
            K=st.integers(1, 3), P=st.integers(1, 60), zeta=st.floats(0.01, 4.0),
-           doubled=st.booleans(), window=st.integers(1, 7))
+           window=st.integers(1, 7))
     @settings(max_examples=150, deadline=None)
-    def test_sampled(self, seed, Q, M, n_copies, jitter, K, P, zeta, doubled, window):
+    def test_sampled(self, seed, Q, M, n_copies, jitter, K, P, zeta, window):
         cooc = sampled_random(seed, Q, M, n_copies, jitter)
-        cfg = DetectionConfig(n_components=K, n_projections=P, zeta=zeta, seed=seed % 7,
-                              doubled_distance_rule=doubled)
+        cfg = DetectionConfig(n_components=K, n_projections=P, zeta=zeta, seed=seed % 7)
         with mock.patch.object(estimator, "_WINDOW", window):
             compare_to_reference(cooc, cfg)
 
     @given(seed=st.integers(0, 2**32 - 1), Q=st.integers(3, 5), M=st.integers(4, 30),
            n_copies=st.integers(0, 6), jitter=st.sampled_from([0.0, 1.0]),
            K=st.integers(1, 3), P=st.integers(1, 60), zeta=st.floats(0.01, 4.0),
-           doubled=st.booleans(), sampled=st.booleans(), block=st.integers(1, 7))
+           sampled=st.booleans(), block=st.integers(1, 7))
     @settings(max_examples=150, deadline=None)
-    def test_many_tiles(self, seed, Q, M, n_copies, jitter, K, P, zeta, doubled, sampled,
-                        block):
+    def test_many_tiles(self, seed, Q, M, n_copies, jitter, K, P, zeta, sampled, block):
         # distance blocks smaller than the window: the scorer's far-pair
         # search and its wins both take distances _BLOCK_ROWS rows at a time
         if sampled:
             cooc = sampled_random(seed, Q, M, n_copies, jitter)
         else:
             cooc = analytic_random(seed, Q, Q * (Q - 1) // 2, min(n_copies, 5), jitter / 20)
-        cfg = DetectionConfig(n_components=K, n_projections=P, zeta=zeta, seed=seed % 7,
-                              doubled_distance_rule=doubled)
+        cfg = DetectionConfig(n_components=K, n_projections=P, zeta=zeta, seed=seed % 7)
         with mock.patch.object(estimator, "_BLOCK_ROWS", block):
             compare_to_reference(cooc, cfg)
 
@@ -378,8 +375,7 @@ class TestDetectionMatchesReference:
         for seed in range(40):
             cooc = sampled_random(seed, 4, 20, 4, 1.0)
             cfg = DetectionConfig(n_components=1 + seed % 2, n_projections=40,
-                                  zeta=0.2 + 0.1 * seed, seed=seed,
-                                  doubled_distance_rule=seed % 4 > 1)
+                                  zeta=0.2 + 0.1 * seed, seed=seed)
             with mock.patch.object(estimator, "_WINDOW", 2):
                 got = compare_to_reference(cooc, cfg)
             if got is not None:
@@ -390,42 +386,36 @@ class TestDetectionMatchesReference:
         assert peerless > 0
 
 
-def scorer_case(seed, n, K, kind, P, doubled):
+def scorer_case(seed, n, K, kind, P):
     """Rows, their projections on P directions, and a zeta/2.
 
     "random" rows have mixed scales; "duplicated" rows repeat a few base
     rows, so they tie in every direction; "grid" rows and directions have
     small integer entries, so rows that differ tie in some directions and
     windows end inside runs of ties.  Their zeta/2 is one of the computed
-    distances, or c/2 times one, so that some distances sit exactly at
-    zeta/2 and some pairs exactly 2 zeta/2 / c apart.  "midpoint" rows are
-    three: a pair 2 zeta/2 / c apart and the point at zeta/2 from both, up
-    to rounding, projected at or below them: the one place where the
-    scorer's rounding slack decides."""
+    distances, or half of one, so that some distances sit exactly at
+    zeta/2 and some pairs exactly 2 zeta/2 apart.  "midpoint" rows are
+    three: a pair 2 zeta/2 apart and the point at zeta/2 from both, up to
+    rounding, projected level with them up to rounding: the one place
+    where the scorer's rounding slack decides."""
     rng = np.random.default_rng(seed)
-    c = 2.0 if doubled else 1.0
     if kind == "midpoint":
         a = rng.standard_normal(K) * 10.0 ** rng.uniform(-1, 1)
         u = rng.standard_normal(K)
         b = a + rng.uniform(0.1, 2.0) * u
-        # the pair's computed distance is exactly 2 zeta/2 / c
-        half = c * float(_distances(a[None, :], b[None, :], 1.0)[0, 0]) / 2.0
-        Y = np.stack([a, b, c * (a + b) / 2.0])
+        # the pair's computed distance is exactly 2 zeta/2
+        half = float(_distances(a[None, :], b[None, :])[0, 0]) / 2.0
+        Y = np.stack([a, b, (a + b) / 2.0])
         # the triangle inequality keeps the point from lying within zeta/2
         # of both, except by rounding: move it by an ulp or two per entry
         # until the computed distances say it does, if they can
         for _ in range(200):
-            if (_distances(Y[2:], Y[:2], c) < half).all():
+            if (_distances(Y[2:], Y[:2]) < half).all():
                 break
-            Y[2] = c * (a + b) / 2.0 + rng.integers(-2, 3, size=K) * np.spacing(Y[2])
-        if doubled:
-            # the projection of a + b lies below a's and b's when both are
-            # negative
-            dirs = -(a + b) + 1e-3 * rng.standard_normal((P, K))
-        else:
-            # orthogonal to b - a, so the three rows tie up to rounding
-            dirs = rng.standard_normal((P, K))
-            dirs -= np.outer(dirs @ u, u) / (u @ u)
+            Y[2] = (a + b) / 2.0 + rng.integers(-2, 3, size=K) * np.spacing(Y[2])
+        # orthogonal to b - a, so the three rows tie up to rounding
+        dirs = rng.standard_normal((P, K))
+        dirs -= np.outer(dirs @ u, u) / (u @ u)
         return Y, dirs @ Y.T, half
     if kind == "random":
         Y = rng.standard_normal((n, K)) * 10.0 ** rng.uniform(-1, 1, size=(n, 1))
@@ -437,18 +427,18 @@ def scorer_case(seed, n, K, kind, P, doubled):
     else:
         Y = rng.integers(-2, 3, size=(n, K)).astype(float)
         dirs = rng.integers(-2, 3, size=(P, K)).astype(float)
-    d = np.unique(_distances(Y, Y, 1.0))
+    d = np.unique(_distances(Y, Y))
     d = d[d > 0] if (d > 0).any() else np.ones(1)
-    half = d[rng.integers(d.size)] * (c / 2.0 if rng.random() < 0.5 else 1.0)
+    half = d[rng.integers(d.size)] * (0.5 if rng.random() < 0.5 else 1.0)
     return Y, dirs @ Y.T, half
 
 
-def first_far_pair(Y, p, half, c):
+def first_far_pair(Y, p, half):
     """Where the scorer's window stops in direction p: the first position,
-    in descending order, whose prefix holds two rows 2 half / c apart (the
+    in descending order, whose prefix holds two rows 2 half apart (the
     last if none), and how many rows lie at or above that position's."""
     order = np.argsort(-p, kind="stable")
-    far = np.tril(_distances(Y[order], Y[order], 1.0) >= 2.0 * half / c, -1).any(axis=1)
+    far = np.tril(_distances(Y[order], Y[order]) >= 2.0 * half, -1).any(axis=1)
     t = int(np.argmax(far)) if far.any() else p.size - 1
     return t, int(np.count_nonzero(p >= p[order[t]]))
 
@@ -459,39 +449,36 @@ class TestScorerMatchesBruteForce:
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), K=st.integers(1, 4),
            kind=st.sampled_from(["random", "duplicated", "grid", "midpoint"]),
-           doubled=st.booleans(), P=st.integers(1, 20), window=st.integers(1, 8),
+           P=st.integers(1, 20), window=st.integers(1, 8),
            block=st.sampled_from([1, 2, 3, 7, 256]))
     @settings(max_examples=300, deadline=None)
-    def test_same_wins(self, seed, n, K, kind, doubled, P, window, block):
-        Y, proj, half = scorer_case(seed, n, K, kind, P, doubled)
-        c = 2.0 if doubled else 1.0
+    def test_same_wins(self, seed, n, K, kind, P, window, block):
+        Y, proj, half = scorer_case(seed, n, K, kind, P)
         with mock.patch.object(estimator, "_WINDOW", window), \
                 mock.patch.object(estimator, "_BLOCK_ROWS", block):
-            wins, tops, deepest = _solid_angle_wins(Y, proj, half, c)
-        want_wins, want_tops = brute_force_wins(Y, proj, half, c)
+            wins, tops, deepest = _solid_angle_wins(Y, proj, half)
+        want_wins, want_tops = brute_force_wins(Y, proj, half)
         assert np.array_equal(wins, want_wins) and np.array_equal(tops, want_tops)
         assert 1 <= deepest <= Y.shape[0]
 
     def test_cases_reach_ties_deep_windows_and_the_slack(self):
         # the property above is only as strong as the cases it sees: its
-        # grid rows must end windows inside runs of ties, under both rules,
-        # and its cases must need windows past the first; its midpoint rows
-        # must be computed within zeta/2 of both rows of a pair whose
-        # computed distance reaches 2 zeta/2 / c, and lie below both
-        for doubled in (False, True):
-            c = 2.0 if doubled else 1.0
-            tie_runs, deep, slack = 0, 0, 0
-            for seed in range(60):
-                Y, proj, half = scorer_case(seed, 30, 2, "grid", 10, doubled)
-                for p in proj:
-                    t, m = first_far_pair(Y, p, half, c)
-                    tie_runs += m > t + 1
-                    deep += t + 1 > 4
-                Y, proj, half = scorer_case(seed, 3, 4, "midpoint", 10, doubled)
-                near = _distances(Y[2:], Y[:2], c)[0] < half
-                below = (proj[:, 2] <= proj[:, :2].min(axis=1)).any()
-                slack += bool(near.all() and below)
-            assert tie_runs > 0 and deep > 0 and slack > 0
+        # grid rows must end windows inside runs of ties, and its cases
+        # must need windows past the first; its midpoint rows must be
+        # computed within zeta/2 of both rows of a pair whose computed
+        # distance reaches 2 zeta/2, and lie at or below both
+        tie_runs, deep, slack = 0, 0, 0
+        for seed in range(60):
+            Y, proj, half = scorer_case(seed, 30, 2, "grid", 10)
+            for p in proj:
+                t, m = first_far_pair(Y, p, half)
+                tie_runs += m > t + 1
+                deep += t + 1 > 4
+            Y, proj, half = scorer_case(seed, 3, 4, "midpoint", 10)
+            near = _distances(Y[2:], Y[:2])[0] < half
+            below = (proj[:, 2] <= proj[:, :2].min(axis=1)).any()
+            slack += bool(near.all() and below)
+        assert tie_runs > 0 and deep > 0 and slack > 0
 
 
 class TestProjectionsInBlocks:
@@ -517,8 +504,8 @@ class TestProjectionsInBlocks:
         assert np.array(rows).tobytes() == whole.tobytes()
         spread = Y - Y.mean(axis=0)
         half = 0.35 * float(np.sqrt(np.mean(np.einsum("ij,ij->i", spread, spread))))
-        wins, tops, _ = _solid_angle_wins(Y, _projections(directions, Y), half, 1.0)
-        want_wins, want_tops = brute_force_wins(Y, whole, half, 1.0)
+        wins, tops, _ = _solid_angle_wins(Y, _projections(directions, Y), half)
+        want_wins, want_tops = brute_force_wins(Y, whole, half)
         assert np.array_equal(wins, want_wins) and np.array_equal(tops, want_tops)
         assert wins.sum() > 0
 

@@ -462,7 +462,8 @@ class TestSerialization:
                            ([5, 3], "meta is not a JSON object"),
                            ({"Q": 5.0, "M": 3}, "meta Q must be a JSON integer"),
                            ({"Q": 5, "M": "3"}, "meta M must be a JSON integer"),
-                           ({"Q": 5, "M": 3, "N": 1.5}, "meta N must be a JSON integer")):
+                           ({"Q": 5, "M": 3, "N": 1.5}, "meta N must be a JSON integer"),
+                           ({"Q": 5, "M": 3, "N": 0}, "meta N must be at least 1")):
             lines = ["", json.dumps({"meta": meta})] + [record(u, 1, 2) for u in (0, 1, 2)]
             path.write_text("\n".join(lines) + "\n")
             with pytest.raises(CorpusError, match=re.escape(f"{path}:2: {rule}")):
@@ -476,6 +477,22 @@ class TestSerialization:
         with pytest.raises(CorpusError,
                            match=re.escape(f"{path}:2: meta M=5 but the largest user id is 2")):
             read_corpus(path)
+
+    def test_read_rejects_meta_n_that_the_records_contradict(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        for N, users, user, count in ((5, (0, 0, 1, 1), 0, 2),
+                                      (2, (0, 0, 1, 1, 1), 1, 3),
+                                      (1, (0, 2, 2), 1, 0)):
+            meta = json.dumps({"meta": {"Q": 5, "M": max(users) + 1, "N": N}})
+            path.write_text("\n".join(["", meta] + [record(u, 1, 2) for u in users]) + "\n")
+            rule = f"{path}:2: meta N={N} but user {user} has {count} records"
+            for reader in (read_corpus, reference_read_corpus):
+                with pytest.raises(CorpusError, match=f"^{re.escape(rule)}$"):
+                    reader(path)
+        # the records agree with N
+        meta = json.dumps({"meta": {"Q": 5, "M": 2, "N": 2}})
+        path.write_text("\n".join([meta] + [record(u, 1, 2) for u in (1, 0, 0, 1)]) + "\n")
+        assert read_corpus(path).N == 2
 
     def test_read_reports_malformed_line(self, tmp_path):
         path = tmp_path / "broken.jsonl"
@@ -648,6 +665,12 @@ def reference_read_corpus(path):
     if meta is not None and M > user.max() + 1:
         raise CorpusError(
             f"{path}:{meta_line}: meta M={M} but the largest user id is {int(user.max())}")
+    if N is not None:
+        counts = np.bincount(user, minlength=M)
+        off = np.flatnonzero(counts != N)
+        if off.size:
+            raise CorpusError(f"{path}:{meta_line}: meta N={N} but user {off[0]} has "
+                              f"{counts[off[0]]} records")
     return corpus
 
 
