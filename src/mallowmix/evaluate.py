@@ -84,8 +84,9 @@ EM_TOL = 1e-8  # default relative log-likelihood change at which the weight EM s
 # benchmark's wide-q60 corpora its dispersions then lie within 1e-3 of
 # those after a weight EM run to EM_TOL.
 REFIT_TOL = 1e-3
-# Dispersions enter the refit at no less than _REFIT_FLOOR, so that every
-# record keeps a positive probability.  Forward differences of step
+# Dispersions enter the refit at no less than _REFIT_FLOOR, raised with Q
+# by _refit_floor, so that every record keeps a positive probability.
+# Forward differences of step
 # _REFIT_STEP give the Newton derivatives.
 _REFIT_FLOOR = 1e-3
 _REFIT_STEP = 1e-5
@@ -99,7 +100,8 @@ _REFIT_HALVINGS = 30
 # most this many records, so that its cost stays bounded as corpora grow.
 _REFIT_RECORDS = 2**19
 # The weight EM sweeps blocks of whole users of at most this many entries;
-# a user with more entries takes a block of its own.  predict_loglik reads
+# a user with more entries takes a block of its own.  The dispersion
+# refit's Newton steps read the same blocks, and predict_loglik reads
 # records in blocks of this size too.
 _EM_BLOCK = 2**15
 
@@ -178,7 +180,8 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
                     return _unsupported(int(rows[np.argmax(bad)]), corpus.Q, underflow)
         raise RuntimeError("the weight EM met a record of probability zero it cannot find")
 
-    theta, history = _weights_em(count, starts, BwT, tol, max_iter, unsupported)
+    theta, history = _weights_em(count, starts, K, lambda lo, hi: BwT[:, lo:hi], tol,
+                                 max_iter, unsupported)
     weights = np.full((M, K), 1.0 / K)
     weights[occupied] = theta.T
     if trace:
@@ -186,32 +189,42 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
     return weights
 
 
-def _weights_em(count: np.ndarray, starts: np.ndarray, BwT: np.ndarray, tol: float,
-                max_iter: int, unsupported) -> tuple[np.ndarray, list[float]]:
-    """The weight EM of ``infer_weights`` on grouped entries: entry e holds
-    ``count[e]`` records whose outcome has probability ``BwT[k, e]`` under
-    component k, and every user's entries run contiguously from its
-    ``starts``.  Returns the (K, users) weights and the total
-    log-likelihood at the start of every cycle; ``unsupported(theta)``
-    gives the error to raise when an entry has probability zero.
-
-    Each EM step is one sweep over blocks of whole users that forms a
-    block's terms theta_k B[w, k] once, adds them into its mixture
-    probabilities and turns them into its M-step shares.  A SQUAREM cycle
-    sweeps theta1 and then the extrapolated point, whose M-step is the next
-    cycle's theta1 unless a user falls back to theta2 (that sweep then
-    forms no more shares).
-    """
-    K = BwT.shape[0]
-    entries = np.diff(starts, append=count.size)  # entries per occupied user
-    ends = starts + entries
-    sizes = np.add.reduceat(count, starts)  # records per occupied user
+def _user_blocks(starts: np.ndarray, n_entries: int) -> list[tuple[int, int, int, int]]:
+    """Blocks (u, v, lo, hi) of whole users: users u..v-1, whose entries
+    run contiguously from their ``starts``, own entries lo..hi-1, at most
+    _EM_BLOCK of them unless user u alone has more."""
+    ends = np.append(starts[1:], n_entries)
     blocks = []
     u = 0
     while u < starts.size:
         v = max(u + 1, int(np.searchsorted(ends, starts[u] + _EM_BLOCK, side="right")))
-        blocks.append((u, v))
+        blocks.append((u, v, int(starts[u]), int(ends[v - 1])))
         u = v
+    return blocks
+
+
+def _weights_em(count: np.ndarray, starts: np.ndarray, K: int, outcome, tol: float,
+                max_iter: int, unsupported) -> tuple[np.ndarray, list[float]]:
+    """The weight EM of ``infer_weights`` on grouped entries: entry e holds
+    ``count[e]`` records, and every user's entries run contiguously from
+    its ``starts``.  ``outcome(lo, hi)`` gives the (K, hi - lo) outcome
+    probabilities of entries lo..hi-1 under the K components, for one
+    block of whole users at a time.  Returns the (K, users) weights and
+    the total log-likelihood at the start of every cycle;
+    ``unsupported(theta)`` gives the error to raise when an entry has
+    probability zero.
+
+    Each EM step is one sweep over blocks of whole users (``_user_blocks``)
+    that reads a block's outcome probabilities, forms its terms
+    theta_k B[w, k] once, adds them into its mixture probabilities and
+    turns them into its M-step shares.  A SQUAREM cycle sweeps theta1 and
+    then the extrapolated point, whose M-step is the next cycle's theta1
+    unless a user falls back to theta2 (that sweep then forms no more
+    shares).
+    """
+    entries = np.diff(starts, append=count.size)  # entries per occupied user
+    sizes = np.add.reduceat(count, starts)  # records per occupied user
+    blocks = _user_blocks(starts, count.size)
 
     def sweep(theta: np.ndarray, loglik: bool = True, floor=None):
         """Each user's log-likelihood at ``theta`` (K x occupied users; -inf
@@ -221,11 +234,10 @@ def _weights_em(count: np.ndarray, starts: np.ndarray, BwT: np.ndarray, tol: flo
         since that step is not used."""
         user_ll = np.empty(theta.shape[1]) if loglik else None
         step = np.empty_like(theta)
-        for u, v in blocks:
-            lo, hi = starts[u], ends[v - 1]
+        for u, v, lo, hi in blocks:
             local = starts[u:v] - lo
             terms = np.repeat(theta[:, u:v], entries[u:v], axis=1)
-            terms *= BwT[:, lo:hi]
+            terms *= outcome(lo, hi)
             total = terms[0].copy() if K == 1 else terms[0] + terms[1]
             for k in range(2, K):
                 total += terms[k]
@@ -293,6 +305,15 @@ def _weights_em(count: np.ndarray, starts: np.ndarray, BwT: np.ndarray, tol: flo
     return theta, history
 
 
+def _refit_floor(Q: int) -> float:
+    """The least dispersion the refit starts from: _REFIT_FLOOR, raised for
+    Q > 103 to the phi whose phi^(Q-1) is the smallest normal float, so
+    that every order probability, at least about (Q-1) phi^(Q-1) (1-phi)
+    (a pair reversed across the whole ranking), is a positive normal float
+    (at Q = 120 and phi = 1e-3 it underflows to zero)."""
+    return max(_REFIT_FLOOR, np.finfo(float).tiny ** (1.0 / (Q - 1)))
+
+
 def refit_dispersions(counts, rankings: list[Permutation], dispersions, *,
                       tol: float = REFIT_TOL) -> tuple[list[float], dict]:
     """The dispersions refitted by likelihood on the records behind a
@@ -306,16 +327,22 @@ def refit_dispersions(counts, rankings: list[Permutation], dispersions, *,
     k.  The refit takes one step of the alternation between weights and
     dispersions: every user's weights theta_u come from the weight EM of
     ``infer_weights`` at the given dispersions (raised to at least
-    _REFIT_FLOOR), stopped at relative change ``tol``, and are held while
+    ``_refit_floor(Q)``, so that every record keeps a positive normal
+    probability), stopped at relative change ``tol``, and are held while
     Newton's method maximizes the records' log-likelihood over the K
-    dispersions; each component's weights are repeated over the entries
-    only where a term needs them, one component at a time.  The weights
-    keep part of the given dispersions' error, the less the more records
-    each user has.  Newton keeps each phi in [0, 1) and halves a step until
-    the likelihood does not fall; its derivatives in phi are forward
-    differences of the pair marginal tables.  It stops once a step would
-    move no dispersion by more than _REFIT_PHI_TOL, or when no step keeps
-    the likelihood.
+    dispersions.  The weights keep part of the given dispersions' error,
+    the less the more records each user has.  Newton keeps each phi in
+    [0, 1) and halves a step until the likelihood does not fall; its
+    derivatives in phi are forward differences of the pair marginal
+    tables.  It stops once a step would move no dispersion by more than
+    _REFIT_PHI_TOL, or when no step keeps the likelihood.
+
+    The EM and every Newton step work one block of whole users at a time
+    (``_user_blocks``): a block's outcome probabilities, weights repeated
+    over its entries and derivative terms exist only while it is read, so
+    no K x entries array is held.  The log-likelihood, the gradient and
+    the Hessian are summed by ``_block_sums``, in an order set by the
+    users' entries and _EM_BLOCK alone.
 
     Returns the dispersions and a dict with the weight EM's cycles, the
     Newton steps taken, the final log-likelihood and the records read.
@@ -326,70 +353,108 @@ def refit_dispersions(counts, rankings: list[Permutation], dispersions, *,
     count, row = C.data, C.indices
     starts = C.indptr[:-1][np.diff(C.indptr) > 0]
     entries = np.diff(starts, append=count.size)
+    blocks = _user_blocks(starts, count.size)
     gaps = [pair_gaps(sigma.positions) for sigma in rankings]
+    K = len(gaps)
 
     def order_probabilities(phis) -> np.ndarray:
         """beta_k(w) for every component and pair row, (K, W)."""
         return np.array([gap_marginals(g, marginal_table(Q, phi), reverse_marginal_table(Q, phi))
                          for g, phi in zip(gaps, phis)])
 
-    phis = np.maximum(np.asarray(dispersions, dtype=float), _REFIT_FLOOR)
+    phis = np.maximum(np.asarray(dispersions, dtype=float), _refit_floor(Q))
+    beta = order_probabilities(phis)
     theta, history = _weights_em(
-        count, starts, order_probabilities(phis).take(row, axis=1), tol, 500,
+        count, starts, K, lambda lo, hi: beta.take(row[lo:hi], axis=1), tol, 500,
         lambda _: RuntimeError("a record has probability zero in every component"))
+    del beta
 
-    def weighted(k: int, values: np.ndarray) -> np.ndarray:
-        """theta_uk values[w] of every entry, from component k's values
-        per pair row."""
-        part = values.take(row)
-        part *= np.repeat(theta[k], entries)
-        return part
+    def repeats(u: int, v: int) -> np.ndarray:
+        """theta_uk of every entry of users u..v-1, (K, their entries)."""
+        return np.repeat(theta[:, u:v], entries[u:v], axis=1)
 
-    def mixture(phis) -> tuple[np.ndarray, float]:
-        """sum_k theta_uk beta_k(w) of every entry, and the log-likelihood."""
+    def weighted(table: np.ndarray, lo: int, hi: int, weight: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+        """theta_uk table[k, w] of the entries lo..hi-1, given their
+        ``repeats``, into ``out``; the rows are column indices of C, so the
+        take needs no bounds check."""
+        np.take(table, row[lo:hi], axis=1, out=out, mode="clip")
+        out *= weight
+        return out
+
+    def loglik(phis) -> float:
         beta = order_probabilities(phis)
-        total = np.zeros(count.size)
-        for k in range(len(gaps)):
-            total += weighted(k, beta[k])
-        with np.errstate(divide="ignore"):
-            return total, float(count @ np.log(total))
+        parts = []
+        for u, v, lo, hi in blocks:
+            weight = repeats(u, v)
+            total = weighted(beta, lo, hi, weight, np.empty_like(weight)).sum(axis=0)
+            with np.errstate(divide="ignore"):
+                parts.append(np.einsum("e,e->", count[lo:hi], np.log(total)))
+        return float(_block_sums(parts))
 
-    total, ll = mixture(phis)
-    hi = math.nextafter(1.0, 0.0)
+    def newton_terms(b0, dbeta, curve, u: int, v: int, lo: int, hi: int) -> np.ndarray:
+        """The gradient's, the Hessian's diagonal and the Hessian's cross
+        terms over the entries lo..hi-1 of users u..v-1, flat.  Each
+        derivative is divided by the entry's probability before it is
+        weighted by the count: count / total^2 overflows once a record's
+        probability falls below about 1e-154."""
+        weight = repeats(u, v)
+        part = np.empty_like(weight)
+        total = weighted(b0, lo, hi, weight, part).sum(axis=0)
+        c = count[lo:hi]
+        curv = weighted(curve, lo, hi, weight, part)
+        curv /= total
+        diag = np.einsum("ke,e->k", curv, c)
+        slope = weighted(dbeta, lo, hi, weight, part)  # theta_uk d beta_k / d phi_k
+        slope /= total
+        grad = np.einsum("ke,e->k", slope, c)
+        cross = np.einsum("ke,je->kj", np.multiply(slope, c, out=weight), slope)
+        return np.concatenate([grad, diag, cross.ravel()])
+
+    ll = loglik(phis)
+    top = math.nextafter(1.0, 0.0)
     steps = 0
     for _ in range(_REFIT_MAX_STEPS):
         b0, b1, b2 = (order_probabilities(phis + j * _REFIT_STEP) for j in range(3))
-        w = count / total
         dbeta = (4.0 * b1 - 3.0 * b0 - b2) / (2.0 * _REFIT_STEP)
-        slope = np.empty((len(gaps), count.size))  # theta_uk d beta_k / d phi_k of every entry
-        for k in range(len(gaps)):
-            slope[k] = weighted(k, dbeta[k])
-        grad = slope @ w
         curve = (b0 - 2.0 * b1 + b2) / _REFIT_STEP**2
-        hess = np.diag([weighted(k, curve[k]) @ w for k in range(len(gaps))])
-        w /= total
-        for k in range(len(gaps)):
-            hess[k] -= slope @ (slope[k] * w)
-        del slope
+        parts = [newton_terms(b0, dbeta, curve, *block) for block in blocks]
+        sums = _block_sums(parts)
+        grad = sums[:K]
+        hess = np.diag(sums[K:2 * K]) - sums[2 * K:].reshape(K, K)
         try:
             np.linalg.cholesky(-hess)  # a Newton step only where the curvature is negative
             move = np.linalg.solve(-hess, grad)
         except np.linalg.LinAlgError:
             move = grad / np.maximum(np.abs(np.diag(hess)), np.finfo(float).tiny)
-        if np.max(np.abs(np.clip(phis + move, 0.0, hi) - phis)) <= _REFIT_PHI_TOL:
+        if np.max(np.abs(np.clip(phis + move, 0.0, top) - phis)) <= _REFIT_PHI_TOL:
             break
         for _ in range(_REFIT_HALVINGS):
-            cand = np.clip(phis + move, 0.0, hi)
-            cand_total, cand_ll = mixture(cand)
+            cand = np.clip(phis + move, 0.0, top)
+            cand_ll = loglik(cand)
             if cand_ll >= ll:
                 break
             move *= 0.5
         else:
             break
-        phis, total, ll = cand, cand_total, cand_ll
+        phis, ll = cand, cand_ll
         steps += 1
     return phis.tolist(), {"weight_cycles": len(history), "newton_steps": steps, "loglik": ll,
                            "records": int(count.sum())}
+
+
+def _block_sums(parts: list[np.ndarray]) -> np.ndarray:
+    """The elementwise sums of equally shaped per-block partial sums, each
+    added exactly and rounded once (``math.fsum``).
+
+    Each partial comes from numpy's own loops (``np.einsum``), not BLAS,
+    whose threaded kernels split a long sum by the thread count; so a sum
+    over the entries depends on the blocks alone, which the corpus fixes.
+    """
+    stacked = np.array(parts, dtype=float)
+    return np.array([math.fsum(c) for c in stacked.reshape(len(parts), -1).T]).reshape(
+        stacked.shape[1:])
+
 
 _MAX_HALVINGS = 30  # step halvings toward -1 before a user takes theta2
 

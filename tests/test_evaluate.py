@@ -276,8 +276,9 @@ class TestKeysPastInt32:
                                return_counts=True)
         user, row = np.divmod(key, W)
         starts = np.flatnonzero(np.diff(user, prepend=-1))
-        theta, _ = evaluate._weights_em(count.astype(float), starts, B.T.take(row, axis=1),
-                                        evaluate.EM_TOL, 500, None)
+        BwT = B.T.take(row, axis=1)
+        theta, _ = evaluate._weights_em(count.astype(float), starts, 2,
+                                        lambda lo, hi: BwT[:, lo:hi], evaluate.EM_TOL, 500, None)
         want = np.full((corpus.M, 2), 0.5)
         want[user[starts]] = theta.T
         assert np.array_equal(infer_weights(corpus, B), want)
@@ -862,13 +863,14 @@ class TestGroupedEMMatchesPerRecord:
         assert peak <= want, (peak, want)
 
 
-def entry_weights_em(count, starts, BwT, tol, max_iter, unsupported):
-    """The weight EM over whole entries arrays: every E-step fills an
-    entries-long ``total`` and every M-step forms each theta_k B[w, k]
-    term again.  ``evaluate._weights_em`` sweeps blocks of users and forms
-    each term once; this is the loop it replaced, kept as the reference it
-    must match bit for bit."""
-    K = BwT.shape[0]
+def entry_weights_em(count, starts, K, outcome, tol, max_iter, unsupported):
+    """The weight EM over whole entries arrays: it reads every entry's
+    outcome probabilities at once, every E-step fills an entries-long
+    ``total`` and every M-step forms each theta_k B[w, k] term again.
+    ``evaluate._weights_em`` sweeps blocks of users and forms each term
+    once; this is the loop it replaced, kept as the reference it must
+    match bit for bit."""
+    BwT = outcome(0, count.size)
     entries = np.diff(starts, append=count.size)
     sizes = np.add.reduceat(count, starts)
     total = np.empty(count.size)
@@ -1076,6 +1078,31 @@ class TestRefitDispersions:
                                winner=corpus.winner[keep], loser=corpus.loser[keep])
         assert evaluate.refit_dispersions(split_halves(sub), refs, [0.3, 0.3]) == strided
 
+    def test_record_reversed_across_120_items(self):
+        # at phi = 1e-3 the order probability of a pair reversed at gap 119
+        # underflows to zero; the refit's floor rises with Q, so one such
+        # record no longer leaves every component at probability zero
+        Q = 120
+        ranking = list(range(1, Q + 1))
+        corpus, _ = generate(model_of([ranking], [0.05], prior=FixedWeights((1.0,))),
+                             M=50, N=20, seed=1)
+        corpus = ComparisonCorpus(Q=Q, M=50, user=np.append(corpus.user, 49),
+                                  winner=np.append(corpus.winner, Q),
+                                  loser=np.append(corpus.loser, 1))
+        assert reverse_marginal_table(Q, evaluate._REFIT_FLOOR)[Q - 1] == 0
+        split, refs = split_halves(corpus), [Permutation.from_ranking(ranking)]
+        phis, info = evaluate.refit_dispersions(split, refs, [0.0])
+        # Newton climbs from the floor, where that record's probability is
+        # near the smallest normal float, to the maximum it finds from 0.05
+        want, _ = evaluate.refit_dispersions(split, refs, [0.05])
+        assert info["newton_steps"] >= 1 and phis[0] == pytest.approx(want[0], abs=1e-6)
+
+    def test_floor_keeps_every_order_probability_normal(self):
+        for Q in [2, 3, 20, 60, 103, 104, 105, 120, 1000, 2000, 32767]:
+            floor = evaluate._refit_floor(Q)
+            assert reverse_marginal_table(Q, floor)[1:].min() >= np.finfo(float).tiny, Q
+            assert (floor == evaluate._REFIT_FLOOR) == (Q <= 103), Q
+
     def test_postprocess_refits_when_b_hat_keeps_counts(self):
         model = model_of([[1, 3, 2, 5, 4], [4, 5, 1, 2, 3]], [0.25, 0.25])
         corpus, _ = generate(model, M=500, N=20, seed=8)
@@ -1090,42 +1117,75 @@ class TestRefitDispersions:
         assert refit.diagnostics == plain.diagnostics
 
 
-def weight_array_refit_dispersions(counts, rankings, dispersions, *, tol=evaluate.REFIT_TOL):
+def user_blocks(starts, n_entries):
+    """Blocks (lo, hi) of whole users' entries, each as long as
+    ``evaluate._EM_BLOCK`` allows, found by a walk over the users."""
+    blocks, lo = [], 0
+    for start, end in zip(starts, np.append(starts[1:], n_entries)):
+        if end - lo > evaluate._EM_BLOCK and start > lo:
+            blocks.append((lo, int(start)))
+            lo = int(start)
+    return blocks + [(lo, n_entries)]
+
+
+def exact_sums(parts):
+    """Elementwise ``math.fsum`` of equally shaped partial sums."""
+    parts = np.array(parts, dtype=float)
+    return np.array([math.fsum(c) for c in parts.reshape(len(parts), -1).T]).reshape(
+        parts.shape[1:])
+
+
+def weight_array_refit_dispersions(counts, rankings, dispersions, *, tol=evaluate.REFIT_TOL,
+                                   whole_sums=False):
     """The dispersion refit with its weights repeated over every entry as
     one (K, entries) array, and its weight EM over whole entries arrays
     (``entry_weights_em``): the code ``evaluate.refit_dispersions``
-    replaced, kept as the reference it must match bit for bit.  Its info
-    dict has no ``records``."""
+    replaced.  Each sum over the entries follows the refit's rule, one
+    ``np.einsum`` partial over each block of whole users (``user_blocks``)
+    added by ``math.fsum``, or, with ``whole_sums``, is one BLAS product
+    over all entries, as before that rule.  Its info dict has no
+    ``records``."""
     Q = counts.Q
     C = (counts.X + counts.X_prime).T.tocsr()
     C = C[::max(1, math.ceil(C.data.sum() / evaluate._REFIT_RECORDS))]
     count, row = C.data, C.indices
     starts = C.indptr[:-1][np.diff(C.indptr) > 0]
     entries = np.diff(starts, append=count.size)
+    blocks = user_blocks(starts, count.size)
     I, J = pairs.pair_arrays(Q)
     gaps = []
     for sigma in rankings:
         pos = np.empty(Q + 1, dtype=np.int64)
         pos[list(sigma.ranking)] = np.arange(Q)
         gaps.append(pos[J] - pos[I])
+    K = len(gaps)
 
     def order_probabilities(phis):
         return np.array([gap_marginals(g, marginal_table(Q, phi), reverse_marginal_table(Q, phi))
                          for g, phi in zip(gaps, phis)])
 
-    phis = np.maximum(np.asarray(dispersions, dtype=float), evaluate._REFIT_FLOOR)
+    def dot(x, y):
+        """sum_e x[..., e] y[e]."""
+        if whole_sums:
+            return x @ y
+        return exact_sums([np.einsum("...e,e->...", x[..., lo:hi], y[lo:hi])
+                           for lo, hi in blocks])
+
+    phis = np.maximum(np.asarray(dispersions, dtype=float), evaluate._refit_floor(Q))
+    BwT = order_probabilities(phis).take(row, axis=1)
     theta, history = entry_weights_em(
-        count, starts, order_probabilities(phis).take(row, axis=1), tol, 500,
+        count, starts, K, lambda lo, hi: BwT[:, lo:hi], tol, 500,
         lambda _: RuntimeError("a record has probability zero in every component"))
+    del BwT
     weight = np.array([np.repeat(t, entries) for t in theta])
 
     def mixture(phis):
         beta = order_probabilities(phis)
         total = np.zeros(count.size)
-        for k in range(len(gaps)):
+        for k in range(K):
             total += weight[k] * beta[k].take(row)
         with np.errstate(divide="ignore"):
-            return total, float(count @ np.log(total))
+            return total, float(dot(count, np.log(total)))
 
     step = evaluate._REFIT_STEP
     total, ll = mixture(phis)
@@ -1133,15 +1193,23 @@ def weight_array_refit_dispersions(counts, rankings, dispersions, *, tol=evaluat
     steps = 0
     for _ in range(evaluate._REFIT_MAX_STEPS):
         b0, b1, b2 = (order_probabilities(phis + j * step) for j in range(3))
-        w = count / total
         slope = ((4.0 * b1 - 3.0 * b0 - b2) / (2.0 * step)).take(row, axis=1)
         slope *= weight
-        grad = slope @ w
         curve = (b0 - 2.0 * b1 + b2) / step**2
-        hess = np.diag([(weight[k] * curve[k].take(row)) @ w for k in range(len(gaps))])
-        w /= total
-        for k in range(len(gaps)):
-            hess[k] -= slope @ (slope[k] * w)
+        if whole_sums:  # with count / total and count / total^2 as weights
+            w = count / total
+            grad = slope @ w
+            hess = np.diag([(weight[k] * curve[k].take(row)) @ w for k in range(K)])
+            w /= total
+            for k in range(K):
+                hess[k] -= slope @ (slope[k] * w)
+        else:  # with each derivative divided by the entry's probability
+            slope /= total
+            grad = dot(slope, count)
+            hess = np.diag([dot(weight[k] * curve[k].take(row) / total, count)
+                            for k in range(K)])
+            hess -= exact_sums([np.einsum("ke,je->kj", (slope * count)[:, lo:hi], slope[:, lo:hi])
+                                for lo, hi in blocks])
         del slope
         try:
             np.linalg.cholesky(-hess)
@@ -1201,20 +1269,23 @@ class TestRefitMatchesWeightArray:
         assert np.array(phis).tobytes() == np.array(want).tobytes()
         assert info == {**want_info, "records": int(np.count_nonzero(corpus.user % stride == 0))}
         assert info["newton_steps"] >= 1
+        # the sums over all entries at once, in BLAS order, reach the same
+        # dispersions to within Newton's own stop rule
+        whole, _ = weight_array_refit_dispersions(split, refs, start, whole_sums=True)
+        assert np.max(np.abs(np.subtract(phis, whole))) <= evaluate._REFIT_PHI_TOL
 
     def test_peak_memory_without_the_weight_array(self, monkeypatch):
-        # the weight array is K x entries floats; the refit holds it no
-        # more.  The weight EM's blocks are cut to about a tenth of the
-        # entries, as on the benchmark's corpora, so that the EM's peak
-        # stays below the Newton steps'.
+        # with blocks far smaller than the entries, neither the weight
+        # EM's outcome probabilities nor Newton's slopes exist for all
+        # entries at once: the peak stays below one K x entries array
         monkeypatch.setattr(evaluate, "_EM_BLOCK", 2**12)
         K = 5
         corpus, refs, start = refit_case(K, M=2000, N=40, seed=6)
         split = split_halves(corpus)
-        entries = (split.X + split.X_prime).nnz
+        entries = (split.X + split.X_prime).T.tocsr().nnz
+        assert entries > 10 * evaluate._EM_BLOCK
         peak = refit_peak(evaluate.refit_dispersions, split, refs, start)
-        want = refit_peak(weight_array_refit_dispersions, split, refs, start)
-        assert peak <= want - 0.8 * K * entries * 8, (peak, want, K * entries * 8)
+        assert peak < K * entries * 8, (peak, K * entries * 8)
 
 
 class TestPredictLoglik:
