@@ -473,6 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # every command that draws takes --seed
+            raise StageError("config", ValueError(f"--seed must be non-negative, got {args.seed}"))
         return args.func(args)
     except StageError as exc:
         print(f"error in {exc.stage} stage: {exc.cause}", file=sys.stderr)

@@ -12,8 +12,7 @@ import numpy as np
 
 from . import pairs
 from .generator import ComparisonCorpus
-from .mallows import (RankingMatrix, gap_marginals, marginal_table, pair_gaps,
-                      reverse_marginal_table)
+from .mallows import RankingMatrix, order_probabilities, pair_gaps
 from .permutations import Permutation, kendall_tau
 
 
@@ -189,18 +188,33 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
     return weights
 
 
-def _user_blocks(starts: np.ndarray, n_entries: int) -> list[tuple[int, int, int, int]]:
-    """Blocks (u, v, lo, hi) of whole users: users u..v-1, whose entries
-    run contiguously from their ``starts``, own entries lo..hi-1, at most
-    _EM_BLOCK of them unless user u alone has more."""
-    ends = np.append(starts[1:], n_entries)
+def _user_blocks(starts: np.ndarray, n_entries: int) -> tuple[np.ndarray, list[tuple]]:
+    """Each user's count of entries, which run contiguously from its
+    ``starts``, and blocks (u, v, lo, hi) of whole users: users u..v-1 own
+    entries lo..hi-1, at most _EM_BLOCK of them unless u alone has more."""
+    entries = np.diff(starts, append=n_entries)
+    ends = starts + entries
     blocks = []
     u = 0
     while u < starts.size:
         v = max(u + 1, int(np.searchsorted(ends, starts[u] + _EM_BLOCK, side="right")))
         blocks.append((u, v, int(starts[u]), int(ends[v - 1])))
         u = v
-    return blocks
+    return entries, blocks
+
+
+def _block_terms(theta: np.ndarray, entries: np.ndarray, u: int, v: int,
+                 outcome: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, entries) terms theta_k B[w, k] of users u..v-1's entries,
+    given each user's ``entries`` and their ``outcome`` probabilities
+    B[w, k], and the terms' sum over k, added one component at a time
+    (``terms.sum(axis=0)`` adds a one-entry block pairwise once K >= 8)."""
+    terms = np.repeat(theta[:, u:v], entries[u:v], axis=1)
+    terms *= outcome
+    total = terms[0].copy() if len(terms) == 1 else terms[0] + terms[1]
+    for k in range(2, len(terms)):
+        total += terms[k]
+    return terms, total
 
 
 def _weights_em(count: np.ndarray, starts: np.ndarray, K: int, outcome, tol: float,
@@ -216,15 +230,14 @@ def _weights_em(count: np.ndarray, starts: np.ndarray, K: int, outcome, tol: flo
 
     Each EM step is one sweep over blocks of whole users (``_user_blocks``)
     that reads a block's outcome probabilities, forms its terms
-    theta_k B[w, k] once, adds them into its mixture probabilities and
-    turns them into its M-step shares.  A SQUAREM cycle sweeps theta1 and
-    then the extrapolated point, whose M-step is the next cycle's theta1
-    unless a user falls back to theta2 (that sweep then forms no more
-    shares).
+    theta_k B[w, k] and their sum, its mixture probabilities, once
+    (``_block_terms``) and turns the terms into its M-step shares.  A
+    SQUAREM cycle sweeps theta1 and then the extrapolated point, whose
+    M-step is the next cycle's theta1 unless a user falls back to theta2
+    (that sweep then forms no more shares).
     """
-    entries = np.diff(starts, append=count.size)  # entries per occupied user
     sizes = np.add.reduceat(count, starts)  # records per occupied user
-    blocks = _user_blocks(starts, count.size)
+    entries, blocks = _user_blocks(starts, count.size)
 
     def sweep(theta: np.ndarray, loglik: bool = True, floor=None):
         """Each user's log-likelihood at ``theta`` (K x occupied users; -inf
@@ -236,11 +249,7 @@ def _weights_em(count: np.ndarray, starts: np.ndarray, K: int, outcome, tol: flo
         step = np.empty_like(theta)
         for u, v, lo, hi in blocks:
             local = starts[u:v] - lo
-            terms = np.repeat(theta[:, u:v], entries[u:v], axis=1)
-            terms *= outcome(lo, hi)
-            total = terms[0].copy() if K == 1 else terms[0] + terms[1]
-            for k in range(2, K):
-                total += terms[k]
+            terms, total = _block_terms(theta, entries, u, v, outcome(lo, hi))
             if step is not None and total.min() == 0:
                 step = None
                 if not loglik:
@@ -320,7 +329,8 @@ def refit_dispersions(counts, rankings: list[Permutation], dispersions, *,
     sampled estimate, with the rankings fixed.
 
     ``counts`` holds every user's records per ordered pair row (the
-    ``SplitCounts`` of ``moments.split_halves``).  A record of pair row w
+    ``SplitCounts`` of ``moments.split_halves``), of which the refit reads
+    ``counts.user_entries(_REFIT_RECORDS)``.  A record of pair row w
     has probability sum_k theta_uk beta_k(w) times the pair's own
     probability, which all components share and which drops out;
     beta_k(w) is the Mallows order probability of w at its gap in ranking
@@ -337,57 +347,32 @@ def refit_dispersions(counts, rankings: list[Permutation], dispersions, *,
     tables.  It stops once a step would move no dispersion by more than
     _REFIT_PHI_TOL, or when no step keeps the likelihood.
 
-    The EM and every Newton step work one block of whole users at a time
-    (``_user_blocks``): a block's outcome probabilities, weights repeated
-    over its entries and derivative terms exist only while it is read, so
-    no K x entries array is held.  The log-likelihood, the gradient and
-    the Hessian are summed by ``_block_sums``, in an order set by the
-    users' entries and _EM_BLOCK alone.
+    The EM and every Newton step form one block of whole users' terms at a
+    time, theta_uk times beta_k(w) or its derivatives, by the EM's own
+    ``_block_terms``, so no K x entries array is held.  The log-likelihood,
+    the gradient and the Hessian are summed by ``_block_sums``, in an order
+    set by the users' entries and _EM_BLOCK alone.
 
     Returns the dispersions and a dict with the weight EM's cycles, the
     Newton steps taken, the final log-likelihood and the records read.
     """
     Q = counts.Q
-    C = (counts.X + counts.X_prime).T.tocsr()  # one row of pair-row counts per user
-    C = C[::max(1, math.ceil(C.data.sum() / _REFIT_RECORDS))]
-    count, row = C.data, C.indices
-    starts = C.indptr[:-1][np.diff(C.indptr) > 0]
-    entries = np.diff(starts, append=count.size)
-    blocks = _user_blocks(starts, count.size)
+    count, row, starts = counts.user_entries(_REFIT_RECORDS)
     gaps = [pair_gaps(sigma.positions) for sigma in rankings]
     K = len(gaps)
-
-    def order_probabilities(phis) -> np.ndarray:
-        """beta_k(w) for every component and pair row, (K, W)."""
-        return np.array([gap_marginals(g, marginal_table(Q, phi), reverse_marginal_table(Q, phi))
-                         for g, phi in zip(gaps, phis)])
-
     phis = np.maximum(np.asarray(dispersions, dtype=float), _refit_floor(Q))
-    beta = order_probabilities(phis)
+    beta = order_probabilities(Q, gaps, phis)
     theta, history = _weights_em(
         count, starts, K, lambda lo, hi: beta.take(row[lo:hi], axis=1), tol, 500,
         lambda _: RuntimeError("a record has probability zero in every component"))
     del beta
-
-    def repeats(u: int, v: int) -> np.ndarray:
-        """theta_uk of every entry of users u..v-1, (K, their entries)."""
-        return np.repeat(theta[:, u:v], entries[u:v], axis=1)
-
-    def weighted(table: np.ndarray, lo: int, hi: int, weight: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
-        """theta_uk table[k, w] of the entries lo..hi-1, given their
-        ``repeats``, into ``out``; the rows are column indices of C, so the
-        take needs no bounds check."""
-        np.take(table, row[lo:hi], axis=1, out=out, mode="clip")
-        out *= weight
-        return out
+    entries, blocks = _user_blocks(starts, count.size)
 
     def loglik(phis) -> float:
-        beta = order_probabilities(phis)
+        beta = order_probabilities(Q, gaps, phis)
         parts = []
         for u, v, lo, hi in blocks:
-            weight = repeats(u, v)
-            total = weighted(beta, lo, hi, weight, np.empty_like(weight)).sum(axis=0)
+            total = _block_terms(theta, entries, u, v, beta.take(row[lo:hi], axis=1))[1]
             with np.errstate(divide="ignore"):
                 parts.append(np.einsum("e,e->", count[lo:hi], np.log(total)))
         return float(_block_sums(parts))
@@ -398,24 +383,26 @@ def refit_dispersions(counts, rankings: list[Permutation], dispersions, *,
         derivative is divided by the entry's probability before it is
         weighted by the count: count / total^2 overflows once a record's
         probability falls below about 1e-154."""
-        weight = repeats(u, v)
-        part = np.empty_like(weight)
-        total = weighted(b0, lo, hi, weight, part).sum(axis=0)
-        c = count[lo:hi]
-        curv = weighted(curve, lo, hi, weight, part)
+        rows, c = row[lo:hi], count[lo:hi]
+        # each block's terms are dropped once read, so that at most two
+        # (K, entries) arrays are held at a time
+        total = _block_terms(theta, entries, u, v, b0.take(rows, axis=1))[1]
+        curv = _block_terms(theta, entries, u, v, curve.take(rows, axis=1))[0]
         curv /= total
         diag = np.einsum("ke,e->k", curv, c)
-        slope = weighted(dbeta, lo, hi, weight, part)  # theta_uk d beta_k / d phi_k
+        del curv
+        # theta_uk d beta_k / d phi_k
+        slope = _block_terms(theta, entries, u, v, dbeta.take(rows, axis=1))[0]
         slope /= total
         grad = np.einsum("ke,e->k", slope, c)
-        cross = np.einsum("ke,je->kj", np.multiply(slope, c, out=weight), slope)
+        cross = np.einsum("ke,je->kj", slope * c, slope)
         return np.concatenate([grad, diag, cross.ravel()])
 
     ll = loglik(phis)
     top = math.nextafter(1.0, 0.0)
     steps = 0
     for _ in range(_REFIT_MAX_STEPS):
-        b0, b1, b2 = (order_probabilities(phis + j * _REFIT_STEP) for j in range(3))
+        b0, b1, b2 = (order_probabilities(Q, gaps, phis + j * _REFIT_STEP) for j in range(3))
         dbeta = (4.0 * b1 - 3.0 * b0 - b2) / (2.0 * _REFIT_STEP)
         curve = (b0 - 2.0 * b1 + b2) / _REFIT_STEP**2
         parts = [newton_terms(b0, dbeta, curve, *block) for block in blocks]

@@ -216,15 +216,19 @@ def shared_Q(components: list[MallowsComponent]) -> int:
     return Q
 
 
+def order_probabilities(Q: int, gaps, phis) -> np.ndarray:
+    """The (K, W) order probabilities beta_k(w) of K components over Q
+    items, given each one's ``pair_gaps`` and dispersion."""
+    return np.array([gap_marginals(g, marginal_table(Q, phi), reverse_marginal_table(Q, phi))
+                     for g, phi in zip(gaps, phis)])
+
+
 def build_ranking_matrix(components: list[MallowsComponent]) -> RankingMatrix:
     """Closed-form beta matrix for a list of components sharing the items."""
     Q = shared_Q(components)
-    entries = np.empty((pairs.num_pairs(Q), len(components)))
-    for k, comp in enumerate(components):
-        phi = comp.dispersion
-        entries[:, k] = gap_marginals(pair_gaps(comp.reference.positions),
-                                      marginal_table(Q, phi), reverse_marginal_table(Q, phi))
-    return RankingMatrix(entries, Q, "beta")
+    beta = order_probabilities(Q, [pair_gaps(c.reference.positions) for c in components],
+                               [c.dispersion for c in components])
+    return RankingMatrix(np.ascontiguousarray(beta.T), Q, "beta")
 
 
 def brute_force_beta(components: list[MallowsComponent], max_Q: int = 7) -> RankingMatrix:

@@ -44,6 +44,14 @@ class SplitCounts:
         combined counts; used to scale regression solutions."""
         return self.row_totals() / self.M
 
+    def user_entries(self, records: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries of every s-th user, s the least stride with all records
+        / s at most ``records``: their combined counts and pair rows, user by
+        user, and the first entry of each user who has one."""
+        C = (self.X + self.X_prime).T.tocsr()  # one row of pair-row counts per user
+        C = C[::max(1, -(-int(C.data.sum()) // records))]
+        return C.data, C.indices, C.indptr[:-1][np.diff(C.indptr) > 0]
+
 
 # Rows of the square blocks whose diagonals ``CoocFactors.diagonal`` reads.
 _CHUNK_ROWS = 256

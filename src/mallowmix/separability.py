@@ -136,6 +136,8 @@ def separability_probability(Q: int, K: int, phi: float, lam: float,
         raise ValueError("need at least one run")
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lambda must lie in [0, 1), got {lam}")
+    if not 0.0 <= phi < 1.0:
+        raise ValueError(f"dispersion must lie in [0, 1), got {phi}")
     tables = marginal_table(Q, phi), reverse_marginal_table(Q, phi)
     hits = 0
     for r in range(runs):

@@ -139,6 +139,24 @@ class TestGenerate:
                            "--phi", "0.1", "--comparisons", "4", *base, "--users", "0")
         assert code == 2 and err == "error in config stage: --users must be at least 1\n"
         assert os.listdir(tmp_path) == []
+        # a negative seed, in every command that takes one, before any work
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"Q": 4, "K": 1, "components": [{"ranking": [1, 2, 3, 4],
+                                                                     "phi": 0.1}],
+                                     "prior": {"type": "dirichlet", "alpha0": 0.1}}))
+        for argv in (["generate", "--items", "5", "--components", "1", "--phi", "0.1",
+                      "--comparisons", "4", *base],
+                     ["generate", "-i", str(model), "--comparisons", "4", *base],
+                     ["oracle", "--items", "3", "--components", "1", "--phi", "0.1"],
+                     ["estimate", "-i", str(model), "-o", str(tmp_path / "e.json"),
+                      "--components", "1"],
+                     ["separability", "--items", "5", "--components", "2", "--phi", "0.1",
+                      "--lambda", "0.2"]):
+            for seed in ("-1", "-3"):
+                code, out, err = run(capsys, *argv, "--seed", seed)
+                assert code == 2 and out == "", argv
+                assert err == f"error in config stage: --seed must be non-negative, got {seed}\n"
+        assert os.listdir(tmp_path) == ["m.json"]
 
     @pytest.mark.parametrize("command", ["generate", "oracle"])
     @pytest.mark.parametrize("components", ["0", "-2"])
@@ -451,6 +469,14 @@ class TestOtherCommands:
         assert np.allclose(np.array(obj["beta"]), want, atol=1e-10)
         I, J = pairs.pair_arrays(4)
         assert obj["pairs"] == [[int(i), int(j)] for i, j in zip(I, J)]
+
+    @pytest.mark.parametrize("phi", ["nan", "-0.2", "1.0", "1.5"])
+    def test_separability_rejects_a_dispersion_outside_0_1(self, capsys, phi):
+        code, out, err = run(capsys, "separability", "--items", "5", "--components", "2",
+                             "--phi", phi, "--lambda", "0.2")
+        assert code == 2 and out == ""
+        assert err == (f"error in separability stage: dispersion must lie in [0, 1), "
+                       f"got {float(phi)}\n")
 
     def test_separability_rejects_zero_components(self, capsys):
         code, _, err = run(capsys, "separability", "--items", "5", "--components", "0",

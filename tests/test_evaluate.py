@@ -1274,6 +1274,21 @@ class TestRefitMatchesWeightArray:
         whole, _ = weight_array_refit_dispersions(split, refs, start, whole_sums=True)
         assert np.max(np.abs(np.subtract(phis, whole))) <= evaluate._REFIT_PHI_TOL
 
+    def test_same_bits_at_eight_components_in_blocks_of_one_user(self, monkeypatch):
+        # blocks of one user, some of one entry: summed with
+        # terms.sum(axis=0), eight terms of one entry are added pairwise,
+        # not in component order as in the reference, and at this seed the
+        # dispersions and the log-likelihood then differ in their last bits
+        corpus, refs, start = refit_case(8, M=60, N=2, seed=5)
+        split = split_halves(corpus)
+        monkeypatch.setattr(evaluate, "_REFIT_RECORDS", 10**6)
+        monkeypatch.setattr(evaluate, "_EM_BLOCK", 1)
+        phis, info = evaluate.refit_dispersions(split, refs, start)
+        want, want_info = weight_array_refit_dispersions(split, refs, start)
+        assert np.array(phis).tobytes() == np.array(want).tobytes()
+        assert info == {**want_info, "records": corpus.n_records}
+        assert info["newton_steps"] >= 1
+
     def test_peak_memory_without_the_weight_array(self, monkeypatch):
         # with blocks far smaller than the entries, neither the weight
         # EM's outcome probabilities nor Newton's slopes exist for all

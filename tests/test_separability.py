@@ -164,5 +164,9 @@ class TestProbability:
             separability_probability(Q=5, K=2, phi=0.1, lam=1.0, runs=10)
         with pytest.raises(ValueError, match="need at least one component"):
             separability_probability(Q=5, K=0, phi=0.1, lam=0.1, runs=10)
+        # a dispersion outside [0, 1), as MallowsComponent refuses it
+        for phi in (math.nan, -0.2, 1.0, 1.5):
+            with pytest.raises(ValueError, match=r"dispersion must lie in \[0, 1\), got "):
+                separability_probability(Q=5, K=2, phi=phi, lam=0.1, runs=10)
         with pytest.raises(ValueError, match="need at least one component"):
             check_separability(np.zeros((20, 0)), 0.1)

@@ -53,6 +53,21 @@ def test_only_moments_imports_scipy_sparse():
     assert found and all(f.startswith("moments.py:") for f in found), found
 
 
+SPARSE_STORAGE = {"tocsr", "tocsc", "indptr", "indices"}
+
+
+def test_only_moments_touches_sparse_storage():
+    # the sparse format stays behind moments' own methods, so no other
+    # module depends on how the counts are stored
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.relative_to(PACKAGE)}:{node.lineno}: .{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in SPARSE_STORAGE]
+    assert found and all(f.startswith("moments.py:") for f in found), found
+
+
 def package_imports() -> dict[str, set[str]]:
     """The package modules each package module imports, counting imports
     inside functions as well as at module level."""
