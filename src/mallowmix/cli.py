@@ -182,7 +182,7 @@ def cmd_estimate(args) -> int:
             raise StageError("config", ValueError("-i corpus is required without --exact-moments"))
         corpus = _stage("read", read_corpus, args.input)
         split = _stage("split", split_halves, corpus)
-        del corpus  # nothing reads the records after the split
+        del corpus  # the split keeps the records: its halves and the refit read them
         cooc = _stage("moments", cooccurrence, split)
         row_scale = split.row_scale()
     novel = _stage("detection", detect_novel_pairs, cooc, cfg)
@@ -196,7 +196,7 @@ def cmd_estimate(args) -> int:
         trace=True,
     )
     Q = cooc.Q
-    del cooc, row_scale  # B_hat keeps the counts that the dispersion refit reads
+    del cooc, row_scale  # B_hat keeps the split that the dispersion refit reads
     est = _stage("postprocess", postprocess, B_hat)
     angles = sorted(novel.solid_angles.values(), reverse=True)
     margin = angles[K - 1] - angles[K] if len(angles) > K else angles[K - 1]

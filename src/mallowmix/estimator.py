@@ -407,7 +407,7 @@ def estimate_ranking_matrix(
     indefinite H is shifted by |lambda_min| + 1e-10.  All rows are solved
     together (``_minimize_simplex_quadratics``).  Solutions are scaled by
     ``row_scale`` and the columns normalized to sum to one; the result
-    keeps ``cooc.split``, the counts of a sampled corpus.  With
+    keeps ``cooc.split``, the split of a sampled corpus.  With
     ``trace`` the result comes with the largest step count of any row and
     the largest last change.  ``threads`` has no effect; it is kept so
     that callers passing it keep working.

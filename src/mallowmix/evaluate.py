@@ -130,17 +130,9 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
     stopping there before the relative change of the total log-likelihood
     falls to ``tol`` emits a RuntimeWarning.
 
-    Records of one user and one ordered pair are alike, so the EM runs
-    over one entry per distinct (user, pair row), weighted by its count of
-    records.  One in-place sort of the int64 key ``user * W + row``
-    (W = Q(Q-1); below M * W, which the corpus limits keep within int64),
-    formed with the users widened before the product and the rows added a
-    block at a time, groups the records into entries, and every occupied
-    user owns one contiguous segment of them.  Each EM step is one sweep
-    over blocks of whole users (``_EM_BLOCK``) that forms each term
-    theta_k B[w, k] once per block and adds count-weighted segments with
-    ``np.add.reduceat``; beside the entries' (K, entries) outcome
-    probabilities only one block's terms are held.
+    Records of one user and one ordered pair are alike, so the EM
+    (``_weights_em``) runs over the entries of ``pairs.user_entries``, each
+    weighted by its count of records.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -148,16 +140,8 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
         raise ValueError(f"tol must be a non-negative number, got {tol}")
     B = _observation_columns(B_hat)
     K = B.shape[1]
-    M, W, n = corpus.M, pairs.num_pairs(corpus.Q), corpus.n_records
-    key = np.multiply(corpus.user, W, dtype=np.int64)
-    for lo in range(0, n, _EM_BLOCK):
-        key[lo:lo + _EM_BLOCK] += corpus.pair_rows(lo, lo + _EM_BLOCK)
-    key, count = pairs.distinct_counts(key)  # each entry's key and records
-    entry_user, row = np.divmod(key, W)
-    del key
-    starts = pairs.run_starts(entry_user)  # each occupied user's first entry
-    occupied = entry_user.take(starts)
-    del entry_user
+    M, n = corpus.M, corpus.n_records
+    count, row, starts, occupied = pairs.user_entries(corpus)
     BwT = B.T.take(row, axis=1)  # (K, entries) outcome probabilities
     del row
 
@@ -328,8 +312,8 @@ def refit_dispersions(counts, rankings: list[Permutation], dispersions, *,
     """The dispersions refitted by likelihood on the records behind a
     sampled estimate, with the rankings fixed.
 
-    ``counts`` holds every user's records per ordered pair row (the
-    ``SplitCounts`` of ``moments.split_halves``), of which the refit reads
+    ``counts`` is the ``SplitCounts`` of ``pairs.split_halves``, which
+    keeps the corpus and of which the refit reads
     ``counts.user_entries(_REFIT_RECORDS)``.  A record of pair row w
     has probability sum_k theta_uk beta_k(w) times the pair's own
     probability, which all components share and which drops out;
@@ -356,7 +340,7 @@ def refit_dispersions(counts, rankings: list[Permutation], dispersions, *,
     Returns the dispersions and a dict with the weight EM's cycles, the
     Newton steps taken, the final log-likelihood and the records read.
     """
-    Q = counts.Q
+    Q = counts.corpus.Q
     count, row, starts = counts.user_entries(_REFIT_RECORDS)
     gaps = [pair_gaps(sigma.positions) for sigma in rankings]
     K = len(gaps)

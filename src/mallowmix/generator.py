@@ -478,8 +478,6 @@ def read_corpus(path: str) -> ComparisonCorpus:
     meta = None
     meta_line = 0
     skipped: list[int] = []  # file lines that hold no record: blank and meta
-    records: list[np.ndarray] = []  # per block, record index of each decoded record,
-    columns = users, wins, loses = ([], [], [])  # and its ids
     decode = json.JSONDecoder().decode  # json.loads without its per-call argument handling
     n = 0  # records read
     base = 0  # file lines before the current block
@@ -496,7 +494,7 @@ def read_corpus(path: str) -> ComparisonCorpus:
             rest[lines] = False
             rest = np.flatnonzero(rest)
             first_writer = lines[0] if lines.size else ends.size
-            found: list[int] = []  # block lines of the records decoded here
+            found: list[tuple] = []  # block line and ids of each record decoded here
             for i, start, stop in zip(rest.tolist(), starts[rest].tolist(), ends[rest].tolist()):
                 lineno = base + i + 1
                 try:
@@ -527,19 +525,21 @@ def read_corpus(path: str) -> ComparisonCorpus:
                         f"{path}:{lineno}: record has no {exc.args[0]!r} field") from None
                 except TypeError:
                     raise CorpusError(f"{path}:{lineno}: record is not a JSON object") from None
-                found.append(i)
-                users.append(user)
-                wins.append(win)
-                loses.append(lose)
+                # bool, float and str ids would otherwise convert silently below
+                if not type(user) is type(win) is type(lose) is int:
+                    raise CorpusError(f"{path}:{lineno}: user, win and lose must be JSON integers")
+                if not (user in _INT64 and win in _INT64 and lose in _INT64):
+                    raise CorpusError(f"{path}:{lineno}: user, win and lose must fit in 64 bits")
+                found.append((i, user, win, lose))
             total = n + lines.size + len(found)
             if total > ids[0].size:  # a pipe has no size, and a file may grow while read
                 ids = [np.concatenate((column[:n], np.empty(total, column.dtype)))
                        for column in ids]
-            # record index of a line: records in earlier blocks, then in this one
-            records.append(n + np.arange(len(found)) + np.searchsorted(lines, found))
-            at = n + np.arange(lines.size) + np.searchsorted(found, lines)
-            broken = _store(ids, at, values, top)
-            limit = limit or broken  # blocks come in record order
+            # the block's records in line order, bulk-parsed and decoded
+            decoded = np.array(found, np.int64).reshape(-1, 4).T
+            order = np.argsort(np.concatenate((lines, decoded[0])))
+            values = np.concatenate((values, decoded[1:]), 1)
+            limit = limit or _store(ids, n + np.arange(order.size), values[:, order], top)
             n = total
             base += ends.size
     if not n:
@@ -553,19 +553,6 @@ def read_corpus(path: str) -> ComparisonCorpus:
             line += 1
         return CorpusError(f"{path}:{line}: {rule}")
 
-    # Bulk-parsed records hold JSON integers of at most 18 digits, so only
-    # the decoded ones can break the next two rules.
-    records = np.concatenate(records)
-    # bool, float and str ids would otherwise convert silently below
-    if any(not set(map(type, column)) <= {int} for column in columns):
-        raise broken_record(int(records[_first_broken(columns, lambda v: type(v) is not int)]),
-                            "user, win and lose must be JSON integers")
-    try:
-        values = np.array(columns, dtype=np.int64)
-    except OverflowError:
-        bad = _first_broken(columns, lambda v: not -2**63 <= v < 2**63)
-        raise broken_record(int(records[bad]), "user, win and lose must fit in 64 bits") from None
-    limit = min(filter(None, (limit, _store(ids, records, values, top))), default=None)
     if limit:
         raise broken_record(*limit)
     for column in ids:
@@ -653,6 +640,7 @@ def _line_ends(raw: bytes) -> np.ndarray:
 
 
 _MAX_DIGITS = 18  # every id of at most 18 digits fits in int64
+_INT64 = range(-2**63, 2**63)
 
 
 def _writer_lines(raw: bytes, starts: np.ndarray, ends: np.ndarray):
@@ -708,11 +696,6 @@ def _meta_rule(meta) -> str | None:
     if meta.get("N") is not None and meta["N"] < 1:
         return "meta N must be at least 1"
     return limit_rule(meta["Q"], meta["M"])
-
-
-def _first_broken(columns, bad) -> int:
-    """Index of the first entry of the columns with a value for which ``bad`` holds."""
-    return min(next((r for r, v in enumerate(ids) if bad(v)), len(ids)) for ids in columns)
 
 
 def _prior_to_json(prior) -> dict | None:

@@ -183,9 +183,9 @@ class RankingMatrix:
       * "beta": per-component probability that the row's pair is concordant,
       * "B": observation probabilities (pair distribution times beta),
         column-stochastic.
-    ``counts`` keeps the per-user pair counts (``moments.SplitCounts``) a
-    sampled estimate came from, so that ``post.postprocess`` can refit
-    its dispersions on the records; None otherwise.
+    ``counts`` keeps the split corpus (``pairs.SplitCounts``) a sampled
+    estimate came from, so that ``post.postprocess`` can refit its
+    dispersions on the records; None otherwise.
     """
 
     entries: np.ndarray

@@ -19,44 +19,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import pairs
-from .generator import ComparisonCorpus, MixedMembershipModel
-
-
-class SplitError(ValueError):
-    """A user has too few comparisons to split."""
-
-
-@dataclass
-class SplitCounts:
-    """Per-half pair-by-user count matrices (W x M, CSR)."""
-
-    X: sp.csr_matrix
-    X_prime: sp.csr_matrix
-    M: int
-    Q: int
-
-    def row_totals(self) -> np.ndarray:
-        """Combined count of each ordered pair across all users."""
-        return np.asarray((self.X + self.X_prime).sum(axis=1)).ravel()
-
-    def row_scale(self) -> np.ndarray:
-        """Average per-user count of each ordered pair, (1/M) X 1 with X the
-        combined counts; used to scale regression solutions."""
-        return self.row_totals() / self.M
-
-    def user_entries(self, records: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The entries of every s-th user, s the least stride with all records
-        / s at most ``records``: their combined counts and pair rows, user by
-        user, and the first entry of each user who has one."""
-        C = (self.X + self.X_prime).T.tocsr()  # one row of pair-row counts per user
-        C = C[::max(1, -(-int(C.data.sum()) // records))]
-        return C.data, C.indices, C.indptr[:-1][np.diff(C.indptr) > 0]
+from .generator import MixedMembershipModel
+from .pairs import SplitCounts, SplitError, split_halves  # imported from here too
 
 
 # Rows of the square blocks whose diagonals ``CoocFactors.diagonal`` reads.
 _CHUNK_ROWS = 256
-# Records whose half ``split_halves`` decides at once.
-_SPLIT_SLICE = 1 << 16
 
 
 def _stored_bytes(factor) -> int:
@@ -135,10 +103,10 @@ class CoocMatrix:
     and columns outside ``active`` are zero.  ``row_counts`` carries the
     combined observation count of each pair row (None for analytic
     matrices), letting downstream consumers judge how trustworthy each row
-    of the estimate is.  ``split`` keeps the per-user half counts the
-    estimate was built from; regression leaves them on B̂ as its
-    ``counts``, where ``evaluate.refit_dispersions`` reads them.  None for
-    analytic matrices.
+    of the estimate is.  ``split`` keeps the split corpus the estimate was
+    built from; regression leaves it on B̂ as its ``counts``, where
+    ``evaluate.refit_dispersions`` reads its records.  None for analytic
+    matrices and for estimates built from count matrices.
     """
 
     E: CoocFactors
@@ -148,49 +116,23 @@ class CoocMatrix:
     split: "SplitCounts | None" = None
 
 
-def split_halves(corpus: ComparisonCorpus) -> SplitCounts:
-    """Split every user's records into first and second half by position.
-
-    A user with n records contributes the first ceil(n/2) to X and the rest
-    to X_prime.  Every user must have at least two records.
-
-    A stable sort by user finds each user's cut, the record index of its
-    first second-half record; a record is in the first half when its index
-    is below its user's cut.  Each half's CSR is read off the sorted
-    distinct keys ``row * M + user`` of its records: the run lengths are
-    the counts, and the keys are already in row-major order.  The keys lie
-    below W * M, which the corpus limits keep within int64.  The narrow
-    user ids are counted a slice at a time and widened into the keys in
-    place, so no int64 copy of them is made.
-    """
-    M, n = corpus.M, corpus.n_records
-    W = pairs.num_pairs(corpus.Q)
-    counts = np.zeros(M, dtype=np.int64)
-    for lo in range(0, n, _SPLIT_SLICE):
-        np.add.at(counts, corpus.user[lo:lo + _SPLIT_SLICE], 1)
-    if counts.min() < 2:
-        u = int(np.argmin(counts))
-        raise SplitError(f"user {u} has {int(counts[u])} comparison(s); need at least 2")
-
-    cut = np.cumsum(counts)
-    cut -= counts // 2  # sorted position of each user's first second-half record
-    cut = np.argsort(corpus.user, kind="stable").take(cut)
-    first = np.empty(n, dtype=bool)
-    for lo in range(0, n, _SPLIT_SLICE):
-        hi = min(lo + _SPLIT_SLICE, n)
-        np.less(np.arange(lo, hi), cut.take(corpus.user[lo:hi]), out=first[lo:hi])
-    del cut
-
+def count_halves(split: SplitCounts) -> list[sp.csr_matrix]:
+    """The W x M counts [X, X'] of the split's first and second halves,
+    each read off the sorted distinct keys ``row * M + user`` of its
+    records, which are in row-major order; the keys lie below W * M, which
+    the corpus limits keep within int64."""
+    corpus, first = split.corpus, split.first
+    M, W = corpus.M, pairs.num_pairs(corpus.Q)
     key = corpus.pair_rows()
     key *= M
     key += corpus.user
     halves = [key[first]]
     np.logical_not(first, out=first)
     halves.append(key[first])
-    del key, first
+    np.logical_not(first, out=first)  # the split's own mask again
+    del key
     # popped, so that each half's keys go once its distinct keys are read
-    X = _half_counts(*pairs.distinct_counts(halves.pop(0)), W, M)
-    return SplitCounts(X, _half_counts(*pairs.distinct_counts(halves.pop()), W, M), M, corpus.Q)
+    return [_half_counts(*pairs.distinct_counts(halves.pop(0)), W, M) for _ in range(2)]
 
 
 def _half_counts(key: np.ndarray, data: np.ndarray, W: int, M: int) -> sp.csr_matrix:
@@ -201,24 +143,27 @@ def _half_counts(key: np.ndarray, data: np.ndarray, W: int, M: int) -> sp.csr_ma
     return sp.csr_matrix((data, key.astype(index), indptr), shape=(W, M))
 
 
-def normalized_halves(split: SplitCounts) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Row-normalized first and second halves."""
-    return _normalize_rows(split.X), _normalize_rows(split.X_prime)
-
-
-def _normalize_rows(X: sp.csr_matrix) -> sp.csr_matrix:
+def _normalize_rows(X: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
     rs = np.asarray(X.sum(axis=1)).ravel()
     inv = np.where(rs > 0, 1.0 / np.maximum(rs, 1e-300), 0.0)
-    return sp.diags(inv) @ X
+    return sp.diags(inv) @ X, rs
 
 
 def cooccurrence(split: SplitCounts) -> CoocMatrix:
-    """E-hat = M * row-normalized(X') row-normalized(X)^T, kept as those
-    two sparse factors."""
-    Xn, Xpn = normalized_halves(split)
-    counts = split.row_totals()
-    return CoocMatrix(CoocFactors(Xpn, Xn, float(split.M)), counts > 0, split.Q,
-                      row_counts=counts, split=split)
+    """The co-occurrence estimate of the split's halves (``count_halves``),
+    keeping the split for the dispersion refit."""
+    return halves_cooccurrence(count_halves(split), split.corpus.M, split.corpus.Q, split)
+
+
+def halves_cooccurrence(halves: list, M: int, Q: int, split=None) -> CoocMatrix:
+    """E-hat = M * row-normalized(X') row-normalized(X)^T from the W x M
+    counts ``halves`` = [X, X'], kept as those two sparse factors; each half
+    is popped from the list as it is normalized, so only the copies stay."""
+    Xn, counts = _normalize_rows(halves.pop(0))
+    Xpn, second = _normalize_rows(halves.pop())
+    counts += second  # each pair row's records
+    return CoocMatrix(CoocFactors(Xpn, Xn, float(M)), counts > 0, Q, row_counts=counts,
+                      split=split)
 
 
 def analytic_cooccurrence(model: MixedMembershipModel) -> tuple[CoocMatrix, np.ndarray]:

@@ -36,9 +36,9 @@ from mallowmix.mallows import (
 )
 from mallowmix.moments import (
     CoocMatrix,
-    SplitCounts,
     analytic_cooccurrence,
     cooccurrence,
+    halves_cooccurrence,
     split_halves,
 )
 from mallowmix.permutations import Permutation, copeland_rank
@@ -310,7 +310,7 @@ def sampled_random(seed, Q, M, n_copies, jitter):
     Xp = rng.poisson(0.6, size=(W, M)).astype(float)
     # Copies of a second-half row give (near-)duplicate rows of E-hat.
     Xp = np.round(clustered_rows(rng, Xp, n_copies, jitter))
-    return cooccurrence(SplitCounts(sp.csr_matrix(X), sp.csr_matrix(Xp), M, Q))
+    return halves_cooccurrence([sp.csr_matrix(X), sp.csr_matrix(Xp)], M, Q)
 
 
 def compare_to_reference(cooc, cfg):

@@ -30,7 +30,7 @@ from mallowmix.mallows import (
     marginal_table,
     reverse_marginal_table,
 )
-from mallowmix.moments import split_halves
+from mallowmix.moments import count_halves, split_halves
 from mallowmix.permutations import Permutation
 from mallowmix.post import postprocess
 from test_generator import reference_generate
@@ -1042,7 +1042,8 @@ class TestRefitDispersions:
 
         def loglik(phi):
             t, r = marginal_table(Q, phi), reverse_marginal_table(Q, phi)
-            return float(np.sum(np.log(np.where(gap > 0, t[np.abs(gap)], r[np.abs(gap)]))))
+            with np.errstate(divide="ignore"):  # -inf at phi = 0, where a record is reversed
+                return float(np.sum(np.log(np.where(gap > 0, t[np.abs(gap)], r[np.abs(gap)]))))
 
         grid = np.linspace(0.0, 0.99, 991)
         best = grid[int(np.argmax([loglik(p) for p in grid]))]
@@ -1145,8 +1146,9 @@ def weight_array_refit_dispersions(counts, rankings, dispersions, *, tol=evaluat
     added by ``math.fsum``, or, with ``whole_sums``, is one BLAS product
     over all entries, as before that rule.  Its info dict has no
     ``records``."""
-    Q = counts.Q
-    C = (counts.X + counts.X_prime).T.tocsr()
+    Q = counts.corpus.Q
+    X, X_prime = count_halves(counts)
+    C = (X + X_prime).T.tocsr()
     C = C[::max(1, math.ceil(C.data.sum() / evaluate._REFIT_RECORDS))]
     count, row = C.data, C.indices
     starts = C.indptr[:-1][np.diff(C.indptr) > 0]
@@ -1297,7 +1299,7 @@ class TestRefitMatchesWeightArray:
         K = 5
         corpus, refs, start = refit_case(K, M=2000, N=40, seed=6)
         split = split_halves(corpus)
-        entries = (split.X + split.X_prime).T.tocsr().nnz
+        entries = pairs.user_entries(corpus)[0].size
         assert entries > 10 * evaluate._EM_BLOCK
         peak = refit_peak(evaluate.refit_dispersions, split, refs, start)
         assert peak < K * entries * 8, (peak, K * entries * 8)

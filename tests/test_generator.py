@@ -587,8 +587,10 @@ class TestSerialization:
 
 def reference_read_corpus(path):
     """The per-line reader that ``read_corpus`` replaced: one JSON decode
-    per line into three Python lists, the rules checked over all records,
-    on int64 ids: the corpus limits first, then ``ComparisonCorpus``'s."""
+    per line into three Python lists, the JSON-integer and 64-bit rules
+    checked on each line as it is decoded, and the other rules over all
+    records, on int64 ids: the corpus limits first, then
+    ``ComparisonCorpus``'s."""
     users, wins, loses = [], [], []
     meta = None
     meta_line = 0
@@ -612,9 +614,14 @@ def reference_read_corpus(path):
                             raise CorpusError(f"{path}:{lineno}: {rule}")
                         continue
                 obj = decode(line)
-                users.append(obj["user"])
-                wins.append(obj["win"])
-                loses.append(obj["lose"])
+                ids = obj["user"], obj["win"], obj["lose"]
+                if any(type(v) is not int for v in ids):
+                    raise CorpusError(f"{path}:{lineno}: user, win and lose must be JSON integers")
+                if not all(-2**63 <= v < 2**63 for v in ids):
+                    raise CorpusError(f"{path}:{lineno}: user, win and lose must fit in 64 bits")
+                users.append(ids[0])
+                wins.append(ids[1])
+                loses.append(ids[2])
         except json.JSONDecodeError as exc:
             raise CorpusError(
                 f"{path}:{lineno}: invalid JSON: {exc.msg} (column {exc.colno})") from None
@@ -633,18 +640,7 @@ def reference_read_corpus(path):
             line += 1
         return CorpusError(f"{path}:{line}: {rule}")
 
-    def first_broken(columns, bad):
-        return min(next((r for r, v in enumerate(ids) if bad(v)), len(ids)) for ids in columns)
-
-    columns = (users, wins, loses)
-    if any(set(map(type, ids)) != {int} for ids in columns):
-        raise broken_record(first_broken(columns, lambda v: type(v) is not int),
-                            "user, win and lose must be JSON integers")
-    try:
-        user, winner, loser = (np.asarray(ids, dtype=np.int64) for ids in columns)
-    except OverflowError:
-        raise broken_record(first_broken(columns, lambda v: not -2**63 <= v < 2**63),
-                            "user, win and lose must fit in 64 bits") from None
+    user, winner, loser = (np.asarray(ids, dtype=np.int64) for ids in (users, wins, loses))
     past = [(int(np.argmax(ids > largest)), rule)
             for ids, largest, rule in ((user, MAX_USERS - 1, USER_LIMIT),
                                        (winner, MAX_ITEMS, ITEM_LIMIT),

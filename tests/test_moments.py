@@ -1,5 +1,6 @@
 """Split-half counts and the co-occurrence estimate behind detection."""
 
+import json
 import re
 import tracemalloc
 import warnings
@@ -9,10 +10,10 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mallowmix import moments, pairs
+from mallowmix import generator, moments, pairs
 from mallowmix.evaluate import infer_weights
 from mallowmix.generator import (
     MAX_ITEMS,
@@ -30,11 +31,11 @@ from mallowmix.mallows import MallowsComponent
 from mallowmix.moments import (
     CoocFactors,
     CoocMatrix,
-    SplitCounts,
     SplitError,
     analytic_cooccurrence,
     cooccurrence,
-    normalized_halves,
+    count_halves,
+    halves_cooccurrence,
     split_halves,
 )
 from mallowmix.permutations import Permutation
@@ -82,29 +83,28 @@ class TestSplit:
     def test_even_count_splits_in_half_by_arrival(self):
         # four records a, b, c, d: a, b land in X and c, d in X_prime
         corpus = corpus_from_records(3, 1, [(0, 1, 2), (0, 2, 3), (0, 3, 1), (0, 1, 3)])
-        split = split_halves(corpus)
+        X, X_prime = count_halves(split_halves(corpus))
         r = lambda i, j: pairs.pair_row(i, j, 3)
-        assert split.X[r(1, 2), 0] == 1 and split.X[r(2, 3), 0] == 1
-        assert split.X.sum() == 2
-        assert split.X_prime[r(3, 1), 0] == 1 and split.X_prime[r(1, 3), 0] == 1
-        assert split.X_prime.sum() == 2
+        assert X[r(1, 2), 0] == 1 and X[r(2, 3), 0] == 1
+        assert X.sum() == 2
+        assert X_prime[r(3, 1), 0] == 1 and X_prime[r(1, 3), 0] == 1
+        assert X_prime.sum() == 2
 
     def test_odd_count_puts_extra_record_in_first_half(self):
         corpus = corpus_from_records(3, 1, [(0, 1, 2), (0, 2, 3), (0, 3, 1)])
-        split = split_halves(corpus)
-        assert split.X.sum() == 2
-        assert split.X_prime.sum() == 1
-        assert split.X_prime[pairs.pair_row(3, 1, 3), 0] == 1
+        X, X_prime = count_halves(split_halves(corpus))
+        assert X.sum() == 2
+        assert X_prime.sum() == 1
+        assert X_prime[pairs.pair_row(3, 1, 3), 0] == 1
 
     def test_interleaved_users_split_independently(self):
         # records of two users interleaved; each user's own order decides
         records = [(0, 1, 2), (1, 2, 1), (0, 2, 3), (1, 1, 3), (0, 3, 1), (1, 3, 2)]
         corpus = corpus_from_records(3, 2, records)
-        split = split_halves(corpus)
+        halves = count_halves(split_halves(corpus))
         grouped = corpus_from_records(3, 2, sorted(records, key=lambda t: t[0]))
-        split2 = split_halves(grouped)
-        assert (split.X != split2.X).nnz == 0
-        assert (split.X_prime != split2.X_prime).nnz == 0
+        for half, grouped_half in zip(halves, count_halves(split_halves(grouped))):
+            assert (half != grouped_half).nnz == 0
 
     def test_conservation(self):
         model = MixedMembershipModel(
@@ -113,9 +113,10 @@ class TestSplit:
             DirichletPrior(0.3))
         corpus, _ = generate(model, M=50, N=7, seed=8)
         split = split_halves(corpus)
-        per_user = np.asarray((split.X + split.X_prime).sum(axis=0)).ravel()
+        X, X_prime = count_halves(split)
+        per_user = np.asarray((X + X_prime).sum(axis=0)).ravel()
         assert np.all(per_user == 7)
-        got = split.row_totals()
+        got = cooccurrence(split).row_counts
         want = np.bincount(corpus.pair_rows(), minlength=pairs.num_pairs(5))
         assert np.array_equal(got, want)
         assert np.allclose(split.row_scale(), want / 50)
@@ -129,16 +130,16 @@ class TestSplit:
         model = MixedMembershipModel(
             [MallowsComponent(Permutation.identity(4), 0.0)], FixedWeights((1.0,)))
         corpus, _ = generate(model, M=20, N=6, seed=3)
-        Xn, Xpn = normalized_halves(split_halves(corpus))
-        for mat in (Xn, Xpn):
+        E = cooccurrence(split_halves(corpus)).E
+        for mat in (E.right, E.left):
             rs = np.asarray(mat.sum(axis=1)).ravel()
             assert np.all((np.abs(rs - 1.0) < 1e-12) | (rs == 0.0))
 
 
-def reference_split_halves(corpus: ComparisonCorpus) -> SplitCounts:
-    """The split through COO matrices: each record's rank within its user,
-    a first-half mask scattered back by the stable sort, and
-    ``coo_matrix.tocsr`` summing each half's ones.  ``split_halves`` reads
+def reference_halves(corpus: ComparisonCorpus) -> list[sp.csr_matrix]:
+    """The split's halves through COO matrices: each record's rank within
+    its user, a first-half mask scattered back by the stable sort, and
+    ``coo_matrix.tocsr`` summing each half's ones.  ``count_halves`` reads
     the halves off sorted (pair, user) keys instead; this is the form it
     replaced, kept as the reference it must match bit for bit."""
     M = corpus.M
@@ -160,7 +161,7 @@ def reference_split_halves(corpus: ComparisonCorpus) -> SplitCounts:
         m = sp.coo_matrix((data, (rows[mask], corpus.user[mask])), shape=(W, M))
         return m.tocsr()
 
-    return SplitCounts(mat(first), mat(~first), M, corpus.Q)
+    return [mat(first), mat(~first)]
 
 
 @st.composite
@@ -220,11 +221,10 @@ def int64_rows(corpus: ComparisonCorpus) -> np.ndarray:
                           corpus.Q)
 
 
-def assert_same_halves(got: SplitCounts, want: SplitCounts):
-    """The same M and Q and, in both halves, the same data, indices and
-    indptr, dtypes and sorted indices."""
-    assert (got.M, got.Q) == (want.M, want.Q)
-    for g, w in ((got.X, want.X), (got.X_prime, want.X_prime)):
+def assert_same_halves(got: list, want: list):
+    """In both halves, the same shape, data, indices and indptr, dtypes and
+    sorted indices."""
+    for g, w in zip(got, want, strict=True):
         assert g.shape == w.shape
         for field in ("data", "indices", "indptr"):
             a, b = getattr(g, field), getattr(w, field)
@@ -233,21 +233,21 @@ def assert_same_halves(got: SplitCounts, want: SplitCounts):
 
 
 class TestSplitMatchesCOOReference:
-    """``split_halves`` against ``reference_split_halves``: the same errors
-    and, in both halves, the same data, indices and indptr, dtypes and
-    sorted indices."""
+    """``split_halves`` and ``count_halves`` against ``reference_halves``:
+    the same errors and, in both halves, the same data, indices and indptr,
+    dtypes and sorted indices."""
 
     @settings(max_examples=300, deadline=None)
     @given(corpus=split_cases(), slice_records=st.sampled_from([1, 2, 3, 1 << 16]))
     def test_same_bits(self, corpus, slice_records):
         try:
-            want = reference_split_halves(corpus)
+            want = reference_halves(corpus)
         except SplitError as exc:
             with pytest.raises(SplitError, match=f"^{re.escape(str(exc))}$"):
                 split_halves(corpus)
             return
-        with mock.patch.object(moments, "_SPLIT_SLICE", slice_records):
-            got = split_halves(corpus)
+        with mock.patch.object(pairs, "_SLICE", slice_records):
+            got = count_halves(split_halves(corpus))
         assert_same_halves(got, want)
 
     def test_user_by_row_keys_cannot_wrap(self):
@@ -268,20 +268,75 @@ class TestSplitMatchesCOOReference:
         rows = int64_rows(corpus)
         wide = SimpleNamespace(Q=corpus.Q, M=corpus.M, n_records=corpus.n_records,
                                user=corpus.user.astype(np.int64), pair_rows=rows.copy)
-        assert_same_halves(split_halves(corpus), reference_split_halves(wide))
+        assert_same_halves(count_halves(split_halves(corpus)), reference_halves(wide))
 
     @pytest.mark.parametrize("Q, M, N", [(20, 1000, 300), (60, 2000, 50)])
     def test_peak_beyond_the_corpus(self, Q, M, N):
-        # the split holds at most one int64 key per record, a first-half
-        # mask and both halves' keys, so its peak beyond the corpus stays
-        # under 0.85 of the records' 24 bytes each (the COO form took about
-        # 2.05); wide corpora repeat few (user, pair) records, so their
-        # halves' entries cost most (0.79 here, 0.71 at Q = 20); the 24
-        # bytes are those of three int64 ids, not the corpus's 8
+        # the split holds a sort of the users and its first-half mask; the
+        # halves are built from at most one int64 key per record and both
+        # halves' keys, so each stage's peak beyond the corpus and the
+        # split stays under 0.85 of the records' 24 bytes each (the COO
+        # form took about 2.05); wide corpora repeat few (user, pair)
+        # records, so their halves' entries cost most; the 24 bytes are
+        # those of three int64 ids, not the corpus's 8
         corpus, _ = generate(reversed_pair_model(Q), M=M, N=N, seed=2)
         records = 24 * corpus.n_records
         peak = peak_beyond(split_halves, corpus)
         assert peak < 0.85 * records, (peak, records)
+        peak = peak_beyond(count_halves, split_halves(corpus))
+        assert peak < 0.85 * records, (peak, records)
+
+
+@st.composite
+def entry_cases(draw):
+    """A corpus with users in shuffled record order, users without records
+    and repeated (user, pair) records, and None or a mask over user ids."""
+    Q = draw(st.integers(2, 6))
+    M = draw(st.integers(1, 8))
+    per_user = draw(st.lists(st.integers(0, 25), min_size=M, max_size=M).filter(any))
+    n = sum(per_user)
+    W = pairs.num_pairs(Q)
+    rows = np.array(draw(st.lists(st.integers(0, W - 1), min_size=n, max_size=n)))
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(n)
+    I, J = pairs.pair_arrays(Q)
+    corpus = ComparisonCorpus(Q=Q, M=M, user=np.repeat(np.arange(M), per_user)[order],
+                              winner=I[rows], loser=J[rows])
+    users = draw(st.none() | st.lists(st.booleans(), min_size=M, max_size=M).map(np.array))
+    return corpus, users
+
+
+class TestUserEntries:
+    """``pairs.user_entries`` against a per-record reference, and the
+    split's strided entries against the sparse transpose they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=entry_cases(), slice_records=st.sampled_from([1, 2, 3, 1 << 15]))
+    def test_matches_unique_of_per_record_keys(self, case, slice_records):
+        corpus, users = case
+        W = pairs.num_pairs(corpus.Q)
+        keep = np.ones(corpus.n_records, bool) if users is None else users[corpus.user]
+        key, count = np.unique(corpus.user[keep].astype(np.int64) * W + int64_rows(corpus)[keep],
+                               return_counts=True)
+        user, row = np.divmod(key, W)
+        starts = np.flatnonzero(np.diff(user, prepend=-1))
+        with mock.patch.object(pairs, "_SLICE", slice_records):
+            got = pairs.user_entries(corpus, users)
+        for g, w in zip(got, (count.astype(float), row, starts, user[starts]), strict=True):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=split_cases(), records=st.integers(1, 200))
+    def test_split_entries_match_the_transposed_halves(self, corpus, records):
+        assume(np.bincount(corpus.user, minlength=corpus.M).min() >= 2)
+        split = split_halves(corpus)
+        # the code that SplitCounts.user_entries replaced: one CSR row of
+        # pair-row counts per user, every s-th row kept
+        X, X_prime = count_halves(split)
+        C = (X + X_prime).T.tocsr()
+        C = C[::max(1, -(-int(C.data.sum()) // records))]
+        want = C.data, C.indices.astype(np.int64), C.indptr[:-1][np.diff(C.indptr) > 0]
+        for g, w in zip(split.user_entries(records), want, strict=True):
+            assert g.tobytes() == w.astype(g.dtype).tobytes()
 
 
 class TestPeaksPerRecord:
@@ -297,6 +352,34 @@ class TestPeaksPerRecord:
         path = tmp_path / "corpus.jsonl"
         write_corpus(corpus, path)
         peak = peak_beyond(read_corpus, path)
+        assert peak < 24 * corpus.n_records, (peak, corpus.n_records)
+
+    def test_compact_json_reads_like_the_writer_form(self, tmp_path):
+        # compact JSON, as ``jq -c`` writes it, goes through the JSON
+        # decoder line by line; each block's decoded ids are stored with
+        # the block, so the read keeps the writer form's bound (when every
+        # decoded id waited in Python lists for the end of the file it
+        # took about 97 bytes a record); blocks of 16 KiB keep a block's
+        # working set small beside 60,000 records
+        corpus, _ = generate(reversed_pair_model(20), M=300, N=200, seed=2)
+        path, compact = tmp_path / "corpus.jsonl", tmp_path / "compact.jsonl"
+        write_corpus(corpus, path)
+        with open(path) as src, open(compact, "w") as out:
+            out.writelines(json.dumps(json.loads(line), separators=(",", ":")) + "\n"
+                           for line in src)
+        assert compact.read_bytes() != path.read_bytes()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with mock.patch.object(generator, "_READ_BLOCK", 1 << 14):
+                got = read_corpus(compact)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        want = read_corpus(path)
+        assert (got.Q, got.M, got.N) == (want.Q, want.M, want.N)
+        for g, w in zip((got.user, got.winner, got.loser), (want.user, want.winner, want.loser)):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
         assert peak < 24 * corpus.n_records, (peak, corpus.n_records)
 
     def test_weight_em_peak_beyond_the_corpus(self):
@@ -322,7 +405,7 @@ class TestCooccurrence:
             assert E[w, w] == pytest.approx(1.0)
             assert np.count_nonzero(E) == 1
             assert cooc.active[w] and cooc.active.sum() == 1
-            assert cooc.split.M == M and cooc.row_counts[w] == 2 * M
+            assert cooc.split.corpus.M == M and cooc.row_counts[w] == 2 * M
 
     def test_matches_analytic_form_on_expected_counts(self):
         # Feeding the estimator expected counts instead of sampled ones
@@ -337,8 +420,7 @@ class TestCooccurrence:
         thetas = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.2, 0.8]])
         M = thetas.shape[0]
         T = B @ thetas.T  # W x M expected per-comparison pair usage
-        split = SplitCounts(sp.csr_matrix(5 * T), sp.csr_matrix(5 * T), M, Q)
-        got = cooccurrence(split)
+        got = halves_cooccurrence([sp.csr_matrix(5 * T), sp.csr_matrix(5 * T)], M, Q)
 
         a_emp = thetas.mean(axis=0)
         R_emp = thetas.T @ thetas / M
@@ -404,7 +486,7 @@ class TestCooccurrence:
         E = full(cooc)
         assert np.all(E[~cooc.active] == 0)
         assert np.all(E[:, ~cooc.active] == 0)
-        Xn, Xpn = normalized_halves(split)
+        Xn, Xpn = cooc.E.right, cooc.E.left
         assert np.array_equal(E, (60 * (Xpn @ Xn.T)).toarray())
         # the factors store the two sparse halves, far less than W x W floats
         assert cooc.E.nbytes == sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes

@@ -68,6 +68,36 @@ def test_only_moments_touches_sparse_storage():
     assert found and all(f.startswith("moments.py:") for f in found), found
 
 
+SORTS = {"sort", "argsort", "unique", "distinct_counts"}
+
+
+def sort_calls(name: str) -> list[str]:
+    """Calls in module ``name`` of a method or function named in SORTS."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    return [f"{name}.py:{node.lineno}: .{node.func.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in SORTS]
+
+
+def test_evaluate_sorts_nothing():
+    # one grouping: the weight EM and the dispersion refit read only the
+    # entries that pairs.user_entries groups
+    assert sort_calls("pairs")  # the rule sees the grouping's own sort
+    assert sort_calls("evaluate") == []
+
+
+def test_importing_pairs_loads_no_scipy():
+    # the split and the grouping are numpy only, so predict, which groups
+    # its records with them, stays free of scipy
+    code = ("import sys, mallowmix.pairs; "
+            "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])")
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def package_imports() -> dict[str, set[str]]:
     """The package modules each package module imports, counting imports
     inside functions as well as at module level."""
