@@ -109,8 +109,13 @@ def _draw_components(rng, Q: int, phis: list[float]) -> list[MallowsComponent]:
     ]
 
 
-def _write_json(path: str, obj: dict) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=1) + "\n")
+def _write_json(path: str | None, obj: dict) -> str:
+    """``obj`` as indented JSON, written atomically with a final newline to
+    ``path`` when one is given."""
+    text = json.dumps(obj, indent=1)
+    if path:
+        atomic_write_text(path, text + "\n")
+    return text
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -160,7 +165,8 @@ def cmd_generate(args) -> int:
 
 def cmd_estimate(args) -> int:
     # moments loads scipy.sparse, which no other command needs
-    from .estimator import DetectionConfig, detect_novel_pairs, estimate_ranking_matrix
+    from .estimator import (DetectionConfig, check_epsilon, detect_novel_pairs,
+                            estimate_ranking_matrix)
     from .moments import analytic_cooccurrence, cooccurrence, split_halves
 
     t0 = time.perf_counter()
@@ -174,6 +180,7 @@ def cmd_estimate(args) -> int:
         seed=args.seed,
         min_count_fraction=args.min_count_fraction,
     )
+    _stage("config", check_epsilon, args.epsilon)
     if args.exact_moments:
         truth = _stage("read", read_model, args.exact_moments)
         cooc, row_scale = _stage("moments", analytic_cooccurrence, truth)
@@ -186,15 +193,8 @@ def cmd_estimate(args) -> int:
         cooc = _stage("moments", cooccurrence, split)
         row_scale = split.row_scale()
     novel = _stage("detection", detect_novel_pairs, cooc, cfg)
-    B_hat, (steps, resid) = _stage(
-        "regression",
-        estimate_ranking_matrix,
-        cooc,
-        row_scale,
-        novel,
-        epsilon=args.epsilon,
-        trace=True,
-    )
+    B_hat = _stage("regression", estimate_ranking_matrix, cooc, row_scale, novel,
+                   epsilon=args.epsilon)
     Q = cooc.Q
     del cooc, row_scale  # B_hat keeps the split that the dispersion refit reads
     est = _stage("postprocess", postprocess, B_hat)
@@ -212,7 +212,7 @@ def cmd_estimate(args) -> int:
           f"after {novel.iterations} subspace iterations, "
           f"scorer window at most {novel.window} rows, "
           f"solid-angle margin {margin:.4g} ({round(margin * P)} of {P} projections); "
-          f"regression at most {steps} iterations, worst residual {resid:.3e}; "
+          f"regression at most {B_hat.steps} iterations, worst residual {B_hat.residual:.3e}; "
           f"{len(est.diagnostics['clamped_components'])} clamped dispersions"
           + (f"; dispersions refitted on the records after {est.refit['weight_cycles']} "
              f"weight cycles and {est.refit['newton_steps']} Newton steps, log-likelihood "
@@ -272,9 +272,7 @@ def cmd_evaluate(args) -> int:
             "output": args.output,
         },
     }
-    text = json.dumps(obj, indent=1)
-    if args.output:
-        _stage("write", atomic_write_text, args.output, text + "\n")
+    text = _stage("write", _write_json, args.output, obj)
     print(text)
     return 0
 
@@ -313,9 +311,7 @@ def cmd_separability(args) -> int:
             "output": args.output,
         },
     }
-    text = json.dumps(obj, indent=1)
-    if args.output:
-        _stage("write", atomic_write_text, args.output, text + "\n")
+    text = _stage("write", _write_json, args.output, obj)
     print(text)
     return 0
 
@@ -329,7 +325,7 @@ def cmd_oracle(args) -> int:
         "K": model.K,
         "components": model_to_dict(model)["components"],
         "pairs": [[int(i), int(j)] for i, j in zip(I, J)],
-        "beta": table.entries.tolist(),
+        "beta": table.tolist(),
         "config": {
             "command": "oracle",
             "items": model.Q,
@@ -340,9 +336,8 @@ def cmd_oracle(args) -> int:
             "output": args.output,
         },
     }
-    text = json.dumps(obj, indent=1)
+    text = _stage("write", _write_json, args.output, obj)
     if args.output:
-        _stage("write", atomic_write_text, args.output, text + "\n")
         print(f"wrote exact order-probability table for Q={model.Q}, K={model.K} to {args.output}")
     else:
         print(text)
@@ -376,9 +371,7 @@ def cmd_predict(args) -> int:
             "output": args.output,
         },
     }
-    text = json.dumps(obj, indent=1)
-    if args.output:
-        _stage("write", atomic_write_text, args.output, text + "\n")
+    _stage("write", _write_json, args.output, obj)
     print(
         f"avg_loglik {report.avg_loglik:.6f} over {report.n} comparisons "
         f"({report.zero_events} zero-probability events)"

@@ -388,6 +388,12 @@ def _minimize_simplex_quadratics(H, g, const, lips, epsilon, max_iter):
     return out, resid, steps, live
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Refuse a regression precision that is negative or not finite."""
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+
+
 def estimate_ranking_matrix(
     cooc: CoocMatrix,
     row_scale: np.ndarray,
@@ -395,8 +401,7 @@ def estimate_ranking_matrix(
     epsilon: float = 1e-4,
     max_iter: int = 10000,
     threads: int = 1,
-    trace: bool = False,
-):
+) -> RankingMatrix:
     """Recover B by regressing every active row on the selected rows.
 
     The quadratic program for row w uses only entries of E = novel.factors,
@@ -407,13 +412,11 @@ def estimate_ranking_matrix(
     indefinite H is shifted by |lambda_min| + 1e-10.  All rows are solved
     together (``_minimize_simplex_quadratics``).  Solutions are scaled by
     ``row_scale`` and the columns normalized to sum to one; the result
-    keeps ``cooc.split``, the split of a sampled corpus.  With
-    ``trace`` the result comes with the largest step count of any row and
-    the largest last change.  ``threads`` has no effect; it is kept so
-    that callers passing it keep working.
+    keeps ``cooc.split``, the split of a sampled corpus, and the largest
+    step count of any row and the largest last change.  ``threads`` has
+    no effect; it is kept so that callers passing it keep working.
     """
-    if not (np.isfinite(epsilon) and epsilon >= 0):
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    check_epsilon(epsilon)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     E = novel.factors
@@ -449,5 +452,5 @@ def estimate_ranking_matrix(
     colsum = C.sum(axis=0)
     if np.any(colsum <= 0):
         raise RegressionError("a recovered column has no mass")
-    B = RankingMatrix(C / colsum, cooc.Q, "B", counts=cooc.split)
-    return (B, (int(steps.max()), float(resid.max()))) if trace else B
+    return RankingMatrix(C / colsum, cooc.Q, counts=cooc.split, steps=int(steps.max()),
+                         residual=float(resid.max()))

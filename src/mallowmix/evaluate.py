@@ -12,7 +12,7 @@ import numpy as np
 
 from . import pairs
 from .generator import ComparisonCorpus
-from .mallows import RankingMatrix, order_probabilities, pair_gaps
+from .mallows import order_probabilities, pair_gaps
 from .permutations import Permutation, kendall_tau
 
 
@@ -70,14 +70,6 @@ def align_and_score(truth, estimate) -> RecoveryReport:
     return RecoveryReport(normalized, per_component, phi_errors, matching)
 
 
-def _observation_columns(B_hat) -> np.ndarray:
-    """The (W, K) observation probabilities of a ``RankingMatrix`` or an
-    array."""
-    if isinstance(B_hat, RankingMatrix):
-        return B_hat.entries
-    return np.asarray(B_hat, dtype=float)
-
-
 EM_TOL = 1e-8  # default relative log-likelihood change at which the weight EM stops
 # The dispersion refit's weight EM stops at this relative change; on the
 # benchmark's wide-q60 corpora its dispersions then lie within 1e-3 of
@@ -113,20 +105,20 @@ def _unsupported(r: int, Q: int, underflow: bool = False) -> ValueError:
     return ValueError(f"comparison ({i}, {j}) has zero probability in every component")
 
 
-def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
+def infer_weights(corpus: ComparisonCorpus, B, *, tol: float = EM_TOL,
                   max_iter: int = 500, trace: bool = False):
     """Per-user maximum-likelihood mixture weights for fixed components.
 
     Expectation-maximization on the multinomial mixture sum_k B[w, k] theta_k,
     run for every user at once from the barycenter start and accelerated by
     SQUAREM (Varadhan & Roland, Scand. J. Stat. 2008) with the S3 step
-    length chosen per user.  ``B_hat`` holds the (W, K) observation
-    probabilities, a ``RankingMatrix`` or an array.  Returns an (M, K)
-    array of weights; users without records keep the barycenter.  A record
-    with probability zero in every component is an error that names the
-    first one in corpus order.  With ``trace`` the total log-likelihood at
-    the start of every cycle is returned as well.  A
-    cycle takes at most three EM steps; ``max_iter`` bounds the cycles, and
+    length chosen per user.  ``B`` is the (W, K) array of observation
+    probabilities, as ``MixedMembershipModel.observation_matrix`` returns
+    it.  Returns an (M, K) array of weights; users without records keep
+    the barycenter.  A record with probability zero in every component is
+    an error that names the first one in corpus order.  With ``trace`` the
+    total log-likelihood at the start of every cycle is returned as well.
+    A cycle takes at most three EM steps; ``max_iter`` bounds the cycles, and
     stopping there before the relative change of the total log-likelihood
     falls to ``tol`` emits a RuntimeWarning.
 
@@ -138,7 +130,7 @@ def infer_weights(corpus: ComparisonCorpus, B_hat, *, tol: float = EM_TOL,
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not tol >= 0:
         raise ValueError(f"tol must be a non-negative number, got {tol}")
-    B = _observation_columns(B_hat)
+    B = np.asarray(B, dtype=float)
     K = B.shape[1]
     M, n = corpus.M, corpus.n_records
     count, row, starts, occupied = pairs.user_entries(corpus)
@@ -479,15 +471,15 @@ def em_summary(history: list[float]) -> tuple[int, bool, float]:
     return len(history), _converged(ll, prev_ll, EM_TOL), abs(ll - prev_ll) / (1.0 + abs(ll))
 
 
-def predict_loglik(corpus: ComparisonCorpus, theta, B_hat) -> PredictionReport:
+def predict_loglik(corpus: ComparisonCorpus, theta, B) -> PredictionReport:
     """Average log-likelihood per comparison under fixed weights.
 
     ``theta`` holds every user's weights, (M, K) as ``infer_weights``
-    returns them, and ``B_hat`` the (W, K) observation probabilities, a
-    ``RankingMatrix`` or an array.  A comparison whose mixture probability
-    is zero makes the average -inf; the count of such events is reported.
+    returns them, and ``B`` the (W, K) array of observation probabilities.
+    A comparison whose mixture probability is zero makes the average -inf;
+    the count of such events is reported.
     """
-    B = _observation_columns(B_hat)
+    B = np.asarray(B, dtype=float)
     K = B.shape[1]
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (corpus.M, K):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pairs
-from .mallows import MallowsComponent, RankingMatrix, build_ranking_matrix, shared_Q
+from .mallows import MallowsComponent, build_ranking_matrix, shared_Q
 from .permutations import Permutation
 
 
@@ -152,18 +152,18 @@ class MixedMembershipModel:
             return np.full(n, 1.0 / n)
         return self.pair_probs
 
-    def ranking_matrix(self) -> RankingMatrix:
+    def ranking_matrix(self) -> np.ndarray:
+        """beta: the (W, K) order probabilities of the components."""
         return build_ranking_matrix(self.components)
 
-    def observation_matrix(self) -> RankingMatrix:
+    def observation_matrix(self) -> np.ndarray:
         """B: probability of observing each ordered pair given a component.
 
         Row (i, j) is the unordered-pair probability times the chance the
         component orders i above j, so every column sums to one.
         """
-        beta = self.ranking_matrix().entries
         mu_row = self.pair_distribution()[pairs.unordered_index(self.Q)]
-        return RankingMatrix(mu_row[:, None] * beta, self.Q, "B")
+        return mu_row[:, None] * self.ranking_matrix()
 
 
 class RecordError(ValueError):
@@ -327,7 +327,7 @@ def _user_blocks(model: MixedMembershipModel, M: int, N: int, seed: int, thetas:
     on the block size.
     """
     K, Q = model.K, model.Q
-    beta = model.ranking_matrix().entries
+    beta = model.ranking_matrix()
     cum_mu = np.cumsum(model.pair_distribution())
     uI, uJ = pairs.unordered_arrays(Q)
     per_block = max(1, _WRITE_CHUNK // N)
@@ -539,7 +539,7 @@ def read_corpus(path: str) -> ComparisonCorpus:
             decoded = np.array(found, np.int64).reshape(-1, 4).T
             order = np.argsort(np.concatenate((lines, decoded[0])))
             values = np.concatenate((values, decoded[1:]), 1)
-            limit = limit or _store(ids, n + np.arange(order.size), values[:, order], top)
+            limit = limit or _store(ids, n, values[:, order], top)
             n = total
             base += ends.size
     if not n:
@@ -588,25 +588,26 @@ def read_corpus(path: str) -> ComparisonCorpus:
     return corpus
 
 
-def _store(ids: list[np.ndarray], at: np.ndarray, values: np.ndarray, top: list[int]):
-    """Store the (3, m) int64 ``values`` of the records ``at``, given in
-    increasing order, in the narrow user, win and lose buffers ``ids``, and
-    raise ``top`` to each column's largest id.  Returns (record, rule) of
-    the first of these records with an id past a corpus limit, or None.
+def _store(ids: list[np.ndarray], start: int, values: np.ndarray, top: list[int]):
+    """Store the (3, m) int64 ``values`` of the records start..start+m-1 in
+    the narrow user, win and lose buffers ``ids``, and raise ``top`` to
+    each column's largest id.  Returns (record, rule) of the first of these
+    records with an id past a corpus limit, or None.
 
     An id below its buffer's type is stored as the type's least value: it
     breaks the same rule of ``ComparisonCorpus`` either way, since user ids
     must not be negative and item ids must be positive."""
-    if not at.size:
+    m = values.shape[1]
+    if not m:
         return None
     past = []
     for j, (column, value) in enumerate(zip(ids, values)):
         top[j] = max(top[j], int(value.max()))
         over = value > _LARGEST[j]
         if over.any():
-            past.append((int(at[np.argmax(over)]), _LIMITS[j]))
+            past.append((start + int(np.argmax(over)), _LIMITS[j]))
         bounds = np.iinfo(column.dtype)
-        column[at] = np.clip(value, bounds.min, bounds.max)
+        column[start:start + m] = np.clip(value, bounds.min, bounds.max)
     return min(past, default=None)
 
 
@@ -797,6 +798,7 @@ def model_from_dict(obj: dict) -> MixedMembershipModel:
     pair_dist = obj.get("pair_dist")
     if pair_dist is not None and _json_list(pair_dist, "pair_dist"):
         pair_probs = np.zeros(pairs.num_unordered(Q))
+        named = np.zeros(pair_probs.size, dtype=bool)
         unordered = pairs.unordered_index(Q)
         for entry in pair_dist:
             if type(entry) is not list or len(entry) != 3:
@@ -806,7 +808,12 @@ def model_from_dict(obj: dict) -> MixedMembershipModel:
                     and i != j):
                 raise ValueError(f"pair_dist entry {entry} must name two distinct items in 1..{Q}")
             p = _json_number(p, "pair_dist probability")
-            pair_probs[unordered[pairs.pair_row(i, j, Q)]] = p
+            u = unordered[pairs.pair_row(i, j, Q)]
+            if named[u]:
+                raise ValueError(f"pair_dist entry {entry} repeats the pair "
+                                 f"({min(i, j)}, {max(i, j)})")
+            named[u] = True
+            pair_probs[u] = p
     return MixedMembershipModel(comps, prior, pair_probs)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,33 +177,28 @@ def marginal_ratio_bound(L: int, phi: float) -> float:
 
 @dataclass
 class RankingMatrix:
-    """A W x K matrix over ordered pair rows.
+    """An estimate B-hat of the W x K observation matrix B over ordered
+    pair rows, column-stochastic, as ``estimator.estimate_ranking_matrix``
+    recovers it.
 
-    ``kind`` records what the entries mean:
-      * "beta": per-component probability that the row's pair is concordant,
-      * "B": observation probabilities (pair distribution times beta),
-        column-stochastic.
     ``counts`` keeps the split corpus (``pairs.SplitCounts``) a sampled
     estimate came from, so that ``post.postprocess`` can refit its
-    dispersions on the records; None otherwise.
+    dispersions on the records; None otherwise.  ``steps`` and
+    ``residual`` are the regression's largest step count of any row and
+    largest last change.
     """
 
     entries: np.ndarray
     Q: int
-    kind: str = "beta"
     counts: object = None
+    steps: int = 0
+    residual: float = 0.0
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=float)
         W = pairs.num_pairs(self.Q)
         if self.entries.ndim != 2 or self.entries.shape[0] != W:
             raise ValueError(f"entries must be ({W}, K), got {self.entries.shape}")
-        if self.kind not in ("beta", "B"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-
-    @property
-    def K(self) -> int:
-        return self.entries.shape[1]
 
 
 def shared_Q(components: list[MallowsComponent]) -> int:
@@ -223,15 +218,17 @@ def order_probabilities(Q: int, gaps, phis) -> np.ndarray:
                      for g, phi in zip(gaps, phis)])
 
 
-def build_ranking_matrix(components: list[MallowsComponent]) -> RankingMatrix:
-    """Closed-form beta matrix for a list of components sharing the items."""
+def build_ranking_matrix(components: list[MallowsComponent]) -> np.ndarray:
+    """Closed-form (W, K) beta matrix for a list of components sharing the
+    items: beta[w, k] is the probability that component k orders row w's
+    pair as the row does."""
     Q = shared_Q(components)
     beta = order_probabilities(Q, [pair_gaps(c.reference.positions) for c in components],
                                [c.dispersion for c in components])
-    return RankingMatrix(np.ascontiguousarray(beta.T), Q, "beta")
+    return np.ascontiguousarray(beta.T)
 
 
-def brute_force_beta(components: list[MallowsComponent], max_Q: int = 7) -> RankingMatrix:
+def brute_force_beta(components: list[MallowsComponent], max_Q: int = 7) -> np.ndarray:
     """Beta by explicit enumeration of all Q! rankings.  Refuses Q > max_Q."""
     Q = shared_Q(components)
     if Q > max_Q:
@@ -249,4 +246,4 @@ def brute_force_beta(components: list[MallowsComponent], max_Q: int = 7) -> Rank
             p = mallows_pmf(comp, sigma)
             for ij in up:
                 entries[row_of[ij], k] += p
-    return RankingMatrix(entries, Q, "beta")
+    return entries

@@ -181,7 +181,7 @@ def analytic_cooccurrence(model: MixedMembershipModel) -> tuple[CoocMatrix, np.n
     R = model.prior.correlation(K)
     if np.linalg.matrix_rank(R) < K:
         raise ValueError("weight prior has a rank-deficient second moment")
-    B = model.observation_matrix().entries
+    B = model.observation_matrix()
     Ba = B @ a
     active = Ba > 0
     Bbar = np.zeros_like(B)

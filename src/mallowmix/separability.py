@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mallows import (RankingMatrix, gap_marginals, marginal_table, pair_gaps,
-                      reverse_marginal_table)
+from .mallows import gap_marginals, marginal_table, pair_gaps, reverse_marginal_table
 
 
 @dataclass
@@ -37,14 +36,13 @@ class SeparabilityEstimate:
 
 
 def check_separability(beta, lam: float) -> SeparabilityReport:
-    """Every component's best witness ratio and row at threshold ``lam``.
+    """Every component's best witness ratio and row at threshold ``lam``,
+    for a (W, K) array ``beta`` of order probabilities.
 
     A row's ratio for component k is the largest other entry over
     beta[w, k]: the row's second value where beta[w, k] is its maximum,
     the row's maximum otherwise.  The verdict is ``_is_separable``'s.
     """
-    if isinstance(beta, RankingMatrix):
-        beta = beta.entries
     beta = np.asarray(beta, dtype=float)
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lambda must lie in [0, 1), got {lam}")

@@ -404,8 +404,21 @@ class TestEstimateAndEvaluate:
         code, _, err = run(capsys, *base, "--zeta", "nan")
         assert code == 2 and "error in config stage" in err and "zeta" in err
         code, _, err = run(capsys, *base, "--epsilon", "-1")
-        assert code == 2 and "error in regression stage" in err and "epsilon" in err
+        assert code == 2 and "error in config stage" in err and "epsilon" in err
         assert not (tmp_path / "est.json").exists()
+
+    @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("source", ["-i", "--exact-moments"])
+    def test_bad_epsilon_fails_before_any_input_is_read(self, tmp_path, capsys, epsilon,
+                                                        source):
+        # the input does not exist, so reading it would fail in the read stage
+        code, out, err = run(capsys, "estimate", source, str(tmp_path / "missing"),
+                             "-o", str(tmp_path / "est.json"), "--components", "1",
+                             "--epsilon", epsilon)
+        assert code == 2 and out == ""
+        assert err == ("error in config stage: epsilon must be finite and nonnegative, "
+                       f"got {float(epsilon)}\n")
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("argv", [["estimate", "--doubled-distance-rule"],
                                       ["estimate", "--threads", "2"],
@@ -465,7 +478,7 @@ class TestOtherCommands:
         obj = read_json(out_path)
         comps = [MallowsComponent(Permutation.from_ranking(c["ranking"]), c["phi"])
                  for c in obj["components"]]
-        want = build_ranking_matrix(comps).entries
+        want = build_ranking_matrix(comps)
         assert np.allclose(np.array(obj["beta"]), want, atol=1e-10)
         I, J = pairs.pair_arrays(4)
         assert obj["pairs"] == [[int(i), int(j)] for i, j in zip(I, J)]

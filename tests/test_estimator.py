@@ -606,7 +606,7 @@ class TestRegression:
         assert np.allclose(C[:3, 0] * 1.3, [1.0, 0.0, 0.3], atol=5e-4)
         assert np.allclose(C[:3, 1] * 1.7, [0.0, 1.0, 0.7], atol=5e-4)
         assert np.all(C[3:] == 0)
-        assert B.kind == "B" and B.Q == 3
+        assert B.Q == 3
 
     def test_row_scale_shape_checked(self):
         cooc = analytic_toy([[1.0, 0.0], [0.0, 1.0]])
@@ -715,13 +715,15 @@ def reference_estimate_ranking_matrix(cooc, row_scale, novel, epsilon=1e-4, max_
 
     C = np.zeros((W, K))
     failures = []
+    steps, residual = 0, 0.0
     for w in np.flatnonzero(cooc.active):
         c = 0.5 * (E[sel, w] + E[w, sel])
-        b, _, delta, ok = reference_minimize(H, c, float(E[w, w]), lips, epsilon, max_iter,
-                                             hits)
+        b, it, delta, ok = reference_minimize(H, c, float(E[w, w]), lips, epsilon, max_iter,
+                                              hits)
         if not ok:
             failures.append((w, delta))
         C[w] = row_scale[w] * b
+        steps, residual = max(steps, it), max(residual, delta)
     if failures:
         worst = max(failures, key=lambda t: t[1])
         raise RegressionError(
@@ -731,7 +733,7 @@ def reference_estimate_ranking_matrix(cooc, row_scale, novel, epsilon=1e-4, max_
     colsum = C.sum(axis=0)
     if np.any(colsum <= 0):
         raise RegressionError("a recovered column has no mass")
-    return RankingMatrix(C / colsum, cooc.Q, "B")
+    return RankingMatrix(C / colsum, cooc.Q, steps=steps, residual=residual)
 
 
 def regression_case(seed, source, Q, K, scale):
@@ -769,9 +771,10 @@ def regression_case(seed, source, Q, K, scale):
 
 
 def compare_regression(cooc, row_scale, novel, epsilon, max_iter, hits=None):
-    """The batched regression returns exactly the per-row reference's B, or
-    raises the same exception with the same message; returns the
-    reference's exception, if any."""
+    """The batched regression returns exactly the per-row reference's B,
+    largest step count and largest last change, or raises the same
+    exception with the same message; returns the reference's exception, if
+    any."""
     try:
         want = reference_estimate_ranking_matrix(cooc, row_scale, novel, epsilon, max_iter,
                                                  hits)
@@ -781,7 +784,7 @@ def compare_regression(cooc, row_scale, novel, epsilon, max_iter, hits=None):
         assert type(got.value) is type(exc) and str(got.value) == str(exc)
         return exc
     got = estimate_ranking_matrix(cooc, row_scale, novel, epsilon, max_iter)
-    assert got.kind == want.kind and got.Q == want.Q
+    assert (got.Q, got.steps, got.residual) == (want.Q, want.steps, want.residual)
     assert np.array_equal(got.entries, want.entries)
     return None
 
@@ -842,7 +845,7 @@ class TestAnalyticPipeline:
         cooc, row_scale = analytic_cooccurrence(model)
         novel = detect_novel_pairs(cooc, DetectionConfig(n_components=K))
         B_hat = estimate_ranking_matrix(cooc, row_scale, novel)
-        B_true = model.observation_matrix().entries
+        B_true = model.observation_matrix()
         return float(np.max(np.abs(match_columns(B_hat.entries, B_true) - B_true)))
 
     def test_zero_dispersion_is_exact(self):
@@ -861,7 +864,7 @@ class TestAnalyticPipeline:
         rng = np.random.default_rng(seed)
         comps = [MallowsComponent(Permutation.from_ranking((rng.permutation(Q) + 1).tolist()),
                                   phi) for _ in range(K)]
-        beta = brute_force_beta(comps).entries
+        beta = brute_force_beta(comps)
         assume(check_separability(beta, 0.1).separable)
         cooc, row_scale = analytic_cooccurrence(MixedMembershipModel(comps, DirichletPrior(alpha)))
         novel = detect_novel_pairs(cooc, DetectionConfig(n_components=K))
@@ -877,7 +880,7 @@ class TestAnalyticPipeline:
             comps = [MallowsComponent(
                 Permutation.from_ranking((rng.permutation(7) + 1).tolist()), 0.0)
                 for _ in range(3)]
-            beta = build_ranking_matrix(comps).entries
+            beta = build_ranking_matrix(comps)
             if check_separability(beta, 0.0).separable:
                 break
         else:
@@ -949,10 +952,10 @@ class TestSampledPipeline:
         split = split_halves(corpus)
         cooc = cooccurrence(split)
         novel = detect_novel_pairs(cooc, DetectionConfig(n_components=K))
-        beta = model.ranking_matrix().entries
+        beta = model.ranking_matrix()
         favored = [int(np.argmax(beta[w])) for w in novel.rows]
         assert sorted(favored) == [0, 1]
         B_hat = estimate_ranking_matrix(cooc, split.row_scale(), novel)
-        B_true = model.observation_matrix().entries
+        B_true = model.observation_matrix()
         err = np.max(np.abs(match_columns(B_hat.entries, B_true) - B_true))
         assert err < 0.05

@@ -24,8 +24,6 @@ from mallowmix.generator import (
 )
 from mallowmix.mallows import (
     MallowsComponent,
-    RankingMatrix,
-    build_ranking_matrix,
     gap_marginals,
     marginal_table,
     reverse_marginal_table,
@@ -34,6 +32,7 @@ from mallowmix.moments import count_halves, split_halves
 from mallowmix.permutations import Permutation
 from mallowmix.post import postprocess
 from test_generator import reference_generate
+from test_post import exact_estimate
 from test_moments import int64_rows, wide_key_corpus
 
 
@@ -77,7 +76,7 @@ class TestAlignAndScore:
 
     def test_accepts_estimated_models(self):
         model = model_of([[2, 4, 1, 3], [4, 3, 2, 1]], [0.3, 0.3])
-        est = postprocess(model.observation_matrix())
+        est = postprocess(exact_estimate(model))
         report = align_and_score(model, est)
         assert report.normalized_error == 0.0
         assert max(report.dispersion_abs_errors) < 1e-9
@@ -487,7 +486,7 @@ class TestInferWeightsMatchesReference:
             else np.arange(corpus.n_records)
         corpus = ComparisonCorpus(Q=5, M=M, user=corpus.user[order],
                                   winner=corpus.winner[order], loser=corpus.loser[order])
-        B = model.observation_matrix().entries
+        B = model.observation_matrix()
         got, got_warnings = run_em(infer_weights, corpus, B, max_iter=max_iter)
         want, _ = run_em(reference_infer_weights, corpus, B, max_iter=max_iter)
         assert bool(got_warnings) == (max_iter == 3)
@@ -502,7 +501,7 @@ class TestInferWeightsMatchesReference:
         model = model_of([[1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1], [2, 4, 6, 1, 3, 5]],
                          [0.3, 0.3, 0.3])
         corpus, _ = generate(model, M=300, N=40, seed=1)
-        B = model.observation_matrix().entries
+        B = model.observation_matrix()
         peaks = []
         for fn in (infer_weights, reference_infer_weights):
             tracemalloc.start()
@@ -843,7 +842,7 @@ class TestGroupedEMMatchesPerRecord:
                          [0.3, 0.3, 0.3])
         corpus, _ = generate(model, M=300, N=40, seed=1)
         assert 0.4 < distinct_fraction(corpus) < 0.6
-        B = model.observation_matrix().entries
+        B = model.observation_matrix()
         peak, want = em_peak(infer_weights, corpus, B), em_peak(per_record_infer_weights, corpus, B)
         assert peak <= 0.75 * want, (peak, want)
 
@@ -858,7 +857,7 @@ class TestGroupedEMMatchesPerRecord:
         assert distinct_fraction(corpus) == 1.0
         model = model_of([list(range(1, Q + 1)), list(range(Q, 0, -1)),
                           list(rng.permutation(Q) + 1)], [0.3, 0.3, 0.3])
-        B = model.observation_matrix().entries
+        B = model.observation_matrix()
         peak, want = em_peak(infer_weights, corpus, B), em_peak(per_record_infer_weights, corpus, B)
         assert peak <= want, (peak, want)
 
@@ -1108,10 +1107,9 @@ class TestRefitDispersions:
         model = model_of([[1, 3, 2, 5, 4], [4, 5, 1, 2, 3]], [0.25, 0.25])
         corpus, _ = generate(model, M=500, N=20, seed=8)
         split = split_halves(corpus)
-        B = model.observation_matrix()
-        plain = postprocess(B)
+        plain = postprocess(exact_estimate(model))
         assert plain.refit is None and plain.dispersions == pytest.approx([0.25, 0.25])
-        refit = postprocess(RankingMatrix(B.entries, 5, "B", counts=split))
+        refit = postprocess(exact_estimate(model, split))
         assert [r.ranking for r in refit.rankings] == [r.ranking for r in plain.rankings]
         want, info = evaluate.refit_dispersions(split, plain.rankings, plain.dispersions)
         assert refit.dispersions == want and refit.refit == info
@@ -1335,7 +1333,7 @@ class TestPredictLoglik:
     def test_component_permutation_invariance(self):
         model = model_of([[3, 1, 2, 4], [1, 4, 2, 3]], [0.2, 0.5])
         corpus, _ = generate(model, M=40, N=12, seed=11)
-        B = model.observation_matrix().entries
+        B = model.observation_matrix()
         theta = infer_weights(corpus, B)
         a = predict_loglik(corpus, theta, B)
         b = predict_loglik(corpus, theta[:, ::-1], B[:, ::-1])
@@ -1382,7 +1380,7 @@ class TestPredictLoglikInBlocks:
     def test_same_bits_as_per_record(self, block, monkeypatch):
         model = model_of([[3, 1, 2, 4], [1, 4, 2, 3], [2, 3, 4, 1]], [0.2, 0.5, 0.0])
         corpus, _ = generate(model, M=40, N=12, seed=11)
-        B = model.observation_matrix().entries
+        B = model.observation_matrix()
         theta = infer_weights(corpus, B)
         monkeypatch.setattr(evaluate, "_EM_BLOCK", block)
         for weights in (theta, np.tile(theta[0], (corpus.M, 1))):
@@ -1400,7 +1398,7 @@ class TestPredictLoglikInBlocks:
         model = model_of([[1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1], [2, 4, 6, 1, 3, 5]],
                          [0.3, 0.3, 0.3])
         corpus, _ = generate(model, M=500, N=100, seed=1)
-        B = model.observation_matrix().entries
+        B = model.observation_matrix()
         theta = infer_weights(corpus, B)
         n = corpus.n_records
         tracemalloc.start()

@@ -59,7 +59,7 @@ def reference_generate(model, M, N, seed):
     which also returns each record's generating component: the corpus,
     the (M, K) user weights and the labels."""
     K, Q = model.K, model.Q
-    beta = model.ranking_matrix().entries
+    beta = model.ranking_matrix()
     cum_mu = np.cumsum(model.pair_distribution())
     uI, uJ = pairs.unordered_arrays(Q)
     thetas, wins, loses, labels = [], [], [], []
@@ -170,14 +170,13 @@ class TestModel:
     def test_observation_matrix_columns(self):
         model = small_model()
         B = model.observation_matrix()
-        assert B.kind == "B"
-        validate_ranking_matrix(B)
+        validate_ranking_matrix(B, model.Q, "B")
         mu = model.pair_distribution()
         assert mu.sum() == pytest.approx(1.0)
         # B row = unordered pair probability times concordance probability
-        beta = model.ranking_matrix().entries
+        beta = model.ranking_matrix()
         u_of = pairs.unordered_index(model.Q)
-        assert np.allclose(B.entries, mu[u_of][:, None] * beta)
+        assert np.allclose(B, mu[u_of][:, None] * beta)
 
     def test_component_shape_checks(self):
         comps = [MallowsComponent(Permutation.identity(3), 0.2),
@@ -258,7 +257,7 @@ class TestGenerate:
         model = small_model(Q=5, K=2, phi=0.3)
         corpus, _, labels = reference_generate(model, M=1000, N=100, seed=33)
         beta = empirical_beta(corpus, labels, model.K)
-        exact = build_ranking_matrix(model.components).entries
+        exact = build_ranking_matrix(model.components)
         rows = corpus.pair_rows()
         for k in range(model.K):
             for w in range(pairs.num_pairs(model.Q)):
@@ -535,6 +534,22 @@ class TestSerialization:
             with pytest.raises(ValueError, match=re.escape(
                     f"pair_dist entry {entry} must name two distinct items in 1..3")):
                 model_from_dict(obj)
+
+    def test_pair_named_twice_is_refused(self, tmp_path):
+        # a later entry would overwrite the earlier one: these entries list
+        # 1.3 of mass, yet would load as [0.5, 0.5, 0.0]
+        comp = MallowsComponent(Permutation.identity(3), 0.2)
+        obj = model_to_dict(MixedMembershipModel([comp], DirichletPrior(1.0)))
+        path = tmp_path / "model.json"
+        for repeat in ([1, 2, 0.5], [2, 1, 0.5]):
+            obj["pair_dist"] = [[1, 2, 0.3], repeat, [1, 3, 0.5], [2, 3, 0.0]]
+            path.write_text(json.dumps(obj))
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: pair_dist entry {repeat} repeats the pair (1, 2)")):
+                read_model(path)
+        obj["pair_dist"] = [[2, 1, 0.5], [1, 3, 0.5], [2, 3, 0.0]]
+        path.write_text(json.dumps(obj))
+        assert read_model(path).pair_probs.tolist() == [0.5, 0.5, 0.0]
 
     def test_model_values_are_checked_not_converted(self):
         obj = model_to_dict(small_model(prior=VertexPrior((0.4, 0.6))))

@@ -64,7 +64,7 @@ def reference_analytic_E(model: MixedMembershipModel) -> np.ndarray:
     K = model.K
     a = model.prior.mean(K)
     R = model.prior.correlation(K)
-    B = model.observation_matrix().entries
+    B = model.observation_matrix()
     Ba = B @ a
     active = Ba > 0
     Bbar = np.zeros_like(B)
@@ -416,7 +416,7 @@ class TestCooccurrence:
         comps = [MallowsComponent(Permutation.from_ranking((rng.permutation(Q) + 1).tolist()), 0.3)
                  for _ in range(2)]
         model = MixedMembershipModel(comps, None)
-        B = model.observation_matrix().entries
+        B = model.observation_matrix()
         thetas = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.2, 0.8]])
         M = thetas.shape[0]
         T = B @ thetas.T  # W x M expected per-comparison pair usage
@@ -443,7 +443,7 @@ class TestCooccurrence:
         # a full-rank prior over the same components
         model = MixedMembershipModel(comps, DirichletPrior(1.0))
         cooc, row_scale = analytic_cooccurrence(model)
-        B = model.observation_matrix().entries
+        B = model.observation_matrix()
         assert np.allclose(row_scale, B @ model.prior.mean(2))
         assert cooc.row_counts is None and cooc.split is None
 

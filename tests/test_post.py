@@ -30,7 +30,13 @@ from mallowmix.post import (
 def observation_from_beta(beta: np.ndarray, Q: int) -> RankingMatrix:
     """Uniform pair usage times beta, column-normalized: a valid B."""
     C = beta / pairs.num_unordered(Q)
-    return RankingMatrix(C / C.sum(axis=0), Q, "B")
+    return RankingMatrix(C / C.sum(axis=0), Q)
+
+
+def exact_estimate(model: MixedMembershipModel, counts=None) -> RankingMatrix:
+    """The model's own observation matrix as the estimate B-hat that
+    ``postprocess`` reads."""
+    return RankingMatrix(model.observation_matrix(), model.Q, counts)
 
 
 class TestRecoverBeta:
@@ -42,7 +48,7 @@ class TestRecoverBeta:
         B[pairs.pair_row(1, 3, Q), 0] = 0.45
         B[pairs.pair_row(3, 1, Q), 0] = 0.45
         with np.errstate(invalid="ignore"):
-            beta, unresolved = recover_beta(RankingMatrix(B, Q, "B"))
+            beta, unresolved = recover_beta(RankingMatrix(B, Q))
         assert beta[pairs.pair_row(1, 2, Q), 0] == pytest.approx(0.8)
         assert beta[pairs.pair_row(2, 1, Q), 0] == pytest.approx(0.2)
         assert beta[pairs.pair_row(1, 3, Q), 0] == pytest.approx(0.5)
@@ -53,10 +59,10 @@ class TestRecoverBeta:
     def test_scale_invariance(self):
         # beta depends only on the ratio within a pair, not the pair usage
         comps = [MallowsComponent(Permutation.from_ranking([3, 1, 2, 4]), 0.4)]
-        beta_true = build_ranking_matrix(comps).entries
+        beta_true = build_ranking_matrix(comps)
         for scale in (1.0, 0.01):
             C = scale * beta_true / beta_true.sum(axis=0)
-            got, unresolved = recover_beta(RankingMatrix(C / C.sum(axis=0), 4, "B"))
+            got, unresolved = recover_beta(RankingMatrix(C / C.sum(axis=0), 4))
             assert unresolved == 0
             assert np.allclose(got, beta_true, atol=1e-12)
 
@@ -85,7 +91,7 @@ class TestRounding:
     def test_rankings_from_wins(self):
         comps = [MallowsComponent(Permutation.from_ranking([2, 3, 1]), 0.3),
                  MallowsComponent(Permutation.from_ranking([1, 3, 2]), 0.0)]
-        beta = build_ranking_matrix(comps).entries
+        beta = build_ranking_matrix(comps)
         wins, _ = round_relations(beta, 3)
         rankings = recover_rankings(wins, 3)
         assert rankings[0].ranking == (2, 3, 1)
@@ -96,20 +102,20 @@ class TestDispersion:
     def test_adjacent_ratio_formula(self):
         # beta = 1/(1 + phi) on adjacent pairs, so 1/beta - 1 = phi
         ranking = Permutation.from_ranking([4, 2, 1, 3])
-        beta = build_ranking_matrix([MallowsComponent(ranking, 0.3)]).entries[:, 0]
+        beta = build_ranking_matrix([MallowsComponent(ranking, 0.3)])[:, 0]
         phi, clamped = estimate_dispersion(beta, ranking)
         assert phi == pytest.approx(0.3, abs=1e-12)
         assert not clamped
 
     def test_exact_recovery_to_high_precision(self):
         ranking = Permutation.from_ranking(list(range(10, 0, -1)))
-        beta = build_ranking_matrix([MallowsComponent(ranking, 0.5)]).entries[:, 0]
+        beta = build_ranking_matrix([MallowsComponent(ranking, 0.5)])[:, 0]
         phi, _ = estimate_dispersion(beta, ranking)
         assert abs(phi - 0.5) < 1e-10
 
     def test_zero_dispersion(self):
         ranking = Permutation.identity(5)
-        beta = build_ranking_matrix([MallowsComponent(ranking, 0.0)]).entries[:, 0]
+        beta = build_ranking_matrix([MallowsComponent(ranking, 0.0)])[:, 0]
         phi, clamped = estimate_dispersion(beta, ranking)
         assert phi == 0.0 and not clamped
 
@@ -122,7 +128,7 @@ class TestDispersion:
         # the plain adjacent ratio would read (1 + phi) / (1 - e / 2 ...) - 1
         order = (np.random.default_rng(seed).permutation(Q) + 1).tolist()
         ranking = Permutation.from_ranking(order)
-        beta = build_ranking_matrix([MallowsComponent(ranking, phi)]).entries[:, 0]
+        beta = build_ranking_matrix([MallowsComponent(ranking, phi)])[:, 0]
         phi_hat, _ = estimate_dispersion((1.0 - e) * beta + e / 2, ranking)
         assert phi_hat == pytest.approx(phi, abs=1e-8)
 
@@ -154,7 +160,7 @@ class TestPostprocess:
                     Permutation.from_ranking((rng.permutation(Q) + 1).tolist()), phi)
                     for _ in range(K)]
                 model = MixedMembershipModel(comps, DirichletPrior(0.5))
-                est = postprocess(model.observation_matrix())
+                est = postprocess(exact_estimate(model))
                 for k in range(K):
                     assert est.rankings[k].ranking == comps[k].reference.ranking
                     assert abs(est.dispersions[k] - phi) < 1e-9
@@ -167,7 +173,7 @@ class TestPostprocess:
         # mass; dispersion zero still feeds every pair's forward direction
         comp = MallowsComponent(Permutation.identity(4), 0.0)
         model = MixedMembershipModel([comp], DirichletPrior(1.0))
-        est = postprocess(model.observation_matrix())
+        est = postprocess(exact_estimate(model))
         assert est.rankings[0].ranking == (1, 2, 3, 4)
         assert est.dispersions[0] == 0.0
         assert est.diagnostics["unresolved_pairs"] == 0
@@ -178,10 +184,10 @@ class TestPostprocess:
         # a uniform column rounds every pair toward the smaller id and
         # estimates the least-informative dispersion, flagged as clamped
         Q = 3
-        good = build_ranking_matrix([MallowsComponent(Permutation.identity(Q), 0.2)]).entries
+        good = build_ranking_matrix([MallowsComponent(Permutation.identity(Q), 0.2)])
         C = np.hstack([good / good.sum(axis=0), np.zeros_like(good)])
         C[:, 1] = 1.0 / pairs.num_pairs(Q)
-        est = postprocess(RankingMatrix(C, Q, "B"))
+        est = postprocess(RankingMatrix(C, Q))
         assert est.rankings[0].ranking == (1, 2, 3)
         assert est.dispersions[0] == pytest.approx(0.2, abs=1e-12)
         assert est.rankings[1].ranking == (1, 2, 3)
@@ -196,11 +202,11 @@ class TestPostprocess:
         # ranking without usable adjacent probabilities; that component
         # must degrade to the ceiling dispersion instead of failing
         Q = 3
-        good = build_ranking_matrix([MallowsComponent(Permutation.identity(Q), 0.2)]).entries
+        good = build_ranking_matrix([MallowsComponent(Permutation.identity(Q), 0.2)])
         C = np.hstack([good / good.sum(axis=0), np.zeros_like(good)])
         C[pairs.pair_row(1, 2, Q), 1] = 1.0
         with np.errstate(invalid="ignore"):
-            est = postprocess(RankingMatrix(C, Q, "B"))
+            est = postprocess(RankingMatrix(C, Q))
         assert est.rankings[0].ranking == (1, 2, 3)
         assert est.dispersions[0] == pytest.approx(0.2, abs=1e-12)
         assert est.rankings[1].ranking == (1, 2, 3)
@@ -213,7 +219,7 @@ class TestPostprocess:
     def test_serialization_shape(self):
         comp = MallowsComponent(Permutation.identity(3), 0.25)
         model = MixedMembershipModel([comp], DirichletPrior(1.0))
-        est = postprocess(model.observation_matrix())
+        est = postprocess(exact_estimate(model))
         obj = estimated_model_to_dict(est, seed=3, extra_diagnostics={"note": 1})
         assert obj["Q"] == 3 and obj["K"] == 1
         assert obj["prior"] is None

@@ -22,7 +22,7 @@ def components(rankings, phi):
 
 class TestCheckSeparability:
     def test_opposed_references_at_zero(self):
-        beta = build_ranking_matrix(components([[1, 2, 3], [3, 2, 1]], 0.0)).entries
+        beta = build_ranking_matrix(components([[1, 2, 3], [3, 2, 1]], 0.0))
         report = check_separability(beta, 0.0)
         assert report.separable
         assert report.lam == 0.0
@@ -32,13 +32,13 @@ class TestCheckSeparability:
             assert beta[w, 1 - k] == 0.0
 
     def test_identical_references_never_separate(self):
-        beta = build_ranking_matrix(components([[1, 2, 3], [1, 2, 3]], 0.3)).entries
+        beta = build_ranking_matrix(components([[1, 2, 3], [1, 2, 3]], 0.3))
         report = check_separability(beta, 0.9)
         assert not report.separable
         assert all(b == 1.0 for b in report.per_component_best_lambda)
 
     def test_single_component_always_separable(self):
-        beta = build_ranking_matrix(components([[2, 1, 3]], 0.5)).entries
+        beta = build_ranking_matrix(components([[2, 1, 3]], 0.5))
         report = check_separability(beta, 0.0)
         assert report.separable
         assert report.per_component_best_lambda == [0.0]
@@ -57,7 +57,7 @@ class TestCheckSeparability:
         rankings = [[1, 3, 2, 5, 6, 4, 8, 9, 7],
                     [2, 3, 1, 4, 6, 5, 8, 9, 7],
                     [2, 3, 1, 5, 6, 4, 7, 9, 8]]
-        beta = build_ranking_matrix(components(rankings, phi)).entries
+        beta = build_ranking_matrix(components(rankings, phi))
 
         # the planted pairs sit exactly at the designed ratio
         lam_planted = (1.0 - m(2)) / m(2)
@@ -85,7 +85,7 @@ class TestCheckSeparability:
         rng = np.random.default_rng(9)
         for _ in range(5):
             rankings = [(rng.permutation(6) + 1).tolist() for _ in range(3)]
-            beta = build_ranking_matrix(components(rankings, 0.2)).entries
+            beta = build_ranking_matrix(components(rankings, 0.2))
             report = check_separability(beta, 0.5)
             for k in range(3):
                 others = np.delete(beta, k, axis=1).max(axis=1)
@@ -98,7 +98,7 @@ class TestCheckSeparability:
                 b <= 0.5 for b in report.per_component_best_lambda)
 
     def test_lambda_domain(self):
-        beta = build_ranking_matrix(components([[1, 2, 3]], 0.2)).entries
+        beta = build_ranking_matrix(components([[1, 2, 3]], 0.2))
         with pytest.raises(ValueError):
             check_separability(beta, 1.0)
         with pytest.raises(ValueError):

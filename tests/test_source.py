@@ -98,6 +98,38 @@ def test_importing_pairs_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def ranking_matrix_uses() -> tuple[list[str], list[str]]:
+    """("file:line") of each call in the package that constructs a
+    ``RankingMatrix``, and of each ``isinstance`` check that names one."""
+
+    def names_it(node: ast.AST) -> bool:
+        return any(getattr(n, "id", getattr(n, "attr", None)) == "RankingMatrix"
+                   for n in ast.walk(node))
+
+    built, checked = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            where = f"{path.relative_to(PACKAGE)}:{node.lineno}"
+            if getattr(node.func, "id", None) == "isinstance":
+                if any(names_it(arg) for arg in node.args[1:]):
+                    checked.append(where)
+            elif names_it(node.func):
+                built.append(where)
+    return built, checked
+
+
+def test_only_estimator_builds_a_ranking_matrix():
+    # beta and B are plain (W, K) arrays, so a RankingMatrix is only the
+    # estimate B-hat that regression returns and postprocess reads, and no
+    # scorer takes a second input form
+    built, checked = ranking_matrix_uses()
+    assert built and all(where.startswith("estimator.py:") for where in built), built
+    assert checked == []
+
+
 def package_imports() -> dict[str, set[str]]:
     """The package modules each package module imports, counting imports
     inside functions as well as at module level."""
