@@ -12,7 +12,6 @@ never leaves a partial file behind.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -30,11 +29,11 @@ from .generator import (
     DirichletPrior,
     MixedMembershipModel,
     VertexPrior,
-    atomic_write_text,
     generate_corpus_file,
     model_to_dict,
     read_corpus,
     read_model,
+    write_json,
 )
 from .mallows import MallowsComponent, brute_force_beta
 from .permutations import Permutation
@@ -109,13 +108,7 @@ def _draw_components(rng, Q: int, phis: list[float]) -> list[MallowsComponent]:
     ]
 
 
-def _write_json(path: str | None, obj: dict) -> str:
-    """``obj`` as indented JSON, written atomically with a final newline to
-    ``path`` when one is given."""
-    text = json.dumps(obj, indent=1)
-    if path:
-        atomic_write_text(path, text + "\n")
-    return text
+_write_json = write_json  # the name perfbench/traced.py calls
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -157,7 +150,7 @@ def cmd_generate(args) -> int:
     truth = model_to_dict(model, seed=args.seed)
     truth["config"] = config
     truth["weights"] = thetas.tolist()
-    _stage("write", _write_json, args.truth, truth)
+    _stage("write", write_json, args.truth, truth)
     print(f"wrote {args.users * args.comparisons} records to {args.output} "
           f"and the truth to {args.truth}")
     return 0
@@ -189,14 +182,14 @@ def cmd_estimate(args) -> int:
             raise StageError("config", ValueError("-i corpus is required without --exact-moments"))
         corpus = _stage("read", read_corpus, args.input)
         split = _stage("split", split_halves, corpus)
-        del corpus  # the split keeps the records: its halves and the refit read them
+        del corpus  # the split keeps the records, and cooc keeps them for the refit
         cooc = _stage("moments", cooccurrence, split)
         row_scale = split.row_scale()
     novel = _stage("detection", detect_novel_pairs, cooc, cfg)
     B_hat = _stage("regression", estimate_ranking_matrix, cooc, row_scale, novel,
                    epsilon=args.epsilon)
     Q = cooc.Q
-    del cooc, row_scale  # B_hat keeps the split that the dispersion refit reads
+    del cooc, row_scale  # B_hat keeps the corpus that the dispersion refit reads
     est = _stage("postprocess", postprocess, B_hat)
     angles = sorted(novel.solid_angles.values(), reverse=True)
     margin = angles[K - 1] - angles[K] if len(angles) > K else angles[K - 1]
@@ -272,7 +265,7 @@ def cmd_evaluate(args) -> int:
             "output": args.output,
         },
     }
-    text = _stage("write", _write_json, args.output, obj)
+    text = _stage("write", write_json, args.output, obj)
     print(text)
     return 0
 
@@ -311,7 +304,7 @@ def cmd_separability(args) -> int:
             "output": args.output,
         },
     }
-    text = _stage("write", _write_json, args.output, obj)
+    text = _stage("write", write_json, args.output, obj)
     print(text)
     return 0
 
@@ -336,7 +329,7 @@ def cmd_oracle(args) -> int:
             "output": args.output,
         },
     }
-    text = _stage("write", _write_json, args.output, obj)
+    text = _stage("write", write_json, args.output, obj)
     if args.output:
         print(f"wrote exact order-probability table for Q={model.Q}, K={model.K} to {args.output}")
     else:
@@ -371,7 +364,7 @@ def cmd_predict(args) -> int:
             "output": args.output,
         },
     }
-    _stage("write", _write_json, args.output, obj)
+    _stage("write", write_json, args.output, obj)
     print(
         f"avg_loglik {report.avg_loglik:.6f} over {report.n} comparisons "
         f"({report.zero_events} zero-probability events)"

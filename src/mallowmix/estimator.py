@@ -412,9 +412,10 @@ def estimate_ranking_matrix(
     indefinite H is shifted by |lambda_min| + 1e-10.  All rows are solved
     together (``_minimize_simplex_quadratics``).  Solutions are scaled by
     ``row_scale`` and the columns normalized to sum to one; the result
-    keeps ``cooc.split``, the split of a sampled corpus, and the largest
-    step count of any row and the largest last change.  ``threads`` has
-    no effect; it is kept so that callers passing it keep working.
+    keeps ``cooc.corpus``, the records of a sampled estimate, and the
+    largest step count of any row and the largest last change.
+    ``threads`` has no effect; it is kept so that callers passing it keep
+    working.
     """
     check_epsilon(epsilon)
     if max_iter < 1:
@@ -452,5 +453,5 @@ def estimate_ranking_matrix(
     colsum = C.sum(axis=0)
     if np.any(colsum <= 0):
         raise RegressionError("a recovered column has no mass")
-    return RankingMatrix(C / colsum, cooc.Q, counts=cooc.split, steps=int(steps.max()),
+    return RankingMatrix(C / colsum, cooc.Q, corpus=cooc.corpus, steps=int(steps.max()),
                          residual=float(resid.max()))

@@ -299,29 +299,27 @@ def _refit_floor(Q: int) -> float:
     return max(_REFIT_FLOOR, np.finfo(float).tiny ** (1.0 / (Q - 1)))
 
 
-def refit_dispersions(counts, rankings: list[Permutation], dispersions, *,
-                      tol: float = REFIT_TOL) -> tuple[list[float], dict]:
-    """The dispersions refitted by likelihood on the records behind a
-    sampled estimate, with the rankings fixed.
+def refit_dispersions(corpus: ComparisonCorpus, rankings: list[Permutation],
+                      dispersions) -> tuple[list[float], dict]:
+    """The dispersions refitted by likelihood on the records of ``corpus``,
+    with the rankings fixed.
 
-    ``counts`` is the ``SplitCounts`` of ``pairs.split_halves``, which
-    keeps the corpus and of which the refit reads
-    ``counts.user_entries(_REFIT_RECORDS)``.  A record of pair row w
-    has probability sum_k theta_uk beta_k(w) times the pair's own
-    probability, which all components share and which drops out;
-    beta_k(w) is the Mallows order probability of w at its gap in ranking
-    k.  The refit takes one step of the alternation between weights and
-    dispersions: every user's weights theta_u come from the weight EM of
-    ``infer_weights`` at the given dispersions (raised to at least
-    ``_refit_floor(Q)``, so that every record keeps a positive normal
-    probability), stopped at relative change ``tol``, and are held while
-    Newton's method maximizes the records' log-likelihood over the K
-    dispersions.  The weights keep part of the given dispersions' error,
-    the less the more records each user has.  Newton keeps each phi in
-    [0, 1) and halves a step until the likelihood does not fall; its
-    derivatives in phi are forward differences of the pair marginal
-    tables.  It stops once a step would move no dispersion by more than
-    _REFIT_PHI_TOL, or when no step keeps the likelihood.
+    It reads the entries (``pairs.user_entries``) of every s-th user, s set
+    by _REFIT_RECORDS.  A record of pair row w has probability sum_k
+    theta_uk beta_k(w) times the pair's own probability, which all
+    components share and which drops out; beta_k(w) is the Mallows order
+    probability of w at its gap in ranking k.  The refit takes one step of
+    the alternation between weights and dispersions: every user's weights
+    theta_u come from the weight EM of ``infer_weights`` at the given
+    dispersions (raised to at least ``_refit_floor(Q)``, so that every
+    record keeps a positive normal probability), stopped at relative change
+    REFIT_TOL, and are held while Newton's method maximizes the records'
+    log-likelihood over the K dispersions.  The weights keep part of the
+    given dispersions' error, the less the more records each user has.
+    Newton keeps each phi in [0, 1) and halves a step until the likelihood
+    does not fall; its derivatives in phi are forward differences of the
+    pair marginal tables.  It stops once a step would move no dispersion by
+    more than _REFIT_PHI_TOL, or when no step keeps the likelihood.
 
     The EM and every Newton step form one block of whole users' terms at a
     time, theta_uk times beta_k(w) or its derivatives, by the EM's own
@@ -332,14 +330,16 @@ def refit_dispersions(counts, rankings: list[Permutation], dispersions, *,
     Returns the dispersions and a dict with the weight EM's cycles, the
     Newton steps taken, the final log-likelihood and the records read.
     """
-    Q = counts.corpus.Q
-    count, row, starts = counts.user_entries(_REFIT_RECORDS)
+    Q = corpus.Q
+    users = np.zeros(corpus.M, dtype=bool)
+    users[::max(1, -(-corpus.n_records // _REFIT_RECORDS))] = True
+    count, row, starts, _ = pairs.user_entries(corpus, users)
     gaps = [pair_gaps(sigma.positions) for sigma in rankings]
     K = len(gaps)
     phis = np.maximum(np.asarray(dispersions, dtype=float), _refit_floor(Q))
     beta = order_probabilities(Q, gaps, phis)
     theta, history = _weights_em(
-        count, starts, K, lambda lo, hi: beta.take(row[lo:hi], axis=1), tol, 500,
+        count, starts, K, lambda lo, hi: beta.take(row[lo:hi], axis=1), REFIT_TOL, 500,
         lambda _: RuntimeError("a record has probability zero in every component"))
     del beta
     entries, blocks = _user_blocks(starts, count.size)

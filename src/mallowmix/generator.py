@@ -10,9 +10,11 @@ worker schedule.
 
 from __future__ import annotations
 
+import errno
 import itertools
 import json
 import os
+import stat
 import tempfile
 from dataclasses import dataclass
 
@@ -361,15 +363,33 @@ def atomic_write(path: str, blocks) -> None:
     """Write the bytes-like blocks to a temporary file beside ``path``, then
     rename it to ``path``, so readers never observe a partial file.  If a
     block fails, the temporary file goes and ``path`` is left as it was.
+    The file gets the permission bits ``open(path, "w")`` would leave: an
+    existing file's own, else 0o666 less the umask.  A ``path`` that exists
+    and is not a regular file (a folder, a FIFO, a device) is refused, with
+    no temporary file made, since the rename would replace it.
 
     An OSError that names the temporary file, or no file, is raised again
     naming ``path``: the temporary file is gone by then, and its name means
     nothing to the caller."""
+    path = os.fspath(path)
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        umask = os.umask(0)  # read by setting it, so set it back at once
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        if stat.S_ISDIR(st.st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not stat.S_ISREG(st.st_mode):
+            raise OSError(errno.EINVAL, "not a regular file", path)
+        mode = st.st_mode & 0o777
     d = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fd, mode)
             fh.writelines(blocks)  # drops each block before drawing the next
         os.replace(tmp, path)
     except BaseException as exc:
@@ -378,13 +398,22 @@ def atomic_write(path: str, blocks) -> None:
         # before mkstemp returns, the file it names is the temporary one
         if (isinstance(exc, OSError) and exc.errno is not None
                 and (tmp is None or exc.filename in (tmp, None))):
-            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 
 def atomic_write_text(path: str, text: str) -> None:
     """``atomic_write`` of one text, encoded as UTF-8."""
     atomic_write(path, [text.encode()])
+
+
+def write_json(path: str | None, obj: dict) -> str:
+    """``obj`` as indented JSON, written atomically with a final newline to
+    ``path`` when one is given."""
+    text = json.dumps(obj, indent=1)
+    if path:
+        atomic_write_text(path, text + "\n")
+    return text
 
 
 # One corpus record line.  write_corpus formats every record with it, and

@@ -181,16 +181,15 @@ class RankingMatrix:
     pair rows, column-stochastic, as ``estimator.estimate_ranking_matrix``
     recovers it.
 
-    ``counts`` keeps the split corpus (``pairs.SplitCounts``) a sampled
-    estimate came from, so that ``post.postprocess`` can refit its
-    dispersions on the records; None otherwise.  ``steps`` and
-    ``residual`` are the regression's largest step count of any row and
-    largest last change.
+    ``corpus`` keeps the records a sampled estimate came from, so that
+    ``post.postprocess`` can refit its dispersions on them; None
+    otherwise.  ``steps`` and ``residual`` are the regression's largest
+    step count of any row and largest last change.
     """
 
     entries: np.ndarray
     Q: int
-    counts: object = None
+    corpus: object = None
     steps: int = 0
     residual: float = 0.0
 

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import pairs
-from .generator import MixedMembershipModel
+from .generator import ComparisonCorpus, MixedMembershipModel
 from .pairs import SplitCounts, SplitError, split_halves  # imported from here too
 
 
@@ -103,17 +103,17 @@ class CoocMatrix:
     and columns outside ``active`` are zero.  ``row_counts`` carries the
     combined observation count of each pair row (None for analytic
     matrices), letting downstream consumers judge how trustworthy each row
-    of the estimate is.  ``split`` keeps the split corpus the estimate was
-    built from; regression leaves it on B̂ as its ``counts``, where
-    ``evaluate.refit_dispersions`` reads its records.  None for analytic
-    matrices and for estimates built from count matrices.
+    of the estimate is.  ``corpus`` keeps the records the estimate was
+    built from; regression leaves it on B̂, where
+    ``evaluate.refit_dispersions`` reads them.  None for analytic matrices
+    and for estimates built from count matrices.
     """
 
     E: CoocFactors
     active: np.ndarray
     Q: int
     row_counts: np.ndarray | None = None
-    split: "SplitCounts | None" = None
+    corpus: ComparisonCorpus | None = None
 
 
 def count_halves(split: SplitCounts) -> list[sp.csr_matrix]:
@@ -151,11 +151,12 @@ def _normalize_rows(X: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
 
 def cooccurrence(split: SplitCounts) -> CoocMatrix:
     """The co-occurrence estimate of the split's halves (``count_halves``),
-    keeping the split for the dispersion refit."""
-    return halves_cooccurrence(count_halves(split), split.corpus.M, split.corpus.Q, split)
+    keeping the corpus for the dispersion refit."""
+    corpus = split.corpus
+    return halves_cooccurrence(count_halves(split), corpus.M, corpus.Q, corpus)
 
 
-def halves_cooccurrence(halves: list, M: int, Q: int, split=None) -> CoocMatrix:
+def halves_cooccurrence(halves: list, M: int, Q: int, corpus=None) -> CoocMatrix:
     """E-hat = M * row-normalized(X') row-normalized(X)^T from the W x M
     counts ``halves`` = [X, X'], kept as those two sparse factors; each half
     is popped from the list as it is normalized, so only the copies stay."""
@@ -163,7 +164,7 @@ def halves_cooccurrence(halves: list, M: int, Q: int, split=None) -> CoocMatrix:
     Xpn, second = _normalize_rows(halves.pop())
     counts += second  # each pair row's records
     return CoocMatrix(CoocFactors(Xpn, Xn, float(M)), counts > 0, Q, row_counts=counts,
-                      split=split)
+                      corpus=corpus)
 
 
 def analytic_cooccurrence(model: MixedMembershipModel) -> tuple[CoocMatrix, np.ndarray]:

@@ -152,13 +152,6 @@ class SplitCounts:
             total += np.bincount(self.corpus.pair_rows(lo, lo + _SLICE), minlength=total.size)
         return total / self.corpus.M
 
-    def user_entries(self, records: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The counts, pair rows and user starts (``user_entries``) of every
-        s-th user, s the least stride with all records / s at most ``records``."""
-        users = np.zeros(self.corpus.M, dtype=bool)
-        users[::max(1, -(-self.corpus.n_records // records))] = True
-        return user_entries(self.corpus, users)[:3]
-
 
 def split_halves(corpus) -> SplitCounts:
     """Split every user's records by position: a user with n records, at

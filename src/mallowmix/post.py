@@ -12,7 +12,6 @@ by ``evaluate.refit_dispersions``; ``evaluate`` does not import this module.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import pairs
 from .evaluate import refit_dispersions
-from .generator import MixedMembershipModel, atomic_write_text, model_to_dict
+from .generator import MixedMembershipModel, model_to_dict, write_json
 from .mallows import MallowsComponent, RankingMatrix, marginal_table, pair_gaps
 from .permutations import Permutation, copeland_rank
 
@@ -41,7 +40,7 @@ class EstimatedModel:
     beta_hat: np.ndarray  # NaN where a pair could not be resolved
     diagnostics: dict = field(default_factory=dict)
     # the dispersion refit's weight cycles, Newton steps, log-likelihood and
-    # records read; None when B-hat carries no counts
+    # records read; None when B-hat keeps no corpus
     refit: dict | None = None
 
     @property
@@ -155,7 +154,7 @@ def estimate_dispersion(beta_col: np.ndarray, ranking: Permutation) -> tuple[flo
 
 def postprocess(B_hat: RankingMatrix) -> EstimatedModel:
     """Run all four steps and collect diagnostics; then, when B-hat keeps
-    the counts of its corpus, refit the dispersions on them
+    the corpus of a sampled estimate, refit the dispersions on its records
     (``evaluate.refit_dispersions``).  A pair that B-hat leaves unresolved
     counts for neither item in the Copeland counts.  The diagnostics
     describe the readout off B-hat."""
@@ -184,8 +183,8 @@ def postprocess(B_hat: RankingMatrix) -> EstimatedModel:
         "degenerate_dispersions": degenerate,
     }
     refit = None
-    if B_hat.counts is not None:
-        dispersions, refit = refit_dispersions(B_hat.counts, rankings, dispersions)
+    if B_hat.corpus is not None:
+        dispersions, refit = refit_dispersions(B_hat.corpus, rankings, dispersions)
     return EstimatedModel(rankings, dispersions, beta_hat, diagnostics, refit)
 
 
@@ -205,4 +204,4 @@ def write_estimated_model(est: EstimatedModel, path: str, seed: int | None = Non
     obj = estimated_model_to_dict(est, seed=seed, extra_diagnostics=extra_diagnostics)
     if extra:
         obj.update(extra)
-    atomic_write_text(path, json.dumps(obj, indent=1) + "\n")
+    write_json(path, obj)

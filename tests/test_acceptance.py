@@ -205,9 +205,10 @@ def trend_point(phi, M, seed, Q=20, K=3, N=300, alpha0=0.1):
     comps = random_components(Q, K, phi, seed)
     model = MixedMembershipModel(comps, DirichletPrior(alpha0))
     corpus, _ = generate(model, M, N, seed=seed)
-    cooc = cooccurrence(split_halves(corpus))
+    split = split_halves(corpus)
+    cooc = cooccurrence(split)
     novel = detect_novel_pairs(cooc, DetectionConfig(n_components=K))
-    B_hat = estimate_ranking_matrix(cooc, cooc.split.row_scale(), novel)
+    B_hat = estimate_ranking_matrix(cooc, split.row_scale(), novel)
     return align_and_score(model, postprocess(B_hat)).normalized_error
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import stat
 import tracemalloc
 from unittest import mock
 
@@ -213,6 +214,16 @@ class TestGenerate:
             assert err == (f"error in write stage: [Errno 2] No such file or directory: "
                            f"'{bad}'\n")
             assert not any(name.startswith(".tmp-") for name in os.listdir(tmp_path))
+
+    def test_output_that_is_not_a_regular_file_exits_2(self, tmp_path, capsys):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        code, _, err = run(capsys, "generate", "--items", "4", "--components", "1",
+                           "--phi", "0.1", "--users", "10", "--comparisons", "4",
+                           "-o", str(fifo), "--truth", str(tmp_path / "t.json"))
+        assert code == 2
+        assert err == f"error in write stage: [Errno 22] not a regular file: '{fifo}'\n"
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode) and os.listdir(tmp_path) == ["fifo"]
 
     def test_files_are_those_of_generate_and_write_corpus(self, tmp_path, capsys):
         flags = ["generate", "--items", "5", "--components", "3", "--users", "23",

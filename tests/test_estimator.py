@@ -641,12 +641,12 @@ class TestRegression:
             DirichletPrior(0.4))
         cooc, row_scale = analytic_cooccurrence(model)
         novel = detect_novel_pairs(cooc, DetectionConfig(n_components=2))
-        assert estimate_ranking_matrix(cooc, row_scale, novel).counts is None
+        assert estimate_ranking_matrix(cooc, row_scale, novel).corpus is None
         corpus, _ = generate(model, M=300, N=20, seed=5)
         split = split_halves(corpus)
         cooc = cooccurrence(split)
         novel = detect_novel_pairs(cooc, DetectionConfig(n_components=2))
-        assert estimate_ranking_matrix(cooc, split.row_scale(), novel).counts is split
+        assert estimate_ranking_matrix(cooc, split.row_scale(), novel).corpus is corpus
 
 
 def reference_project_to_simplex(v: np.ndarray) -> np.ndarray:

@@ -1034,7 +1034,7 @@ class TestRefitDispersions:
         model = model_of([[3, 1, 6, 2, 5, 4]], [0.35], prior=FixedWeights((1.0,)))
         corpus, _ = generate(model, M=300, N=20, seed=4)
         sigma = model.components[0].reference
-        phis, info = evaluate.refit_dispersions(split_halves(corpus), [sigma], [0.6])
+        phis, info = evaluate.refit_dispersions(corpus, [sigma], [0.6])
         pos = np.empty(Q + 1, dtype=np.int64)
         pos[list(sigma.ranking)] = np.arange(Q)
         gap = pos[corpus.loser] - pos[corpus.winner]
@@ -1057,26 +1057,25 @@ class TestRefitDispersions:
         model = model_of([[1, 2, 3, 4, 5, 6, 7, 8], [8, 6, 4, 2, 7, 5, 3, 1]], [0.2, 0.4],
                          prior=DirichletPrior(0.2))
         corpus, _ = generate(model, M=500, N=200, seed=9)
-        split = split_halves(corpus)
         refs = [c.reference for c in model.components]
         for start in ([0.25, 0.35], [0.15, 0.45]):
-            phis, info = evaluate.refit_dispersions(split, refs, start)
+            phis, info = evaluate.refit_dispersions(corpus, refs, start)
             assert all(abs(p - t) < 0.6 * abs(s - t)
                        for p, s, t in zip(phis, start, [0.2, 0.4])), phis
             assert info["weight_cycles"] >= 1 and info["newton_steps"] >= 1
             # the same inputs give the same bits
-            assert evaluate.refit_dispersions(split, refs, start) == (phis, info)
+            assert evaluate.refit_dispersions(corpus, refs, start) == (phis, info)
 
     def test_large_corpus_reads_every_sth_user(self, monkeypatch):
         model = model_of([[2, 4, 1, 3, 5], [5, 1, 4, 2, 3]], [0.3, 0.3])
         corpus, _ = generate(model, M=400, N=10, seed=3)
         refs = [c.reference for c in model.components]
         monkeypatch.setattr(evaluate, "_REFIT_RECORDS", 1500)  # 4000 records: stride 3
-        strided = evaluate.refit_dispersions(split_halves(corpus), refs, [0.3, 0.3])
+        strided = evaluate.refit_dispersions(corpus, refs, [0.3, 0.3])
         keep = corpus.user % 3 == 0
         sub = ComparisonCorpus(Q=5, M=134, user=corpus.user[keep] // 3,
                                winner=corpus.winner[keep], loser=corpus.loser[keep])
-        assert evaluate.refit_dispersions(split_halves(sub), refs, [0.3, 0.3]) == strided
+        assert evaluate.refit_dispersions(sub, refs, [0.3, 0.3]) == strided
 
     def test_record_reversed_across_120_items(self):
         # at phi = 1e-3 the order probability of a pair reversed at gap 119
@@ -1090,11 +1089,11 @@ class TestRefitDispersions:
                                   winner=np.append(corpus.winner, Q),
                                   loser=np.append(corpus.loser, 1))
         assert reverse_marginal_table(Q, evaluate._REFIT_FLOOR)[Q - 1] == 0
-        split, refs = split_halves(corpus), [Permutation.from_ranking(ranking)]
-        phis, info = evaluate.refit_dispersions(split, refs, [0.0])
+        refs = [Permutation.from_ranking(ranking)]
+        phis, info = evaluate.refit_dispersions(corpus, refs, [0.0])
         # Newton climbs from the floor, where that record's probability is
         # near the smallest normal float, to the maximum it finds from 0.05
-        want, _ = evaluate.refit_dispersions(split, refs, [0.05])
+        want, _ = evaluate.refit_dispersions(corpus, refs, [0.05])
         assert info["newton_steps"] >= 1 and phis[0] == pytest.approx(want[0], abs=1e-6)
 
     def test_floor_keeps_every_order_probability_normal(self):
@@ -1106,12 +1105,11 @@ class TestRefitDispersions:
     def test_postprocess_refits_when_b_hat_keeps_counts(self):
         model = model_of([[1, 3, 2, 5, 4], [4, 5, 1, 2, 3]], [0.25, 0.25])
         corpus, _ = generate(model, M=500, N=20, seed=8)
-        split = split_halves(corpus)
         plain = postprocess(exact_estimate(model))
         assert plain.refit is None and plain.dispersions == pytest.approx([0.25, 0.25])
-        refit = postprocess(exact_estimate(model, split))
+        refit = postprocess(exact_estimate(model, corpus))
         assert [r.ranking for r in refit.rankings] == [r.ranking for r in plain.rankings]
-        want, info = evaluate.refit_dispersions(split, plain.rankings, plain.dispersions)
+        want, info = evaluate.refit_dispersions(corpus, plain.rankings, plain.dispersions)
         assert refit.dispersions == want and refit.refit == info
         assert refit.diagnostics == plain.diagnostics
 
@@ -1134,8 +1132,7 @@ def exact_sums(parts):
         parts.shape[1:])
 
 
-def weight_array_refit_dispersions(counts, rankings, dispersions, *, tol=evaluate.REFIT_TOL,
-                                   whole_sums=False):
+def weight_array_refit_dispersions(corpus, rankings, dispersions, *, whole_sums=False):
     """The dispersion refit with its weights repeated over every entry as
     one (K, entries) array, and its weight EM over whole entries arrays
     (``entry_weights_em``): the code ``evaluate.refit_dispersions``
@@ -1144,8 +1141,8 @@ def weight_array_refit_dispersions(counts, rankings, dispersions, *, tol=evaluat
     added by ``math.fsum``, or, with ``whole_sums``, is one BLAS product
     over all entries, as before that rule.  Its info dict has no
     ``records``."""
-    Q = counts.corpus.Q
-    X, X_prime = count_halves(counts)
+    Q = corpus.Q
+    X, X_prime = count_halves(split_halves(corpus))
     C = (X + X_prime).T.tocsr()
     C = C[::max(1, math.ceil(C.data.sum() / evaluate._REFIT_RECORDS))]
     count, row = C.data, C.indices
@@ -1174,7 +1171,7 @@ def weight_array_refit_dispersions(counts, rankings, dispersions, *, tol=evaluat
     phis = np.maximum(np.asarray(dispersions, dtype=float), evaluate._refit_floor(Q))
     BwT = order_probabilities(phis).take(row, axis=1)
     theta, history = entry_weights_em(
-        count, starts, K, lambda lo, hi: BwT[:, lo:hi], tol, 500,
+        count, starts, K, lambda lo, hi: BwT[:, lo:hi], evaluate.REFIT_TOL, 500,
         lambda _: RuntimeError("a record has probability zero in every component"))
     del BwT
     weight = np.array([np.repeat(t, entries) for t in theta])
@@ -1242,12 +1239,12 @@ def refit_case(K, M, N, seed):
     return corpus, refs, [p + 0.05 * (-1) ** k for k, p in enumerate(phis)]
 
 
-def refit_peak(fn, split, refs, start):
+def refit_peak(fn, corpus, refs, start):
     """tracemalloc peak of one refit, in bytes."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        fn(split, refs, start)
+        fn(corpus, refs, start)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -1260,18 +1257,17 @@ class TestRefitMatchesWeightArray:
     @pytest.mark.parametrize("stride", [1, 3])
     def test_same_bits(self, K, stride, monkeypatch):
         corpus, refs, start = refit_case(K, M=300, N=30, seed=K)
-        split = split_halves(corpus)
         # 9000 records: a limit of 3000 reads every third user
         monkeypatch.setattr(evaluate, "_REFIT_RECORDS", 9000 // stride)
         monkeypatch.setattr(evaluate, "_EM_BLOCK", 500)
-        phis, info = evaluate.refit_dispersions(split, refs, start)
-        want, want_info = weight_array_refit_dispersions(split, refs, start)
+        phis, info = evaluate.refit_dispersions(corpus, refs, start)
+        want, want_info = weight_array_refit_dispersions(corpus, refs, start)
         assert np.array(phis).tobytes() == np.array(want).tobytes()
         assert info == {**want_info, "records": int(np.count_nonzero(corpus.user % stride == 0))}
         assert info["newton_steps"] >= 1
         # the sums over all entries at once, in BLAS order, reach the same
         # dispersions to within Newton's own stop rule
-        whole, _ = weight_array_refit_dispersions(split, refs, start, whole_sums=True)
+        whole, _ = weight_array_refit_dispersions(corpus, refs, start, whole_sums=True)
         assert np.max(np.abs(np.subtract(phis, whole))) <= evaluate._REFIT_PHI_TOL
 
     def test_same_bits_at_eight_components_in_blocks_of_one_user(self, monkeypatch):
@@ -1280,11 +1276,10 @@ class TestRefitMatchesWeightArray:
         # not in component order as in the reference, and at this seed the
         # dispersions and the log-likelihood then differ in their last bits
         corpus, refs, start = refit_case(8, M=60, N=2, seed=5)
-        split = split_halves(corpus)
         monkeypatch.setattr(evaluate, "_REFIT_RECORDS", 10**6)
         monkeypatch.setattr(evaluate, "_EM_BLOCK", 1)
-        phis, info = evaluate.refit_dispersions(split, refs, start)
-        want, want_info = weight_array_refit_dispersions(split, refs, start)
+        phis, info = evaluate.refit_dispersions(corpus, refs, start)
+        want, want_info = weight_array_refit_dispersions(corpus, refs, start)
         assert np.array(phis).tobytes() == np.array(want).tobytes()
         assert info == {**want_info, "records": corpus.n_records}
         assert info["newton_steps"] >= 1
@@ -1296,10 +1291,9 @@ class TestRefitMatchesWeightArray:
         monkeypatch.setattr(evaluate, "_EM_BLOCK", 2**12)
         K = 5
         corpus, refs, start = refit_case(K, M=2000, N=40, seed=6)
-        split = split_halves(corpus)
         entries = pairs.user_entries(corpus)[0].size
         assert entries > 10 * evaluate._EM_BLOCK
-        peak = refit_peak(evaluate.refit_dispersions, split, refs, start)
+        peak = refit_peak(evaluate.refit_dispersions, corpus, refs, start)
         assert peak < K * entries * 8, (peak, K * entries * 8)
 
 

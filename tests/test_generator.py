@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import stat
 import threading
 import tracemalloc
 from unittest import mock
@@ -1043,3 +1044,37 @@ class TestBlockWriter:
             assert (path.read_bytes() if path.exists() else None) == old
             # no temporary file is left beside the target
             assert os.listdir(tmp_path) == ([] if old is None else ["out.jsonl"])
+
+    def test_atomic_write_gives_a_new_file_the_mode_of_open(self, tmp_path):
+        # mkstemp makes its file 0600; open(path, "w") gives 0666 less the umask
+        old = os.umask(0o022)
+        try:
+            atomic_write(tmp_path / "new.json", [b"bytes\n"])
+            with open(tmp_path / "opened.json", "w") as fh:
+                fh.write("bytes\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "new.json").st_mode) == 0o644
+        assert os.stat(tmp_path / "opened.json").st_mode == os.stat(tmp_path / "new.json").st_mode
+
+    def test_atomic_write_keeps_an_existing_file_mode(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"old bytes\n")
+        os.chmod(path, 0o640)
+        atomic_write(path, [b"new bytes\n"])
+        assert path.read_bytes() == b"new bytes\n"
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+
+    def test_atomic_write_refuses_a_path_that_is_not_a_regular_file(self, tmp_path):
+        # the rename would put a regular file in the FIFO's place; opening
+        # the FIFO for writing would wait for a reader
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+        with mock.patch.object(generator.tempfile, "mkstemp",
+                               side_effect=AssertionError("a temporary file was made")):
+            with pytest.raises(OSError) as info:
+                atomic_write(path, [b"bytes\n"])
+        assert info.value.filename == str(path)
+        assert str(info.value) == f"[Errno 22] not a regular file: {str(path)!r}"
+        assert stat.S_ISFIFO(os.stat(path).st_mode)
+        assert os.listdir(tmp_path) == ["fifo"]

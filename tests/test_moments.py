@@ -306,8 +306,8 @@ def entry_cases(draw):
 
 
 class TestUserEntries:
-    """``pairs.user_entries`` against a per-record reference, and the
-    split's strided entries against the sparse transpose they replaced."""
+    """``pairs.user_entries`` against a per-record reference, and its
+    entries of every s-th user against the sparse transpose they replaced."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=entry_cases(), slice_records=st.sampled_from([1, 2, 3, 1 << 15]))
@@ -328,14 +328,15 @@ class TestUserEntries:
     @given(corpus=split_cases(), records=st.integers(1, 200))
     def test_split_entries_match_the_transposed_halves(self, corpus, records):
         assume(np.bincount(corpus.user, minlength=corpus.M).min() >= 2)
-        split = split_halves(corpus)
-        # the code that SplitCounts.user_entries replaced: one CSR row of
-        # pair-row counts per user, every s-th row kept
-        X, X_prime = count_halves(split)
+        # the code that the entries of every s-th user replaced: one CSR
+        # row of pair-row counts per user, every s-th row kept
+        X, X_prime = count_halves(split_halves(corpus))
         C = (X + X_prime).T.tocsr()
         C = C[::max(1, -(-int(C.data.sum()) // records))]
         want = C.data, C.indices.astype(np.int64), C.indptr[:-1][np.diff(C.indptr) > 0]
-        for g, w in zip(split.user_entries(records), want, strict=True):
+        users = np.zeros(corpus.M, dtype=bool)
+        users[::max(1, -(-corpus.n_records // records))] = True
+        for g, w in zip(pairs.user_entries(corpus, users)[:3], want, strict=True):
             assert g.tobytes() == w.astype(g.dtype).tobytes()
 
 
@@ -405,7 +406,7 @@ class TestCooccurrence:
             assert E[w, w] == pytest.approx(1.0)
             assert np.count_nonzero(E) == 1
             assert cooc.active[w] and cooc.active.sum() == 1
-            assert cooc.split.corpus.M == M and cooc.row_counts[w] == 2 * M
+            assert cooc.corpus.M == M and cooc.row_counts[w] == 2 * M
 
     def test_matches_analytic_form_on_expected_counts(self):
         # Feeding the estimator expected counts instead of sampled ones
@@ -445,7 +446,7 @@ class TestCooccurrence:
         cooc, row_scale = analytic_cooccurrence(model)
         B = model.observation_matrix()
         assert np.allclose(row_scale, B @ model.prior.mean(2))
-        assert cooc.row_counts is None and cooc.split is None
+        assert cooc.row_counts is None and cooc.corpus is None
 
     def test_single_component_analytic_is_all_ones_on_active(self):
         ref = Permutation.from_ranking([2, 1, 3, 4])

@@ -33,10 +33,10 @@ def observation_from_beta(beta: np.ndarray, Q: int) -> RankingMatrix:
     return RankingMatrix(C / C.sum(axis=0), Q)
 
 
-def exact_estimate(model: MixedMembershipModel, counts=None) -> RankingMatrix:
+def exact_estimate(model: MixedMembershipModel, corpus=None) -> RankingMatrix:
     """The model's own observation matrix as the estimate B-hat that
-    ``postprocess`` reads."""
-    return RankingMatrix(model.observation_matrix(), model.Q, counts)
+    ``postprocess`` reads, keeping ``corpus`` for the dispersion refit."""
+    return RankingMatrix(model.observation_matrix(), model.Q, corpus)
 
 
 class TestRecoverBeta:
