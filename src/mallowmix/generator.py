@@ -11,6 +11,7 @@ worker schedule.
 from __future__ import annotations
 
 import errno
+import functools
 import itertools
 import json
 import os
@@ -326,12 +327,18 @@ def _user_blocks(model: MixedMembershipModel, M: int, N: int, seed: int, thetas:
 
     Each user's weights and uniforms come from the user's own stream, and
     the rest runs once per block, so the records and weights do not depend
-    on the block size.
+    on the block size.  A comparison's three uniforms pick, by inverse CDF,
+    its pair from the pair distribution (through ``_guide_table``, a lookup
+    that returns what ``np.searchsorted`` over the cumulative distribution
+    would), its component from the user's weights (the count of the first
+    K - 1 cumulative weights at most the draw, by K - 1 compare-adds), and
+    its order from the pair marginal.
     """
     K, Q = model.K, model.Q
-    beta = model.ranking_matrix()
-    cum_mu = np.cumsum(model.pair_distribution())
-    uI, uJ = pairs.unordered_arrays(Q)
+    uI, uJ = (ids.astype(np.int16) for ids in pairs.unordered_arrays(Q))  # Q <= MAX_ITEMS
+    # beta's rows of the pairs (i, j), i < j: the chance that i comes first
+    first_prob = model.ranking_matrix()[pairs.pair_row(uI, uJ, Q)]
+    guide = _guide_table(np.cumsum(model.pair_distribution()))
     per_block = max(1, _WRITE_CHUNK // N)
     for start in range(0, M, per_block):
         stop = min(start + per_block, M)
@@ -340,19 +347,57 @@ def _user_blocks(model: MixedMembershipModel, M: int, N: int, seed: int, thetas:
             rng = _user_rng(seed, u)
             thetas[u] = model.prior.sample(rng, K)
             rng.random(out=r[u - start])  # the pair, component and order draws
-        upair = np.minimum(np.searchsorted(cum_mu, r[:, 0], side="right"), cum_mu.size - 1)
-        # per user, the number of cumulative weights at most the draw:
-        # searchsorted(side="right") over each user's cumsum
+        upair = _guided_search(r[:, 0], *guide)
+        # per user, searchsorted(side="right") over the cumulative weights,
+        # clipped to K - 1: they do not decrease, so it counts the first K - 1
         cum_theta = np.cumsum(thetas[start:stop], axis=1)
-        z = np.minimum((cum_theta[:, None, :] <= r[:, 1, :, None]).sum(-1), K - 1)
+        z = np.zeros(upair.shape, np.intp)
+        for k in range(K - 1):
+            z += cum_theta[:, k, None] <= r[:, 1]
         i = uI[upair]
         j = uJ[upair]
         # The order of one fresh ranking restricted to {i, j} is a Bernoulli
         # draw with the closed-form pair marginal, so sample that directly.
-        first = r[:, 2] < beta[pairs.pair_row(i, j, Q), z]
-        user = np.repeat(np.arange(start, stop, dtype=np.int64), N)
+        first = r[:, 2] < first_prob[upair, z]
+        user = np.repeat(np.arange(start, stop, dtype=np.int32), N)  # M <= MAX_USERS
         yield ComparisonCorpus(Q, M, user, np.where(first, i, j).ravel(),
                                np.where(first, j, i).ravel(), N=N)
+
+
+def _guide_table(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The guide table of ``_guided_search`` over the nondecreasing ``cum``
+    (Chen & Asau, "On generating random variates from an empirical
+    distribution", AIIE Trans. 1974): (guide, padded, passes).
+
+    ``guide[b]`` counts the entries at most b/G, on a grid of G buckets,
+    the least power of two at least ``cum.size``, so the bucket of a draw d
+    is exactly floor(d·G).  ``padded`` is ``cum`` followed by 2**passes
+    infinities, and ``passes``, the bisection steps a draw takes, is
+    ceil(log2(w + 1)) for the most entries w in one bucket: logarithmic in
+    ``cum.size`` however the mass is spread.
+    """
+    G = 1 << (cum.size - 1).bit_length()
+    guide = np.searchsorted(cum, np.arange(G + 1) / G, side="right")
+    passes = int(np.diff(guide).max()).bit_length()
+    return guide, np.concatenate((cum, np.full(1 << passes, np.inf))), passes
+
+
+def _guided_search(d: np.ndarray, guide: np.ndarray, padded: np.ndarray,
+                   passes: int) -> np.ndarray:
+    """``np.minimum(np.searchsorted(cum, d, side="right"), cum.size - 1)``
+    for draws d in [0, 1), through ``_guide_table(cum)``.
+
+    With b = floor(d·G), b/G <= d < (b+1)/G, so the count of entries at
+    most d lies in [guide[b], guide[b + 1]].  Starting from guide[b], steps
+    of 2**(passes - 1), ..., 2, 1 are each taken when the entry before the
+    step's end is at most d; the entries from guide[b + 1] on exceed d (and
+    the padding is infinite), so the walk ends at the exact count.
+    """
+    G = guide.size - 1
+    count = guide[(d * G).astype(np.intp)]
+    for step in [1 << p for p in reversed(range(passes))]:
+        np.add(count, step, out=count, where=padded[count + (step - 1)] <= d)
+    return np.minimum(count, padded.size - (1 << passes) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -366,36 +411,39 @@ def atomic_write(path: str, blocks) -> None:
     The file gets the permission bits ``open(path, "w")`` would leave: an
     existing file's own, else 0o666 less the umask.  A ``path`` that exists
     and is not a regular file (a folder, a FIFO, a device) is refused, with
-    no temporary file made, since the rename would replace it.
+    no temporary file made, since the rename would replace it.  A symbolic
+    link is written through, as ``open`` writes it: the file it resolves
+    to is replaced, beside that file, and the link stays.
 
     An OSError that names the temporary file, or no file, is raised again
     naming ``path``: the temporary file is gone by then, and its name means
     nothing to the caller."""
     path = os.fspath(path)
-    try:
-        st = os.stat(path)
-    except FileNotFoundError:
-        umask = os.umask(0)  # read by setting it, so set it back at once
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    else:
-        if stat.S_ISDIR(st.st_mode):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if not stat.S_ISREG(st.st_mode):
-            raise OSError(errno.EINVAL, "not a regular file", path)
-        mode = st.st_mode & 0o777
-    d = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
+        target = os.path.realpath(path)
+        try:
+            st = os.stat(target)
+        except FileNotFoundError:
+            umask = os.umask(0)  # read by setting it, so set it back at once
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        else:
+            if stat.S_ISDIR(st.st_mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            if not stat.S_ISREG(st.st_mode):
+                raise OSError(errno.EINVAL, "not a regular file", path)
+            mode = st.st_mode & 0o777
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-",
+                                   suffix=os.path.basename(target))
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fd, mode)
             fh.writelines(blocks)  # drops each block before drawing the next
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        # before mkstemp returns, the file it names is the temporary one
+        # before mkstemp returns, any file named is the target or the temporary one
         if (isinstance(exc, OSError) and exc.errno is not None
                 and (tmp is None or exc.filename in (tmp, None))):
             raise type(exc)(exc.errno, exc.strerror, path) from None
@@ -429,9 +477,24 @@ _WRITE_CHUNK = 1 << 14
 _READ_BLOCK = 1 << 18  # bytes read per block by read_corpus
 # _RECORD's text before, between and after its three ids
 _TEMPLATE = tuple(part.encode() for part in _RECORD.split("%d"))
-_POWERS = 10 ** np.arange(19, dtype=np.int64)  # of each digit position of an int64 id
-_SMALLEST = np.concatenate(([0], _POWERS[1:]))  # the smallest id with a digit there
 _PAD = 0xFF  # a byte no record line holds
+_GROUP = 10**4  # ids are written in 4-digit groups
+
+
+@functools.cache  # built on the first write, not by every command's import
+def _group_cells() -> np.ndarray:
+    """The 4-byte ASCII cells of the 4-digit groups 0..9999 that
+    ``_record_bytes`` writes ids with, as uint32, in three variants of
+    10**4 cells each: a leading group of the lowest position, with ``_PAD``
+    before its first significant digit (so 0 is written "0"); a leading
+    group of a higher position, whose 0 is all ``_PAD``; and an inner group,
+    zero-padded.  Cell v + 10**4·variant holds group v."""
+    v = np.arange(_GROUP, dtype=np.int16)[:, None]
+    digits = (v // np.array([1000, 100, 10, 1], np.int16) % 10 + ord("0")).astype(np.uint8)
+    # a digit is written from the least group value with a digit there
+    least = np.array([[1000, 100, 10, 0], [1000, 100, 10, 1], [0, 0, 0, 0]], np.int16)
+    cells = np.where(v >= least[:, None, :], digits, np.uint8(_PAD))  # (variant, group, byte)
+    return cells.view(np.uint32).ravel()
 
 
 def write_corpus(corpus: ComparisonCorpus, path: str, meta_extra: dict | None = None) -> None:
@@ -451,26 +514,49 @@ def _write_records(path: str, meta: dict, meta_extra: dict | None, blocks) -> No
                                        (_record_bytes(*columns) for columns in blocks)))
 
 
-def _record_bytes(*columns: np.ndarray) -> np.ndarray:
+def _record_bytes(*columns: np.ndarray) -> bytes:
     """The ``_RECORD`` lines of the records whose nonnegative ids are
-    ``columns``, as one uint8 array of their bytes.
+    ``columns``.
 
     Each record gets a row of a byte grid: the template's bytes in fixed
-    columns, and each id right-aligned in a field as wide as its column's
-    widest id, with ``_PAD`` before its digits.  The grid's bytes that are
-    not ``_PAD``, in row order, are the lines.
+    columns, and each id in 4-byte cells, as many as its column's widest id
+    has 4-digit groups.  The cells come from one table, ``_group_cells()``:
+    the id's highest nonzero group (or its 0) in a leading variant, with
+    ``_PAD`` before the first significant digit, the groups below it
+    zero-padded and the cells above it all ``_PAD``.  So an id's cells hold
+    its decimal digits with ``_PAD`` before them, and one int64 division
+    per group, not per digit, splits it.  The grid's bytes that are not
+    ``_PAD``, in row order, are the lines.
     """
-    widths = [len(str(int(ids.max()))) for ids in columns]
-    grid = np.full((columns[0].size, sum(map(len, _TEMPLATE)) + sum(widths)), _PAD, np.uint8)
+    groups = [-(-len(str(int(ids.max()))) // 4) for ids in columns]  # up to 5 for an int64
+    row = [np.frombuffer(_TEMPLATE[0], np.uint8)]
+    for part, count in zip(_TEMPLATE[1:], groups):
+        row += [np.full(4 * count, _PAD, np.uint8), np.frombuffer(part, np.uint8)]
+    grid = np.tile(np.concatenate(row), (columns[0].size, 1))
     at = 0
-    for part, ids, width in zip(_TEMPLATE, columns, widths):
-        grid[:, at:at + len(part)] = np.frombuffer(part, np.uint8)
+    for part, ids, count in zip(_TEMPLATE, columns, groups):
         at += len(part)
-        digits = (ids[:, None] // _POWERS[width - 1::-1] % 10 + ord("0")).astype(np.uint8)
-        grid[:, at:at + width] = np.where(ids[:, None] >= _SMALLEST[width - 1::-1], digits, _PAD)
-        at += width
-    grid[:, at:] = np.frombuffer(_TEMPLATE[-1], np.uint8)
-    return grid[grid != _PAD]
+        cells = grid[:, at:at + 4 * count].view(np.uint32)
+        # every index is in range; "clip" writes into the cells unbuffered
+        np.take(_group_cells(), _cell_index(ids, count), out=cells, mode="clip")
+        at += 4 * count
+    return grid.tobytes().translate(None, bytes([_PAD]))
+
+
+def _cell_index(ids: np.ndarray, count: int) -> np.ndarray:
+    """The ``_group_cells()`` index of each of the ``count`` groups of the
+    nonnegative ``ids``, highest first: ``ids`` itself for one group."""
+    if count == 1:
+        return ids[:, None]  # the lowest group, leading
+    index = np.empty((ids.size, count), np.int64)
+    rest = ids.astype(np.int64)
+    for k in range(count - 1, 0, -1):  # from the lowest group up
+        rest, group = np.divmod(rest, _GROUP)
+        # an inner group if a higher one is not zero, else a leading one
+        lead = group if k == count - 1 else group + _GROUP
+        index[:, k] = np.where(rest > 0, group + 2 * _GROUP, lead)
+    index[:, 0] = rest + _GROUP
+    return index
 
 
 class CorpusError(ValueError):
@@ -564,11 +650,11 @@ def read_corpus(path: str) -> ComparisonCorpus:
             if total > ids[0].size:  # a pipe has no size, and a file may grow while read
                 ids = [np.concatenate((column[:n], np.empty(total, column.dtype)))
                        for column in ids]
-            # the block's records in line order, bulk-parsed and decoded
-            decoded = np.array(found, np.int64).reshape(-1, 4).T
-            order = np.argsort(np.concatenate((lines, decoded[0])))
-            values = np.concatenate((values, decoded[1:]), 1)
-            limit = limit or _store(ids, n, values[:, order], top)
+            if found:  # the block's records in line order, bulk-parsed and decoded
+                decoded = np.array(found, np.int64).T
+                order = np.argsort(np.concatenate((lines, decoded[0])))
+                values = np.concatenate((values, decoded[1:]), 1)[:, order]
+            limit = limit or _store(ids, n, values, top)
             n = total
             base += ends.size
     if not n:

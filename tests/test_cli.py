@@ -225,6 +225,21 @@ class TestGenerate:
         assert err == f"error in write stage: [Errno 22] not a regular file: '{fifo}'\n"
         assert stat.S_ISFIFO(os.stat(fifo).st_mode) and os.listdir(tmp_path) == ["fifo"]
 
+    def test_output_through_a_link_rewrites_its_target(self, tmp_path, capsys):
+        flags = ["generate", "--items", "4", "--components", "1", "--phi", "0.1",
+                 "--users", "10", "--comparisons", "4", "--truth", str(tmp_path / "t.json")]
+        code, _, _ = run(capsys, *flags, "-o", str(tmp_path / "want.jsonl"))
+        assert code == 0
+        real, link = tmp_path / "real.jsonl", tmp_path / "link.jsonl"
+        real.write_bytes(b"old bytes\n")
+        link.symlink_to("real.jsonl")
+        code, _, _ = run(capsys, *flags, "-o", str(link))
+        assert code == 0 and link.is_symlink()
+        # the meta line's config records the path as given
+        got = real.read_bytes().split(b"\n", 1)
+        want = (tmp_path / "want.jsonl").read_bytes().split(b"\n", 1)
+        assert got[1] == want[1] and got[0] == want[0].replace(b"want.jsonl", b"link.jsonl")
+
     def test_files_are_those_of_generate_and_write_corpus(self, tmp_path, capsys):
         flags = ["generate", "--items", "5", "--components", "3", "--users", "23",
                  "--comparisons", "5", "--phi", "0.2", "--alpha", "0.4", "--seed", "3",

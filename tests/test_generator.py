@@ -946,6 +946,67 @@ class TestBlockSampler:
         assert thetas.dtype == want_thetas.dtype and np.array_equal(thetas, want_thetas)
 
 
+@st.composite
+def cumulative_distributions(draw):
+    """A nondecreasing cumulative pair distribution as ``_user_blocks``
+    builds one: even or skewed masses, often with runs of zero-mass pairs,
+    sometimes one pair holding almost all the mass, and a last value of
+    1.0 or just below or above it by rounding."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mass = rng.random(n) ** draw(st.sampled_from([1, 8]))
+    mass[rng.random(n) < draw(st.sampled_from([0.0, 0.5, 0.95]))] = 0.0
+    if draw(st.booleans()) or not mass.any():
+        mass[rng.integers(n)] = 1e9 * (mass.sum() + 1)
+    cum = np.cumsum(mass / mass.sum())
+    end = draw(st.sampled_from([None, 1.0, np.nextafter(1, 0), np.nextafter(1, 2),
+                                1 - 2**-40, 1 + 2**-40]))
+    if end is not None:
+        cum[-1] = max(end, cum[-2]) if n > 1 else end
+    return cum
+
+
+class TestGuidedSearch:
+    """``_guided_search`` over ``_guide_table(cum)`` against the plain
+    ``np.searchsorted`` it replaces in the pair draw."""
+
+    @staticmethod
+    def want(cum, d):
+        return np.minimum(np.searchsorted(cum, d, side="right"), cum.size - 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cum=cumulative_distributions(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_searchsorted(self, cum, seed):
+        guide = generator._guide_table(cum)
+        G = guide[0].size - 1
+        assert G >= cum.size and G & (G - 1) == 0
+        edges = np.arange(G) / G
+        inner = cum[cum < 1]
+        d = np.concatenate([
+            edges, np.nextafter(edges[1:], 0),  # on and just below every bucket edge
+            inner, np.nextafter(inner, 0), np.nextafter(inner, 1)[np.nextafter(inner, 1) < 1],
+            [0.0, 5e-324, np.nextafter(1, 0)], np.random.default_rng(seed).random(500)])
+        assert np.all((0 <= d) & (d < 1))
+        got = generator._guided_search(d, *guide)
+        assert got.dtype == np.intp and np.array_equal(got, self.want(cum, d))
+        # the draws of a block of users come as a (users, N) array
+        assert np.array_equal(generator._guided_search(d[:500].reshape(20, 25), *guide),
+                              self.want(cum, d[:500]).reshape(20, 25))
+
+    @pytest.mark.parametrize("heavy", [0, 5000, 12287])
+    def test_passes_stay_logarithmic_with_all_mass_on_one_pair(self, heavy):
+        # 12288 pairs, every one but `heavy` of zero mass: the entries
+        # from `heavy` on all equal 1.0 and share the top bucket
+        mass = np.zeros(12288)
+        mass[heavy] = 1.0
+        cum = np.cumsum(mass)
+        guide, padded, passes = generator._guide_table(cum)
+        assert passes == (cum.size - heavy).bit_length() <= math.ceil(math.log2(cum.size + 1))
+        d = np.concatenate([np.arange(guide.size - 1) / (guide.size - 1), [np.nextafter(1, 0)]])
+        got = generator._guided_search(d, guide, padded, passes)
+        assert np.array_equal(got, self.want(cum, d)) and set(got.tolist()) == {heavy}
+
+
 def reference_write_corpus(corpus, path, meta_extra=None):
     """The writer that ``write_corpus`` replaced: ``_RECORD`` formatting of
     one Python record at a time, joined into one string for the file."""
@@ -967,6 +1028,9 @@ def reference_write_corpus(corpus, path, meta_extra=None):
 DIGIT_EDGES = [0, 1, 2**63 - 1] + [10**k + d for k in range(1, 19) for d in (-1, 0)]
 IDS = st.one_of(st.sampled_from(DIGIT_EDGES), st.integers(0, 2**63 - 1),
                 st.integers(10**18, 2**63 - 1), st.integers(0, MAX_ITEMS))
+# ids with zero 4-digit groups between nonzero ones, or below one
+ZERO_GROUPS = [10**4, 10**8 + 1, 10**8 + 10**4, 10**12 + 10**4, 10**12 + 1, 2 * 10**16,
+               10**16 + 10**8, 9 * 10**18 + 1]
 ID_RECORDS = st.lists(st.tuples(IDS, IDS.filter(bool), IDS.filter(bool)).filter(
     lambda r: r[1] != r[2]), max_size=20)
 
@@ -980,12 +1044,17 @@ class TestBlockWriter:
     # the same edges, as far as the corpus limits let a corpus hold them
     @example(records=[(e, max(e, 1), 2 if e <= 1 else 1) for e in DIGIT_EDGES if e <= MAX_ITEMS]
              + [(e, 1, 2) for e in DIGIT_EDGES if e < MAX_USERS], chunk=5)
+    # ids whose inner 4-digit groups are zero, in every column
+    @example(records=[(e, e, 1) for e in ZERO_GROUPS] + [(0, 1, e) for e in ZERO_GROUPS], chunk=4)
+    # one chunk mixing 1-digit and 19-digit ids in each column
+    @example(records=[(0, 1, 2**63 - 1), (2**63 - 1, 9, 1), (10**18, 10**18 + 1, 3),
+                      (5, 2, 10**18)], chunk=7)
     def test_matches_record_formatting(self, tmp_path_factory, records, chunk):
         # the formatter, on int64 columns a chunk of records at a time,
         # lays out ids of every size up to 2**63 - 1
         columns = [np.array([r[j] for r in records], dtype=np.int64) for j in range(3)]
         lines = b"".join(generator._record_bytes(*(ids[lo:lo + chunk] for ids in columns))
-                         .tobytes() for lo in range(0, len(records), chunk))
+                         for lo in range(0, len(records), chunk))
         assert lines == "".join(generator._RECORD % r for r in records).encode()
         # write_corpus and read_corpus carry the records a corpus can hold
         records = [r for r in records if r[0] < MAX_USERS and max(r[1:]) <= MAX_ITEMS]
@@ -1064,6 +1133,32 @@ class TestBlockWriter:
         atomic_write(path, [b"new bytes\n"])
         assert path.read_bytes() == b"new bytes\n"
         assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+
+    def test_atomic_write_writes_through_a_link(self, tmp_path):
+        # as open(path, "w") does: the link's target gets the bytes and
+        # keeps its mode, and the link stays a link
+        real, link = tmp_path / "real.json", tmp_path / "out.json"
+        real.write_bytes(b"old bytes\n")
+        os.chmod(real, 0o640)
+        link.symlink_to("real.json")
+        atomic_write(link, [b"new bytes\n"])
+        assert link.is_symlink() and os.readlink(link) == "real.json"
+        assert real.read_bytes() == b"new bytes\n"
+        assert stat.S_IMODE(os.stat(real).st_mode) == 0o640
+        assert sorted(os.listdir(tmp_path)) == ["out.json", "real.json"]
+
+    def test_atomic_write_creates_the_target_of_a_dangling_link(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        link = tmp_path / "out.json"
+        link.symlink_to(tmp_path / "sub" / "new.json")
+        old = os.umask(0o022)
+        try:
+            atomic_write(link, [b"bytes\n"])
+        finally:
+            os.umask(old)
+        assert link.is_symlink() and (tmp_path / "sub" / "new.json").read_bytes() == b"bytes\n"
+        assert stat.S_IMODE(os.stat(tmp_path / "sub" / "new.json").st_mode) == 0o644
+        assert os.listdir(tmp_path / "sub") == ["new.json"]
 
     def test_atomic_write_refuses_a_path_that_is_not_a_regular_file(self, tmp_path):
         # the rename would put a regular file in the FIFO's place; opening

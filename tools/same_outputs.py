@@ -7,7 +7,10 @@ For every shape and seed, each tree runs the benchmark's pipeline in a
 fresh temporary folder: the model drawn with ``--phi 0.1 --alpha 0.1
 --seed 0``, ``generate`` at the seed, ``estimate`` on the corpus and with
 ``--exact-moments truth.json``, ``evaluate``, and ``predict`` with the
-truth and with the estimate.  Both trees use the same relative file names,
+truth and with the estimate.  The ``skewed-q20`` shape first rewrites the
+drawn ``model.json`` (the same rewrite in both trees) to an uneven pair
+distribution: one pair holds half the mass and three of every five others
+none.  Both trees use the same relative file names,
 since every output records its own paths.  Every file the pipeline leaves
 and every command's exit code and stderr lines are compared; stdout is
 not, since ``estimate`` prints its wall time there.  Exits 1 on any
@@ -18,16 +21,18 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-# name: (items Q, components K, users M, comparisons per user N)
+# name: (items Q, components K, users M, comparisons per user N, skewed pairs)
 SHAPES = {
-    "dense-q20": (20, 3, 3000, 300),
-    "wide-q60": (60, 5, 2000, 200),
+    "dense-q20": (20, 3, 3000, 300, False),
+    "wide-q60": (60, 5, 2000, 200, False),
+    "skewed-q20": (20, 3, 3000, 300, True),
 }
 
 
@@ -49,6 +54,23 @@ def pipeline(Q: int, K: int, M: int, N: int, seed: int) -> list[list[str]]:
     ]
 
 
+def skew_pairs(path: Path) -> None:
+    """Give the model file at ``path`` a pair distribution with zero-mass
+    runs and one heavy pair: the first pair (1, 2) holds half the mass,
+    each pair whose index is 1, 2 or 3 mod 5 none, and the rest share the
+    other half evenly."""
+    model = json.loads(path.read_text())
+    Q = model["Q"]
+    pairs = [(i, j) for i in range(1, Q + 1) for j in range(i + 1, Q + 1)]
+    shared = [k for k in range(1, len(pairs)) if k % 5 in (0, 4)]
+    probs = [0.0] * len(pairs)
+    probs[0] = 0.5
+    for k in shared:
+        probs[k] = 0.5 / len(shared)
+    model["pair_dist"] = [[i, j, p] for (i, j), p in zip(pairs, probs)]
+    path.write_text(json.dumps(model, indent=1) + "\n")
+
+
 def source_path(tree: str) -> str:
     """The folder that holds the ``mallowmix`` package of ``tree``."""
     root = Path(tree).resolve()
@@ -58,17 +80,22 @@ def source_path(tree: str) -> str:
     sys.exit(f"{tree}: no mallowmix package in it or in its src folder")
 
 
-def run(src: str, argvs: list[list[str]], cwd: Path) -> list[tuple[int, list[str]]]:
-    """Each command's exit code and stderr lines; a failed command ends the run."""
+def run(src: str, argvs: list[list[str]], cwd: Path,
+        skewed: bool) -> list[tuple[int, list[str]]]:
+    """Each command's exit code and stderr lines; a failed command ends the
+    run.  With ``skewed``, the model file is rewritten by ``skew_pairs``
+    after the first command, which draws it."""
     env = dict(os.environ, PYTHONPATH=src)
     results = []
-    for argv in argvs:
+    for k, argv in enumerate(argvs):
         proc = subprocess.run([sys.executable, "-m", "mallowmix.cli", *argv], cwd=cwd,
                               env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                               text=True)
         results.append((proc.returncode, proc.stderr.splitlines()))
         if proc.returncode:
             break
+        if skewed and k == 0:
+            skew_pairs(cwd / "model.json")
     return results
 
 
@@ -102,13 +129,14 @@ def main(argv: list[str] | None = None) -> int:
     found = 0
     for shape in SHAPES:
         for seed in args.seeds:
-            argvs = pipeline(*SHAPES[shape], seed)
+            *dims, skewed = SHAPES[shape]
+            argvs = pipeline(*dims, seed)
             with tempfile.TemporaryDirectory() as tmp:
                 dirs = [Path(tmp) / "parent", Path(tmp) / "change"]
                 got = []
                 for src, d in zip(trees, dirs):
                     d.mkdir()
-                    got.append(run(src, argvs, d))
+                    got.append(run(src, argvs, d, skewed))
                 diff = differences(*dirs, argvs, *got)
             found += len(diff)
             print(f"{shape} seed {seed}: "
