@@ -185,6 +185,7 @@ def cmd_estimate(args) -> int:
         del corpus  # the split keeps the records, and cooc keeps them for the refit
         cooc = _stage("moments", cooccurrence, split)
         row_scale = split.row_scale()
+        del split  # its first-half mask is read by then
     novel = _stage("detection", detect_novel_pairs, cooc, cfg)
     B_hat = _stage("regression", estimate_ranking_matrix, cooc, row_scale, novel,
                    epsilon=args.epsilon)

@@ -107,27 +107,41 @@ def _rank_k(E: CoocFactors, act: np.ndarray, K: int, seed: int):
     """The top K singular triplets U S V^T of the slice A = E[act, act], and
     the rank-K extension E_K = (E[:, act] V) S^-1 (U^T E[act, :]).
 
-    A is applied through the factors, A X = scale * left[act] (right[act]^T
-    X), so no n x n array is built.  Block subspace iteration with 2K
-    columns (at most n), started from a Gaussian block of the seed's own
-    stream: each step applies A^T, then A, orthonormalizing after each,
-    until the singular values of the last triangular factor stop moving
-    in their top K (``_SVD_TOL``).  A Rayleigh-Ritz step gives the
-    triplets; each singular vector's sign makes its largest entry in U
-    positive.  E_K is kept as dense W x K factors, scale 1.  A slice of
-    rank below K has no rank-K part, and raises ``DetectionError``.
+    A is applied through the whole factors: the n-row block X is scattered
+    into the act rows of a W-row zero block P, and A X = scale * (left
+    (right^T P))[act] (``apply``).  The factors' other rows add exact zeros
+    among the terms that a slice of them would add, in the same order, so
+    neither factor is copied and no n x n array is built.  Block subspace
+    iteration with 2K columns (at most n), started from a Gaussian block
+    of the seed's own stream: each step applies A^T, then A,
+    orthonormalizing after each, until the singular values of the last
+    triangular factor stop moving in their top K (``_SVD_TOL``).  A
+    Rayleigh-Ritz step gives the triplets; each singular vector's sign
+    makes its largest entry in U positive.  E_K is kept as dense W x K
+    factors, scale 1.  A slice of rank below K has no rank-K part, and
+    raises ``DetectionError``.
 
     Returns the rows Y = U S, the top K + 1 singular values (K if n = K),
     the factors of E_K and the iteration count.
     """
-    L, R, s = E.left[act], E.right[act], E.scale
+    s = E.scale
     n = act.size
+    pad = np.zeros((E.shape[0], min(n, 2 * K)))  # its rows outside act stay zero
+
+    def apply(F, G, X, rows=act):
+        """s * G[rows] @ F[act]^T X, scaled in place."""
+        P = pad[:, :X.shape[1]]
+        P[act] = X
+        out = (G @ (F.T @ P))[rows]
+        out *= s
+        return out
+
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _START_STREAM)))
     X = np.linalg.qr(rng.standard_normal((n, min(n, 2 * K))))[0]
     prev = np.full(K, np.inf)
     for it in range(1, _SVD_MAX_ITER + 1):
-        Z = np.linalg.qr(s * (R @ (L.T @ X)))[0]
-        X, T = np.linalg.qr(s * (L @ (R.T @ Z)))
+        Z = np.linalg.qr(apply(E.left, E.right, X))[0]
+        X, T = np.linalg.qr(apply(E.right, E.left, Z))
         sv = np.linalg.svd(T, compute_uv=False)[:K]
         if np.all(np.abs(sv - prev) <= _SVD_TOL * sv[0]):
             break
@@ -135,7 +149,7 @@ def _rank_k(E: CoocFactors, act: np.ndarray, K: int, seed: int):
     else:
         raise DetectionError(
             f"the top {K} singular values did not settle in {_SVD_MAX_ITER} iterations")
-    Ub, S, Vt = np.linalg.svd((s * (R @ (L.T @ X))).T, full_matrices=False)
+    Ub, S, Vt = np.linalg.svd(apply(E.left, E.right, X).T, full_matrices=False)
     # the rank as numpy.linalg.matrix_rank counts it: singular values above
     # the largest times n eps
     rank = int(np.count_nonzero(S[:K] > S[0] * n * np.finfo(float).eps))
@@ -146,7 +160,8 @@ def _rank_k(E: CoocFactors, act: np.ndarray, K: int, seed: int):
     U, V = X @ Ub[:, :K], Vt[:K].T
     sign = np.where(U[np.argmax(np.abs(U), axis=0), np.arange(K)] < 0, -1.0, 1.0)
     U, V = U * sign, V * sign
-    factors = CoocFactors(s * (E.left @ (R.T @ (V / S[:K]))), s * (E.right @ (L.T @ U)), 1.0)
+    factors = CoocFactors(apply(E.right, E.left, V / S[:K], slice(None)),
+                          apply(E.left, E.right, U, slice(None)), 1.0)
     return U * S[:K], S[:K + 1], factors, it
 
 

@@ -25,6 +25,8 @@ from .pairs import SplitCounts, SplitError, split_halves  # imported from here t
 
 # Rows of the square blocks whose diagonals ``CoocFactors.diagonal`` reads.
 _CHUNK_ROWS = 256
+# Records, or entries of a sparse half, that the loops below read at once.
+_SLICE = 1 << 13
 
 
 def _stored_bytes(factor) -> int:
@@ -46,8 +48,9 @@ class CoocFactors:
     E = scale * left @ right.T.
 
     Sampled corpora keep the sparse row-normalized halves (left = X'n,
-    right = Xn, scale = M); only ``estimator._rank_k`` reads them, through
-    products with dense blocks.  Analytic moments keep the dense W x K
+    right = Xn, scale = M), each row's users in descending order; only
+    ``estimator._rank_k`` reads them, whole, through products with dense
+    W-row blocks.  Analytic moments keep the dense W x K
     factors B̄R̄ and B̄, and the rank-K part that detection finds keeps
     dense W x K factors too (both scale 1).  ``block`` and ``diagonal``
     read entries of dense factors only, bit for bit what the full product
@@ -116,55 +119,85 @@ class CoocMatrix:
     corpus: ComparisonCorpus | None = None
 
 
-def count_halves(split: SplitCounts) -> list[sp.csr_matrix]:
-    """The W x M counts [X, X'] of the split's first and second halves,
-    each read off the sorted distinct keys ``row * M + user`` of its
-    records, which are in row-major order; the keys lie below W * M, which
-    the corpus limits keep within int64."""
+def _half_keys(split: SplitCounts, half: int) -> np.ndarray:
+    """The keys row * M + (M - 1 - user) of the records of the split's
+    first half (``half`` 0) or second (1), in record order, formed one
+    slice at a time into one array of ``pairs.key_type(W * M)``."""
     corpus, first = split.corpus, split.first
+    M, n = corpus.M, corpus.n_records
+    size = int(np.count_nonzero(first))
+    key = np.empty(n - size if half else size,
+                   dtype=pairs.key_type(pairs.num_pairs(corpus.Q) * M))
+    at = 0
+    for lo in range(0, n, _SLICE):
+        mine = ~first[lo:lo + _SLICE] if half else first[lo:lo + _SLICE]
+        rows = corpus.pair_rows(lo, lo + _SLICE)[mine]
+        rows *= M
+        rows += M - 1
+        rows -= corpus.user[lo:lo + _SLICE][mine]
+        key[at:at + rows.size] = rows
+        at += rows.size
+    return key
+
+
+def _half_counts(split: SplitCounts, half: int) -> sp.csr_matrix:
+    """The W x M counts of the split's first half (``half`` 0) or second
+    (1), read off the sorted distinct keys row * M + (M - 1 - user) of its
+    records, so that each row lists its users in descending order: the
+    order in which ``sp.diags(inv) @ X`` leaves them, since scipy's product
+    lays out every row in reverse.  The detection products sum in that
+    order."""
+    corpus = split.corpus
     M, W = corpus.M, pairs.num_pairs(corpus.Q)
-    key = corpus.pair_rows()
-    key *= M
-    key += corpus.user
-    halves = [key[first]]
-    np.logical_not(first, out=first)
-    halves.append(key[first])
-    np.logical_not(first, out=first)  # the split's own mask again
-    del key
-    # popped, so that each half's keys go once its distinct keys are read
-    return [_half_counts(*pairs.distinct_counts(halves.pop(0)), W, M) for _ in range(2)]
-
-
-def _half_counts(key: np.ndarray, data: np.ndarray, W: int, M: int) -> sp.csr_matrix:
-    """The W x M counts of one half from its sorted distinct keys row * M + user."""
+    key, count = pairs.distinct_counts(_half_keys(split, half))
     index = np.int32 if max(W, M, key.size) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.searchsorted(key, np.arange(W + 1, dtype=np.int64) * M).astype(index)
+    # the bounds in the key's own type, so that the key is not widened
+    indptr = np.searchsorted(key, np.arange(W + 1, dtype=key.dtype) * M).astype(index)
     np.remainder(key, M, out=key)
-    return sp.csr_matrix((data, key.astype(index), indptr), shape=(W, M))
+    np.subtract(M - 1, key, out=key)  # each entry's user
+    return sp.csr_matrix((count, key.astype(index, copy=False), indptr), shape=(W, M))
 
 
-def _normalize_rows(X: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
+def _normalize_in_place(X: sp.csr_matrix) -> np.ndarray:
+    """Scale every row of the counts X in place to sum to one, and return
+    the row sums.  Each entry becomes count * inv[row], the product that
+    ``sp.diags(inv) @ X`` forms; the entries are scaled one slice at a
+    time, so no entry-long array is made beside them."""
     rs = np.asarray(X.sum(axis=1)).ravel()
     inv = np.where(rs > 0, 1.0 / np.maximum(rs, 1e-300), 0.0)
-    return sp.diags(inv) @ X, rs
+    for lo in range(0, X.nnz, _SLICE):
+        hi = min(lo + _SLICE, X.nnz)
+        row = np.searchsorted(X.indptr, np.arange(lo, hi), side="right") - 1
+        X.data[lo:hi] *= inv.take(row)
+    return rs
+
+
+def _normalized_cooccurrence(Xn: sp.csr_matrix, Xpn: sp.csr_matrix, M: int, Q: int,
+                             corpus=None) -> CoocMatrix:
+    """E-hat = M * Xpn Xn^T from the counts of the halves [X, X'], each
+    row-normalized in place (``_normalize_in_place``)."""
+    counts = _normalize_in_place(Xn)
+    counts += _normalize_in_place(Xpn)  # each pair row's records
+    return CoocMatrix(CoocFactors(Xpn, Xn, float(M)), counts > 0, Q, row_counts=counts,
+                      corpus=corpus)
 
 
 def cooccurrence(split: SplitCounts) -> CoocMatrix:
-    """The co-occurrence estimate of the split's halves (``count_halves``),
-    keeping the corpus for the dispersion refit."""
+    """The co-occurrence estimate of the split's halves, each built
+    directly in the layout of its row-normalized copy (``_half_counts``)
+    and normalized in place, keeping the corpus for the dispersion
+    refit."""
     corpus = split.corpus
-    return halves_cooccurrence(count_halves(split), corpus.M, corpus.Q, corpus)
+    return _normalized_cooccurrence(_half_counts(split, 0), _half_counts(split, 1),
+                                    corpus.M, corpus.Q, corpus)
 
 
-def halves_cooccurrence(halves: list, M: int, Q: int, corpus=None) -> CoocMatrix:
-    """E-hat = M * row-normalized(X') row-normalized(X)^T from the W x M
-    counts ``halves`` = [X, X'], kept as those two sparse factors; each half
-    is popped from the list as it is normalized, so only the copies stay."""
-    Xn, counts = _normalize_rows(halves.pop(0))
-    Xpn, second = _normalize_rows(halves.pop())
-    counts += second  # each pair row's records
-    return CoocMatrix(CoocFactors(Xpn, Xn, float(M)), counts > 0, Q, row_counts=counts,
-                      corpus=corpus)
+def halves_cooccurrence(halves: list, M: int, Q: int) -> CoocMatrix:
+    """E-hat = M * row-normalized(X') row-normalized(X)^T from CSR copies
+    of the given W x M counts ``halves`` = [X, X'], normalized as
+    ``cooccurrence`` normalizes its own."""
+    X, X_prime = (sp.csr_matrix(h, copy=True) for h in halves)
+    return _normalized_cooccurrence(X, X_prime, M, Q)
 
 
 def analytic_cooccurrence(model: MixedMembershipModel) -> tuple[CoocMatrix, np.ndarray]:

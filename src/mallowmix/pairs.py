@@ -89,8 +89,14 @@ def run_starts(a: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
+def key_type(bound: int) -> type:
+    """The integer type of keys below ``bound``: int32 when ``bound`` is at
+    most 2**31 - 1, else int64."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+
+
 def distinct_counts(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of the int64 array ``key``, which must own its
+    """The distinct values of the integer array ``key``, which must own its
     data, and how many times each occurs, as floats.  ``key`` itself is
     sorted, compacted to its distinct values and shrunk in place, so beside
     it only one run-start mask and the counts are held; the j-th distinct
@@ -112,11 +118,13 @@ def user_entries(corpus, users: np.ndarray | None = None):
     ``users`` over user ids selects, grouped into one entry per distinct
     (user, pair row), in order of user and then row: each entry's count of
     records (a float) and pair row, and each occupied user's first entry
-    and id.  The int64 key user * W + row, W = Q(Q-1), lies below M * W,
-    which the corpus limits keep within int64."""
+    and id.  The key user * W + row, W = Q(Q-1), lies below M * W, which
+    the corpus limits keep within int64; it and the rows are int32 when
+    M * W is at most 2**31 - 1 (``key_type``)."""
     W, n = num_pairs(corpus.Q), corpus.n_records
     keep = None if users is None else users.take(corpus.user)
-    key = np.multiply(corpus.user if keep is None else corpus.user[keep], W, dtype=np.int64)
+    key = np.multiply(corpus.user if keep is None else corpus.user[keep], W,
+                      dtype=key_type(corpus.M * W))
     at = 0
     for lo in range(0, n, _SLICE):
         rows = corpus.pair_rows(lo, lo + _SLICE)
@@ -127,7 +135,7 @@ def user_entries(corpus, users: np.ndarray | None = None):
     key, count = distinct_counts(key)
     # a selected user's entries run from its first key >= user * W to the next one's
     user = np.arange(corpus.M) if users is None else np.flatnonzero(users)
-    starts = np.searchsorted(key, user * W)
+    starts = np.searchsorted(key, (user * W).astype(key.dtype))  # so key is not widened
     occupied = starts < np.append(starts[1:], key.size)
     np.remainder(key, W, out=key)  # each entry's pair row
     return count, key, starts[occupied], user[occupied]
@@ -155,10 +163,12 @@ class SplitCounts:
 
 def split_halves(corpus) -> SplitCounts:
     """Split every user's records by position: a user with n records, at
-    least two, has the first ceil(n/2) in its first half.  A stable sort by
-    user finds each user's cut, the record index of its first second-half
-    record; a record is in the first half when its index is below its
-    user's cut.  The narrow user ids are counted a slice at a time."""
+    least two, has the first ceil(n/2) in its first half.  The records are
+    read one slice at a time, in order; a stable sort of the slice's users
+    gives each record its rank among its user's records in the slice, and
+    a record is in the first half when that rank is below the number of
+    its user's first-half records not met in earlier slices.  Beside the
+    mask, only per-user counts and one slice's arrays are held."""
     M, n = corpus.M, corpus.n_records
     counts = np.zeros(M, dtype=np.int64)
     for lo in range(0, n, _SLICE):
@@ -166,11 +176,15 @@ def split_halves(corpus) -> SplitCounts:
     if counts.min() < 2:
         u = int(np.argmin(counts))
         raise SplitError(f"user {u} has {int(counts[u])} comparison(s); need at least 2")
-    cut = np.cumsum(counts)
-    cut -= counts // 2  # sorted position of each user's first second-half record
-    cut = np.argsort(corpus.user, kind="stable").take(cut)
+    left = counts - counts // 2  # each user's first-half records, ceil(n/2), none met yet
     first = np.empty(n, dtype=bool)
     for lo in range(0, n, _SLICE):
-        hi = min(lo + _SLICE, n)
-        np.less(np.arange(lo, hi), cut.take(corpus.user[lo:hi]), out=first[lo:hi])
+        user = corpus.user[lo:lo + _SLICE]
+        order = np.argsort(user, kind="stable")
+        user = user.take(order)
+        starts = run_starts(user)
+        runs = np.diff(starts, append=user.size)
+        rank = np.arange(user.size) - np.repeat(starts, runs)
+        first[lo:lo + user.size][order] = rank < left.take(user)
+        left[user.take(starts)] -= runs
     return SplitCounts(corpus, first)

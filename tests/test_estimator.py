@@ -940,6 +940,28 @@ class TestSampledPipeline:
                 tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0], peaks
 
+    def test_detection_peak_does_not_grow_with_records(self):
+        # detection applies the candidate slice through the full sparse
+        # halves and holds only dense blocks of W or n rows and 2K columns
+        # beside them, so four times the users, with the same 297 candidate
+        # rows at both sizes, leave its peak as it was: measured 361 KiB at both
+        # here, where copying the candidate rows of both halves took 519
+        # and 1792 KiB
+        peaks, candidates = [], []
+        for M in (400, 1600):
+            cooc = sampled_model_cooc(Q=20, K=3, phi=0.1, alpha=0.1, M=M, N=100,
+                                      model_seed=0, corpus_seed=1)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                novel = detect_novel_pairs(cooc, DetectionConfig(n_components=3))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            candidates.append(len(novel.solid_angles))
+        assert candidates[0] == candidates[1]
+        assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
+
     def test_duplicate_vertex_rows_not_selected_twice(self):
         # at dispersion zero many rows share one underlying extreme point;
         # the noise-aware dedupe must place one selection per component

@@ -28,12 +28,12 @@ from mallowmix.mallows import (
     marginal_table,
     reverse_marginal_table,
 )
-from mallowmix.moments import count_halves, split_halves
+from mallowmix.moments import split_halves
 from mallowmix.permutations import Permutation
 from mallowmix.post import postprocess
 from test_generator import reference_generate
 from test_post import exact_estimate
-from test_moments import int64_rows, wide_key_corpus
+from test_moments import count_halves, int64_rows, wide_key_corpus
 
 
 def model_of(rankings, phis, prior=None):

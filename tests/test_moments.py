@@ -34,7 +34,6 @@ from mallowmix.moments import (
     SplitError,
     analytic_cooccurrence,
     cooccurrence,
-    count_halves,
     halves_cooccurrence,
     split_halves,
 )
@@ -77,6 +76,21 @@ def corpus_from_records(Q, M, records):
     """records: list of (user, winner, loser) in arrival order."""
     u, w, l = (np.array(col) for col in zip(*records))
     return ComparisonCorpus(Q=Q, M=M, user=u, winner=w, loser=l)
+
+
+def mask_halves(corpus, first: np.ndarray) -> list[sp.csr_matrix]:
+    """The W x M counts [X, X'] of the records that the mask ``first`` puts
+    in the first half and of the others, each summed by
+    ``coo_matrix.tocsr``."""
+    rows = corpus.pair_rows()
+    shape = (pairs.num_pairs(corpus.Q), corpus.M)
+    return [sp.coo_matrix((np.ones(np.count_nonzero(m)), (rows[m], corpus.user[m])),
+                          shape=shape).tocsr() for m in (first, ~first)]
+
+
+def count_halves(split) -> list[sp.csr_matrix]:
+    """The W x M counts [X, X'] of the split's halves."""
+    return mask_halves(split.corpus, split.first)
 
 
 class TestSplit:
@@ -139,9 +153,10 @@ class TestSplit:
 def reference_halves(corpus: ComparisonCorpus) -> list[sp.csr_matrix]:
     """The split's halves through COO matrices: each record's rank within
     its user, a first-half mask scattered back by the stable sort, and
-    ``coo_matrix.tocsr`` summing each half's ones.  ``count_halves`` reads
-    the halves off sorted (pair, user) keys instead; this is the form it
-    replaced, kept as the reference it must match bit for bit."""
+    ``coo_matrix.tocsr`` summing each half's ones.  The split finds each
+    record's rank a slice at a time instead, and ``cooccurrence`` reads the
+    halves off sorted (pair, user) keys; this is the form they replaced,
+    kept as the reference they must match bit for bit."""
     M = corpus.M
     counts = np.bincount(corpus.user, minlength=M)
     if counts.min() < 2:
@@ -153,15 +168,7 @@ def reference_halves(corpus: ComparisonCorpus) -> list[sp.csr_matrix]:
     first_half_sorted = rank_within < np.repeat((counts + 1) // 2, counts)
     first = np.zeros(corpus.n_records, dtype=bool)
     first[order] = first_half_sorted
-    rows = corpus.pair_rows()
-    W = pairs.num_pairs(corpus.Q)
-
-    def mat(mask: np.ndarray) -> sp.csr_matrix:
-        data = np.ones(int(mask.sum()))
-        m = sp.coo_matrix((data, (rows[mask], corpus.user[mask])), shape=(W, M))
-        return m.tocsr()
-
-    return [mat(first), mat(~first)]
+    return mask_halves(corpus, first)
 
 
 @st.composite
@@ -223,19 +230,41 @@ def int64_rows(corpus: ComparisonCorpus) -> np.ndarray:
 
 def assert_same_halves(got: list, want: list):
     """In both halves, the same shape, data, indices and indptr, dtypes and
-    sorted indices."""
+    index order."""
     for g, w in zip(got, want, strict=True):
         assert g.shape == w.shape
         for field in ("data", "indices", "indptr"):
             a, b = getattr(g, field), getattr(w, field)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
-        assert g.has_sorted_indices and w.has_sorted_indices
+        assert g.has_sorted_indices == w.has_sorted_indices
+
+
+def diags_normalized(halves: list) -> list[sp.csr_matrix]:
+    """Each count matrix of ``halves`` with its rows scaled to sum to one by
+    ``sp.diags(inv) @ X``, the product ``cooccurrence`` once formed."""
+    out = []
+    for X in halves:
+        rs = np.asarray(X.sum(axis=1)).ravel()
+        out.append(sp.diags(np.where(rs > 0, 1.0 / np.maximum(rs, 1e-300), 0.0)) @ X)
+    return out
+
+
+def assert_normalized_like_diags(corpus, want_corpus=None):
+    """``cooccurrence``'s factors [right, left] hold, byte for byte, the
+    ``sp.diags(inv) @ X`` products of ``reference_halves(want_corpus)``
+    (``corpus`` itself by default), and its row counts their row sums."""
+    reference = reference_halves(corpus if want_corpus is None else want_corpus)
+    cooc = cooccurrence(split_halves(corpus))
+    assert_same_halves([cooc.E.right, cooc.E.left], diags_normalized(reference))
+    want = sum(np.asarray(X.sum(axis=1)).ravel() for X in reference)
+    assert cooc.row_counts.tobytes() == want.tobytes()
 
 
 class TestSplitMatchesCOOReference:
-    """``split_halves`` and ``count_halves`` against ``reference_halves``:
-    the same errors and, in both halves, the same data, indices and indptr,
-    dtypes and sorted indices."""
+    """``split_halves`` and ``cooccurrence`` against ``reference_halves``:
+    the same errors, the same halves and, in both row-normalized halves,
+    the same data, indices and indptr, dtypes and index order as the
+    ``sp.diags(inv) @ X`` product they replaced."""
 
     @settings(max_examples=300, deadline=None)
     @given(corpus=split_cases(), slice_records=st.sampled_from([1, 2, 3, 1 << 16]))
@@ -246,9 +275,10 @@ class TestSplitMatchesCOOReference:
             with pytest.raises(SplitError, match=f"^{re.escape(str(exc))}$"):
                 split_halves(corpus)
             return
-        with mock.patch.object(pairs, "_SLICE", slice_records):
-            got = count_halves(split_halves(corpus))
-        assert_same_halves(got, want)
+        with mock.patch.object(pairs, "_SLICE", slice_records), \
+                mock.patch.object(moments, "_SLICE", slice_records):
+            assert_same_halves(count_halves(split_halves(corpus)), want)
+            assert_normalized_like_diags(corpus)
 
     def test_user_by_row_keys_cannot_wrap(self):
         # 2**61 + 1 users times W = 20 pair rows is past int64, so a key
@@ -265,26 +295,46 @@ class TestSplitMatchesCOOReference:
         # same records with every id widened to int64 here
         corpus = wide_key_corpus()
         assert corpus.M * pairs.num_pairs(corpus.Q) > 2**31
+        assert moments._half_keys(split_halves(corpus), 0).dtype == np.int64
         rows = int64_rows(corpus)
         wide = SimpleNamespace(Q=corpus.Q, M=corpus.M, n_records=corpus.n_records,
                                user=corpus.user.astype(np.int64), pair_rows=rows.copy)
-        assert_same_halves(count_halves(split_halves(corpus)), reference_halves(wide))
+        assert_normalized_like_diags(corpus, wide)
+
+    @pytest.mark.parametrize("M, key", [(2149, np.int32), (2150, np.int64)])
+    def test_int32_key_boundary(self, M, key):
+        # W * M = 999,000 M is 2,146,851,000 at M = 2149, within int32,
+        # and 2,147,850,000 at M = 2150, past it: the keys change type
+        # there and the halves do not change at all
+        rng = np.random.default_rng(M)
+        Q = 1000
+        rows = rng.integers(0, pairs.num_pairs(Q), 2 * M)
+        I, J = pairs.pair_arrays(Q)
+        corpus = ComparisonCorpus(Q=Q, M=M, user=rng.permutation(np.repeat(np.arange(M), 2)),
+                                  winner=I[rows], loser=J[rows])
+        split = split_halves(corpus)
+        assert moments._half_keys(split, 0).dtype == moments._half_keys(split, 1).dtype == key
+        assert pairs.user_entries(corpus)[1].dtype == key
+        assert_normalized_like_diags(corpus)
 
     @pytest.mark.parametrize("Q, M, N", [(20, 1000, 300), (60, 2000, 50)])
     def test_peak_beyond_the_corpus(self, Q, M, N):
-        # the split holds a sort of the users and its first-half mask; the
-        # halves are built from at most one int64 key per record and both
-        # halves' keys, so each stage's peak beyond the corpus and the
-        # split stays under 0.85 of the records' 24 bytes each (the COO
-        # form took about 2.05); wide corpora repeat few (user, pair)
-        # records, so their halves' entries cost most; the 24 bytes are
-        # those of three int64 ids, not the corpus's 8
+        # the split holds its first-half mask, 1 byte a record, and beside
+        # it per-user counts and one slice's arrays: 363 and 372 KiB here
+        # (sorting all the users at once took 8.1 and 8.5 bytes a record);
+        # beyond the row-normalized halves it returns, the co-occurrence
+        # holds one half's int32 keys, their run-start mask and their
+        # counts: 1.1 and 3.5 bytes a record here (raw counts built from an
+        # int64 key for the whole corpus and both halves' keys peaked at
+        # 16.0 and 16.2 bytes a record, before their normalized copies)
         corpus, _ = generate(reversed_pair_model(Q), M=M, N=N, seed=2)
-        records = 24 * corpus.n_records
+        n = corpus.n_records
         peak = peak_beyond(split_halves, corpus)
-        assert peak < 0.85 * records, (peak, records)
-        peak = peak_beyond(count_halves, split_halves(corpus))
-        assert peak < 0.85 * records, (peak, records)
+        assert peak < n + 2**19, (peak, n)
+        split = split_halves(corpus)
+        peak = peak_beyond(cooccurrence, split)
+        stored = cooccurrence(split).E.nbytes
+        assert peak < stored + 4 * n, (peak, stored, n)
 
 
 @st.composite
@@ -321,6 +371,8 @@ class TestUserEntries:
         starts = np.flatnonzero(np.diff(user, prepend=-1))
         with mock.patch.object(pairs, "_SLICE", slice_records):
             got = pairs.user_entries(corpus, users)
+        # the rows are int32 when every key user * W + row fits it
+        row = row.astype(pairs.key_type(corpus.M * W))
         for g, w in zip(got, (count.astype(float), row, starts, user[starts]), strict=True):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 

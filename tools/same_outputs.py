@@ -10,11 +10,12 @@ fresh temporary folder: the model drawn with ``--phi 0.1 --alpha 0.1
 truth and with the estimate.  The ``skewed-q20`` shape first rewrites the
 drawn ``model.json`` (the same rewrite in both trees) to an uneven pair
 distribution: one pair holds half the mass and three of every five others
-none.  Both trees use the same relative file names,
-since every output records its own paths.  Every file the pipeline leaves
-and every command's exit code and stderr lines are compared; stdout is
-not, since ``estimate`` prints its wall time there.  Exits 1 on any
-difference, naming it.  Standard library only.
+none.  The ``sparse-q100`` shape leaves pair rows empty in either half
+and rows outside detection's candidates.  Both trees use the same
+relative file names, since every output records its own paths.  Every
+file the pipeline leaves and every command's exit code and stderr lines
+are compared; stdout is not, since ``estimate`` prints its wall time
+there.  Exits 1 on any difference, naming it.  Standard library only.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ SHAPES = {
     "dense-q20": (20, 3, 3000, 300, False),
     "wide-q60": (60, 5, 2000, 200, False),
     "skewed-q20": (20, 3, 3000, 300, True),
+    # about 750 of the 9900 pair rows are empty in each half at seed 1
+    "sparse-q100": (100, 4, 1000, 100, False),
 }
 
 
