@@ -95,11 +95,17 @@ _REFIT_RECORDS = 2**19
 # refit's Newton steps read the same blocks, and predict_loglik reads
 # records in blocks of this size too.
 _EM_BLOCK = 2**15
-# Entries whose outcome probabilities ``infer_weights`` gathers at once.
-# Gathers of _EM_BLOCK entries left predict's peak RSS 2 MB higher on a
-# wide-q60 corpus (55.5 against 53.5 MB, seed 1), though their tracemalloc
-# peaks matched.
-_GATHER = 2**13
+
+
+def _observation_array(B, Q: int) -> np.ndarray:
+    """``B`` as a float array, checked to be (W, K): one row per ordered
+    pair of Q items, W = Q(Q-1), and at least one component."""
+    B = np.asarray(B, dtype=float)
+    W = pairs.num_pairs(Q)
+    if B.ndim != 2 or B.shape[0] != W or B.shape[1] < 1:
+        raise ValueError(f"B must have shape ({W}, K), one row per ordered pair of the "
+                         f"corpus's {Q} items and K >= 1 components; got {B.shape}")
+    return B
 
 
 def _unsupported(r: int, Q: int, underflow: bool = False) -> ValueError:
@@ -119,9 +125,10 @@ def infer_weights(corpus: ComparisonCorpus, B, *, tol: float = EM_TOL,
     SQUAREM (Varadhan & Roland, Scand. J. Stat. 2008) with the S3 step
     length chosen per user.  ``B`` is the (W, K) array of observation
     probabilities, as ``MixedMembershipModel.observation_matrix`` returns
-    it.  Returns an (M, K) array of weights; users without records keep
-    the barycenter.  A record with probability zero in every component is
-    an error that names the first one in corpus order.  With ``trace`` the
+    it; a B of another shape is refused.  Returns an (M, K) array of
+    weights; users without records keep the barycenter.  A record with
+    probability zero in every component is an error that names the first
+    one in corpus order.  With ``trace`` the
     total log-likelihood at the start of every cycle is returned as well.
     A cycle takes at most three EM steps; ``max_iter`` bounds the cycles, and
     stopping there before the relative change of the total log-likelihood
@@ -129,24 +136,19 @@ def infer_weights(corpus: ComparisonCorpus, B, *, tol: float = EM_TOL,
 
     Records of one user and one ordered pair are alike, so the EM
     (``_weights_em``) runs over the entries of ``pairs.user_entries``, each
-    weighted by its count of records.
+    weighted by its count of records.  Beside the corpus it holds 12 bytes
+    an entry, its count (8) and pair row (4, int32 unless M * W passes
+    2**31 - 1), and gathers the outcome probabilities B[w, k] of one block
+    of users at a time.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not tol >= 0:
         raise ValueError(f"tol must be a non-negative number, got {tol}")
-    B = np.asarray(B, dtype=float)
+    B = _observation_array(B, corpus.Q)
     K = B.shape[1]
     M, n = corpus.M, corpus.n_records
     count, row, starts, occupied = pairs.user_entries(corpus)
-    # (K, entries) outcome probabilities, gathered _GATHER entries at a
-    # time, so that take widens an int32 ``row`` to intp a slice at a time;
-    # every row is in range, and "clip" lets take write into ``out``
-    # unbuffered
-    BwT = np.empty((K, row.size))
-    for lo in range(0, row.size, _GATHER):
-        B.T.take(row[lo:lo + _GATHER], axis=1, out=BwT[:, lo:lo + _GATHER], mode="clip")
-    del row
 
     def unsupported(theta: np.ndarray):
         # the first record in corpus order whose pair row is zero in every
@@ -166,7 +168,8 @@ def infer_weights(corpus: ComparisonCorpus, B, *, tol: float = EM_TOL,
                     return _unsupported(int(rows[np.argmax(bad)]), corpus.Q, underflow)
         raise RuntimeError("the weight EM met a record of probability zero it cannot find")
 
-    theta, history = _weights_em(count, starts, K, lambda lo, hi: BwT[:, lo:hi], tol,
+    # each component's outcome row contiguous, for the sweeps' gathers
+    theta, history = _weights_em(count, row, starts, np.ascontiguousarray(B.T), tol,
                                  max_iter, unsupported)
     weights = np.full((M, K), 1.0 / K)
     weights[occupied] = theta.T
@@ -190,39 +193,51 @@ def _user_blocks(starts: np.ndarray, n_entries: int) -> tuple[np.ndarray, list[t
     return entries, blocks
 
 
-def _block_terms(theta: np.ndarray, entries: np.ndarray, u: int, v: int,
-                 outcome: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (K, entries) terms theta_k B[w, k] of users u..v-1's entries,
-    given each user's ``entries`` and their ``outcome`` probabilities
-    B[w, k], and the terms' sum over k, added one component at a time
-    (``terms.sum(axis=0)`` adds a one-entry block pairwise once K >= 8)."""
-    terms = np.repeat(theta[:, u:v], entries[u:v], axis=1)
-    terms *= outcome
+def _block_terms(theta: np.ndarray, entries: np.ndarray, u: int, v: int, table: np.ndarray,
+                 rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, entries) terms theta_k table[k, w] of users u..v-1's entries,
+    given each user's ``entries`` and the entries' pair ``rows``, and the
+    terms' sum over k, added one component at a time (``terms.sum(axis=0)``
+    adds a one-entry block pairwise once K >= 8).
+
+    Component k's outcome probabilities are gathered straight into row k of
+    the terms, which is then multiplied in place by theta_k repeated over
+    each user's entries: the product of the same two factors, so of the
+    same bits, as theta_k B[w, k].  The rows are widened to intp once, not
+    by every component's ``take``; every row must lie in ``table``, since
+    "clip", which lets ``take`` write into ``out`` unbuffered, maps one
+    that does not onto the last column.
+    """
+    rows = rows.astype(np.intp, copy=False)
+    terms = np.empty((len(table), rows.size))
+    for k, term in enumerate(terms):
+        table[k].take(rows, out=term, mode="clip")
+        term *= np.repeat(theta[k, u:v], entries[u:v])
     total = terms[0].copy() if len(terms) == 1 else terms[0] + terms[1]
     for k in range(2, len(terms)):
         total += terms[k]
     return terms, total
 
 
-def _weights_em(count: np.ndarray, starts: np.ndarray, K: int, outcome, tol: float,
-                max_iter: int, unsupported) -> tuple[np.ndarray, list[float]]:
+def _weights_em(count: np.ndarray, row: np.ndarray, starts: np.ndarray, table: np.ndarray,
+                tol: float, max_iter: int, unsupported) -> tuple[np.ndarray, list[float]]:
     """The weight EM of ``infer_weights`` on grouped entries: entry e holds
-    ``count[e]`` records, and every user's entries run contiguously from
-    its ``starts``.  ``outcome(lo, hi)`` gives the (K, hi - lo) outcome
-    probabilities of entries lo..hi-1 under the K components, for one
-    block of whole users at a time.  Returns the (K, users) weights and
-    the total log-likelihood at the start of every cycle;
+    ``count[e]`` records of pair row ``row[e]``, and every user's entries
+    run contiguously from its ``starts``.  ``table`` is the (K, W) array of
+    outcome probabilities, component k's in row k.  Returns the (K, users)
+    weights and the total log-likelihood at the start of every cycle;
     ``unsupported(theta)`` gives the error to raise when an entry has
     probability zero.
 
     Each EM step is one sweep over blocks of whole users (``_user_blocks``)
-    that reads a block's outcome probabilities, forms its terms
-    theta_k B[w, k] and their sum, its mixture probabilities, once
-    (``_block_terms``) and turns the terms into its M-step shares.  A
-    SQUAREM cycle sweeps theta1 and then the extrapolated point, whose
-    M-step is the next cycle's theta1 unless a user falls back to theta2
-    (that sweep then forms no more shares).
+    that gathers a block's outcome probabilities from ``table``, forms its
+    terms theta_k B[w, k] and their sum, its mixture probabilities, once
+    (``_block_terms``) and turns the terms into its M-step shares, so that
+    nothing of K x entries is held.  A SQUAREM cycle sweeps theta1 and then
+    the extrapolated point, whose M-step is the next cycle's theta1 unless
+    a user falls back to theta2 (that sweep then forms no more shares).
     """
+    K = len(table)
     sizes = np.add.reduceat(count, starts)  # records per occupied user
     entries, blocks = _user_blocks(starts, count.size)
 
@@ -236,7 +251,7 @@ def _weights_em(count: np.ndarray, starts: np.ndarray, K: int, outcome, tol: flo
         step = np.empty_like(theta)
         for u, v, lo, hi in blocks:
             local = starts[u:v] - lo
-            terms, total = _block_terms(theta, entries, u, v, outcome(lo, hi))
+            terms, total = _block_terms(theta, entries, u, v, table, row[lo:hi])
             if step is not None and total.min() == 0:
                 step = None
                 if not loglik:
@@ -334,9 +349,11 @@ def refit_dispersions(corpus: ComparisonCorpus, rankings: list[Permutation],
 
     The EM and every Newton step form one block of whole users' terms at a
     time, theta_uk times beta_k(w) or its derivatives, by the EM's own
-    ``_block_terms``, so no K x entries array is held.  The log-likelihood,
-    the gradient and the Hessian are summed by ``_block_sums``, in an order
-    set by the users' entries and _EM_BLOCK alone.
+    ``_block_terms``, which gathers the block's columns of the (K, W)
+    ``beta`` or derivative table, so no K x entries array is held.  The
+    log-likelihood, the gradient and the Hessian are summed by
+    ``_block_sums``, in an order set by the users' entries and _EM_BLOCK
+    alone.
 
     Returns the dispersions and a dict with the weight EM's cycles, the
     Newton steps taken, the final log-likelihood and the records read.
@@ -350,7 +367,7 @@ def refit_dispersions(corpus: ComparisonCorpus, rankings: list[Permutation],
     phis = np.maximum(np.asarray(dispersions, dtype=float), _refit_floor(Q))
     beta = order_probabilities(Q, gaps, phis)
     theta, history = _weights_em(
-        count, starts, K, lambda lo, hi: beta.take(row[lo:hi], axis=1), REFIT_TOL, 500,
+        count, row, starts, beta, REFIT_TOL, 500,
         lambda _: RuntimeError("a record has probability zero in every component"))
     del beta
     entries, blocks = _user_blocks(starts, count.size)
@@ -359,7 +376,7 @@ def refit_dispersions(corpus: ComparisonCorpus, rankings: list[Permutation],
         beta = order_probabilities(Q, gaps, phis)
         parts = []
         for u, v, lo, hi in blocks:
-            total = _block_terms(theta, entries, u, v, beta.take(row[lo:hi], axis=1))[1]
+            total = _block_terms(theta, entries, u, v, beta, row[lo:hi])[1]
             with np.errstate(divide="ignore"):
                 parts.append(np.einsum("e,e->", count[lo:hi], np.log(total)))
         return float(_block_sums(parts))
@@ -370,16 +387,16 @@ def refit_dispersions(corpus: ComparisonCorpus, rankings: list[Permutation],
         derivative is divided by the entry's probability before it is
         weighted by the count: count / total^2 overflows once a record's
         probability falls below about 1e-154."""
-        rows, c = row[lo:hi], count[lo:hi]
+        rows, c = row[lo:hi].astype(np.intp), count[lo:hi]
         # each block's terms are dropped once read, so that at most two
         # (K, entries) arrays are held at a time
-        total = _block_terms(theta, entries, u, v, b0.take(rows, axis=1))[1]
-        curv = _block_terms(theta, entries, u, v, curve.take(rows, axis=1))[0]
+        total = _block_terms(theta, entries, u, v, b0, rows)[1]
+        curv = _block_terms(theta, entries, u, v, curve, rows)[0]
         curv /= total
         diag = np.einsum("ke,e->k", curv, c)
         del curv
         # theta_uk d beta_k / d phi_k
-        slope = _block_terms(theta, entries, u, v, dbeta.take(rows, axis=1))[0]
+        slope = _block_terms(theta, entries, u, v, dbeta, rows)[0]
         slope /= total
         grad = np.einsum("ke,e->k", slope, c)
         cross = np.einsum("ke,je->kj", slope * c, slope)
@@ -486,15 +503,18 @@ def predict_loglik(corpus: ComparisonCorpus, theta, B) -> PredictionReport:
     """Average log-likelihood per comparison under fixed weights.
 
     ``theta`` holds every user's weights, (M, K) as ``infer_weights``
-    returns them, and ``B`` the (W, K) array of observation probabilities.
-    A comparison whose mixture probability is zero makes the average -inf;
-    the count of such events is reported.
+    returns them, and ``B`` the (W, K) array of observation probabilities;
+    a B of another shape is refused.  A comparison whose mixture
+    probability is zero makes the average -inf; the count of such events is
+    reported.  A corpus without records has no average and is refused.
     """
-    B = np.asarray(B, dtype=float)
+    B = _observation_array(B, corpus.Q)
     K = B.shape[1]
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (corpus.M, K):
         raise ValueError(f"theta must have shape ({corpus.M}, {K})")
+    if not corpus.n_records:
+        raise ValueError("the corpus has no records to score")
     # a block of records and one component at a time, so that beside p
     # only one block's pair rows and terms are held
     p = np.zeros(corpus.n_records)

@@ -275,9 +275,8 @@ class TestKeysPastInt32:
                                return_counts=True)
         user, row = np.divmod(key, W)
         starts = np.flatnonzero(np.diff(user, prepend=-1))
-        BwT = B.T.take(row, axis=1)
-        theta, _ = evaluate._weights_em(count.astype(float), starts, 2,
-                                        lambda lo, hi: BwT[:, lo:hi], evaluate.EM_TOL, 500, None)
+        theta, _ = evaluate._weights_em(count.astype(float), row, starts, B.T,
+                                        evaluate.EM_TOL, 500, None)
         want = np.full((corpus.M, 2), 0.5)
         want[user[starts]] = theta.T
         assert np.array_equal(infer_weights(corpus, B), want)
@@ -862,14 +861,16 @@ class TestGroupedEMMatchesPerRecord:
         assert peak <= want, (peak, want)
 
 
-def entry_weights_em(count, starts, K, outcome, tol, max_iter, unsupported):
-    """The weight EM over whole entries arrays: it reads every entry's
-    outcome probabilities at once, every E-step fills an entries-long
-    ``total`` and every M-step forms each theta_k B[w, k] term again.
-    ``evaluate._weights_em`` sweeps blocks of users and forms each term
+def entry_weights_em(count, row, starts, table, tol, max_iter, unsupported):
+    """The weight EM over whole entries arrays: it gathers every entry's
+    outcome probabilities from the (K, W) ``table`` at once, every E-step
+    fills an entries-long ``total`` and every M-step forms each
+    theta_k B[w, k] term again.  ``evaluate._weights_em`` sweeps blocks of
+    users, gathers each block's outcome probabilities and forms each term
     once; this is the loop it replaced, kept as the reference it must
     match bit for bit."""
-    BwT = outcome(0, count.size)
+    K = len(table)
+    BwT = table.take(row, axis=1)
     entries = np.diff(starts, append=count.size)
     sizes = np.add.reduceat(count, starts)
     total = np.empty(count.size)
@@ -1169,11 +1170,9 @@ def weight_array_refit_dispersions(corpus, rankings, dispersions, *, whole_sums=
                            for lo, hi in blocks])
 
     phis = np.maximum(np.asarray(dispersions, dtype=float), evaluate._refit_floor(Q))
-    BwT = order_probabilities(phis).take(row, axis=1)
     theta, history = entry_weights_em(
-        count, starts, K, lambda lo, hi: BwT[:, lo:hi], evaluate.REFIT_TOL, 500,
+        count, row, starts, order_probabilities(phis), evaluate.REFIT_TOL, 500,
         lambda _: RuntimeError("a record has probability zero in every component"))
-    del BwT
     weight = np.array([np.repeat(t, entries) for t in theta])
 
     def mixture(phis):
@@ -1340,6 +1339,15 @@ class TestPredictLoglik:
             with pytest.raises(ValueError, match="theta must have shape"):
                 predict_loglik(corpus, theta, model.observation_matrix())
 
+    def test_corpus_without_records_is_refused(self):
+        corpus = ComparisonCorpus(Q=3, M=2, user=np.array([], dtype=np.int64),
+                                  winner=np.array([], dtype=np.int64),
+                                  loser=np.array([], dtype=np.int64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the corpus has no records to score$"):
+                predict_loglik(corpus, np.full((2, 1), 1.0), np.full((6, 1), 0.5))
+
     def test_true_components_beat_mismatched_ones(self):
         # weights fitted under the true B must predict better than
         # weights fitted under a B with shuffled reference rankings
@@ -1350,6 +1358,37 @@ class TestPredictLoglik:
         ll_true = predict_loglik(corpus, infer_weights(corpus, B_true), B_true)
         ll_wrong = predict_loglik(corpus, infer_weights(corpus, B_wrong), B_wrong)
         assert ll_true.avg_loglik > ll_wrong.avg_loglik
+
+
+class TestObservationShape:
+    """Both scoring entry points take B only as (Q(Q-1), K): ``take`` maps
+    a row past the end onto the last one, so a short B would otherwise be
+    read silently."""
+
+    @staticmethod
+    def corpus():
+        model = model_of([[1, 2, 3, 4], [4, 3, 2, 1]], [0.3, 0.3])
+        return generate(model, M=5, N=6, seed=2)[0]
+
+    @pytest.mark.parametrize("shape", [(6, 2), (20, 2), (12, 0), (12,), (12, 2, 1)],
+                             ids=["too few rows", "too many rows", "no components",
+                                  "one axis", "three axes"])
+    def test_wrong_shape_is_refused(self, shape):
+        corpus = self.corpus()
+        B = np.full(shape, 0.5)
+        rule = re.escape("B must have shape (12, K), one row per ordered pair of the "
+                         f"corpus's 4 items and K >= 1 components; got {shape}")
+        with pytest.raises(ValueError, match=f"^{rule}$"):
+            infer_weights(corpus, B)
+        with pytest.raises(ValueError, match=f"^{rule}$"):
+            predict_loglik(corpus, np.full((corpus.M, 2), 0.5), B)
+
+    def test_weights_of_another_component_count_are_refused(self):
+        corpus = self.corpus()
+        B = np.full((12, 3), 0.5)
+        assert infer_weights(corpus, B).shape == (corpus.M, 3)
+        with pytest.raises(ValueError, match=re.escape("theta must have shape (5, 3)")):
+            predict_loglik(corpus, np.full((corpus.M, 2), 0.5), B)
 
 
 def per_record_predict_loglik(corpus, theta, B):

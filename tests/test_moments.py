@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mallowmix import generator, moments, pairs
+from mallowmix import evaluate, generator, moments, pairs
 from mallowmix.evaluate import infer_weights
 from mallowmix.generator import (
     MAX_ITEMS,
@@ -444,6 +444,26 @@ class TestPeaksPerRecord:
         B = reversed_pair_model(5).observation_matrix()
         peak = peak_beyond(infer_weights, corpus, B, max_iter=3)
         assert peak < 12 * corpus.n_records, (peak, corpus.n_records)
+
+    def test_weight_em_peak_per_distinct_entry(self):
+        # every user compares 100 distinct ordered pairs of 20 items, so
+        # each record is an entry of its own; at K = 5 the EM holds each
+        # entry's count and int32 pair row, 12 bytes, and gathers one
+        # block's outcome probabilities at a time: 17.0 bytes an entry
+        # measured, where a (K, entries) table of them held beside the
+        # entries took 53.5
+        Q, M, N, K = 20, 3000, 100, 5
+        rng = np.random.default_rng(4)
+        W = pairs.num_pairs(Q)
+        rows = np.concatenate([rng.permutation(W)[:N] for _ in range(M)])
+        I, J = pairs.pair_arrays(Q)
+        corpus = ComparisonCorpus(Q=Q, M=M, user=np.repeat(np.arange(M), N),
+                                  winner=I[rows], loser=J[rows])
+        assert pairs.user_entries(corpus)[0].size == corpus.n_records
+        B = rng.uniform(0.1, 1.0, size=(W, K))
+        with mock.patch.object(evaluate, "_EM_BLOCK", 2**12):
+            peak = peak_beyond(infer_weights, corpus, B, max_iter=3)
+        assert peak < 20 * corpus.n_records, (peak, corpus.n_records)
 
 
 class TestCooccurrence:

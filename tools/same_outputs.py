@@ -1,13 +1,15 @@
 """Check that two source trees give byte-identical CLI outputs.
 
     python3 tools/same_outputs.py PARENT_SRC CHANGE_SRC [--seeds 1 2 3]
+        [--shapes NAME ...]
 
 Each argument is a checkout of this repository (or its ``src`` folder).
-For every shape and seed, each tree runs the benchmark's pipeline in a
-fresh temporary folder: the model drawn with ``--phi 0.1 --alpha 0.1
---seed 0``, ``generate`` at the seed, ``estimate`` on the corpus and with
-``--exact-moments truth.json``, ``evaluate``, and ``predict`` with the
-truth and with the estimate.  The ``skewed-q20`` shape first rewrites the
+For every shape named by ``--shapes`` (by default all but ``scale-q100``,
+which runs only when named) and every seed, each tree runs the
+benchmark's pipeline in a fresh temporary folder: the model drawn with
+``--phi 0.1 --alpha 0.1 --seed 0``, ``generate`` at the seed,
+``estimate`` on the corpus and with ``--exact-moments truth.json``,
+``evaluate``, and ``predict`` with the truth and with the estimate.  The ``skewed-q20`` shape first rewrites the
 drawn ``model.json`` (the same rewrite in both trees) to an uneven pair
 distribution: one pair holds half the mass and three of every five others
 none.  The ``sparse-q100`` shape leaves pair rows empty in either half
@@ -15,7 +17,9 @@ and rows outside detection's candidates.  Both trees use the same
 relative file names, since every output records its own paths.  Every
 file the pipeline leaves and every command's exit code and stderr lines
 are compared; stdout is not, since ``estimate`` prints its wall time
-there.  Exits 1 on any difference, naming it.  Standard library only.
+there.  Each command's peak RSS in each tree, from ``os.wait4``, is
+printed for information and not compared.  Exits 1 on any difference,
+naming it.  Standard library only.
 """
 
 from __future__ import annotations
@@ -36,7 +40,10 @@ SHAPES = {
     "skewed-q20": (20, 3, 3000, 300, True),
     # about 750 of the 9900 pair rows are empty in each half at seed 1
     "sparse-q100": (100, 4, 1000, 100, False),
+    # 2.7 M records, the paper's scale; run only when named
+    "scale-q100": (100, 10, 9000, 300, False),
 }
+DEFAULT_SHAPES = ["dense-q20", "wide-q60", "skewed-q20", "sparse-q100"]
 
 
 def pipeline(Q: int, K: int, M: int, N: int, seed: int) -> list[list[str]]:
@@ -84,22 +91,28 @@ def source_path(tree: str) -> str:
 
 
 def run(src: str, argvs: list[list[str]], cwd: Path,
-        skewed: bool) -> list[tuple[int, list[str]]]:
-    """Each command's exit code and stderr lines; a failed command ends the
-    run.  With ``skewed``, the model file is rewritten by ``skew_pairs``
-    after the first command, which draws it."""
+        skewed: bool) -> tuple[list[tuple[int, list[str]]], list[float]]:
+    """Each command's exit code and stderr lines, and its peak RSS in MB; a
+    failed command ends the run.  With ``skewed``, the model file is
+    rewritten by ``skew_pairs`` after the first command, which draws it."""
     env = dict(os.environ, PYTHONPATH=src)
-    results = []
+    results, peaks = [], []
     for k, argv in enumerate(argvs):
-        proc = subprocess.run([sys.executable, "-m", "mallowmix.cli", *argv], cwd=cwd,
-                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                              text=True)
-        results.append((proc.returncode, proc.stderr.splitlines()))
+        proc = subprocess.Popen([sys.executable, "-m", "mallowmix.cli", *argv], cwd=cwd,
+                                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                text=True)
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        # wait4 reaps the child, so Popen is handed its exit code
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        results.append((proc.returncode, stderr.splitlines()))
+        peaks.append(usage.ru_maxrss / 1024)  # KiB on Linux
         if proc.returncode:
             break
         if skewed and k == 0:
             skew_pairs(cwd / "model.json")
-    return results
+    return results, peaks
 
 
 def differences(parent: Path, change: Path, argvs, got_parent, got_change) -> list[str]:
@@ -127,25 +140,31 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("parent", help="checkout of the parent commit")
     p.add_argument("change", help="checkout of the change")
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    p.add_argument("--shapes", nargs="+", choices=SHAPES, default=DEFAULT_SHAPES,
+                   metavar="NAME", help=f"shapes to run, of {', '.join(SHAPES)}")
     args = p.parse_args(argv)
     trees = source_path(args.parent), source_path(args.change)
     found = 0
-    for shape in SHAPES:
+    for shape in args.shapes:
         for seed in args.seeds:
             *dims, skewed = SHAPES[shape]
             argvs = pipeline(*dims, seed)
             with tempfile.TemporaryDirectory() as tmp:
                 dirs = [Path(tmp) / "parent", Path(tmp) / "change"]
-                got = []
+                got, peaks = [], []
                 for src, d in zip(trees, dirs):
                     d.mkdir()
-                    got.append(run(src, argvs, d, skewed))
+                    results, peak = run(src, argvs, d, skewed)
+                    got.append(results)
+                    peaks.append(peak)
                 diff = differences(*dirs, argvs, *got)
             found += len(diff)
             print(f"{shape} seed {seed}: "
                   + ("same outputs" if not diff else f"{len(diff)} difference(s)"))
             for line in diff:
                 print(f"  {line}")
+            for argv, a, b in zip(argvs, *peaks):
+                print(f"  `{' '.join(argv[:3])}`: peak RSS {a:.1f} MB parent, {b:.1f} MB change")
     return 1 if found else 0
 
 
