@@ -153,20 +153,23 @@ def infer_weights(corpus: ComparisonCorpus, B, *, tol: float = EM_TOL,
     def unsupported(theta: np.ndarray):
         # the first record in corpus order whose pair row is zero in every
         # component (the first sweep, at the barycenter, meets them all);
-        # failing one, the first whose terms theta_k B[w, k] all underflowed;
-        # a block of records at a time
+        # failing one, the first whose mixture probability underflowed at
+        # theta; in one pass, a block of records at a time
         dead = B.sum(axis=1) == 0
-        for underflow in (False, True):
-            for lo in range(0, n, _EM_BLOCK):
-                rows = corpus.pair_rows(lo, lo + _EM_BLOCK)
-                if underflow:
-                    users = np.searchsorted(occupied, corpus.user[lo:lo + _EM_BLOCK])
-                    bad = np.einsum("nk,nk->n", theta.T[users], B[rows]) == 0
-                else:
-                    bad = dead[rows]
-                if bad.any():
-                    return _unsupported(int(rows[np.argmax(bad)]), corpus.Q, underflow)
-        raise RuntimeError("the weight EM met a record of probability zero it cannot find")
+        underflow = None
+        for lo in range(0, n, _EM_BLOCK):
+            rows = corpus.pair_rows(lo, lo + _EM_BLOCK)
+            bad = dead.take(rows)
+            if bad.any():
+                return _unsupported(int(rows[np.argmax(bad)]), corpus.Q)
+            if underflow is None:
+                users = np.searchsorted(occupied, corpus.user[lo:lo + _EM_BLOCK])
+                zero = _record_probabilities(theta.T, B, users, rows) == 0
+                if zero.any():
+                    underflow = int(rows[np.argmax(zero)])
+        if underflow is None:
+            raise RuntimeError("the weight EM met a record of probability zero it cannot find")
+        return _unsupported(underflow, corpus.Q, underflow=True)
 
     # each component's outcome row contiguous, for the sweeps' gathers
     theta, history = _weights_em(count, row, starts, np.ascontiguousarray(B.T), tol,
@@ -499,6 +502,19 @@ def em_summary(history: list[float]) -> tuple[int, bool, float]:
     return len(history), _converged(ll, prev_ll, EM_TOL), abs(ll - prev_ll) / (1.0 + abs(ll))
 
 
+def _record_probabilities(theta: np.ndarray, B: np.ndarray, users: np.ndarray,
+                          rows: np.ndarray) -> np.ndarray:
+    """Each record's mixture probability sum_k theta[user, k] B[row, k],
+    given the records' ``users``, which index the rows of ``theta``, and
+    pair ``rows``; the terms are added one component at a time."""
+    p = np.zeros(rows.size)
+    for k in range(B.shape[1]):
+        term = theta[:, k].take(users)
+        term *= B[:, k].take(rows)
+        p += term
+    return p
+
+
 def predict_loglik(corpus: ComparisonCorpus, theta, B) -> PredictionReport:
     """Average log-likelihood per comparison under fixed weights.
 
@@ -515,16 +531,12 @@ def predict_loglik(corpus: ComparisonCorpus, theta, B) -> PredictionReport:
         raise ValueError(f"theta must have shape ({corpus.M}, {K})")
     if not corpus.n_records:
         raise ValueError("the corpus has no records to score")
-    # a block of records and one component at a time, so that beside p
-    # only one block's pair rows and terms are held
-    p = np.zeros(corpus.n_records)
+    # a block of records at a time, so that beside p only one block's pair
+    # rows and terms are held
+    p = np.empty(corpus.n_records)
     for lo in range(0, corpus.n_records, _EM_BLOCK):
         hi = lo + _EM_BLOCK
-        rows = corpus.pair_rows(lo, hi)
-        for k in range(K):
-            term = theta[:, k].take(corpus.user[lo:hi])
-            term *= B[:, k].take(rows)
-            p[lo:hi] += term
+        p[lo:hi] = _record_probabilities(theta, B, corpus.user[lo:hi], corpus.pair_rows(lo, hi))
     zero = int(np.count_nonzero(p == 0))
     if zero:
         return PredictionReport(-math.inf, zero, corpus.n_records)

@@ -693,8 +693,9 @@ def read_corpus(path: str) -> ComparisonCorpus:
         # n records cannot give N each to users 0..n // N, so one of them is short
         bound = min(M, n // N + 1)
         counts = np.zeros(bound, dtype=np.int64)
-        for lo in range(0, n, _WRITE_CHUNK):  # no int64 copy of the users
-            ids = user[lo:lo + _WRITE_CHUNK]
+        step = pairs._SLICE
+        for lo in range(0, n, step):  # no int64 copy of the users
+            ids = user[lo:lo + step]
             np.add.at(counts, ids[ids < bound], 1)
         off = np.flatnonzero(counts != N)
         if off.size:

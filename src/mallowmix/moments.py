@@ -25,8 +25,6 @@ from .pairs import SplitCounts, SplitError, split_halves  # imported from here t
 
 # Rows of the square blocks whose diagonals ``CoocFactors.diagonal`` reads.
 _CHUNK_ROWS = 256
-# Records, or entries of a sparse half, that the loops below read at once.
-_SLICE = 1 << 13
 
 
 def _stored_bytes(factor) -> int:
@@ -48,13 +46,14 @@ class CoocFactors:
     E = scale * left @ right.T.
 
     Sampled corpora keep the sparse row-normalized halves (left = X'n,
-    right = Xn, scale = M), each row's users in descending order; only
-    ``estimator._rank_k`` reads them, whole, through products with dense
-    W-row blocks.  Analytic moments keep the dense W x K
-    factors B̄R̄ and B̄, and the rank-K part that detection finds keeps
-    dense W x K factors too (both scale 1).  ``block`` and ``diagonal``
-    read entries of dense factors only, bit for bit what the full product
-    would hold, so no W x W array is ever built.
+    right = Xn, scale = M), each normalized while it is built from the
+    sorted keys of its records (``_normalized_half``), with each row's
+    users in descending order; only ``estimator._rank_k`` reads them,
+    whole, through products with dense W-row blocks.  Analytic moments
+    keep the dense W x K factors B̄R̄ and B̄, and the rank-K part that
+    detection finds keeps dense W x K factors too (both scale 1).
+    ``block`` and ``diagonal`` read entries of dense factors only, bit for
+    bit what the full product would hold, so no W x W array is ever built.
     """
 
     left: sp.csr_matrix | np.ndarray
@@ -108,8 +107,7 @@ class CoocMatrix:
     matrices), letting downstream consumers judge how trustworthy each row
     of the estimate is.  ``corpus`` keeps the records the estimate was
     built from; regression leaves it on B̂, where
-    ``evaluate.refit_dispersions`` reads them.  None for analytic matrices
-    and for estimates built from count matrices.
+    ``evaluate.refit_dispersions`` reads them.  None for analytic matrices.
     """
 
     E: CoocFactors
@@ -128,76 +126,56 @@ def _half_keys(split: SplitCounts, half: int) -> np.ndarray:
     size = int(np.count_nonzero(first))
     key = np.empty(n - size if half else size,
                    dtype=pairs.key_type(pairs.num_pairs(corpus.Q) * M))
-    at = 0
-    for lo in range(0, n, _SLICE):
-        mine = ~first[lo:lo + _SLICE] if half else first[lo:lo + _SLICE]
-        rows = corpus.pair_rows(lo, lo + _SLICE)[mine]
+    at, step = 0, pairs._SLICE
+    for lo in range(0, n, step):
+        mine = ~first[lo:lo + step] if half else first[lo:lo + step]
+        rows = corpus.pair_rows(lo, lo + step)[mine]
         rows *= M
         rows += M - 1
-        rows -= corpus.user[lo:lo + _SLICE][mine]
+        rows -= corpus.user[lo:lo + step][mine]
         key[at:at + rows.size] = rows
         at += rows.size
     return key
 
 
-def _half_counts(split: SplitCounts, half: int) -> sp.csr_matrix:
-    """The W x M counts of the split's first half (``half`` 0) or second
-    (1), read off the sorted distinct keys row * M + (M - 1 - user) of its
-    records, so that each row lists its users in descending order: the
-    order in which ``sp.diags(inv) @ X`` leaves them, since scipy's product
-    lays out every row in reverse.  The detection products sum in that
-    order."""
+def _normalized_half(split: SplitCounts, half: int) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The split's first half (``half`` 0) or second (1) as a W x M CSR
+    whose rows are scaled to sum to one, and each row's count of records.
+
+    The half is read off the sorted distinct keys row * M + (M - 1 - user)
+    of its records, so that each row lists its users in descending order:
+    the order in which ``sp.diags(inv) @ X`` leaves them, since scipy's
+    product lays out every row in reverse, and in which the detection
+    products sum.  Each count becomes count * inv[key // M], the product
+    that form takes, one slice of entries at a time, before the keys are
+    decoded into users; the row sums add integer counts, so they are exact."""
     corpus = split.corpus
     M, W = corpus.M, pairs.num_pairs(corpus.Q)
     key, count = pairs.distinct_counts(_half_keys(split, half))
     index = np.int32 if max(W, M, key.size) <= np.iinfo(np.int32).max else np.int64
     # the bounds in the key's own type, so that the key is not widened
     indptr = np.searchsorted(key, np.arange(W + 1, dtype=key.dtype) * M).astype(index)
+    rs = np.zeros(W)
+    full = indptr[:-1] < indptr[1:]  # reduceat gives an empty row a value, not 0
+    rs[full] = np.add.reduceat(count, indptr[:-1][full])
+    inv = np.where(rs > 0, 1.0 / np.maximum(rs, 1e-300), 0.0)
+    step = pairs._SLICE
+    for lo in range(0, key.size, step):
+        count[lo:lo + step] *= inv.take(key[lo:lo + step] // M)
     np.remainder(key, M, out=key)
     np.subtract(M - 1, key, out=key)  # each entry's user
-    return sp.csr_matrix((count, key.astype(index, copy=False), indptr), shape=(W, M))
-
-
-def _normalize_in_place(X: sp.csr_matrix) -> np.ndarray:
-    """Scale every row of the counts X in place to sum to one, and return
-    the row sums.  Each entry becomes count * inv[row], the product that
-    ``sp.diags(inv) @ X`` forms; the entries are scaled one slice at a
-    time, so no entry-long array is made beside them."""
-    rs = np.asarray(X.sum(axis=1)).ravel()
-    inv = np.where(rs > 0, 1.0 / np.maximum(rs, 1e-300), 0.0)
-    for lo in range(0, X.nnz, _SLICE):
-        hi = min(lo + _SLICE, X.nnz)
-        row = np.searchsorted(X.indptr, np.arange(lo, hi), side="right") - 1
-        X.data[lo:hi] *= inv.take(row)
-    return rs
-
-
-def _normalized_cooccurrence(Xn: sp.csr_matrix, Xpn: sp.csr_matrix, M: int, Q: int,
-                             corpus=None) -> CoocMatrix:
-    """E-hat = M * Xpn Xn^T from the counts of the halves [X, X'], each
-    row-normalized in place (``_normalize_in_place``)."""
-    counts = _normalize_in_place(Xn)
-    counts += _normalize_in_place(Xpn)  # each pair row's records
-    return CoocMatrix(CoocFactors(Xpn, Xn, float(M)), counts > 0, Q, row_counts=counts,
-                      corpus=corpus)
+    return sp.csr_matrix((count, key.astype(index, copy=False), indptr), shape=(W, M)), rs
 
 
 def cooccurrence(split: SplitCounts) -> CoocMatrix:
-    """The co-occurrence estimate of the split's halves, each built
-    directly in the layout of its row-normalized copy (``_half_counts``)
-    and normalized in place, keeping the corpus for the dispersion
-    refit."""
+    """E-hat = M * Xpn Xn^T from the split's row-normalized halves [Xn, Xpn]
+    (``_normalized_half``), keeping the corpus for the dispersion refit."""
     corpus = split.corpus
-    return _normalized_cooccurrence(_half_counts(split, 0), _half_counts(split, 1),
-                                    corpus.M, corpus.Q, corpus)
-
-
-def halves_cooccurrence(halves: list, M: int, Q: int) -> CoocMatrix:
-    """E-hat = M * row-normalized(X') row-normalized(X)^T from CSR copies
-    of the given W x M counts ``halves`` = [X, X'], normalized as
-    ``cooccurrence`` normalizes its own."""
-    X, X_prime = (sp.csr_matrix(h, copy=True) for h in halves)
-    return _normalized_cooccurrence(X, X_prime, M, Q)
+    Xn, counts = _normalized_half(split, 0)
+    Xpn, second = _normalized_half(split, 1)
+    counts += second  # each pair row's records
+    return CoocMatrix(CoocFactors(Xpn, Xn, float(corpus.M)), counts > 0, corpus.Q,
+                      row_counts=counts, corpus=corpus)
 
 
 def analytic_cooccurrence(model: MixedMembershipModel) -> tuple[CoocMatrix, np.ndarray]:

@@ -38,13 +38,12 @@ from mallowmix.moments import (
     CoocMatrix,
     analytic_cooccurrence,
     cooccurrence,
-    halves_cooccurrence,
     split_halves,
 )
 from mallowmix.permutations import Permutation, copeland_rank
 from mallowmix.post import postprocess
 from mallowmix.separability import check_separability
-from test_moments import dense_factors, full
+from test_moments import counts_cooccurrence, dense_factors, full
 
 
 def analytic_toy(E, Q=2):
@@ -310,7 +309,7 @@ def sampled_random(seed, Q, M, n_copies, jitter):
     Xp = rng.poisson(0.6, size=(W, M)).astype(float)
     # Copies of a second-half row give (near-)duplicate rows of E-hat.
     Xp = np.round(clustered_rows(rng, Xp, n_copies, jitter))
-    return halves_cooccurrence([sp.csr_matrix(X), sp.csr_matrix(Xp)], M, Q)
+    return counts_cooccurrence([sp.csr_matrix(X), sp.csr_matrix(Xp)], M, Q)
 
 
 def compare_to_reference(cooc, cfg):

@@ -489,6 +489,10 @@ class TestSerialization:
             for reader in (read_corpus, reference_read_corpus):
                 with pytest.raises(CorpusError, match=f"^{re.escape(rule)}$"):
                     reader(path)
+            for slice_records in (1, 2):  # the users are counted a slice at a time
+                with mock.patch.object(pairs, "_SLICE", slice_records), \
+                        pytest.raises(CorpusError, match=f"^{re.escape(rule)}$"):
+                    read_corpus(path)
         # the records agree with N
         meta = json.dumps({"meta": {"Q": 5, "M": 2, "N": 2}})
         path.write_text("\n".join([meta] + [record(u, 1, 2) for u in (1, 0, 0, 1)]) + "\n")

@@ -34,7 +34,6 @@ from mallowmix.moments import (
     SplitError,
     analytic_cooccurrence,
     cooccurrence,
-    halves_cooccurrence,
     split_halves,
 )
 from mallowmix.permutations import Permutation
@@ -55,6 +54,23 @@ def full(cooc: CoocMatrix) -> np.ndarray:
         return E.scale * (E.left @ E.right.T).toarray()
     everything = np.arange(E.shape[0])
     return E.block(everything, everything)
+
+
+def counts_cooccurrence(halves: list, M: int, Q: int) -> CoocMatrix:
+    """E-hat = M * X'n Xn^T from CSR copies of the given W x M counts
+    ``halves`` = [X, X'], each row scaled in place by its inverse row sum:
+    each entry becomes count * inv[row], as ``cooccurrence`` forms it."""
+    normalized, counts = [], []
+    for X in halves:
+        X = sp.csr_matrix(X, copy=True)
+        rs = np.asarray(X.sum(axis=1)).ravel()
+        X.data *= np.repeat(np.where(rs > 0, 1.0 / np.maximum(rs, 1e-300), 0.0),
+                            np.diff(X.indptr))
+        normalized.append(X)
+        counts.append(rs)
+    total = counts[0] + counts[1]
+    return CoocMatrix(CoocFactors(normalized[1], normalized[0], float(M)), total > 0, Q,
+                      row_counts=total)
 
 
 def reference_analytic_E(model: MixedMembershipModel) -> np.ndarray:
@@ -275,9 +291,20 @@ class TestSplitMatchesCOOReference:
             with pytest.raises(SplitError, match=f"^{re.escape(str(exc))}$"):
                 split_halves(corpus)
             return
-        with mock.patch.object(pairs, "_SLICE", slice_records), \
-                mock.patch.object(moments, "_SLICE", slice_records):
+        with mock.patch.object(pairs, "_SLICE", slice_records):
             assert_same_halves(count_halves(split_halves(corpus)), want)
+            assert_normalized_like_diags(corpus)
+
+    @pytest.mark.parametrize("slice_records", [1, 2, 1 << 13])
+    def test_empty_first_inner_and_last_rows(self, slice_records):
+        # no record of (1, 2), (2, 1) or (3, 2), the first, an inner and the
+        # last of the W = 6 pair rows, and none of (1, 3) in the second half
+        records = [(0, 1, 3), (1, 3, 1), (0, 2, 3), (1, 3, 1), (1, 2, 3), (0, 2, 3), (1, 3, 1)]
+        corpus = corpus_from_records(3, 2, records)
+        halves = reference_halves(corpus)
+        empty = [np.flatnonzero(np.diff(X.indptr) == 0).tolist() for X in halves]
+        assert empty == [[0, 2, 5], [0, 1, 2, 5]]
+        with mock.patch.object(pairs, "_SLICE", slice_records):
             assert_normalized_like_diags(corpus)
 
     def test_user_by_row_keys_cannot_wrap(self):
@@ -493,7 +520,7 @@ class TestCooccurrence:
         thetas = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.2, 0.8]])
         M = thetas.shape[0]
         T = B @ thetas.T  # W x M expected per-comparison pair usage
-        got = halves_cooccurrence([sp.csr_matrix(5 * T), sp.csr_matrix(5 * T)], M, Q)
+        got = counts_cooccurrence([sp.csr_matrix(5 * T), sp.csr_matrix(5 * T)], M, Q)
 
         a_emp = thetas.mean(axis=0)
         R_emp = thetas.T @ thetas / M

@@ -86,6 +86,18 @@ def test_evaluate_sorts_nothing():
     assert sort_calls("evaluate") == []
 
 
+def test_only_pairs_defines_the_record_slice():
+    # one slice size for every loop over records, so that patching
+    # pairs._SLICE reaches them all
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.relative_to(PACKAGE)}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "_SLICE"
+                  and isinstance(node.ctx, ast.Store)]
+    assert found and all(f.startswith("pairs.py:") for f in found), found
+
+
 def test_importing_pairs_loads_no_scipy():
     # the split and the grouping are numpy only, so predict, which groups
     # its records with them, stays free of scipy
