@@ -130,7 +130,8 @@ def infer_weights(corpus: ComparisonCorpus, B, *, tol: float = EM_TOL,
     probability zero in every component is an error that names the first
     one in corpus order.  With ``trace`` the
     total log-likelihood at the start of every cycle is returned as well.
-    A cycle takes at most three EM steps; ``max_iter`` bounds the cycles, and
+    A cycle takes two EM steps for every user and a third for a user whose
+    extrapolated point it refuses; ``max_iter`` bounds the cycles, and
     stopping there before the relative change of the total log-likelihood
     falls to ``tol`` emits a RuntimeWarning.
 
@@ -181,19 +182,24 @@ def infer_weights(corpus: ComparisonCorpus, B, *, tol: float = EM_TOL,
     return weights
 
 
-def _user_blocks(starts: np.ndarray, n_entries: int) -> tuple[np.ndarray, list[tuple]]:
-    """Each user's count of entries, which run contiguously from its
-    ``starts``, and blocks (u, v, lo, hi) of whole users: users u..v-1 own
-    entries lo..hi-1, at most _EM_BLOCK of them unless u alone has more."""
-    entries = np.diff(starts, append=n_entries)
-    ends = starts + entries
-    blocks = []
+def _user_blocks(starts: np.ndarray, entries: np.ndarray):
+    """Blocks (u, v, where, local) of whole users, the swept users holding
+    ``entries`` entries each from their ``starts``: users u..v-1 own the
+    entries at ``where``, at most _EM_BLOCK of them unless u alone has more,
+    and their own begin at ``local`` within the block.  ``where`` is a
+    slice where those entries run contiguously, else an index array."""
+    ends = np.cumsum(entries)
     u = 0
     while u < starts.size:
-        v = max(u + 1, int(np.searchsorted(ends, starts[u] + _EM_BLOCK, side="right")))
-        blocks.append((u, v, int(starts[u]), int(ends[v - 1])))
+        lo = ends[u] - entries[u]
+        v = max(u + 1, int(np.searchsorted(ends, lo + _EM_BLOCK, side="right")))
+        local, size = ends[u:v] - entries[u:v] - lo, int(ends[v - 1] - lo)
+        if starts[v - 1] - starts[u] == local[-1]:
+            where = slice(int(starts[u]), int(starts[u]) + size)
+        else:
+            where = np.repeat(starts[u:v] - local, entries[u:v]) + np.arange(size)
+        yield u, v, where, local
         u = v
-    return entries, blocks
 
 
 def _block_terms(theta: np.ndarray, entries: np.ndarray, u: int, v: int, table: np.ndarray,
@@ -222,6 +228,39 @@ def _block_terms(theta: np.ndarray, entries: np.ndarray, u: int, v: int, table: 
     return terms, total
 
 
+def _sweep(theta: np.ndarray, count: np.ndarray, row: np.ndarray, table: np.ndarray,
+           starts: np.ndarray, entries: np.ndarray,
+           sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One EM step of the swept users, all of ``_weights_em``'s or a sorted
+    subset, given their weights as the columns of ``theta``, the ``starts``
+    and number of their ``entries`` and their records' ``sizes``: each
+    user's log-likelihood at theta, -inf where one of its entries has
+    probability zero (its M-step is then not a number), and the M-step.
+
+    A block of whole users (``_user_blocks``) at a time, its terms
+    theta_k B[w, k] and their sum, its mixture probabilities, are formed
+    once (``_block_terms``) and turned into the M-step's count-weighted
+    shares theta_k B[w, k] / total, in [0, 1] where count / total alone
+    could overflow, so that nothing of K x entries is held.  A user's sums
+    read only its own entries, so it gets the same bits in any subset.
+    """
+    user_ll = np.empty(starts.size)
+    step = np.empty_like(theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for u, v, where, local in _user_blocks(starts, entries):
+            terms, total = _block_terms(theta, entries, u, v, table, row[where])
+            weight = count[where]
+            terms /= total
+            terms *= weight
+            for k in range(len(terms)):
+                step[k, u:v] = np.add.reduceat(terms[k], local)
+            np.log(total, out=total)
+            total *= weight
+            user_ll[u:v] = np.add.reduceat(total, local)
+            del terms, total, weight  # before the next block's are formed
+    return user_ll, np.divide(step, sizes, out=step)
+
+
 def _weights_em(count: np.ndarray, row: np.ndarray, starts: np.ndarray, table: np.ndarray,
                 tol: float, max_iter: int, unsupported) -> tuple[np.ndarray, list[float]]:
     """The weight EM of ``infer_weights`` on grouped entries: entry e holds
@@ -230,61 +269,23 @@ def _weights_em(count: np.ndarray, row: np.ndarray, starts: np.ndarray, table: n
     outcome probabilities, component k's in row k.  Returns the (K, users)
     weights and the total log-likelihood at the start of every cycle;
     ``unsupported(theta)`` gives the error to raise when an entry has
-    probability zero.
+    probability zero at theta.
 
-    Each EM step is one sweep over blocks of whole users (``_user_blocks``)
-    that gathers a block's outcome probabilities from ``table``, forms its
-    terms theta_k B[w, k] and their sum, its mixture probabilities, once
-    (``_block_terms``) and turns the terms into its M-step shares, so that
-    nothing of K x entries is held.  A SQUAREM cycle sweeps theta1 and then
-    the extrapolated point, whose M-step is the next cycle's theta1 unless
-    a user falls back to theta2 (that sweep then forms no more shares).
+    Each EM step is one ``_sweep``.  A SQUAREM cycle sweeps every user from
+    theta1 and then at its point, which gives the next cycle's
+    log-likelihoods and theta1.  Only the users whose extrapolated point
+    lowers their likelihood, or gives one of their entries probability
+    zero, fall back to theta2 and are swept again, alone.  An entry of
+    probability zero at the start of a cycle or at theta1 is an error.
     """
-    K = len(table)
-    sizes = np.add.reduceat(count, starts)  # records per occupied user
-    entries, blocks = _user_blocks(starts, count.size)
-
-    def sweep(theta: np.ndarray, loglik: bool = True, floor=None):
-        """Each user's log-likelihood at ``theta`` (K x occupied users; -inf
-        where a record has probability zero) if ``loglik``, and the M-step
-        from ``theta``: None where an entry has probability zero, or, given
-        ``floor``, where a user's log-likelihood is not at least its floor,
-        since that step is not used."""
-        user_ll = np.empty(theta.shape[1]) if loglik else None
-        step = np.empty_like(theta)
-        for u, v, lo, hi in blocks:
-            local = starts[u:v] - lo
-            terms, total = _block_terms(theta, entries, u, v, table, row[lo:hi])
-            if step is not None and total.min() == 0:
-                step = None
-                if not loglik:
-                    break
-            if step is not None:
-                # each component's count-weighted share theta_k B[w, k] /
-                # total, in [0, 1] where count / total alone could overflow
-                terms /= total
-                terms *= count[lo:hi]
-                for k in range(K):
-                    step[k, u:v] = np.add.reduceat(terms[k], local)
-            if loglik:
-                with np.errstate(divide="ignore"):
-                    np.log(total, out=total)
-                total *= count[lo:hi]
-                user_ll[u:v] = np.add.reduceat(total, local)
-                if floor is not None and not (user_ll[u:v] >= floor[u:v]).all():
-                    step = None
-            del terms, total  # before the next block's are formed
-        return user_ll, None if step is None else step / sizes
-
-    theta = np.full((K, starts.size), 1.0 / K)
-    user_ll = theta1 = None
+    users = starts, np.diff(starts, append=count.size), np.add.reduceat(count, starts)
+    theta = np.full((len(table), starts.size), 1.0 / len(table))
+    user_ll, theta1 = _sweep(theta, count, row, table, *users)
     history: list[float] = []
     prev_ll = -math.inf
     change = math.inf
     for it in range(1, max_iter + 1):
-        if user_ll is None:
-            user_ll, theta1 = sweep(theta)
-        if theta1 is None:
+        if (user_ll == -math.inf).any():
             raise unsupported(theta)
         ll = float(user_ll.sum())
         if ll < prev_ll - 1e-9 * (1.0 + abs(prev_ll)):
@@ -296,21 +297,17 @@ def _weights_em(count: np.ndarray, row: np.ndarray, starts: np.ndarray, table: n
             break
         change = abs(ll - prev_ll) / (1.0 + abs(ll))
         prev_ll = ll
-        _, theta2 = sweep(theta1, loglik=False)
-        if theta2 is None:
+        ll1, theta2 = _sweep(theta1, count, row, table, *users)
+        if (ll1 == -math.inf).any():
             raise unsupported(theta1)
         theta, extrapolated = _squarem_point(theta, theta1, theta2)
-        floor = np.where(extrapolated, user_ll, -math.inf)
-        user_ll = theta1 = None
-        if extrapolated.any():
-            # a point that lowers a user's likelihood, or gives one of its
-            # records probability zero, falls back to theta2; else its
-            # sweep is the next cycle's first
-            user_ll, theta1 = sweep(theta, floor=floor)
-            fallback = ~(user_ll >= floor)
-            if fallback.any():
-                theta[:, fallback] = theta2[:, fallback]
-                user_ll = theta1 = None
+        floor = user_ll
+        user_ll, theta1 = _sweep(theta, count, row, table, *users)
+        fallback = np.flatnonzero(extrapolated & ~(user_ll >= floor))
+        if fallback.size:
+            theta[:, fallback] = theta2[:, fallback]
+            user_ll[fallback], theta1[:, fallback] = _sweep(
+                theta2[:, fallback], count, row, table, *(a[fallback] for a in users))
     else:
         warnings.warn(
             f"EM stopped at max_iter={max_iter} without converging; last relative "
@@ -334,7 +331,7 @@ def refit_dispersions(corpus: ComparisonCorpus, rankings: list[Permutation],
     with the rankings fixed.
 
     It reads the entries (``pairs.user_entries``) of every s-th user, s set
-    by _REFIT_RECORDS.  A record of pair row w has probability sum_k
+    by _REFIT_RECORDS, and refuses a sample without records.  A record of pair row w has probability sum_k
     theta_uk beta_k(w) times the pair's own probability, which all
     components share and which drops out; beta_k(w) is the Mallows order
     probability of w at its gap in ranking k.  The refit takes one step of
@@ -350,72 +347,72 @@ def refit_dispersions(corpus: ComparisonCorpus, rankings: list[Permutation],
     pair marginal tables.  It stops once a step would move no dispersion by
     more than _REFIT_PHI_TOL, or when no step keeps the likelihood.
 
-    The EM and every Newton step form one block of whole users' terms at a
-    time, theta_uk times beta_k(w) or its derivatives, by the EM's own
+    The EM and every Newton evaluation form one block of whole users' terms
+    at a time, theta_uk times beta_k(w) or its derivatives, by the EM's own
     ``_block_terms``, which gathers the block's columns of the (K, W)
-    ``beta`` or derivative table, so no K x entries array is held.  The
-    log-likelihood, the gradient and the Hessian are summed by
-    ``_block_sums``, in an order set by the users' entries and _EM_BLOCK
-    alone.
+    ``beta`` or derivative table, so no K x entries array is held.  An
+    evaluation, at the start and at each candidate, forms the
+    log-likelihood, the gradient and the Hessian in one pass over the
+    blocks, and an accepted candidate's serve the next step.  Each is
+    summed by ``_block_sums``, in an order set by the users' entries and
+    _EM_BLOCK alone.
 
     Returns the dispersions and a dict with the weight EM's cycles, the
     Newton steps taken, the final log-likelihood and the records read.
     """
     Q = corpus.Q
+    stride = max(1, -(-corpus.n_records // _REFIT_RECORDS))
     users = np.zeros(corpus.M, dtype=bool)
-    users[::max(1, -(-corpus.n_records // _REFIT_RECORDS))] = True
+    users[::stride] = True
     count, row, starts, _ = pairs.user_entries(corpus, users)
+    if not count.size:
+        raise ValueError(f"the dispersion refit reads every user whose id is a multiple of "
+                         f"{stride}, so that at most {_REFIT_RECORDS} records are read, and "
+                         f"those users hold no records")
     gaps = [pair_gaps(sigma.positions) for sigma in rankings]
     K = len(gaps)
     phis = np.maximum(np.asarray(dispersions, dtype=float), _refit_floor(Q))
-    beta = order_probabilities(Q, gaps, phis)
     theta, history = _weights_em(
-        count, row, starts, beta, REFIT_TOL, 500,
+        count, row, starts, order_probabilities(Q, gaps, phis), REFIT_TOL, 500,
         lambda _: RuntimeError("a record has probability zero in every component"))
-    del beta
-    entries, blocks = _user_blocks(starts, count.size)
+    entries = np.diff(starts, append=count.size)
 
-    def loglik(phis) -> float:
-        beta = order_probabilities(Q, gaps, phis)
-        parts = []
-        for u, v, lo, hi in blocks:
-            total = _block_terms(theta, entries, u, v, beta, row[lo:hi])[1]
-            with np.errstate(divide="ignore"):
-                parts.append(np.einsum("e,e->", count[lo:hi], np.log(total)))
-        return float(_block_sums(parts))
-
-    def newton_terms(b0, dbeta, curve, u: int, v: int, lo: int, hi: int) -> np.ndarray:
-        """The gradient's, the Hessian's diagonal and the Hessian's cross
-        terms over the entries lo..hi-1 of users u..v-1, flat.  Each
-        derivative is divided by the entry's probability before it is
-        weighted by the count: count / total^2 overflows once a record's
-        probability falls below about 1e-154."""
-        rows, c = row[lo:hi].astype(np.intp), count[lo:hi]
-        # each block's terms are dropped once read, so that at most two
-        # (K, entries) arrays are held at a time
-        total = _block_terms(theta, entries, u, v, b0, rows)[1]
-        curv = _block_terms(theta, entries, u, v, curve, rows)[0]
-        curv /= total
-        diag = np.einsum("ke,e->k", curv, c)
-        del curv
-        # theta_uk d beta_k / d phi_k
-        slope = _block_terms(theta, entries, u, v, dbeta, rows)[0]
-        slope /= total
-        grad = np.einsum("ke,e->k", slope, c)
-        cross = np.einsum("ke,je->kj", slope * c, slope)
-        return np.concatenate([grad, diag, cross.ravel()])
-
-    ll = loglik(phis)
-    top = math.nextafter(1.0, 0.0)
-    steps = 0
-    for _ in range(_REFIT_MAX_STEPS):
+    def newton_terms(phis) -> tuple[float, np.ndarray, np.ndarray]:
+        """The log-likelihood, the gradient and the Hessian at ``phis``, in
+        one pass over the blocks.  Each derivative is divided by the entry's
+        probability before it is weighted by the count: count / total^2
+        overflows once a record's probability falls below about 1e-154."""
         b0, b1, b2 = (order_probabilities(Q, gaps, phis + j * _REFIT_STEP) for j in range(3))
         dbeta = (4.0 * b1 - 3.0 * b0 - b2) / (2.0 * _REFIT_STEP)
         curve = (b0 - 2.0 * b1 + b2) / _REFIT_STEP**2
-        parts = [newton_terms(b0, dbeta, curve, *block) for block in blocks]
-        sums = _block_sums(parts)
-        grad = sums[:K]
-        hess = np.diag(sums[K:2 * K]) - sums[2 * K:].reshape(K, K)
+        parts = []
+        # a candidate that gives a record probability zero has log-likelihood
+        # -inf and is refused, whatever its derivatives
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for u, v, where, _ in _user_blocks(starts, entries):
+                rows, c = row[where].astype(np.intp), count[where]
+                # each block's terms are dropped once read, so that at most
+                # two (K, entries) arrays are held at a time
+                total = _block_terms(theta, entries, u, v, b0, rows)[1]
+                curv = _block_terms(theta, entries, u, v, curve, rows)[0]
+                curv /= total
+                diag = np.einsum("ke,e->k", curv, c)
+                del curv
+                # theta_uk d beta_k / d phi_k
+                slope = _block_terms(theta, entries, u, v, dbeta, rows)[0]
+                slope /= total
+                grad = np.einsum("ke,e->k", slope, c)
+                cross = np.einsum("ke,je->kj", slope * c, slope)
+                ll = np.einsum("e,e->", c, np.log(total))
+                parts.append(np.concatenate([[ll], grad, diag, cross.ravel()]))
+                del rows, total, slope  # before the next block's are formed
+        ll, grad, diag, cross = np.split(_block_sums(parts), [1, K + 1, 2 * K + 1])
+        return float(ll[0]), grad, np.diag(diag) - cross.reshape(K, K)
+
+    ll, grad, hess = newton_terms(phis)
+    top = math.nextafter(1.0, 0.0)
+    steps = 0
+    for _ in range(_REFIT_MAX_STEPS):
         try:
             np.linalg.cholesky(-hess)  # a Newton step only where the curvature is negative
             move = np.linalg.solve(-hess, grad)
@@ -425,13 +422,13 @@ def refit_dispersions(corpus: ComparisonCorpus, rankings: list[Permutation],
             break
         for _ in range(_REFIT_HALVINGS):
             cand = np.clip(phis + move, 0.0, top)
-            cand_ll = loglik(cand)
-            if cand_ll >= ll:
+            terms = newton_terms(cand)
+            if terms[0] >= ll:
                 break
             move *= 0.5
         else:
             break
-        phis, ll = cand, cand_ll
+        phis, (ll, grad, hess) = cand, terms
         steps += 1
     return phis.tolist(), {"weight_cycles": len(history), "newton_steps": steps, "loglik": ll,
                            "records": int(count.sum())}

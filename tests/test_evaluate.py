@@ -1026,6 +1026,47 @@ class TestSweepMatchesEntryEM:
                         "extrapolated", "fallback"}
 
 
+class TestSweepsPerCycle:
+    def test_only_users_that_fall_back_are_swept_again(self, monkeypatch):
+        # a converged run sweeps every entry once at the start and twice in
+        # each cycle but the last, and beyond that only the entries of the
+        # users that fall back from their extrapolated point
+        model = model_of([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [2, 4, 1, 5, 3]], [0.3] * 3,
+                         prior=DirichletPrior(0.3))
+        corpus, _ = generate(model, M=200, N=30, seed=1)
+        B = model.observation_matrix()
+        swept, points = [], []
+        block_terms = evaluate._block_terms
+
+        def count_rows(*args):
+            swept.append(args[-1].size)  # the block's pair rows
+            return block_terms(*args)
+
+        monkeypatch.setattr(evaluate, "_block_terms", count_rows)
+        monkeypatch.setattr(evaluate, "_squarem_point",
+                            squarem_spy(evaluate._squarem_point, points))
+        _, history = infer_weights(corpus, B, trace=True)
+        count, row, starts, _ = pairs.user_entries(corpus)
+        ends = np.append(starts[1:], count.size)
+
+        def user_ll(theta, u):
+            # as the EM forms it, to the bit: the terms added in component
+            # order, and the count-weighted logs by np.add.reduceat
+            mine = slice(starts[u], ends[u])
+            total = theta[0, u] * B[row[mine], 0]
+            for k in range(1, B.shape[1]):
+                total = total + theta[k, u] * B[row[mine], k]
+            with np.errstate(divide="ignore"):
+                return np.add.reduceat(np.log(total) * count[mine], [0])[0]
+
+        fallen = sum(ends[u] - starts[u] for theta0, point, extrapolated in points
+                     for u in np.flatnonzero(extrapolated)
+                     if not user_ll(point, u) >= user_ll(theta0, u))
+        assert len(points) == len(history) - 1 >= 10
+        assert 0 < fallen < 3 * count.size  # a few users fall back, in a few cycles
+        assert sum(swept) <= count.size * (1 + 2 * len(points)) + fallen
+
+
 class TestRefitDispersions:
     def test_single_component_matches_grid_search(self):
         # one component: every weight is one, so the refit is the
@@ -1113,6 +1154,55 @@ class TestRefitDispersions:
         want, info = evaluate.refit_dispersions(corpus, plain.rankings, plain.dispersions)
         assert refit.dispersions == want and refit.refit == info
         assert refit.diagnostics == plain.diagnostics
+
+    def test_sample_without_records_is_refused(self, monkeypatch):
+        # 8 records at most 4 a refit: users 0 and 2 are read, and hold none
+        user = np.repeat([1, 3], 4)
+        corpus = ComparisonCorpus(Q=4, M=4, user=user, winner=np.tile([1, 2, 3, 4], 2),
+                                  loser=np.tile([2, 3, 4, 1], 2))
+        monkeypatch.setattr(evaluate, "_REFIT_RECORDS", 4)
+        refs = [Permutation.from_ranking([1, 2, 3, 4])] * 2
+        with pytest.raises(ValueError, match=r"every user whose id is a multiple of 2, so that "
+                                             r"at most 4 records are read, .* hold no records"):
+            evaluate.refit_dispersions(corpus, refs, [0.3, 0.3])
+
+    def test_one_pass_per_newton_evaluation(self, monkeypatch):
+        # the log-likelihood, gradient and Hessian at the start and at each
+        # candidate come from one pass over the blocks, and an accepted
+        # candidate's serve the next step: no phi's mixture is formed twice
+        corpus, refs, start = refit_case(3, M=300, N=30, seed=3)
+        monkeypatch.setattr(evaluate, "_EM_BLOCK", 500)
+        weights_em, order_probabilities = evaluate._weights_em, evaluate.order_probabilities
+        block_terms = evaluate._block_terms
+        tables, calls, em_done = [], [], []
+
+        def em(*args):
+            out = weights_em(*args)
+            em_done.append(True)
+            return out
+
+        def probabilities(Q, gaps, phis):
+            out = order_probabilities(Q, gaps, phis)
+            tables.append((tuple(phis), out))
+            return out
+
+        def terms(theta, entries, u, v, table, rows):
+            if em_done:  # the phi of a mixture's table, None for a derivative's
+                calls.append((next((phis for phis, t in tables if t is table), None), u))
+            return block_terms(theta, entries, u, v, table, rows)
+
+        monkeypatch.setattr(evaluate, "_weights_em", em)
+        monkeypatch.setattr(evaluate, "order_probabilities", probabilities)
+        monkeypatch.setattr(evaluate, "_block_terms", terms)
+        _, info = evaluate.refit_dispersions(corpus, refs, start)
+        mixtures = [(phis, u) for phis, u in calls if phis is not None]
+        blocks = sorted({u for _, u in mixtures})
+        evaluations = [mixtures[i][0] for i in range(0, len(mixtures), len(blocks))]
+        assert len(blocks) > 1 and info["newton_steps"] >= 1
+        # each evaluation one pass over the blocks, at a phi of its own
+        assert mixtures == [(phis, u) for phis in evaluations for u in blocks]
+        assert len(set(evaluations)) == len(evaluations) >= 1 + info["newton_steps"]
+        assert len(calls) == 3 * len(mixtures)  # the mixture, curvature and slope terms
 
 
 def user_blocks(starts, n_entries):

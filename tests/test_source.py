@@ -268,3 +268,17 @@ def test_evaluate_loads_scipy_optimize(tmp_path):
     # scipy.optimize loads scipy.sparse itself
     assert "scipy.optimize" in scipy_parts_loaded(
         tmp_path, GENERATE, "evaluate --truth truth.json -i truth.json")
+
+
+def test_only_block_terms_gathers_outcome_tables():
+    # one kernel gathers a block's outcome probabilities, so the weight
+    # EM's sweeps, its re-sweep of the users that fall back and the
+    # dispersion refit's Newton passes all form their terms alike
+    tree = ast.parse((PACKAGE / "evaluate.py").read_text())
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            found += [func.name for node in ast.walk(func)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "take" and any(kw.arg == "out" for kw in node.keywords)]
+    assert found == ["_block_terms"], found

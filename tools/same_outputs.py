@@ -17,9 +17,9 @@ and rows outside detection's candidates.  Both trees use the same
 relative file names, since every output records its own paths.  Every
 file the pipeline leaves and every command's exit code and stderr lines
 are compared; stdout is not, since ``estimate`` prints its wall time
-there.  Each command's peak RSS in each tree, from ``os.wait4``, is
-printed for information and not compared.  Exits 1 on any difference,
-naming it.  Standard library only.
+there.  Each command's wall time and peak RSS (from ``os.wait4``) in
+each tree are printed for information and not compared.  Exits 1 on any
+difference, naming it.  Standard library only.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 # name: (items Q, components K, users M, comparisons per user N, skewed pairs)
@@ -91,13 +92,15 @@ def source_path(tree: str) -> str:
 
 
 def run(src: str, argvs: list[list[str]], cwd: Path,
-        skewed: bool) -> tuple[list[tuple[int, list[str]]], list[float]]:
-    """Each command's exit code and stderr lines, and its peak RSS in MB; a
-    failed command ends the run.  With ``skewed``, the model file is
-    rewritten by ``skew_pairs`` after the first command, which draws it."""
+        skewed: bool) -> tuple[list[tuple[int, list[str]]], list[tuple[float, float]]]:
+    """Each command's exit code and stderr lines, and its wall time in
+    seconds and peak RSS in MB; a failed command ends the run.  With
+    ``skewed``, the model file is rewritten by ``skew_pairs`` after the
+    first command, which draws it."""
     env = dict(os.environ, PYTHONPATH=src)
-    results, peaks = [], []
+    results, costs = [], []
     for k, argv in enumerate(argvs):
+        start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "mallowmix.cli", *argv], cwd=cwd,
                                 env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                                 text=True)
@@ -107,12 +110,12 @@ def run(src: str, argvs: list[list[str]], cwd: Path,
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
         results.append((proc.returncode, stderr.splitlines()))
-        peaks.append(usage.ru_maxrss / 1024)  # KiB on Linux
+        costs.append((time.perf_counter() - start, usage.ru_maxrss / 1024))  # KiB on Linux
         if proc.returncode:
             break
         if skewed and k == 0:
             skew_pairs(cwd / "model.json")
-    return results, peaks
+    return results, costs
 
 
 def differences(parent: Path, change: Path, argvs, got_parent, got_change) -> list[str]:
@@ -151,20 +154,21 @@ def main(argv: list[str] | None = None) -> int:
             argvs = pipeline(*dims, seed)
             with tempfile.TemporaryDirectory() as tmp:
                 dirs = [Path(tmp) / "parent", Path(tmp) / "change"]
-                got, peaks = [], []
+                got, costs = [], []
                 for src, d in zip(trees, dirs):
                     d.mkdir()
-                    results, peak = run(src, argvs, d, skewed)
+                    results, cost = run(src, argvs, d, skewed)
                     got.append(results)
-                    peaks.append(peak)
+                    costs.append(cost)
                 diff = differences(*dirs, argvs, *got)
             found += len(diff)
             print(f"{shape} seed {seed}: "
                   + ("same outputs" if not diff else f"{len(diff)} difference(s)"))
             for line in diff:
                 print(f"  {line}")
-            for argv, a, b in zip(argvs, *peaks):
-                print(f"  `{' '.join(argv[:3])}`: peak RSS {a:.1f} MB parent, {b:.1f} MB change")
+            for argv, (a_s, a_mb), (b_s, b_mb) in zip(argvs, *costs):
+                print(f"  `{' '.join(argv[:3])}`: {a_s:.2f} s and peak RSS {a_mb:.1f} MB parent, "
+                      f"{b_s:.2f} s and {b_mb:.1f} MB change")
     return 1 if found else 0
 
 
